@@ -71,6 +71,9 @@ class ReplicaApp(ABC):
         self.seed = int(seed)
         self.iteration = 0
         self.rng = RngStream(seed, f"app/{self.descriptor.name}")
+        #: ``_hash_unit`` state after mixing ``(seed, task_id)``, indexed by
+        #: task id; grown on demand by :meth:`_jitter_prefix_table`.
+        self._jitter_prefixes: list[int] = []
 
     # -- numerics ----------------------------------------------------------------
     @abstractmethod
@@ -120,8 +123,39 @@ class ReplicaApp(ABC):
         progress at different rates during application execution (§2.2).
         """
         base = self.descriptor.base_iteration_seconds
-        jitter = 0.05 * _hash_unit(self.seed, task_id, iteration)
+        # _hash_unit(seed, task_id, iteration) with its first two mixing
+        # rounds read from a per-task table: only the iteration round runs
+        # per call (this is called once per task per iteration).
+        prefixes = self._jitter_prefixes
+        if not 0 <= task_id < len(prefixes):
+            if task_id < 0:
+                return base * (1.0 + 0.05 * _hash_unit(self.seed, task_id,
+                                                       iteration))
+            prefixes = self._jitter_prefix_table(task_id)
+        h = prefixes[task_id] ^ ((iteration + _GOLDEN) & _MASK64)
+        h = (h * _MIX) & _MASK64
+        h ^= h >> 31
+        jitter = 0.05 * ((h & 0xFFFFFFFFFFFF) / _UNIT_SCALE)
         return base * (1.0 + jitter)
+
+    def _jitter_prefix_table(self, task_id: int) -> list[int]:
+        """Grow the ``(seed, task_id)`` prefix table to cover ``task_id``.
+
+        One vectorised uint64 pass (numpy wraps modulo 2**64, as the masks in
+        :func:`_hash_unit` do); the table at least doubles each time, so
+        building it for N tasks costs O(log N) passes.
+        """
+        size = max(task_id + 1, 2 * len(self._jitter_prefixes), 64)
+        h = _GOLDEN ^ ((self.seed + _GOLDEN) & _MASK64)   # round 1: seed
+        h = (h * _MIX) & _MASK64
+        h ^= h >> 31
+        # Round 2, every task id at once.
+        mixed = np.uint64(h) ^ (np.arange(size, dtype=np.uint64)
+                                + np.uint64(_GOLDEN))
+        mixed *= np.uint64(_MIX)
+        mixed ^= mixed >> np.uint64(31)
+        self._jitter_prefixes = mixed.tolist()
+        return self._jitter_prefixes
 
     # -- helpers -----------------------------------------------------------------
     def _scaled(self, per_core: int, minimum: int = 2) -> int:
@@ -129,14 +163,20 @@ class ReplicaApp(ABC):
         return max(int(round(per_core * self.scale)), minimum)
 
 
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = 0xBF58476D1CE4E5B9
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_UNIT_SCALE = float(1 << 48)
+
+
 def _hash_unit(*keys: int) -> float:
     """Deterministic pseudo-random float in [0, 1) from integer keys."""
-    h = 0x9E3779B97F4A7C15
+    h = _GOLDEN
     for k in keys:
-        h ^= (int(k) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        h ^= (int(k) + _GOLDEN) & _MASK64
+        h = (h * _MIX) & _MASK64
         h ^= h >> 31
-    return (h & 0xFFFFFFFFFFFF) / float(1 << 48)
+    return (h & 0xFFFFFFFFFFFF) / _UNIT_SCALE
 
 
 def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:

@@ -76,18 +76,32 @@ class Jacobi3D(ReplicaApp):
 
     # -- numerics ----------------------------------------------------------------
     def advance(self) -> None:
+        # The 7-point stencil over the flattened padded grid: every neighbor
+        # is a fixed flat offset (±plane for X, ±row for Y, ±1 for Z), so each
+        # term is one contiguous 1-D slice instead of a strided 3-D view.  The
+        # run [lo, hi) spans the first to the last interior cell; the ghost
+        # cells inside it are computed and then ignored.  The seven terms are
+        # added in the same left-to-right order as the textbook form
+        # (center, X-, X+, Y-, Y+, Z-, Z+) before the one division, so the
+        # interior is bitwise what the 3-D expression gives.
         g = self.grid
-        center = g[1:-1, 1:-1, 1:-1]
-        new = (
-            center
-            + g[:-2, 1:-1, 1:-1]
-            + g[2:, 1:-1, 1:-1]
-            + g[1:-1, :-2, 1:-1]
-            + g[1:-1, 2:, 1:-1]
-            + g[1:-1, 1:-1, :-2]
-            + g[1:-1, 1:-1, 2:]
-        ) / 7.0
-        g[1:-1, 1:-1, 1:-1] = new
+        row = g.shape[2]
+        plane = g.shape[1] * row
+        flat = g.reshape(-1)
+        lo = plane + row + 1
+        hi = flat.size - lo
+        # Laid out like the grid, so the interior writes back as one strided
+        # slice assignment; freed on return.
+        out = np.empty_like(flat)
+        new = out[lo:hi]
+        np.add(flat[lo:hi], flat[lo - plane:hi - plane], out=new)
+        new += flat[lo + plane:hi + plane]
+        new += flat[lo - row:hi - row]
+        new += flat[lo + row:hi + row]
+        new += flat[lo - 1:hi - 1]
+        new += flat[lo + 1:hi + 1]
+        new /= 7.0
+        g[1:-1, 1:-1, 1:-1] = out.reshape(g.shape)[1:-1, 1:-1, 1:-1]
 
     # -- checkpointing -------------------------------------------------------------
     def pup_shard(self, p: PUPer, rank: int) -> None:

@@ -56,7 +56,6 @@ class Timeline:
     def __init__(self) -> None:
         self.events: list[TimelineEvent] = []
         self._subscribers: list = []
-        self._legacy_on_record = None
 
     # -- subscription ---------------------------------------------------------
     def subscribe(self, fn) -> None:
@@ -70,27 +69,11 @@ class Timeline:
         except ValueError:
             pass
 
-    @property
-    def on_record(self):
-        """Backward-compat shim for the old single-subscriber slot.
-
-        Assigning replaces only the legacy hook — subscribers added with
-        :meth:`subscribe` are unaffected.  New code should use
-        :meth:`subscribe` / :meth:`unsubscribe`.
-        """
-        return self._legacy_on_record
-
-    @on_record.setter
-    def on_record(self, fn) -> None:
-        self._legacy_on_record = fn
-
     def record(self, time: float, kind: TimelineKind, **detail) -> None:
         event = TimelineEvent(time, kind, detail)
         self.events.append(event)
         for fn in self._subscribers:
             fn(event)
-        if self._legacy_on_record is not None:
-            self._legacy_on_record(event)
 
     def of_kind(self, kind: TimelineKind) -> list[TimelineEvent]:
         return [e for e in self.events if e.kind is kind]

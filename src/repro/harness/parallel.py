@@ -895,8 +895,7 @@ class _Partition:
         for task in self.edge_tasks:
             state = task.state
             if state is TaskState.COMPUTING:
-                ev = task._compute_event
-                cand = ev.time if ev is not None else now
+                cand = task.busy_until
                 if self._faults_pending or self._revive_at:
                     cand = min(cand, boot_floor)
             elif state is TaskState.DEAD:
@@ -1152,12 +1151,18 @@ def _checked_recv(conn, proc, group: list[int]):
             partitions=group) from None
 
 
+def _terminate(procs) -> None:
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+
+
 def _reap(procs, timeout: float = 5.0) -> None:
     for proc in procs:
         proc.join(timeout=timeout)
     for proc in procs:
         if proc.is_alive():
-            proc.terminate()
+            proc.kill()
             proc.join(timeout=1.0)
 
 
@@ -1230,9 +1235,7 @@ def _run_pipes(scenario: ParallelScenario, n_partitions: int,
         loop_wall = time.perf_counter() - t_loop
         finals = broadcast("stop")
     except ParallelWorkerError:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+        _terminate(procs)
         raise
     finally:
         _reap(procs)
@@ -1431,20 +1434,18 @@ def _run_shm(scenario: ParallelScenario, n_partitions: int, n_workers: int,
                     results[w] = payload
                     waiting.discard(w)
                 else:
-                    barrier.abort()
-                    for other in procs:
-                        if other.is_alive():
-                            other.terminate()
                     raise ParallelWorkerError(str(payload),
                                               partitions=groups[w])
         # Completion is read straight out of the shared arrays — the
         # controller never shipped any per-window state over a pipe.
         completed = plane.all_at_cap(scenario.total_iterations)
     except Exception:
-        barrier.abort()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
+        # Terminate only; the controller never touches the barrier.  A
+        # worker can die (crash, or the SIGTERM sent here) while it holds
+        # the barrier's lock, and every barrier call after that — abort()
+        # included — blocks forever.  SIGTERM also ends workers blocked in
+        # barrier.wait(), so there is nothing to abort.
+        _terminate(procs)
         raise
     finally:
         _reap(procs)

@@ -9,7 +9,10 @@ iteration", and can be paused and resumed by the consensus machinery.
 Rollback safety uses an *epoch* counter: every dependency message carries the
 sender's epoch, and a restart bumps the epoch, so messages in flight across a
 rollback are discarded — modelling the flush of stale traffic that a real
-coordinated-checkpoint recovery performs.
+coordinated-checkpoint recovery performs.  Iteration completions carry the
+epoch too, so they are fire-and-forget posts that nothing ever cancels: a
+completion that outlives a kill or a restore finds the task DEAD or in a newer
+epoch and drops itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from repro.runtime.des import EventHandle
 from repro.util.errors import SimulationError
 
 #: Dependency-stamp message size (paper §2.2 neighbor messages).
@@ -33,6 +35,14 @@ class TaskState(str, Enum):
     COMPUTING = "computing"
     PAUSED = "paused"      # held by the consensus protocol
     DEAD = "dead"          # hosting node failed
+
+
+# Module-level aliases: the task step tests state identity several times per
+# iteration, and a global read is cheaper than an enum class attribute.
+_IDLE = TaskState.IDLE
+_COMPUTING = TaskState.COMPUTING
+_PAUSED = TaskState.PAUSED
+_DEAD = TaskState.DEAD
 
 
 class Task:
@@ -65,7 +75,7 @@ class Task:
         self.neighbors = list(neighbors)
         self.iteration_time = iteration_time
         self.progress = 0
-        self.state = TaskState.IDLE
+        self.state = _IDLE
         self.epoch = 0
         #: Highest dependency stamp received from each neighbor this epoch.
         self.dep_stamps: dict[int, int] = {tid: -1 for _, tid in self.neighbors}
@@ -74,7 +84,9 @@ class Task:
         #: Hard cap on progress for bounded runs (never exceeded, survives
         #: rollbacks); None = unbounded.
         self.iteration_cap: int | None = None
-        self._compute_event: EventHandle | None = None
+        #: Simulated instant the in-flight iteration completes; meaningful
+        #: only while COMPUTING.
+        self.busy_until = 0.0
         self.iterations_executed = 0
         #: Optional struct-of-arrays mirror of ``progress``; bound by the
         #: framework so monitor-wide at-cap/rework checks are O(1)/vectorized
@@ -95,22 +107,21 @@ class Task:
         self._try_start()
 
     def kill(self) -> None:
-        """The hosting node died: abort any in-flight compute."""
-        self.state = TaskState.DEAD
-        if self._compute_event is not None:
-            self._compute_event.cancel()
-            self._compute_event = None
+        """The hosting node died: abort any in-flight compute.
+
+        The pending completion stays queued; it finds the task DEAD (or, after
+        a restore, in a newer epoch) and is dropped.
+        """
+        self.state = _DEAD
 
     def restore(self, progress: int) -> None:
         """Roll back (or forward) to a checkpointed iteration.
 
         Bumps the epoch (discarding stale in-flight messages), resets the
         dependency view, and re-announces the restored stamp — the "resend"
-        that prevents the hang scenario of §2.2.
+        that prevents the hang scenario of §2.2.  The epoch bump also retires
+        any in-flight completion.
         """
-        if self._compute_event is not None:
-            self._compute_event.cancel()
-            self._compute_event = None
         old = self.progress
         self.progress = int(progress)
         if self._soa is not None:
@@ -118,7 +129,7 @@ class Task:
         self.epoch += 1
         self.dep_stamps = {tid: self.progress - 1 for _, tid in self.neighbors}
         self.pause_at = None
-        self.state = TaskState.IDLE
+        self.state = _IDLE
         self._announce_progress()
         self._try_start()
 
@@ -129,41 +140,32 @@ class Task:
         ``None`` pauses at the current progress (Phase-2 tentative pause);
         a concrete iteration is the decided checkpoint iteration (Phase 3).
         """
-        if self.state is TaskState.DEAD:
+        if self.state is _DEAD:
             return
         self.pause_at = self.progress if iteration is None else int(iteration)
         bound = self._pause_bound()
-        if self.state is TaskState.IDLE and bound is not None and self.progress >= bound:
-            self.state = TaskState.PAUSED
+        if self.state is _IDLE and bound is not None and self.progress >= bound:
+            self.state = _PAUSED
             self.node.on_task_ready_for_checkpoint(self)
 
     def resume(self) -> None:
         """Release a pause (checkpoint done, or the decision allows running on)."""
-        if self.state is TaskState.DEAD:
+        if self.state is _DEAD:
             return
         self.pause_at = None
-        if self.state is TaskState.PAUSED:
-            self.state = TaskState.IDLE
+        if self.state is _PAUSED:
+            self.state = _IDLE
         self._try_start()
 
     def resume_if_below(self) -> None:
         """Un-pause a task whose pause bar moved above its progress (Phase 3:
         the decided iteration is beyond the tentative local-max pause)."""
         bound = self._pause_bound()
-        if self.state is TaskState.PAUSED and (bound is None or self.progress < bound):
-            self.state = TaskState.IDLE
+        if self.state is _PAUSED and (bound is None or self.progress < bound):
+            self.state = _IDLE
             self._try_start()
 
     # -- execution engine ---------------------------------------------------------
-    def _deps_satisfied(self) -> bool:
-        # Plain loop, not all(genexpr): this runs a few times per iteration
-        # per task and the generator frame is measurable at campaign scale.
-        progress = self.progress
-        for stamp in self.dep_stamps.values():
-            if stamp < progress:
-                return False
-        return True
-
     def _pause_bound(self) -> int | None:
         p = self.pause_at
         c = self.iteration_cap
@@ -174,36 +176,45 @@ class Task:
         return p if p < c else c
 
     def _try_start(self) -> None:
-        if self.state in (TaskState.COMPUTING, TaskState.DEAD):
+        # The task step: runs at least once per iteration per task, so the
+        # pause bound and the dependency test are inlined (_pause_bound is the
+        # readable form of the first) and state tests are identity checks.
+        state = self.state
+        if state is _COMPUTING or state is _DEAD:
             return
-        bound = self._pause_bound()
-        if bound is not None and self.progress >= bound:
-            if self.state is not TaskState.PAUSED:
-                self.state = TaskState.PAUSED
+        progress = self.progress
+        bound = self.pause_at
+        cap = self.iteration_cap
+        if bound is None or (cap is not None and cap < bound):
+            bound = cap
+        if bound is not None and progress >= bound:
+            if state is not _PAUSED:
+                self.state = _PAUSED
                 self.node.on_task_ready_for_checkpoint(self)
             return
-        if not self._deps_satisfied():
-            self.state = TaskState.IDLE
-            return
-        self.state = TaskState.COMPUTING
-        duration = self.iteration_time(self.task_id, self.progress + 1)
+        for stamp in self.dep_stamps.values():
+            if stamp < progress:
+                self.state = _IDLE
+                return
+        self.state = _COMPUTING
+        duration = self.iteration_time(self.task_id, progress + 1)
         if duration <= 0:
             raise SimulationError(f"iteration_time must be positive, got {duration}")
-        epoch = self.epoch
-        self._compute_event = self.node.sim.schedule(
-            duration, self._on_iteration_done, epoch
-        )
+        sim = self.node.sim
+        self.busy_until = sim.now + duration
+        # No handle: a stale completion is dropped by its epoch (see
+        # _on_iteration_done), so nothing ever needs to cancel it.
+        sim.post(duration, self._on_iteration_done, self.epoch)
 
     def _on_iteration_done(self, epoch: int) -> None:
-        if epoch != self.epoch or self.state is TaskState.DEAD:
-            return  # stale completion from before a rollback
-        self._compute_event = None
+        if epoch != self.epoch or self.state is _DEAD:
+            return  # stale completion from before a kill or rollback
         progress = self.progress + 1
         self.progress = progress
         if self._soa is not None:
             self._soa.stamp(self._soa_index, progress - 1, progress)
         self.iterations_executed += 1
-        self.state = TaskState.IDLE
+        self.state = _IDLE
         self._announce_progress()
         self.node.on_task_progress(self)
         self._try_start()
@@ -227,7 +238,7 @@ class Task:
 
     def on_dep_message(self, from_task: int, stamp: int, epoch: int) -> None:
         """Receive a neighbor's dependency stamp (idempotent, monotone)."""
-        if self.state is TaskState.DEAD:
+        if self.state is _DEAD:
             return
         if epoch < self.epoch:
             return  # pre-rollback traffic: flushed
@@ -235,7 +246,7 @@ class Task:
         prev = stamps.get(from_task, -1)
         if stamp > prev:
             stamps[from_task] = stamp
-        if self.state is not TaskState.IDLE:
+        if self.state is not _IDLE:
             return
         # Skip _try_start while some dependency still lags: an IDLE task
         # always sits below its pause bound (every transition into IDLE runs

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.base import partition_bounds
+from repro.apps.base import _hash_unit, partition_bounds
 from repro.apps.synthetic import SyntheticApp, synthetic_descriptor
 from repro.pup import pack, unpack
 from repro.util.errors import ConfigurationError
@@ -28,6 +28,40 @@ class TestPartitionBounds:
     def test_rejects_more_parts_than_items(self):
         with pytest.raises(ConfigurationError):
             partition_bounds(3, 4)
+
+
+class TestIterationTimeJitter:
+    """iteration_time reads (seed, task) hash prefixes from a per-app table;
+    it must stay bit-identical to the three-round _hash_unit."""
+
+    @staticmethod
+    def reference(app, task_id, iteration):
+        base = app.descriptor.base_iteration_seconds
+        return base * (1.0 + 0.05 * _hash_unit(app.seed, task_id, iteration))
+
+    def test_bitwise_equal_to_hash_unit(self):
+        rng = np.random.default_rng(20131117)
+        seeds = [0, 1, 2**31 - 1] + rng.integers(0, 2**31, 9).tolist()
+        for seed in seeds:
+            app = SyntheticApp(2, seed=seed)
+            tasks = rng.integers(0, 70_000, 2_000).tolist()
+            iters = rng.integers(0, 10**6 + 1, 2_000).tolist()
+            for task_id, iteration in zip(tasks, iters):
+                got = app.iteration_time(task_id, iteration)
+                assert got == self.reference(app, task_id, iteration), (
+                    seed, task_id, iteration)
+
+    def test_table_grows_in_any_order(self):
+        app = SyntheticApp(2, seed=7)
+        order = [5, 0, 4096, 3, 70, 9000, 1]
+        got = [app.iteration_time(t, 12) for t in order]
+        assert got == [self.reference(app, t, 12) for t in order]
+        assert len(app._jitter_prefixes) > 9000
+
+    def test_negative_task_id_uses_reference_hash(self):
+        app = SyntheticApp(2, seed=7)
+        app.iteration_time(3, 1)
+        assert app.iteration_time(-2, 5) == self.reference(app, -2, 5)
 
 
 class TestSyntheticApp:

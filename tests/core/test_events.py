@@ -96,18 +96,3 @@ class TestTimelineSubscribers:
         tl.subscribe(b.append)
         tl.record(1.0, TimelineKind.CHECKPOINT_DONE)
         assert len(a) == 1 and len(b) == 1
-
-    def test_legacy_on_record_shim(self):
-        tl = Timeline()
-        legacy: list = []
-        sub: list = []
-        tl.subscribe(sub.append)
-        tl.on_record = legacy.append
-        assert tl.on_record is not None
-        tl.record(1.0, TimelineKind.JOB_START)
-        assert len(legacy) == 1 and len(sub) == 1
-        # Reassigning the legacy slot replaces only itself.
-        other: list = []
-        tl.on_record = other.append
-        tl.record(2.0, TimelineKind.JOB_END)
-        assert len(legacy) == 1 and len(other) == 1 and len(sub) == 2

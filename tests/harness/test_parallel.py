@@ -11,6 +11,7 @@ mirrors the campaign runner (requested vs effective vs cpu_count).
 from __future__ import annotations
 
 import os
+import signal
 
 import pytest
 
@@ -227,6 +228,34 @@ class TestWorkerCrash:
         assert err.value.partitions, "error did not name any partition"
         assert all(p in (1, 2, 3) for p in err.value.partitions)
         assert "partition" in str(err.value)
+
+    def test_repeated_crashes_never_hang(self, monkeypatch):
+        """The shm controller once aborted the barrier after terminating the
+        workers; a worker killed while it held the barrier's lock made that
+        call block forever, about one crash in thirty.  Loop the crash path
+        under a wall-clock alarm, which interrupts a blocked lock wait."""
+        monkeypatch.setattr(parallel_mod, "_TEST_CRASH", (1, 2))
+        scenario = _scenario("strong", n_faults=0, nodes_per_replica=16,
+                             horizon=10.0)
+
+        class Hung(Exception):
+            pass
+
+        def on_alarm(signum, frame):
+            raise Hung
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 60.0)
+        try:
+            for _ in range(30):
+                with pytest.raises(ParallelWorkerError):
+                    run_parallel(scenario, partitions=4, workers=2,
+                                 force_processes=True, shared_memory=True)
+        except Hung:
+            pytest.fail("worker-crash teardown hung")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCoordinatedConsensus:

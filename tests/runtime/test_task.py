@@ -146,6 +146,35 @@ class TestRollback:
         assert all(t.progress >= 1 for t in tasks)
 
 
+class TestStaleCompletions:
+    """Completions are never cancelled; the epoch and DEAD checks drop the
+    ones a kill or a restore left behind."""
+
+    def test_kill_revive_restore_drops_stale_completion(self):
+        sim, nodes, tasks = build_ring(iteration_seconds=1.0)
+        for n in nodes:
+            n.start_tasks()
+        sim.run(until=0.5)  # everyone mid-iteration-1, completions due at 1.0
+        victim = tasks[1]
+        assert victim.state is TaskState.COMPUTING
+        assert 1.0 <= victim.busy_until < 1.2
+        nodes[1].die()
+        nodes[1].revive()
+        for t in tasks:  # the rollback restores every task
+            t.restore(0)
+        processed = sim.events_processed
+        sim.run(until=1.2)
+        # The four stale completions fired at 1.0 and changed nothing.
+        assert sim.events_processed - processed >= len(tasks)
+        for t in tasks:
+            assert t.progress == 0 and t.iterations_executed == 0
+            assert t.state is TaskState.COMPUTING
+            assert t.busy_until > 1.2
+        sim.run(until=max(t.busy_until for t in tasks))
+        assert all(t.progress == 1 for t in tasks)
+        assert all(t.iterations_executed == 1 for t in tasks)
+
+
 class TestDeath:
     def test_killed_task_stops(self):
         sim, nodes, tasks = build_ring()
