@@ -53,20 +53,37 @@ class HPCCG(ReplicaApp):
 
     # -- the 27-point operator ------------------------------------------------------
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """A·u with 27-point stencil: 27 on the diagonal, −1 off-diagonal."""
+        """A·u with 27-point stencil: 27 on the diagonal, −1 off-diagonal.
+
+        The neighbour sum runs over the flattened zero-padded copy of ``u``,
+        where every neighbour is a fixed flat offset (``dx``·plane +
+        ``dy``·row + ``dz``), so each of the 26 terms is one contiguous 1-D
+        add.  The run spans the first to the last interior cell; the padding
+        cells inside it are summed and then ignored.  The accumulator starts
+        from zeros and takes the terms in the textbook ``dx, dy, dz`` order,
+        so the interior is bitwise the 3-D slice form.
+        """
         nx, ny, nz = self.shape
         padded = np.zeros((nx + 2, ny + 2, nz + 2), dtype=np.float64)
         padded[1:-1, 1:-1, 1:-1] = u
-        acc = np.zeros_like(u)
+        row = nz + 2
+        plane = (ny + 2) * row
+        flat = padded.reshape(-1)
+        lo = plane + row + 1
+        hi = flat.size - lo
+        # Laid out like ``padded``, so the interior is one strided view.
+        total = np.zeros_like(flat)
+        acc = total[lo:hi]
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for dz in (-1, 0, 1):
                     if dx == dy == dz == 0:
                         continue
-                    acc += padded[1 + dx : nx + 1 + dx,
-                                  1 + dy : ny + 1 + dy,
-                                  1 + dz : nz + 1 + dz]
-        return 27.0 * u - acc
+                    off = dx * plane + dy * row + dz
+                    acc += flat[lo + off:hi + off]
+        out = u * 27.0
+        out -= total.reshape(padded.shape)[1:-1, 1:-1, 1:-1]
+        return out
 
     # -- one CG step -----------------------------------------------------------------
     def advance(self) -> None:
@@ -75,11 +92,16 @@ class HPCCG(ReplicaApp):
         if denom == 0.0 or self.rho == 0.0:
             return  # converged to machine precision; iterate as identity
         alpha = self.rho / denom
-        self.x += alpha * self.p
-        self.r -= alpha * ap
+        # In place, each product formed before its update as in
+        # r −= α·ap, x += α·p, p = r + β·p; ap is the products' scratch.
+        ap *= alpha
+        self.r -= ap
+        np.multiply(self.p, alpha, out=ap)
+        self.x += ap
         rho_new = float((self.r * self.r).sum())
         beta = rho_new / self.rho
-        self.p = self.r + beta * self.p
+        self.p *= beta
+        self.p += self.r
         self.rho = rho_new
 
     # -- checkpointing ------------------------------------------------------------

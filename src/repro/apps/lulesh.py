@@ -67,46 +67,69 @@ class LULESH(ReplicaApp):
         """Ideal-gas equation of state: p = (γ−1) e / v."""
         return np.ascontiguousarray((_GAMMA - 1.0) * self.energy / self.volume)
 
+    def _central_difference(self, src: np.ndarray, axis: int,
+                            out: np.ndarray) -> np.ndarray:
+        """``0.5·(src[i+1] − src[i−1])`` along ``axis`` into ``out`` (a
+        contiguous array shaped like the mesh), zero on that axis's walls.
+
+        ``src`` is the flattened field, contiguous or a strided component
+        view.  Along the flattened C-ordered mesh an axis neighbour is a fixed
+        flat offset (±plane, ±row, ±1), so the difference is one 1-D
+        subtraction over ``[offset, size − offset)``; the cells on the axis's
+        two walls, where that offset wraps into the next row or plane, are
+        then overwritten with the zeros the one-sided walls carry.
+        """
+        _, ny, nz = self.shape
+        offset = (ny * nz, nz, 1)[axis]
+        flat = out.reshape(-1)
+        mid = flat[offset:flat.size - offset]
+        np.subtract(src[2 * offset:], src[:src.size - 2 * offset], out=mid)
+        mid *= 0.5
+        walls = [slice(None)] * 3
+        for wall in (0, -1):
+            walls[axis] = wall
+            out[tuple(walls)] = 0.0
+        return out
+
     def advance(self) -> None:
         """One Lagrange leapfrog step: pressure gradients accelerate nodes,
-        velocity divergence changes volumes, volume work changes energy."""
-        p = self.pressure
-        grad = np.zeros_like(self.velocity)
-        # Central-difference pressure gradient along each axis (one-sided at
-        # the walls), per component.
+        velocity divergence changes volumes, volume work changes energy.
+
+        Scratch the size of the mesh is allocated here and freed on return;
+        the element fields are updated in place.
+        """
+        g = np.empty(self.shape, dtype=np.float64)
+        # Central-difference pressure gradient along each axis (zero at the
+        # walls), applied to its velocity component.
+        p = self.pressure.reshape(-1)
         for axis in range(3):
-            g = np.zeros(self.shape, dtype=np.float64)
-            src = p
-            sl_fwd = [slice(None)] * 3
-            sl_bwd = [slice(None)] * 3
-            sl_mid = [slice(None)] * 3
-            sl_fwd[axis] = slice(2, None)
-            sl_bwd[axis] = slice(None, -2)
-            sl_mid[axis] = slice(1, -1)
-            g[tuple(sl_mid)] = 0.5 * (src[tuple(sl_fwd)] - src[tuple(sl_bwd)])
-            grad[..., axis] = g
-        self.velocity -= _DT * grad / self.mass[..., None]
+            self._central_difference(p, axis, g)
+            g *= _DT
+            g /= self.mass
+            self.velocity[..., axis] -= g
         self.velocity *= 0.999  # numerical damping (hourglass control stand-in)
 
         div = np.zeros(self.shape, dtype=np.float64)
+        v = self.velocity.reshape(-1)
         for axis in range(3):
-            v = self.velocity[..., axis]
-            g = np.zeros(self.shape, dtype=np.float64)
-            sl_fwd = [slice(None)] * 3
-            sl_bwd = [slice(None)] * 3
-            sl_mid = [slice(None)] * 3
-            sl_fwd[axis] = slice(2, None)
-            sl_bwd[axis] = slice(None, -2)
-            sl_mid[axis] = slice(1, -1)
-            g[tuple(sl_mid)] = 0.5 * (v[tuple(sl_fwd)] - v[tuple(sl_bwd)])
-            div += g
-        self.volume = np.ascontiguousarray(
-            np.clip(self.volume * (1.0 + _DT * div) + _RELAX * _DT * (1.0 - self.volume),
-                    0.2, 5.0)
-        )
-        work = self.pressure * div * _DT
-        self.energy = np.ascontiguousarray(np.clip(self.energy - work, 1e-6, None))
-        self.pressure = self._eos()
+            div += self._central_difference(v[axis::3], axis, g)
+        # volume·(1 + Δt·div) + (relax·Δt)·(1 − volume), clipped; g is the
+        # second term's scratch.
+        vol = self.volume
+        np.subtract(1.0, vol, out=g)
+        g *= _RELAX * _DT
+        work = div * _DT
+        work += 1.0
+        work *= vol
+        work += g
+        np.clip(work, 0.2, 5.0, out=vol)
+        # Volume work with the pressure of the step's start.
+        np.multiply(self.pressure, div, out=work)
+        work *= _DT
+        self.energy -= work
+        np.clip(self.energy, 1e-6, None, out=self.energy)
+        np.multiply(self.energy, _GAMMA - 1.0, out=self.pressure)
+        self.pressure /= self.volume
 
     # -- checkpointing -------------------------------------------------------------
     def pup_shard(self, p: PUPer, rank: int) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.pup.checksum import checkpoint_checksum
+from repro.pup.checksum import CHECKSUM_NBYTES, checkpoint_checksum
 from repro.pup.puper import PackedState, PUPError
 
 
@@ -154,7 +154,7 @@ def compare_checksums(local: PackedState, remote_digest: bytes) -> ComparisonRes
     field was corrupted — only that corruption happened — and it cannot honour
     per-field tolerances; the paper accepts both limitations.
     """
-    if len(remote_digest) != len(checkpoint_checksum(np.empty(0, dtype=np.uint8))):
+    if len(remote_digest) != CHECKSUM_NBYTES:
         raise PUPError(f"bad checksum digest length {len(remote_digest)}")
     local_digest = checkpoint_checksum(local.buffer)
     match = local_digest == remote_digest

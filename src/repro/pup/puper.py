@@ -68,6 +68,23 @@ class FieldRecord:
     skip_compare: bool = False
 
 
+#: ``str(dtype)`` of every builtin dtype seen so far: the string costs a few
+#: microseconds to build and every field of every pack and unpack needs it.
+_DTYPE_NAMES: dict[np.dtype, str] = {}
+
+
+def _dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, memoised for builtin dtypes."""
+    name = _DTYPE_NAMES.get(dtype)
+    if name is None:
+        name = str(dtype)
+        # Only builtin dtypes are keyed: structured and metadata-carrying
+        # dtypes can compare equal to one another yet print differently.
+        if dtype.isbuiltin:
+            _DTYPE_NAMES[dtype] = name
+    return name
+
+
 def _as_array(name: str, value: Any) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype == object:
@@ -228,7 +245,7 @@ class PackingPUPer(PUPer):
         self.fields.append(
             FieldRecord(
                 name=name,
-                dtype=str(arr.dtype),
+                dtype=_dtype_name(arr.dtype),
                 shape=tuple(arr.shape),
                 offset=self._offset,
                 nbytes=flat.nbytes,
@@ -303,7 +320,7 @@ class BufferPackingPUPer(PUPer):
             self.fields.append(
                 FieldRecord(
                     name=name,
-                    dtype=str(arr.dtype),
+                    dtype=_dtype_name(arr.dtype),
                     shape=tuple(arr.shape),
                     offset=self._offset,
                     nbytes=flat.nbytes,
@@ -326,7 +343,7 @@ class BufferPackingPUPer(PUPer):
             raise PUPError(
                 f"pup field order mismatch: expected {rec.name!r}, got {name!r}"
             )
-        if str(arr.dtype) != rec.dtype or tuple(arr.shape) != rec.shape:
+        if _dtype_name(arr.dtype) != rec.dtype or tuple(arr.shape) != rec.shape:
             raise PUPError(
                 f"field {name!r} drifted since last pack: "
                 f"({rec.dtype}, {rec.shape}) -> ({arr.dtype}, {tuple(arr.shape)}); "
@@ -379,7 +396,7 @@ class UnpackingPUPer(PUPer):
         if raw.nbytes != rec.nbytes:
             raise PUPError(f"field {name!r}: truncated checkpoint buffer")
         restored = raw.view(np.dtype(rec.dtype)).reshape(rec.shape)
-        if (arr.shape == rec.shape and str(arr.dtype) == rec.dtype
+        if (arr.shape == rec.shape and _dtype_name(arr.dtype) == rec.dtype
                 and arr.flags.writeable and arr.ndim > 0):
             # In-place restore: large state arrays keep their identity, which
             # matters for applications holding views into them.

@@ -8,7 +8,9 @@ framework charges them through ``ACR._charge``), and crash/corruption
 behaviour is simulated precisely enough to test the recovery guarantees:
 
 * every stored shard carries the SHA-256 of its buffer, recorded at stage
-  time — the integrity guard recovery verifies before trusting a copy;
+  time — the integrity guard recovery verifies before trusting a copy.  A
+  generation staged on several tiers in one group write is hashed once: each
+  tier still stores its own deep copy, all copies of the same bytes;
 * a group write interrupted mid-flight (node death during the persist
   window) lands **torn** under the ``unsafe`` protocol — a prefix of shards
   intact, one shard's tail zeroed, the rest missing — and is aborted
@@ -34,7 +36,8 @@ from repro.util.rng import RngStream
 
 
 def _digest(buffer) -> str:
-    return hashlib.sha256(buffer.tobytes()).hexdigest()
+    """SHA-256 hex digest of a C-contiguous buffer, hashed without a copy."""
+    return hashlib.sha256(buffer).hexdigest()
 
 
 @dataclass
@@ -122,6 +125,9 @@ class DurableHierarchy:
         #: (level, staged StoredGeneration) pairs for the in-flight group
         #: write; populated by :meth:`stage`, consumed by complete/abort.
         self._inflight: list[tuple[int, StoredGeneration]] = []
+        #: The generation last staged in the in-flight group write and its
+        #: first staged copy, whose digests later tiers reuse.
+        self._hashed: tuple[CheckpointGeneration, StoredGeneration] | None = None
         #: Observers (e.g. the chaos InvariantMonitor); hooks:
         #: ``on_tier_persist(level, stored_gen, torn)`` and
         #: ``on_tier_restore(level, stored_gen, generation)``.
@@ -150,14 +156,27 @@ class DurableHierarchy:
     def stage(self, level: int, gen: CheckpointGeneration, now: float) -> float:
         """Stage ``gen`` for persistence to ``level``; returns the simulated
         write duration (latency spikes included).  The write is in flight
-        until :meth:`complete_inflight` / :meth:`abort_inflight`."""
+        until :meth:`complete_inflight` / :meth:`abort_inflight`.
+
+        The first tier ``gen`` is staged on in a group write copies and
+        hashes its shards; later tiers of the same group write copy that
+        staged copy, which nothing mutates before the write completes or
+        aborts, and take its digests.  Each shard is hashed once per group
+        write however many tiers are due.
+        """
         tier = self.tiers[level]
         staged = StoredGeneration(iteration=gen.iteration,
                                   wallclock=gen.wallclock)
-        for rank, shard in gen.shards.items():
-            copy = shard.copy()
-            staged.shards[rank] = StoredShard(state=copy,
-                                              digest=_digest(copy.buffer))
+        if self._hashed is not None and self._hashed[0] is gen:
+            for rank, first in self._hashed[1].shards.items():
+                staged.shards[rank] = StoredShard(state=first.state.copy(),
+                                                  digest=first.digest)
+        else:
+            for rank, shard in gen.shards.items():
+                copy = shard.copy()
+                staged.shards[rank] = StoredShard(state=copy,
+                                                  digest=_digest(copy.buffer))
+            self._hashed = (gen, staged)
         duration = tier.spec.write_time(staged.nbytes, len(staged.shards))
         if tier.armed_spike > 0.0:
             duration *= tier.armed_spike
@@ -195,7 +214,7 @@ class DurableHierarchy:
             outcomes.append({"level": level, "outcome": "ok",
                              "iteration": staged.iteration})
             self._notify("on_tier_persist", level, staged, False)
-        self._inflight = []
+        self._inflight, self._hashed = [], None
         return outcomes
 
     def abort_inflight(self, now: float, fault_point: int | None = None) -> None:
@@ -219,11 +238,11 @@ class DurableHierarchy:
             tier.counters["torn_writes"] += 1
             self._land(tier, staged)
             self._notify("on_tier_persist", level, staged, True)
-        self._inflight = []
+        self._inflight, self._hashed = [], None
 
     def discard_inflight(self) -> None:
         """Silently drop staged writes (job quiescing; no torn residue)."""
-        self._inflight = []
+        self._inflight, self._hashed = [], None
 
     @property
     def inflight(self) -> bool:

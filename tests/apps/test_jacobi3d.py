@@ -27,6 +27,7 @@ def reference_step(g: np.ndarray) -> None:
     (16, 1e-4, "charm++", 6),    # the perfbench fault_mix cell
     (3, 3e-4, "mpi", 9),         # odd cross-section
     (2, 2e-3, "charm++", 16),
+    (16, 0.02, "charm++", 35),   # the perfbench ckpt_bulk cell, many blocks
 ])
 def test_flat_stencil_is_bitwise_the_3d_expression(nodes, scale, model,
                                                    cross):

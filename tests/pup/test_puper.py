@@ -12,6 +12,7 @@ from repro.pup.puper import (
     SizingPUPer,
     UnpackingPUPer,
     pack,
+    pack_into,
     sizeof,
     unpack,
 )
@@ -117,6 +118,67 @@ class TestRoundTrip:
         dst = Sample()
         unpack(dst, state)
         assert dst.label == src.label
+
+
+class TestFieldDtypes:
+    """Directory dtype strings are exactly ``str(arr.dtype)``."""
+
+    STRUCT = [("a", "<i4"), ("b", "<f8")]
+    ARRAYS = {
+        "f8": np.arange(3.0),
+        "be": np.arange(3.0).astype(">f8"),
+        "i4": np.arange(3, dtype=np.int32),
+        "longlong": np.arange(3, dtype=np.longlong),
+        "bool": np.ones(2, dtype=bool),
+        "c16": np.ones(2, dtype=np.complex128),
+        "str": np.array(["abc"]),
+        "dt": np.array(["2020-01-01"], dtype="M8[s]"),
+        "meta": np.zeros(2, dtype=np.dtype(float, metadata={"unit": "m"})),
+        # Equal dtypes that print differently: neither may borrow the
+        # other's string.
+        "aligned": np.zeros(2, dtype=np.dtype(STRUCT, align=True)),
+        "offsets": np.zeros(2, dtype=np.dtype({
+            "names": ["a", "b"], "formats": ["<i4", "<f8"],
+            "offsets": [0, 8], "itemsize": 16})),
+    }
+
+    class Fields:
+        def __init__(self, arrays):
+            self.arrays = arrays
+
+        def pup(self, p):
+            for name, arr in self.arrays.items():
+                p.pup_array(name, arr)
+
+    def test_pack_directories_match_str_dtype(self):
+        obj = self.Fields(self.ARRAYS)
+        for _ in range(2):  # the second pass reads the memoised names
+            for fields in (pack(obj).fields, _packing(obj).fields):
+                assert {f.name: f.dtype for f in fields} == {
+                    name: str(arr.dtype) for name, arr in self.ARRAYS.items()}
+        state = pack_into(obj)
+        assert pack_into(obj, state) is state  # reuse accepts every field
+
+    def test_pack_into_reuse_still_catches_dtype_drift(self):
+        state = pack_into(self.Fields({"x": np.arange(3.0)}))
+        with pytest.raises(PUPError, match="drifted"):
+            pack_into(self.Fields({"x": np.arange(3.0).astype(">f8")}), state)
+
+    def test_builtin_dtypes_restore_in_place(self):
+        builtin = {k: v for k, v in self.ARRAYS.items()
+                   if k not in ("aligned", "offsets")}
+        state = pack(self.Fields(builtin))
+        dst = {k: np.zeros_like(v) for k, v in builtin.items()}
+        unpack(self.Fields(dst), state)
+        for name, arr in builtin.items():
+            assert np.array_equal(dst[name], arr)
+            assert dst[name].dtype == arr.dtype
+
+
+def _packing(obj):
+    p = PackingPUPer()
+    obj.pup(p)
+    return p
 
 
 class TestErrors:
