@@ -48,6 +48,12 @@ class CheckpointStore:
         self.nodes_per_replica = nodes_per_replica
         self._safe: dict[int, CheckpointGeneration] = {}
         self._candidate: dict[int, CheckpointGeneration] = {}
+        #: Bytes each held generation counted for when it entered the
+        #: store (safe: at install/commit; candidate: summed per put_shard),
+        #: and their running total — :meth:`memory_bytes` without a re-sum.
+        self._safe_bytes: dict[int, int] = {}
+        self._candidate_bytes: dict[int, int] = {}
+        self._held_bytes = 0
         self.commits = 0
         self.discards = 0
         #: High-water mark of :meth:`memory_bytes` across the store's life,
@@ -66,18 +72,24 @@ class CheckpointStore:
 
     # -- candidate lifecycle -----------------------------------------------------
     def begin_candidate(self, replica: int, iteration: int, wallclock: float) -> None:
+        self._held_bytes -= self._candidate_bytes.get(replica, 0)
         self._candidate[replica] = CheckpointGeneration(iteration, wallclock=wallclock)
+        self._candidate_bytes[replica] = 0
 
     def put_shard(self, replica: int, rank: int, state: PackedState) -> None:
         gen = self._candidate.get(replica)
         if gen is None:
             raise SimulationError(f"no candidate open for replica {replica}")
+        old = gen.shards.get(rank)
+        delta = state.nbytes - (old.nbytes if old is not None else 0)
         gen.shards[rank] = state
+        self._candidate_bytes[replica] += delta
+        self._held_bytes += delta
         if rank == self.nodes_per_replica - 1:
             # The candidate just filled while the safe generation still
             # exists: the double-buffering peak.
             self.high_water_bytes = max(self.high_water_bytes,
-                                        self.memory_bytes())
+                                        self._held_bytes)
 
     def candidate(self, replica: int) -> CheckpointGeneration | None:
         return self._candidate.get(replica)
@@ -92,13 +104,16 @@ class CheckpointStore:
                 f"{self.nodes_per_replica} shards"
             )
         self._safe[replica] = gen
+        self._held_bytes -= self._safe_bytes.get(replica, 0)
+        self._safe_bytes[replica] = self._candidate_bytes.pop(replica)
         self.commits += 1
-        self.high_water_bytes = max(self.high_water_bytes, self.memory_bytes())
+        self.high_water_bytes = max(self.high_water_bytes, self._held_bytes)
         self._notify("on_commit", replica, gen)
         return gen
 
     def discard(self, replica: int) -> None:
         if self._candidate.pop(replica, None) is not None:
+            self._held_bytes -= self._candidate_bytes.pop(replica)
             self.discards += 1
             self._notify("on_discard", replica)
 
@@ -109,7 +124,10 @@ class CheckpointStore:
         if not gen.complete(self.nodes_per_replica):
             raise SimulationError("cannot install an incomplete generation")
         self._safe[replica] = gen
-        self.high_water_bytes = max(self.high_water_bytes, self.memory_bytes())
+        nbytes = gen.nbytes
+        self._held_bytes += nbytes - self._safe_bytes.get(replica, 0)
+        self._safe_bytes[replica] = nbytes
+        self.high_water_bytes = max(self.high_water_bytes, self._held_bytes)
         self._notify("on_install", replica, gen)
 
     def safe(self, replica: int) -> CheckpointGeneration | None:
@@ -124,11 +142,11 @@ class CheckpointStore:
         replicas (safe generations plus any open candidates).  The paper's
         in-memory double checkpointing trades exactly this footprint for
         disk-free recovery ("at the possible cost of memory overhead", §1).
+
+        A running total kept by the store's own methods: shards written
+        into a held generation behind the store's back are not counted.
         """
-        total = 0
-        for gen in list(self._safe.values()) + list(self._candidate.values()):
-            total += gen.nbytes
-        return total
+        return self._held_bytes
 
     def clone_generation(self, gen: CheckpointGeneration) -> CheckpointGeneration:
         """Deep-copy a generation (installing one replica's checkpoint as the

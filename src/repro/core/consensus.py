@@ -28,7 +28,6 @@ from typing import Callable, Iterable
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.messages import Message, MsgKind
 from repro.runtime.node import Node
 from repro.runtime.task import TaskState
 from repro.util.errors import SimulationError
@@ -105,7 +104,6 @@ class ConsensusController:
         self._t_last_decision = 0.0
         self._t_last_ready = 0.0
         for node in nodes.values():
-            node.control_handler = self._on_control
             node.on_all_tasks_ready = self._on_node_all_ready
 
     # -- round lifecycle --------------------------------------------------------
@@ -146,7 +144,7 @@ class ConsensusController:
                                             pending_max=set(children))
         # Kick off Phase 1/2 at the root; the request floods down the tree.
         root = self.scope[0]
-        self._send(root, root, "cons-start", self.round_id)
+        self._send(root, root, self._on_start, self.round_id)
         return self.round_id
 
     def abort_round(self) -> None:
@@ -171,36 +169,24 @@ class ConsensusController:
         self._agents = {}
 
     # -- message plumbing ----------------------------------------------------------
-    def _send(self, src: int, dst: int, tag: str, payload) -> None:
-        self.nodes[src].transport.send(
-            Message(kind=MsgKind.CONTROL, src=src, dst=dst,
-                    payload=payload, nbytes=64, tag=tag)
-        )
-
-    def _on_control(self, msg: Message) -> None:
-        handler = {
-            "cons-start": self._on_start,
-            "cons-max": self._on_max,
-            "cons-decision": self._on_decision,
-            "cons-ready": self._on_ready,
-        }.get(msg.tag)
-        if handler is None:
-            raise SimulationError(f"unknown control tag {msg.tag!r}")
-        handler(msg)
+    def _send(self, src: int, dst: int,
+              handler: Callable[[int, int, object], None], payload) -> None:
+        """Ship one protocol message; ``handler(src, dst, payload)`` is the
+        phase handler that receives it on ``dst``."""
+        self.nodes[src].transport.send_control(src, dst, handler, payload)
 
     def _stale(self, payload) -> bool:
         rid = payload[0] if isinstance(payload, tuple) else payload
         return (not self.active) or rid != self.round_id
 
     # -- Phase 1 + 2: flood down, pause at local max, reduce max up -------------------
-    def _on_start(self, msg: Message) -> None:
-        if self._stale(msg.payload):
+    def _on_start(self, src: int, nid: int, payload) -> None:
+        if self._stale(payload):
             return
-        nid = msg.dst
         agent = self._agents[nid]
         node = self.nodes[nid]
         for child in agent.children:
-            self._send(nid, child, "cons-start", self.round_id)
+            self._send(nid, child, self._on_start, self.round_id)
         # Local bound: no local task can end up past this iteration (a task
         # mid-iteration may still complete the one it is computing).
         bound = 0
@@ -213,13 +199,12 @@ class ConsensusController:
             t.request_pause_at(bound)
         self._maybe_send_max_up(nid)
 
-    def _on_max(self, msg: Message) -> None:
-        if self._stale(msg.payload):
+    def _on_max(self, src: int, nid: int, payload) -> None:
+        if self._stale(payload):
             return
-        _, child_max = msg.payload
-        nid = msg.dst
+        _, child_max = payload
         agent = self._agents[nid]
-        agent.pending_max.discard(msg.src)
+        agent.pending_max.discard(src)
         merged = merge_progress_bounds(
             [(agent.subtree_max, agent.subtree_max), (child_max, child_max)])
         assert merged is not None
@@ -231,22 +216,21 @@ class ConsensusController:
         if agent.pending_max:
             return
         if agent.parent is not None:
-            self._send(nid, agent.parent, "cons-max",
+            self._send(nid, agent.parent, self._on_max,
                        (self.round_id, agent.subtree_max))
         else:
             # Root: Phase 3 — the checkpoint iteration is decided.
             self.decided_iteration = agent.subtree_max
             if self._sim is not None:
                 self._t_decided = self._sim.now
-            self._send(nid, nid, "cons-decision",
+            self._send(nid, nid, self._on_decision,
                        (self.round_id, agent.subtree_max))
 
     # -- Phase 3: broadcast decision, run/pause to it ---------------------------------
-    def _on_decision(self, msg: Message) -> None:
-        if self._stale(msg.payload):
+    def _on_decision(self, src: int, nid: int, payload) -> None:
+        if self._stale(payload):
             return
-        _, decided = msg.payload
-        nid = msg.dst
+        _, decided = payload
         agent = self._agents[nid]
         node = self.nodes[nid]
         agent.decided = decided
@@ -254,7 +238,7 @@ class ConsensusController:
             self._t_last_decision = self._sim.now
         agent.pending_ready = set(agent.children)
         for child in agent.children:
-            self._send(nid, child, "cons-decision", (self.round_id, decided))
+            self._send(nid, child, self._on_decision, (self.round_id, decided))
         for t in node.tasks:
             t.request_pause_at(decided)
             t.resume_if_below()
@@ -273,12 +257,11 @@ class ConsensusController:
             self._t_last_ready = self._sim.now
         self._maybe_send_ready_up(node.node_id)
 
-    def _on_ready(self, msg: Message) -> None:
-        if self._stale(msg.payload):
+    def _on_ready(self, src: int, nid: int, payload) -> None:
+        if self._stale(payload):
             return
-        nid = msg.dst
         agent = self._agents[nid]
-        agent.pending_ready.discard(msg.src)
+        agent.pending_ready.discard(src)
         self._maybe_send_ready_up(nid)
 
     def _maybe_send_ready_up(self, nid: int) -> None:
@@ -289,7 +272,7 @@ class ConsensusController:
             return
         agent.ready_sent_up = True
         if agent.parent is not None:
-            self._send(nid, agent.parent, "cons-ready", (self.round_id,))
+            self._send(nid, agent.parent, self._on_ready, (self.round_id,))
         else:
             self.active = False
             self.rounds_completed += 1

@@ -376,10 +376,14 @@ class ACR:
                              app=self.app_name, scheme=str(self.config.scheme))
         # Generation zero: the launch state, always available for "restart
         # from the beginning of the execution" (§2.3).
+        # Replica 1 packs like its buddy's shard, so buddies share one field
+        # directory from the start (and every later pack keeps sharing it).
         for replica in (0, 1):
             gen = CheckpointGeneration(iteration=0)
+            buddy = self._initial_gen[0].shards if replica else {}
             for rank in range(self.n):
-                gen.shards[rank] = pack(self.apps[replica].shard(rank))
+                gen.shards[rank] = pack(self.apps[replica].shard(rank),
+                                        like=buddy.get(rank))
             self._initial_gen[replica] = gen
             self.store.install_safe(replica, self.store.clone_generation(gen))
         # Iteration cap for bounded runs.
@@ -583,9 +587,10 @@ class ACR:
                          iteration=iteration, replicas=len(replicas))
         for replica in replicas:
             self.store.begin_candidate(replica, iteration, self.sim.now)
+            app, safe = self.apps[replica], self.store.safe(replica).shards
             for rank in range(self.n):
                 self.store.put_shard(replica, rank,
-                                     pack(self.apps[replica].shard(rank)))
+                                     pack(app.shard(rank), like=safe[rank]))
         breakdown = self.cost.checkpoint_breakdown(
             self.profile, self.mapping, use_checksum=self.config.use_checksum
         )
@@ -949,8 +954,10 @@ class ACR:
                          self.sim.now, parent=self._span_recovery,
                          iteration=iteration, replicas=1)
         self.store.begin_candidate(healthy, iteration, self.sim.now)
+        app, safe = self.apps[healthy], self.store.safe(healthy).shards
         for rank in range(self.n):
-            self.store.put_shard(healthy, rank, pack(self.apps[healthy].shard(rank)))
+            self.store.put_shard(healthy, rank,
+                                 pack(app.shard(rank), like=safe[rank]))
         breakdown = self.cost.restart_breakdown(
             self.profile, self.mapping, scheme="medium", crashed_pair=dead.rank
         )

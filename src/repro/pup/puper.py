@@ -5,11 +5,16 @@ application describes its state once in a ``pup(p)`` method, and the same
 description drives four operations:
 
 * **sizing** — compute the checkpoint footprint (:class:`SizingPUPer`);
-* **packing** — serialize state into a flat byte buffer.  The default
-  :func:`pack` path sizes the object first and then writes every field
-  directly into one preallocated buffer (:class:`BufferPackingPUPer`); the
-  chunk-and-concatenate :class:`PackingPUPer` remains as the streaming
-  fallback for objects whose size cannot be measured up front.
+* **packing** — serialize state into a flat byte buffer.  :func:`pack` runs
+  the description exactly once, collecting each field's contiguous byte
+  view and directory key, then joins the views with one concatenation — a
+  single copy of the payload.  Because there is only one pass, the
+  description need not be deterministic across two runs (it only must not
+  mutate a field it already pupped in the same call).  ``pack(obj,
+  like=prev)`` shares ``prev``'s directory when every field key matches, so
+  steady-state packs build no :class:`FieldRecord` at all.  The
+  chunk-and-concatenate :class:`PackingPUPer` remains as the reference
+  baseline of the packing micro-benchmarks.
 * **unpacking** — restore state from a buffer (:class:`UnpackingPUPer`);
 * **checking** — compare two checkpoints field-by-field to detect silent data
   corruption (:mod:`repro.pup.checker`), including user-customizable per-field
@@ -30,6 +35,7 @@ changed, enabling incremental checksums (:mod:`repro.pup.checksum`).
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
@@ -83,6 +89,34 @@ def _dtype_name(dtype: np.dtype) -> str:
         if dtype.isbuiltin:
             _DTYPE_NAMES[dtype] = name
     return name
+
+
+#: ``np.dtype(name)`` for every directory dtype string seen so far — the
+#: inverse of :func:`_dtype_name`, needed by every field of every unpack
+#: and comparison.
+_DTYPES: dict[str, np.dtype] = {}
+
+
+def _dtype_of(name: str) -> np.dtype:
+    """The dtype a directory string names, memoised.
+
+    Builtin and byte-order-marked names parse with :func:`numpy.dtype`;
+    structured dtypes print as a Python literal (a field list or a
+    ``names``/``formats``/``offsets`` dict) that ``numpy.dtype`` only
+    accepts once evaluated.  A string always names the same dtype, so every
+    name is memoised.
+    """
+    dtype = _DTYPES.get(name)
+    if dtype is None:
+        try:
+            dtype = np.dtype(name)
+        except (TypeError, ValueError):
+            try:
+                dtype = np.dtype(ast.literal_eval(name))
+            except (ValueError, SyntaxError, TypeError) as exc:
+                raise PUPError(f"unknown field dtype {name!r}") from exc
+        _DTYPES[name] = dtype
+    return dtype
 
 
 def _as_array(name: str, value: Any) -> np.ndarray:
@@ -220,14 +254,57 @@ class SizingPUPer(PUPer):
         return arr
 
 
+class _ViewPUPer(PUPer):
+    """One pass over a pup description for :func:`pack`: each field's
+    contiguous flat byte view and its directory key, nothing copied yet."""
+
+    def __init__(self) -> None:
+        self.views: list[np.ndarray] = []
+        #: ``(name, dtype name, shape, nbytes, rtol, atol, skip_compare)``.
+        self.keys: list[tuple] = []
+
+    def _handle(self, name, arr, *, rtol, atol, skip_compare):
+        flat = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
+        self.views.append(flat)
+        self.keys.append((name, _dtype_name(arr.dtype), arr.shape, flat.nbytes,
+                          rtol, atol, skip_compare))
+        return arr
+
+
+def _shares_directory(keys: list[tuple], fields: list[FieldRecord]) -> bool:
+    """True when ``fields`` is exactly the contiguous directory ``keys`` make."""
+    if len(keys) != len(fields):
+        return False
+    offset = 0
+    for (name, dtype, shape, nbytes, rtol, atol, skip), rec in zip(keys, fields):
+        if (rec.name != name or rec.offset != offset or rec.nbytes != nbytes
+                or rec.dtype != dtype or rec.shape != shape or rec.rtol != rtol
+                or rec.atol != atol or rec.skip_compare != skip):
+            return False
+        offset += nbytes
+    return True
+
+
+def _build_directory(keys: list[tuple]) -> list[FieldRecord]:
+    fields: list[FieldRecord] = []
+    names: set[str] = set()
+    offset = 0
+    for name, dtype, shape, nbytes, rtol, atol, skip in keys:
+        if name in names:
+            raise PUPError(f"duplicate pup field name {name!r}")
+        names.add(name)
+        fields.append(FieldRecord(name, dtype, shape, offset, nbytes,
+                                  rtol, atol, skip))
+        offset += nbytes
+    return fields
+
+
 class PackingPUPer(PUPer):
     """Streaming packer: collects per-field chunks, concatenated on demand.
 
     Copies every field twice (once into its chunk, once in the final
-    concatenation).  :func:`pack` no longer uses it — it sizes first and
-    writes through :class:`BufferPackingPUPer` in a single pass — but the
-    streaming path survives for objects whose pup description is too
-    expensive or side-effectful to run twice, and as the reference baseline
+    concatenation).  :func:`pack` no longer uses it — it concatenates the
+    fields' own views in one copy — but it stays as the reference baseline
     for the packing micro-benchmarks.
     """
 
@@ -266,26 +343,22 @@ class PackingPUPer(PUPer):
 
 
 class BufferPackingPUPer(PUPer):
-    """Zero-copy packer: writes each field directly into a preallocated buffer.
+    """Reuse packer: rewrites a previous round's buffer in place.
 
-    Two modes:
-
-    * **first pass** (``expect=None``) — builds the field directory while
-      writing; the caller preallocates ``buffer`` from :class:`SizingPUPer`.
-    * **reuse** (``expect`` = previous round's directory) — every field is
-      validated against the previous round (name, dtype, shape) and written
-      into the same slice, so a drifting pup description raises
-      :class:`PUPError` instead of silently writing out of bounds.  With
-      ``track_dirty=True``, a field whose bytes are unchanged is left alone
-      (its cached checksum digest stays valid); changed fields bump their
-      entry in ``versions`` so incremental checksums know what to rehash.
+    ``expect`` is the previous round's directory and the contract: every
+    field is validated against it (name, dtype, shape) and written into the
+    same slice, so a drifting pup description raises :class:`PUPError`
+    instead of silently writing out of bounds.  With ``track_dirty=True``, a
+    field whose bytes are unchanged is left alone (its cached checksum
+    digest stays valid); changed fields bump their entry in ``versions`` so
+    incremental checksums know what to rehash.
     """
 
     def __init__(
         self,
         buffer: np.ndarray,
         *,
-        expect: list[FieldRecord] | None = None,
+        expect: list[FieldRecord],
         versions: dict[str, int] | None = None,
         track_dirty: bool = False,
     ) -> None:
@@ -298,41 +371,11 @@ class BufferPackingPUPer(PUPer):
         self._expect = expect
         self.versions: dict[str, int] = versions if versions is not None else {}
         self._track_dirty = track_dirty
-        self.fields: list[FieldRecord] = [] if expect is None else expect
-        self._offset = 0
+        self.fields: list[FieldRecord] = expect
         self._index = 0
-        self._names: set[str] = set()
 
     def _handle(self, name, arr, *, rtol, atol, skip_compare):
         flat = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
-        if self._expect is None:
-            if name in self._names:
-                raise PUPError(f"duplicate pup field name {name!r}")
-            self._names.add(name)
-            end = self._offset + flat.nbytes
-            if end > self._buffer.nbytes:
-                raise PUPError(
-                    f"field {name!r} overflows the sized pack buffer "
-                    f"({end} > {self._buffer.nbytes} bytes); the pup "
-                    "description changed between sizing and packing"
-                )
-            self._buffer[self._offset:end] = flat
-            self.fields.append(
-                FieldRecord(
-                    name=name,
-                    dtype=_dtype_name(arr.dtype),
-                    shape=tuple(arr.shape),
-                    offset=self._offset,
-                    nbytes=flat.nbytes,
-                    rtol=rtol,
-                    atol=atol,
-                    skip_compare=skip_compare,
-                )
-            )
-            self._offset = end
-            return arr
-
-        # Reuse: the directory from the previous round is the contract.
         if self._index >= len(self._expect):
             raise PUPError(
                 f"pup description grew since last pack: unexpected field {name!r}"
@@ -357,17 +400,11 @@ class BufferPackingPUPer(PUPer):
         return arr
 
     def finish(self) -> None:
-        """Assert the pup description matched the buffer / directory exactly."""
-        if self._expect is not None:
-            if self._index != len(self._expect):
-                raise PUPError(
-                    f"pup description consumed {self._index} of "
-                    f"{len(self._expect)} fields"
-                )
-        elif self._offset != self._buffer.nbytes:
+        """Assert the pup description consumed exactly the whole directory."""
+        if self._index != len(self._expect):
             raise PUPError(
-                f"pup description wrote {self._offset} of "
-                f"{self._buffer.nbytes} sized bytes"
+                f"pup description consumed {self._index} of "
+                f"{len(self._expect)} fields"
             )
 
 
@@ -395,7 +432,7 @@ class UnpackingPUPer(PUPer):
         raw = self._buffer[rec.offset : rec.offset + rec.nbytes]
         if raw.nbytes != rec.nbytes:
             raise PUPError(f"field {name!r}: truncated checkpoint buffer")
-        restored = raw.view(np.dtype(rec.dtype)).reshape(rec.shape)
+        restored = raw.view(_dtype_of(rec.dtype)).reshape(rec.shape)
         if (arr.shape == rec.shape and _dtype_name(arr.dtype) == rec.dtype
                 and arr.flags.writeable and arr.ndim > 0):
             # In-place restore: large state arrays keep their identity, which
@@ -434,26 +471,37 @@ class PackedState:
         return self.versions.get(name, 0)
 
     def copy(self) -> "PackedState":
-        return PackedState(self.buffer.copy(), list(self.fields),
+        # Directories are never mutated once built, so copies share them.
+        return PackedState(self.buffer.copy(), self.fields,
                            dict(self.versions))
 
 
-def pack(obj: Pupable) -> PackedState:
+def pack(obj: Pupable, like: PackedState | None = None) -> PackedState:
     """Serialize ``obj`` via its pup method.
 
-    Sizes the object first, then writes every field straight into one
-    preallocated buffer — a single copy of the payload, no chunk list, no
-    concatenation.  Requires the pup description to be deterministic across
-    the two passes (true for checkpoint state by construction; a description
-    that disagrees with its own sizing raises :class:`PUPError`).
+    Runs the pup description once, collecting every field's contiguous byte
+    view and directory key, then makes one concatenation — a single copy of
+    the payload.  The description therefore need not be deterministic
+    across runs, but it must not mutate a field it has already pupped in the
+    same call (the views are only copied at the end).
+
+    ``like`` is an earlier pack of the same kind of object (the previous
+    checkpoint of this shard, or the buddy's).  When every field's key —
+    name, dtype, shape, byte size, tolerances and skip flag — matches
+    ``like.fields`` entry for entry, the new state *shares* that directory
+    object instead of building a new one; directories are immutable once
+    built, and :func:`~repro.pup.checker.compare_checkpoints` takes a fast
+    path for two states that share one.  Any difference (a resized array, a
+    changed dtype or tolerance, a string of another length) builds a fresh
+    directory, with the duplicate-name check.
     """
-    sizer = SizingPUPer()
-    obj.pup(sizer)
-    buf = np.empty(sizer.nbytes, dtype=np.uint8)
-    p = BufferPackingPUPer(buf)
+    p = _ViewPUPer()
     obj.pup(p)
-    p.finish()
-    return PackedState(buf, p.fields)
+    views, keys = p.views, p.keys
+    buf = np.concatenate(views) if views else np.empty(0, dtype=np.uint8)
+    if like is not None and _shares_directory(keys, like.fields):
+        return PackedState(buf, like.fields)
+    return PackedState(buf, _build_directory(keys))
 
 
 def pack_into(

@@ -12,7 +12,9 @@ deliveries ride the simulator's fire-and-forget :meth:`~
 repro.runtime.des.Simulator.post` path — nothing ever cancels an in-flight
 message, so no :class:`~repro.runtime.des.EventHandle` is allocated for one.
 :meth:`Transport.send_small` is the dedicated fast path for the two
-small-message firehoses (heartbeats and task dependency stamps).
+small-message firehoses (heartbeats and task dependency stamps), and
+:meth:`Transport.send_control` ships consensus messages with no envelope at
+all.
 """
 
 from __future__ import annotations
@@ -183,6 +185,43 @@ class Transport:
         sim = self.sim
         sim.post(delay, self._deliver,
                  Message(kind, src, dst, payload, nbytes, tag, sim.now))
+
+    def send_control(
+        self,
+        src: int,
+        dst: int,
+        handler: Callable[[int, int, Any], None],
+        payload: Any,
+        nbytes: int = 64,
+    ) -> None:
+        """Protocol-message fast path: no :class:`Message` envelope.
+
+        Observably identical to ``send(Message(MsgKind.CONTROL, src, dst,
+        payload, nbytes))`` followed by the destination node dispatching it
+        to ``handler`` — same drop rules at the sender and at the receiver,
+        same accounting (sent / delivered / dropped, the ``"control"``
+        tallies), same memoised delay float and one posted event per
+        message — but delivery calls ``handler(src, dst, payload)``
+        directly.  The consensus tree ships through here.
+        """
+        if dst not in self._handlers:
+            raise SimulationError(f"message to unregistered node {dst}")
+        if not self._alive.get(src, False):
+            self.messages_dropped += 1
+            return
+        self.messages_sent += 1
+        self.sent_by_kind["control"] += 1
+        self.bytes_by_kind["control"] += nbytes
+        self.sim.post(self.small_delay(nbytes), self._deliver_control,
+                      handler, src, dst, payload)
+
+    def _deliver_control(self, handler: Callable[[int, int, Any], None],
+                         src: int, dst: int, payload: Any) -> None:
+        if not self._alive.get(dst, False):
+            self.messages_dropped += 1
+            return
+        self.messages_delivered += 1
+        handler(src, dst, payload)
 
     def send_stamps(
         self,

@@ -114,3 +114,65 @@ class TestMemoryAccounting:
         # Peak >= two replicas' worth of safe+candidate data.
         single = acr.store.safe(0).nbytes
         assert report.peak_checkpoint_memory >= 3 * single
+
+
+class TestRunningByteTotal:
+    """``memory_bytes`` is a running total; it must always equal the sum
+    over every held generation, and the high-water mark must be the one the
+    old re-summing store recorded at the same sampling points."""
+
+    @staticmethod
+    def recomputed(store):
+        return sum(gen.nbytes for r in (0, 1)
+                   for gen in (store.safe(r), store.candidate(r))
+                   if gen is not None)
+
+    def test_total_tracks_every_operation(self):
+        store = CheckpointStore(2)
+        peak = 0
+
+        def check(sampled=False):
+            nonlocal peak
+            assert store.memory_bytes() == self.recomputed(store)
+            if sampled:  # commit / install / last-rank put
+                peak = max(peak, self.recomputed(store))
+            assert store.high_water_bytes == peak
+
+        # A generation whose shards were filled before install_safe.
+        gen = CheckpointGeneration(iteration=0)
+        gen.shards[0] = shard(n=8)
+        gen.shards[1] = shard(n=24)
+        store.install_safe(0, gen)
+        check(sampled=True)
+        store.install_safe(1, store.clone_generation(gen))
+        check(sampled=True)
+        store.begin_candidate(0, 3, 0.0)
+        check()
+        store.put_shard(0, 0, shard(n=40))
+        check()
+        store.put_shard(0, 0, shard(n=4))  # a rank re-put replaces its bytes
+        check()
+        store.put_shard(0, 1, shard(n=16))
+        check(sampled=True)
+        store.begin_candidate(1, 3, 0.0)
+        store.put_shard(1, 0, shard(n=64))
+        check()
+        store.discard(1)
+        check()
+        store.discard(1)  # nothing open: no-op
+        check()
+        store.commit(0)  # replaces the installed safe generation
+        check(sampled=True)
+        store.begin_candidate(0, 5, 0.0)
+        store.put_shard(0, 0, shard(n=100))
+        check()
+        store.begin_candidate(0, 6, 0.0)  # reopening drops the old candidate
+        check()
+        store.put_shard(0, 0, shard(n=2))
+        store.put_shard(0, 1, shard(n=2))
+        check(sampled=True)
+        store.install_safe(1, full_generation(nodes=2))  # over a safe one
+        check(sampled=True)
+        store.commit(0)
+        check(sampled=True)
+        assert store.memory_bytes() == 4 + 16

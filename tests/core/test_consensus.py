@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.consensus import ConsensusController
 from repro.runtime.des import Simulator
-from repro.runtime.messages import Transport
+from repro.runtime.messages import Message, MsgKind, Transport
 from repro.runtime.node import Node
 from repro.runtime.task import Task, TaskState
 from repro.util.errors import SimulationError
@@ -174,3 +174,101 @@ class TestLiveness:
         sim.run(until=5.0)
         assert controller.rounds_started == 1
         assert controller.rounds_completed == 1
+
+
+class EnvelopeController(ConsensusController):
+    """The consensus plumbing before ``Transport.send_control``: every
+    protocol message is a :class:`Message` routed through ``Transport.send``,
+    ``Node._on_message`` and ``Node.control_handler``."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        for node in nodes.values():
+            node.control_handler = self._on_control
+
+    def _send(self, src, dst, handler, payload):
+        self.nodes[src].transport.send(Message(
+            MsgKind.CONTROL, src=src, dst=dst, payload=payload, nbytes=64,
+            tag=handler.__name__))
+
+    def _on_control(self, msg):
+        getattr(self, msg.tag)(msg.src, msg.dst, msg.payload)
+
+
+class TestEnvelopeFreeMessages:
+    """``send_control`` rounds are event-for-event the ``Message`` rounds."""
+
+    N = 16
+
+    def _observe(self, controller_cls, script):
+        sim, nodes, tasks, _ = build(n_nodes=self.N)
+        controller = controller_cls({n.node_id: n for n in nodes})
+        timeline = []
+        for n in nodes:
+            n.on_progress = lambda node: timeline.append(
+                (sim.now, "progress", node.node_id, node.local_max_progress))
+            n.start_tasks()
+        transport = nodes[0].transport
+        script(sim, nodes, controller, timeline)
+        return (timeline,
+                [(t.progress, t.state) for t in tasks],
+                (transport.messages_sent, transport.messages_delivered,
+                 transport.messages_dropped, dict(transport.sent_by_kind),
+                 dict(transport.bytes_by_kind)),
+                (sim.events_processed, next(sim._seq)))
+
+    def _both(self, script):
+        old = self._observe(EnvelopeController, script)
+        new = self._observe(ConsensusController, script)
+        assert new == old
+        return new
+
+    def test_sixteen_node_round_matches_message_path(self):
+        def script(sim, nodes, controller, timeline):
+            sim.run(until=2.05)
+            controller.start_round(
+                [n.node_id for n in nodes],
+                lambda rid, it: timeline.append((sim.now, "done", rid, it)))
+            sim.run(until=6.0)
+
+        timeline, states, counters, _ = self._both(script)
+        (done,) = [e for e in timeline if e[1] == "done"]
+        decided = done[3]
+        assert all(s == (decided, TaskState.PAUSED) for s in states)
+        sent, delivered, dropped, kinds, _ = counters
+        assert dropped == 0 and kinds["control"] == 4 * (self.N - 1) + 2
+
+    def test_kill_mid_round_drops_at_dead_sender_and_receiver(self):
+        drops = {}
+
+        def script(sim, nodes, controller, timeline):
+            transport = nodes[0].transport
+            scope = [n.node_id for n in nodes]
+            sim.run(until=2.05)
+            controller.start_round(scope, lambda *a: timeline.append("done"))
+            # The start flood reaches node 5 (depth 2) three hops after the
+            # round starts; it dies with that message on the wire, so the
+            # message is dropped at the dead receiver and the max reduction
+            # can never reach the root.
+            sim.run(until=sim.now + 1.2e-5)
+            nodes[5].die()
+            base = transport.messages_dropped
+            sim.run(until=2.5)
+            drops["receiver"] = transport.messages_dropped - base
+            drops["decided"] = controller.decided_iteration
+            controller.abort_round()
+            # A round rooted at the dead node: its kick-off message is
+            # dropped at the dead sender.
+            base = transport.messages_dropped
+            controller.start_round([5] + scope[:5] + scope[6:],
+                                   lambda *a: timeline.append("done"))
+            drops["sender"] = transport.messages_dropped - base
+            sim.run(until=3.0)
+            controller.abort_round()
+
+        timeline, states, counters, _ = self._both(script)
+        assert drops == {"receiver": drops["receiver"], "decided": None,
+                         "sender": 1}
+        assert drops["receiver"] > 0
+        assert "done" not in timeline
+        assert counters[3]["control"] > 0

@@ -11,6 +11,8 @@ from repro.pup.puper import (
     PUPError,
     SizingPUPer,
     UnpackingPUPer,
+    _dtype_name,
+    _dtype_of,
     pack,
     pack_into,
     sizeof,
@@ -172,6 +174,34 @@ class TestFieldDtypes:
         unpack(self.Fields(dst), state)
         for name, arr in builtin.items():
             assert np.array_equal(dst[name], arr)
+            assert dst[name].dtype == arr.dtype
+
+    def test_dtype_names_parse_back_memoised(self):
+        nested = np.dtype([("x", [("y", ">i2")]), ("z", "<f4", (3,))])
+        dtypes = [arr.dtype for arr in self.ARRAYS.values()] + [
+            np.dtype(">i8"), np.dtype("<u2"), np.dtype("S5"), nested,
+            np.dtype([("a", ">i4"), ("b", "<f8")])]
+        for dtype in dtypes:
+            name = _dtype_name(dtype)
+            parsed = _dtype_of(name)
+            assert parsed == dtype
+            assert str(parsed) == name
+            assert _dtype_of(name) is parsed  # memoised
+
+    def test_unknown_dtype_name_rejected(self):
+        with pytest.raises(PUPError, match="unknown field dtype"):
+            _dtype_of("not-a-dtype")
+
+    def test_structured_dtypes_round_trip(self):
+        structured = {k: self.ARRAYS[k] for k in ("aligned", "offsets")}
+        structured["packed"] = np.array([(1, 2.5), (-3, 0.5)],
+                                        dtype=[("a", ">i4"), ("b", "<f8")])
+        state = pack(self.Fields(structured))
+        dst = {k: np.zeros_like(v) for k, v in structured.items()}
+        unpack(self.Fields(dst), state)
+        for name, arr in structured.items():
+            # Field-wise: padding bytes of aligned dtypes are not state.
+            assert (dst[name] == arr).all()
             assert dst[name].dtype == arr.dtype
 
 

@@ -146,3 +146,76 @@ class TestSendSmall:
         transport2.send_small(MsgKind.APP, 0, 1, nbytes=1000)
         sim2.run()
         assert sim2.now == t_big  # the 1000-byte delay, not the memoised 0-byte one
+
+
+class TestSendControl:
+    """The envelope-free control path must account exactly like
+    ``send(Message(MsgKind.CONTROL, ...))`` dispatched by the receiver."""
+
+    SCRIPT = [
+        # (op, args): sends at t=0, a death, then sends after it.
+        ("send", (0, 1, "a")),
+        ("send", (1, 2, "b")),
+        ("send", (2, 0, "c")),
+        ("kill", 2),              # "b" is in flight to 2: dropped at delivery
+        ("send", (2, 1, "d")),    # dead sender: dropped at send
+        ("send", (0, 2, "e")),    # dead receiver: dropped at delivery
+        ("send", (1, 0, "f")),
+    ]
+
+    @staticmethod
+    def _counters(transport):
+        return (transport.messages_sent, transport.messages_delivered,
+                transport.messages_dropped, dict(transport.sent_by_kind),
+                dict(transport.bytes_by_kind))
+
+    def _run(self, envelope: bool):
+        sim = Simulator()
+        transport = Transport(sim, latency=1e-3, bandwidth=1e6)
+        seen = []
+        for i in range(3):
+            transport.register(
+                i, lambda msg: seen.append((sim.now, msg.src, msg.dst,
+                                            msg.payload)))
+
+        def handler(src, dst, payload):
+            seen.append((sim.now, src, dst, payload))
+
+        drops_at_send = 0
+        for op, arg in self.SCRIPT:
+            if op == "kill":
+                transport.set_alive(arg, False)
+                continue
+            src, dst, payload = arg
+            before = transport.messages_dropped
+            if envelope:
+                transport.send(Message(MsgKind.CONTROL, src, dst, payload,
+                                       nbytes=64))
+            else:
+                transport.send_control(src, dst, handler, payload)
+            drops_at_send += transport.messages_dropped - before
+        at_send = transport.messages_dropped
+        sim.run()
+        return (seen, self._counters(transport), drops_at_send,
+                transport.messages_dropped - at_send, sim.events_processed)
+
+    def test_matches_message_path_count_for_count(self):
+        old = self._run(envelope=True)
+        new = self._run(envelope=False)
+        assert new == old
+        seen, (sent, delivered, dropped, kinds, nbytes), at_send, at_delivery, _ = new
+        assert [p for *_, p in seen] == ["a", "c", "f"]
+        assert (sent, delivered, dropped) == (5, 3, 3)
+        assert (at_send, at_delivery) == (1, 2)
+        assert kinds == {"control": 5} and nbytes == {"control": 320}
+
+    def test_same_delivery_instant_as_send(self):
+        (seen_old, *_), (seen_new, *_) = (self._run(envelope=True),
+                                          self._run(envelope=False))
+        assert [t for t, *_ in seen_new] == [t for t, *_ in seen_old]
+        assert seen_new[0][0] == 1e-3 + 64 / 1e6  # the send() expression
+
+    def test_unregistered_destination_rejected(self):
+        _, transport, _ = setup()
+        with pytest.raises(SimulationError):
+            transport.send_control(0, 99, lambda *a: None, None)
