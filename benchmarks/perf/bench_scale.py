@@ -25,23 +25,25 @@ worker clamp (``cpu_count`` / requested / effective / partitions) plus the
 multi-process speedup (CPU-gated in ``compare_bench.py``, like
 ``campaign.parallel_speedup``).
 
-The shared-memory data plane gets three dedicated measurements:
+The partitioned mode has one data plane (shared-memory record rings) and
+one window loop, run either in-process or by forked workers.  Three
+dedicated measurements cover it:
 
-* ``window_stress`` — the copy-based (pickled pipes) and shared-memory
-  planes on the *same* window-heavy 2×64Ki-node coordinated-cadence
-  scenario, forced multiprocess.  Windows are numerous and nearly empty, so
-  the measurement isolates per-window data-plane overhead; the loop-wall
-  ratio is ``shm_speedup_vs_copy`` (CPU-gated ≥ 1.3 in compare_bench).
-  Per-window barrier-overhead and per-worker peak-RSS breakdowns ride on
-  the shm report.
+* ``window_stress`` — the *same* window-heavy 2×64Ki-node
+  coordinated-cadence scenario over 2 partitions, once in-process and once
+  on 2 forked workers.  Windows are numerous and nearly empty, so the
+  measurement isolates per-window loop overhead; the loop-wall ratio is
+  ``shm_speedup_vs_inprocess`` (CPU-gated in compare_bench).  Per-window
+  barrier-overhead and per-worker peak-RSS breakdowns ride on the forked
+  report.
 * ``parallel_xl`` — a 2×128Ki-node run (beyond the single-process bench's
-  paper scale) under the shm plane, with the same breakdowns; its
+  paper scale) on forked workers, with the same breakdowns; its
   completion is the gated ``xl_completed`` flag.
 * the trace-identity matrix inside ``parallel`` — merged-trace digests
-  across 1/4/8 partitions with the shm plane forced on and off, in-process
-  and forked, plus a coordinated-checkpoint run executing under the
-  parallel mode (``coordinated_parallel_ok``: consensus rounds > 0, no
-  single-process fallback, digest unchanged).
+  across 1/4/8 partitions in-process and 4 partitions on 2 forked workers,
+  plus a coordinated-checkpoint run executing on forked workers
+  (``coordinated_parallel_ok``: consensus rounds > 0, no single-process
+  fallback, digest unchanged).
 """
 
 from __future__ import annotations
@@ -121,11 +123,10 @@ def bench_parallel_mode(
     """Partitioned-mode determinism check + speedup on a mid-size scenario.
 
     On top of the original 1-vs-N wall comparison, computes the merged-trace
-    digest across 1/4/8 partitions with the shared-memory plane forced on
-    and off (in-process) and across both forked data planes, and runs a
-    coordinated-checkpoint scenario under the forced-multiprocess shm plane
-    — ``modes_trace_identical`` and ``coordinated_parallel_ok`` are the
-    gated flags.
+    digest across 1/4/8 partitions in-process and 4 partitions on 2 forked
+    workers, and runs a coordinated-checkpoint scenario on forced forked
+    workers — ``modes_trace_identical`` and ``coordinated_parallel_ok`` are
+    the gated flags.
     """
     scenario = ParallelScenario(
         nodes_per_replica=nodes_per_replica,
@@ -140,18 +141,15 @@ def bench_parallel_mode(
                          trace=True)
     assert single.wall_s > 0 and multi.wall_s > 0
 
-    # Trace-identity matrix: every decomposition × data-plane combination
+    # Trace-identity matrix: every decomposition, in-process and forked,
     # must reproduce the single-partition digest byte for byte.
     digests: dict[str, str] = {}
     for parts in (1, 4, 8):
-        for shm in (False, True):
-            rep = run_parallel(scenario, partitions=parts, workers=1,
-                               trace=True, shared_memory=shm)
-            digests[f"p{parts}-{rep.data_plane}"] = rep.trace_digest
-    for shm in (False, True):
-        rep = run_parallel(scenario, partitions=4, workers=2, trace=True,
-                           force_processes=True, shared_memory=shm)
-        digests[f"p4w2-{rep.data_plane}"] = rep.trace_digest
+        rep = run_parallel(scenario, partitions=parts, workers=1, trace=True)
+        digests[f"p{parts}-{rep.data_plane}"] = rep.trace_digest
+    rep = run_parallel(scenario, partitions=4, workers=2, trace=True,
+                       force_processes=True)
+    digests[f"p4w2-{rep.data_plane}"] = rep.trace_digest
     modes_identical = len(set(digests.values())) == 1 \
         and single.trace_digest in digests.values()
 
@@ -167,8 +165,7 @@ def bench_parallel_mode(
         horizon=total_iterations * 0.5 * 6.0, seed=seed)
     coord_ref = run_parallel(coord_scenario, partitions=1, trace=True)
     coord_par = run_parallel(coord_scenario, partitions=4, workers=2,
-                             trace=True, force_processes=True,
-                             shared_memory=True)
+                             trace=True, force_processes=True)
     coordinated_ok = bool(
         coord_par.data_plane == "shm"
         and coord_par.consensus_rounds > 0
@@ -209,14 +206,14 @@ def bench_window_stress(
     workers: int = 2,
     seed: int = 5,
 ) -> dict:
-    """Copy-based vs shared-memory data plane on a window-heavy scenario.
+    """In-process vs forked workers on a window-heavy scenario.
 
     Long compute iterations plus a fast coordinated-round cadence make the
-    windows numerous and nearly empty, so per-window data-plane overhead
-    (pickled pipe round-trips vs scalar barrier waits) dominates the loop
-    wall — which is exactly what the shm rework targets.  Both runs are
-    forced multiprocess so the comparison measures the planes, not the
-    in-process fallback; the ratio is only *gated* on multi-core machines.
+    windows numerous and nearly empty, so per-window overhead (the forked
+    side's scalar barrier waits) is a large share of the loop wall.  Both
+    runs use the same partitions and the same window loop; the forked run
+    is forced multiprocess, so the ratio measures what ``workers`` buys,
+    and it is only *gated* on multi-core machines.
     """
     scenario = ParallelScenario(
         nodes_per_replica=nodes_per_replica, total_iterations=1,
@@ -224,11 +221,10 @@ def bench_window_stress(
         coordinated_interval=coordinated_interval, scheme="strong",
         seed=seed)
     shm = run_parallel(scenario, partitions=partitions, workers=workers,
-                       force_processes=True, shared_memory=True)
-    copy = run_parallel(scenario, partitions=partitions, workers=workers,
-                        force_processes=True, shared_memory=False)
-    assert shm.wall_s > 0 and copy.wall_s > 0
-    assert shm.data_plane == "shm" and copy.data_plane == "pipes"
+                       force_processes=True)
+    inproc = run_parallel(scenario, partitions=partitions, workers=1)
+    assert shm.wall_s > 0 and inproc.wall_s > 0
+    assert shm.data_plane == "shm" and inproc.data_plane == "inprocess"
     barrier_total = sum(shm.barrier_wait_s or [])
     window_barrier = shm.window_barrier_s or []
     return {
@@ -237,14 +233,15 @@ def bench_window_stress(
         "workers": workers,
         "windows": shm.windows,
         "consensus_rounds": shm.consensus_rounds,
-        "completed": bool(shm.completed and copy.completed),
-        "copy_wall_s": copy.wall_s,
+        "completed": bool(shm.completed and inproc.completed),
+        "inprocess_wall_s": inproc.wall_s,
         "shm_wall_s": shm.wall_s,
-        "copy_loop_wall_s": copy.loop_wall_s,
+        "inprocess_loop_wall_s": inproc.loop_wall_s,
         "shm_loop_wall_s": shm.loop_wall_s,
-        "copy_events_per_s": copy.events_processed / copy.loop_wall_s,
+        "inprocess_events_per_s": inproc.events_processed
+        / inproc.loop_wall_s,
         "shm_events_per_s": shm.events_processed / shm.loop_wall_s,
-        "shm_speedup_vs_copy": copy.loop_wall_s / shm.loop_wall_s,
+        "shm_speedup_vs_inprocess": inproc.loop_wall_s / shm.loop_wall_s,
         "barrier_wait_share": (
             barrier_total / (len(shm.barrier_wait_s or [1]) * shm.loop_wall_s)
             if shm.loop_wall_s else 0.0),
@@ -271,7 +268,7 @@ def bench_parallel_xl(
     workers: int = 2,
     seed: int = 5,
 ) -> dict:
-    """A 2×128Ki-node run under the shared-memory plane.
+    """A 2×128Ki-node run on forked workers over the shared arena.
 
     Twice the single-process bench's paper scale — the regime the shm
     rework exists for.  Reports the per-window barrier-overhead and
@@ -284,7 +281,7 @@ def bench_parallel_xl(
         coordinated_interval=coordinated_interval, scheme="strong",
         seed=seed)
     report = run_parallel(scenario, partitions=partitions, workers=workers,
-                          force_processes=True, shared_memory=True)
+                          force_processes=True)
     assert report.wall_s > 0
     window_barrier = report.window_barrier_s or []
     max_rss = max(report.worker_peak_rss_mib or [0.0])
@@ -323,7 +320,7 @@ def run_all_scale(*, quick: bool = False,
             reference_events_per_s=reference_events_per_s)
         parallel = bench_parallel_mode(nodes_per_replica=256,
                                        total_iterations=6, partitions=4)
-        # The trimmed 16Ki-node shm exercise the CI scale_smoke lane runs
+        # The trimmed 16Ki-node window stress the CI scale_smoke lane runs
         # inside its 120 s budget; the 2×128Ki xl run is full-bench only.
         stress = bench_window_stress(nodes_per_replica=8 * KIB,
                                      horizon=6.0, iteration_seconds=5.0,
@@ -343,9 +340,9 @@ def run_all_scale(*, quick: bool = False,
     scale["cpu_count"] = parallel["cpu_count"]
     scale["modes_trace_identical"] = parallel["modes_trace_identical"]
     scale["coordinated_parallel_ok"] = parallel["coordinated_parallel_ok"]
-    scale["shm_speedup_vs_copy"] = stress["shm_speedup_vs_copy"]
+    scale["shm_speedup_vs_inprocess"] = stress["shm_speedup_vs_inprocess"]
     scale["shm_events_per_s"] = stress["shm_events_per_s"]
-    scale["copy_events_per_s"] = stress["copy_events_per_s"]
+    scale["inprocess_events_per_s"] = stress["inprocess_events_per_s"]
     scale["max_worker_rss_mib"] = stress["max_worker_rss_mib"]
     if xl is not None:
         scale["parallel_xl"] = xl

@@ -60,10 +60,10 @@ GATED_FLAGS = (
     ("tiered_persist", "restore_fallback_correct"),
     ("bench_scale", "completed"),
     ("bench_scale", "parallel_trace_identical"),
-    # The shm/pipes × partitions trace-identity matrix and the
+    # The in-process/forked × partitions trace-identity matrix and the
     # coordinated-consensus-under-parallel check are pure correctness
     # oracles — they must hold on every machine, including 1-CPU runners
-    # (forced multiprocess exercises the real planes there too).
+    # (forced multiprocess exercises the real workers there too).
     ("bench_scale", "modes_trace_identical"),
     ("bench_scale", "coordinated_parallel_ok"),
     # 2×128Ki completion including the per-worker RSS ceiling.
@@ -79,10 +79,12 @@ GATED_FLAGS = (
 #: dominated by scheduler noise.
 CPU_GATED_MINIMUMS = (
     ("serve", "cache_hit_rps", 1000.0),
-    # Shared-memory plane vs the copy-based pipe plane on the window-heavy
-    # 2×64Ki scenario.  On one CPU both planes serialize and the ratio is
-    # scheduler noise; with real cores the shm plane must win by 1.3×.
-    ("bench_scale", "shm_speedup_vs_copy", 1.3),
+    # Two forked workers vs the same 2 partitions in-process on the
+    # window-heavy 2×64Ki scenario (loop-wall ratio).  On one CPU the
+    # workers serialize and the ratio is scheduler noise; with real cores
+    # they must win.  Twelve pairs on a 2-vCPU host read 1.22-1.89 (median
+    # 1.41); the floor sits below the worst of them.
+    ("bench_scale", "shm_speedup_vs_inprocess", 1.1),
 )
 
 #: Gated only when the machine can actually go parallel: on a 1-CPU runner
@@ -108,7 +110,7 @@ INFORMATIONAL = (
     ("bench_scale", "node_iterations_per_s"),
     ("bench_scale", "peak_rss_mib"),
     ("bench_scale", "shm_events_per_s"),
-    ("bench_scale", "copy_events_per_s"),
+    ("bench_scale", "inprocess_events_per_s"),
     ("bench_scale", "max_worker_rss_mib"),
     ("serve", "cache_hit_rps"),
     ("serve", "p50_ms"),

@@ -123,8 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     stress = scale["window_stress"]
     print(f"shm plane   {stress['nodes']} nodes x{stress['windows']} windows: "
           f"shm {stress['shm_loop_wall_s']:.2f}s vs "
-          f"copy {stress['copy_loop_wall_s']:.2f}s "
-          f"({stress['shm_speedup_vs_copy']:.2f}x, "
+          f"in-process {stress['inprocess_loop_wall_s']:.2f}s "
+          f"({stress['shm_speedup_vs_inprocess']:.2f}x, "
           f"barrier share {stress['barrier_wait_share']:.2f}, "
           f"worker rss {stress['max_worker_rss_mib']:.0f} MiB), "
           f"modes identical={scale['modes_trace_identical']}, "

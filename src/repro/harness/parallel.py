@@ -29,21 +29,21 @@ time-window scheme practical:
   ``math.nextafter``), so every boundary stamp is exchanged and injected
   before any receiver could reach its delivery instant.
 
-Two multiprocess data planes implement that window protocol:
+One data plane and one window loop implement that protocol.  A
+:class:`~repro.runtime.soa.ShmArena` laid out before any worker starts
+holds every partition's progress/liveness struct-of-arrays, the
+per-window promise and consensus slots, and fixed-dtype numpy record
+rings, one per ordered pair of rank-adjacent partitions.  Edge tasks push
+boundary stamps straight into the rings; the receiving partition drains
+them at the next window.  :func:`_drive` is the only window loop.  With one
+effective worker it drives every partition in-process with a no-op barrier
+wait.  With two or more, each forked worker inherits the mapping and runs
+:func:`_drive` over its own group of partitions, synchronizing through a
+scalar-only ``mp.Barrier`` (two waits per window, no per-window pipe
+traffic, no pickling); the controller only collects the final results.
+Platforms without the ``fork`` start method run in-process.
 
-* **shm** (default on fork platforms, ≥2 effective workers): one
-  :class:`~repro.runtime.soa.ShmArena` laid out *before* forking holds every
-  partition's progress/liveness struct-of-arrays plus fixed-dtype numpy
-  record rings, one per ordered pair of rank-adjacent partitions.  Workers
-  inherit the mapping, push boundary stamps into the rings zero-copy, and
-  self-synchronize through a scalar-only ``mp.Barrier`` — two waits per
-  window, no per-window pipe traffic, no pickling.  The controller only
-  collects final results and reads completion straight out of shared memory.
-* **pipes** (fallback: ``shared_memory=False``, or no ``fork`` start
-  method): the original command loop, with ``inject`` payloads routed to the
-  worker owning the destination partition instead of broadcast.
-
-On top of either plane, ``coordinated_interval`` runs the coordinated
+On top of the window loop, ``coordinated_interval`` runs the coordinated
 checkpoint-consensus protocol *partitioned*: at every round instant
 ``T_k = k·interval`` each partition computes its local ``(min, max)`` live
 progress bounds vectorized, the bounds merge through the same
@@ -63,7 +63,7 @@ partition count or on which OS process runs a partition.  Event interleaving
 *across* partitions is unconstrained, but partitions only interact through
 timestamped stamps whose delivery instants are identical floats in every
 decomposition, so the merged, canonically-sorted trace is byte-identical for
-any ``partitions × workers × data-plane`` choice (asserted in
+any ``partitions × workers`` choice (asserted in
 ``tests/harness/test_parallel.py``).  See docs/performance.md "Scaling to
 paper-size runs" for the shared-memory lifecycle and fallback rules.
 """
@@ -98,8 +98,9 @@ _INF = float("inf")
 #: Sentinel for "no live tasks" in the shared consensus slots (int64-safe).
 _NO_BOUND = 2 ** 62
 
-#: Test hook: ``(worker_index, window_index)`` makes that worker hard-exit
-#: right before running that window (fork inherits the patched value).
+#: Test hook: ``(worker_index, window_index)`` makes that forked worker
+#: hard-exit right before running that window (fork inherits the patched
+#: value; in-process runs have no worker index, so it never fires there).
 _TEST_CRASH: tuple[int, int] | None = None
 
 
@@ -108,7 +109,7 @@ class ParallelWorkerError(RuntimeError):
 
     Carries the partition indices the failed worker owned so callers can
     report *which* slice of the rank range was lost instead of hanging on
-    a barrier or a pipe read.
+    a barrier.
     """
 
     def __init__(self, message: str, *, partitions: list[int] | None = None):
@@ -204,19 +205,21 @@ class ParallelRunReport:
     #: Wall-clock of the window loop alone (construction and teardown
     #: excluded) — the number data-plane comparisons should use.
     loop_wall_s: float = 0.0
-    #: Which data plane ran: ``inprocess``, ``inprocess-shm``, ``pipes``,
-    #: or ``shm``.
+    #: Where the window loop ran: ``inprocess`` (one effective worker) or
+    #: ``shm`` (forked workers over the shared arena).
     data_plane: str = "inprocess"
     #: Coordinated checkpoint-consensus rounds executed (0 when
     #: ``coordinated_interval`` is unset).
     consensus_rounds: int = 0
     per_partition_events: list[int] = field(default_factory=list)
-    #: Total seconds each worker spent in barrier waits (shm plane only).
+    #: Total seconds each worker spent in barrier waits (0.0 in-process,
+    #: where the wait is a no-op).
     barrier_wait_s: list[float] | None = None
     #: Per-window barrier overhead: max across workers of that window's
-    #: summed waits (shm plane only).
+    #: summed waits.
     window_barrier_s: list[float] | None = None
-    #: Per-worker peak RSS in MiB at worker exit (shm plane only).
+    #: Per-worker peak RSS in MiB at worker exit (the controller's own
+    #: in-process).
     worker_peak_rss_mib: list[float] | None = None
     trace_digest: str | None = None
     trace: list[str] | None = None
@@ -275,8 +278,9 @@ def fault_plan(scenario: ParallelScenario) -> list[tuple[float, int, int]]:
 # Shared-memory data plane
 # ---------------------------------------------------------------------------
 
-#: One boundary stamp, fixed dtype (48 bytes): exactly the tuple the pipe
-#: path pickles, as a record the receiver reads without deserializing.
+#: One boundary stamp, fixed dtype (48 bytes): the
+#: ``(deliver_time, dst, to_task, from_task, stamp, epoch)`` tuple as a
+#: record the receiver reads without deserializing.
 _RING_DTYPE = np.dtype([
     ("t", np.float64), ("dst", np.int64), ("to_task", np.int64),
     ("from_task", np.int64), ("stamp", np.int64), ("epoch", np.int64)])
@@ -288,12 +292,12 @@ class _SharedPlane:
     Layout is planned (fixed offsets) in the controller *before* forking;
     workers inherit the mapping and build numpy views at the same offsets,
     so no attach-by-name, no copies, and the resource tracker sees exactly
-    one owner.  Contents:
+    one owner.  In-process runs use the same arena.  Contents:
 
     * ``eot``   — f8[P]: each partition's per-window earliest-output-time
       promise (scalar barrier payload).
-    * ``cons``  — i8[P]: each partition's consensus sub-round min bound
-      (``_NO_BOUND`` when it has no live tasks).
+    * ``cons``  — i8[P, 2]: each partition's consensus sub-round
+      ``(min, max)`` bounds (``_NO_BOUND`` when it has no live tasks).
     * rings     — one ``_RING_DTYPE[slots]`` record ring plus an i8 count
       per *ordered pair of rank-adjacent partitions* (the task ring wraps,
       so only adjacent partitions ever exchange stamps).  Single writer
@@ -353,7 +357,7 @@ class _SharedPlane:
         self._rings_off = take(max(n_rings, 1) * ring_slots
                                * _RING_DTYPE.itemsize)
         self._eot_off = take(partitions * 8)
-        self._cons_off = take(partitions * 8)
+        self._cons_off = take(partitions * 16)
         tpn = scenario.tasks_per_node
         self._node_offs: list[tuple[int, int, int]] = []
         self._prog_offs: list[tuple[int, int]] = []
@@ -370,7 +374,8 @@ class _SharedPlane:
                                      (max(n_rings, 1), ring_slots),
                                      _RING_DTYPE)
         self.eot = self.arena.view(self._eot_off, partitions, np.float64)
-        self.cons = self.arena.view(self._cons_off, partitions, np.int64)
+        self.cons = self.arena.view(self._cons_off, (partitions, 2),
+                                    np.int64)
 
     # -- per-partition state slabs ----------------------------------------------
     def partition_of(self, nid: int) -> int:
@@ -388,11 +393,6 @@ class _SharedPlane:
         return (self.arena.view(alive_off, m, np.bool_),
                 self.arena.view(seen_off, m, np.float64),
                 self.arena.view(fail_off, m, np.int64))
-
-    def all_at_cap(self, cap: int) -> bool:
-        """Completion read straight from shared memory (controller side)."""
-        return all(bool((self.progress_view(i) >= cap).all())
-                   for i in range(self.partitions))
 
     # -- ring exchange ------------------------------------------------------------
     def push(self, src: int, t: float, dst: int, to_task: int,
@@ -432,15 +432,24 @@ class _SharedPlane:
                 self.counts[ring] = 0
         return out
 
+    # -- consensus slots ----------------------------------------------------------
+    def publish_bounds(self, index: int,
+                       bounds: tuple[int, int] | None) -> None:
+        self.cons[index] = (_NO_BOUND, _NO_BOUND) if bounds is None \
+            else bounds
+
+    def decided_line(self) -> int | None:
+        """Global min of the published bounds (``None``: no live task)."""
+        merged = merge_progress_bounds(
+            None if lo == _NO_BOUND else (lo, hi)
+            for lo, hi in self.cons.tolist())
+        return merged[0] if merged is not None else None
+
     # -- lifecycle ----------------------------------------------------------------
-    def release(self) -> None:
-        """Drop this process's views and detach the mapping."""
+    def destroy(self) -> None:
+        """Controller teardown: drop the views, detach, remove the segment."""
         self.counts = self.rings = self.eot = self.cons = None  # type: ignore
         self.arena.close()
-
-    def destroy(self) -> None:
-        """Controller teardown: detach and remove the segment."""
-        self.release()
         self.arena.unlink()
 
 
@@ -473,22 +482,21 @@ class _RoundClock:
 # ---------------------------------------------------------------------------
 
 class _PartitionTransport(Transport):
-    """Transport that diverts boundary stamp fan-outs into an outbox.
+    """Transport that pushes boundary stamp fan-outs into the record rings.
 
     Local targets ride the normal batched delivery event; foreign targets
-    are recorded as ``(deliver_time, dst, to_task, from_task, stamp, epoch)``
-    and injected into the owning partition at the next window barrier — with
-    the same delay expression, so delivery instants are bit-identical to the
-    single-partition run.  With a shared plane bound, foreign targets go
-    straight into the destination partition's record ring (``ring_push``)
-    instead of the pickled outbox.
+    go into the destination partition's record ring (``ring_push``) as
+    ``(deliver_time, dst, to_task, from_task, stamp, epoch)`` and are
+    injected there at the next window barrier — with the same delay
+    expression, so delivery instants are bit-identical to the
+    single-partition run.
     """
 
-    def __init__(self, sim: Simulator, **kwargs):
+    def __init__(self, sim: Simulator,
+                 ring_push: Callable[[float, int, int, int, int, int], None],
+                 **kwargs):
         super().__init__(sim, **kwargs)
-        self.outbox: list[tuple] = []
-        self.ring_push: Callable[
-            [float, int, int, int, int, int], None] | None = None
+        self.ring_push = ring_push
         self._local_nodes: frozenset[int] = frozenset()
 
     def seal(self) -> None:
@@ -520,13 +528,8 @@ class _PartitionTransport(Transport):
                           stamp, epoch)
         deliver_time = self.sim.now + delay
         ring_push = self.ring_push
-        if ring_push is not None:
-            for dst, to_task in foreign:
-                ring_push(deliver_time, dst, to_task, from_task, stamp, epoch)
-        else:
-            for dst, to_task in foreign:
-                self.outbox.append(
-                    (deliver_time, dst, to_task, from_task, stamp, epoch))
+        for dst, to_task in foreign:
+            ring_push(deliver_time, dst, to_task, from_task, stamp, epoch)
 
     def inject(self, entries: list[tuple]) -> None:
         """Schedule inbound boundary stamps at their exact delivery times."""
@@ -593,17 +596,15 @@ class _Partition:
     """One rank range of both replicas with its own simulator + monitor."""
 
     def __init__(self, scenario: ParallelScenario, index: int,
-                 partitions: int, *, trace: bool,
-                 series_interval: float | None = None,
-                 plane: _SharedPlane | None = None):
+                 plane: _SharedPlane, *, trace: bool,
+                 series_interval: float | None = None):
         self.scenario = scenario
         self.index = index
         n = scenario.nodes_per_replica
-        self.lo, self.hi = _partition_bounds(n, partitions, index)
+        self.lo, self.hi = _partition_bounds(n, plane.partitions, index)
         self.sim = Simulator()
-        self.transport = _PartitionTransport(self.sim)
-        if plane is not None:
-            self.transport.ring_push = partial(plane.push, index)
+        self.transport = _PartitionTransport(self.sim,
+                                             partial(plane.push, index))
         self.trace: list[tuple] | None = [] if trace else None
         self.min_iter = scenario.iteration_seconds
         self.boot = scenario.spare_boot_time
@@ -649,10 +650,8 @@ class _Partition:
                         self.edge_tasks.append(task)
         self.transport.seal()
 
-        progress_buffer = (plane.progress_view(index)
-                           if plane is not None else None)
-        self._soa = TaskProgressArray(len(self.tasks),
-                                      progress_buffer=progress_buffer)
+        self._soa = TaskProgressArray(
+            len(self.tasks), progress_buffer=plane.progress_view(index))
         for i, task in enumerate(self.tasks):
             task.bind_progress(self._soa, i)
         self._soa.set_cap(scenario.total_iterations)
@@ -667,8 +666,7 @@ class _Partition:
             interval=scenario.heartbeat_interval,
             timeout_factor=scenario.heartbeat_timeout_factor,
             on_death=self._on_death,
-            state_buffers=(plane.node_buffers(index)
-                           if plane is not None else None))
+            state_buffers=plane.node_buffers(index))
         self._revive_at: dict[int, float] = {}
         #: Last periodic local snapshot stamp per task (strong scheme).
         self._snapshot: dict[int, int] = {t.task_id: 0 for t in self.tasks}
@@ -908,19 +906,13 @@ class _Partition:
                 best = cand
         return best + self.stamp_delay
 
-    def run_window(self, horizon: float) -> list[tuple]:
-        """Process every event strictly before ``horizon``; drain the outbox."""
+    def run_window(self, horizon: float) -> None:
+        """Process every event strictly before ``horizon``."""
         self.sim.run(until=math.nextafter(horizon, -_INF))
-        out = self.transport.outbox
-        self.transport.outbox = []
-        return out
 
     @property
     def at_cap(self) -> bool:
         return self._soa.all_at_cap
-
-    def owns(self, nid: int) -> bool:
-        return nid in self.nodes
 
     def finish(self) -> None:
         self.monitor.stop()
@@ -963,113 +955,9 @@ def _window_horizon(eot_min: float, now: float, scenario: ParallelScenario,
     return horizon
 
 
-def _drive(partitions: list[_Partition], scenario: ParallelScenario,
-           plane: _SharedPlane | None = None,
-           ) -> tuple[int, int, float, bool, float]:
-    """The conservative window loop over in-process partitions.
-
-    Always runs the full ``scenario.horizon``: the end instant must not
-    depend on window placement (which varies with the partition count), or
-    late events — a fault landing after the last task hits its cap — would
-    fire in one decomposition and not another.
-    """
-    windows = 0
-    rounds = 0
-    now = 0.0
-    clock = _RoundClock(scenario.coordinated_interval)
-    pending: list[tuple] = []
-    if plane is None:
-        for part in partitions:
-            pending.extend(part.transport.outbox)
-            part.transport.outbox = []
-    t_loop = time.perf_counter()
-    while now < scenario.horizon:
-        if plane is not None:
-            for part in partitions:
-                entries = plane.drain(part.index)
-                if entries:
-                    part.transport.inject(entries)
-        elif pending:
-            for part in partitions:
-                mine = [e for e in pending if part.owns(e[1])]
-                if mine:
-                    part.transport.inject(mine)
-            pending = []
-        horizon = _window_horizon(
-            min(p.earliest_output_time(now) for p in partitions),
-            now, scenario, clock)
-        for part in partitions:
-            pending.extend(part.run_window(horizon))
-        now = horizon
-        windows += 1
-        if now == clock.next_time and now < scenario.horizon:
-            merged = merge_progress_bounds(
-                [p.consensus_local() for p in partitions])
-            decided = merged[0] if merged is not None else None
-            for part in partitions:
-                part.apply_consensus(decided, now)
-            rounds += 1
-            clock.advance()
-    loop_wall = time.perf_counter() - t_loop
-    completed = all(p.at_cap for p in partitions)
-    for part in partitions:
-        part.finish()
-    sim_time = max(p.sim.now for p in partitions)
-    return windows, rounds, sim_time, completed, loop_wall
-
-
-def _run_inprocess(scenario: ParallelScenario, n_partitions: int,
-                   trace: bool, collect_metrics: bool = False,
-                   series_interval: float | None = None,
-                   plane: _SharedPlane | None = None,
-                   ) -> tuple[ParallelRunReport, list[tuple]]:
-    parts = [_Partition(scenario, i, n_partitions, trace=trace,
-                        series_interval=series_interval, plane=plane)
-             for i in range(n_partitions)]
-    windows, rounds, sim_time, completed, loop_wall = _drive(
-        parts, scenario, plane)
-    records: list[tuple] = []
-    if trace:
-        for p in parts:
-            records.extend(p.trace or [])
-    report = ParallelRunReport(
-        completed=completed, sim_time=sim_time,
-        events_processed=sum(p.sim.events_processed for p in parts),
-        windows=windows, cpu_count=os.cpu_count() or 1,
-        requested_workers=1, effective_workers=1, partitions=n_partitions,
-        per_partition_events=[p.sim.events_processed for p in parts])
-    report.consensus_rounds = rounds
-    report.loop_wall_s = loop_wall
-    if collect_metrics:
-        report.partition_metrics = [p.metrics_snapshot() for p in parts]
-    if series_interval:
-        report.series = merge_series(
-            [p.series.to_dict() for p in parts if p.series is not None])
-    return report, records
-
-
-def _worker_payload(parts: list[_Partition], trace: bool,
-                    collect_metrics: bool) -> dict:
-    """Final per-worker results (both multiprocess planes)."""
-    records: list[tuple] = []
-    if trace:
-        for p in parts:
-            records.extend(p.trace or [])
-    # Per-partition observability rides home on the final reply, tagged
-    # with the partition index so the parent can restore global partition
-    # order across worker groups.
-    obs = [(p.index,
-            p.metrics_snapshot() if collect_metrics else None,
-            p.series.to_dict() if p.series is not None else None)
-           for p in parts]
-    return {
-        "events": sum(p.sim.events_processed for p in parts),
-        "per_part": [(p.index, p.sim.events_processed) for p in parts],
-        "sim_time": max(p.sim.now for p in parts),
-        "at_cap": all(p.at_cap for p in parts),
-        "records": records,
-        "obs": obs,
-    }
+def _no_wait() -> float:
+    """The in-process barrier: one process already holds every partition."""
+    return 0.0
 
 
 def _peak_rss_mib() -> float:
@@ -1078,281 +966,145 @@ def _peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-# ---------------------------------------------------------------------------
-# Pipes plane (fallback)
-# ---------------------------------------------------------------------------
+def _drive(plane: _SharedPlane, scenario: ParallelScenario,
+           indices: list[int], *, trace: bool, collect_metrics: bool,
+           series_interval: float | None,
+           wait: Callable[[], float] = _no_wait,
+           worker_index: int | None = None) -> dict:
+    """The conservative window loop over the partitions ``indices``.
 
-def _worker_main(conn, scenario: ParallelScenario, indices: list[int],
-                 n_partitions: int, trace: bool,
-                 collect_metrics: bool = False,
-                 series_interval: float | None = None,
-                 worker_index: int = 0) -> None:
-    """Child process: own a group of partitions, obey pipe commands."""
-    parts = [_Partition(scenario, i, n_partitions, trace=trace,
-                        series_interval=series_interval)
-             for i in indices]
-    windows_run = 0
-    try:
-        while True:
-            cmd, payload = conn.recv()
-            if cmd == "outbox":
-                out = []
-                for p in parts:
-                    out.extend(p.transport.outbox)
-                    p.transport.outbox = []
-                conn.send(out)
-            elif cmd == "inject":
-                for p in parts:
-                    mine = [e for e in payload if p.owns(e[1])]
-                    if mine:
-                        p.transport.inject(mine)
-                conn.send(True)
-            elif cmd == "eot":
-                conn.send(min((p.earliest_output_time(payload)
-                               for p in parts), default=_INF))
-            elif cmd == "run":
-                if _TEST_CRASH == (worker_index, windows_run):
-                    os._exit(17)
-                windows_run += 1
-                out = []
-                for p in parts:
-                    out.extend(p.run_window(payload))
-                conn.send(out)
-            elif cmd == "consensus":
-                conn.send(merge_progress_bounds(
-                    p.consensus_local() for p in parts))
-            elif cmd == "apply":
-                decided, now = payload
-                for p in parts:
-                    p.apply_consensus(decided, now)
-                conn.send(True)
-            elif cmd == "stop":
-                for p in parts:
-                    p.finish()
-                conn.send(_worker_payload(parts, trace, collect_metrics))
-                return
-    finally:
-        conn.close()
+    No other function steps windows.  In-process it runs once over every
+    partition with the no-op ``wait``; each forked worker runs it over its
+    own group with a real barrier wait that returns the seconds spent.
+    Every caller derives the identical horizon sequence from the shared
+    promise slots, so ``wait`` is the only synchronization: two calls per
+    window, one more per consensus round.
+
+    Always runs the full ``scenario.horizon``: the end instant must not
+    depend on window placement (which varies with the partition count), or
+    late events — a fault landing after the last task hits its cap — would
+    fire in one decomposition and not another.
+
+    Returns the group's final results for :func:`_assemble`.
+    """
+    parts = [_Partition(scenario, i, plane, trace=trace,
+                        series_interval=series_interval) for i in indices]
+    clock = _RoundClock(scenario.coordinated_interval)
+    now = 0.0
+    windows = 0
+    rounds = 0
+    window_waits: list[float] = []
+    # Construction fence: every partition's initial announcements are in
+    # the rings before anyone drains.
+    wait()
+    t_loop = time.perf_counter()
+    while now < scenario.horizon:
+        for p in parts:
+            entries = plane.drain(p.index)
+            if entries:
+                p.transport.inject(entries)
+        for p in parts:
+            plane.eot[p.index] = p.earliest_output_time(now)
+        spent = wait()
+        horizon = _window_horizon(float(plane.eot.min()), now, scenario,
+                                  clock)
+        if _TEST_CRASH == (worker_index, windows):
+            os._exit(17)
+        for p in parts:
+            p.run_window(horizon)
+        spent += wait()
+        now = horizon
+        windows += 1
+        if now == clock.next_time and now < scenario.horizon:
+            for p in parts:
+                plane.publish_bounds(p.index, p.consensus_local())
+            spent += wait()
+            decided = plane.decided_line()
+            for p in parts:
+                p.apply_consensus(decided, now)
+            rounds += 1
+            clock.advance()
+        window_waits.append(spent)
+    loop_wall = time.perf_counter() - t_loop
+    for p in parts:
+        p.finish()
+    # Per-partition observability is tagged with the partition index so
+    # the controller can restore global partition order across groups.
+    return {
+        "windows": windows,
+        "rounds": rounds,
+        "parts": [(p.index, p.sim.events_processed,
+                   p.metrics_snapshot() if collect_metrics else None,
+                   p.series.to_dict() if p.series is not None else None)
+                  for p in parts],
+        "sim_time": max(p.sim.now for p in parts),
+        "at_cap": all(p.at_cap for p in parts),
+        "records": [r for p in parts for r in (p.trace or ())],
+        "loop_wall_s": loop_wall,
+        "window_waits": window_waits,
+        "peak_rss_mib": _peak_rss_mib(),
+    }
 
 
-def _checked_recv(conn, proc, group: list[int]):
-    """Receive a worker reply, surfacing worker death instead of hanging."""
-    while not conn.poll(0.05):
-        if not proc.is_alive():
-            raise ParallelWorkerError(
-                f"parallel worker owning partitions {group} died mid-window "
-                f"(exit code {proc.exitcode})", partitions=group)
-    try:
-        return conn.recv()
-    except EOFError:
+def _assemble(finals: list[dict], n_partitions: int, requested: int,
+              collect_metrics: bool, series_interval: float | None,
+              ) -> tuple[ParallelRunReport, list[tuple]]:
+    """One report from the per-worker results of :func:`_drive`."""
+    if len({f["windows"] for f in finals}) != 1:  # pragma: no cover
         raise ParallelWorkerError(
-            f"parallel worker owning partitions {group} closed its pipe "
-            f"mid-window (exit code {proc.exitcode})",
-            partitions=group) from None
-
-
-def _terminate(procs) -> None:
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-
-
-def _reap(procs, timeout: float = 5.0) -> None:
-    for proc in procs:
-        proc.join(timeout=timeout)
-    for proc in procs:
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=1.0)
-
-
-def _run_pipes(scenario: ParallelScenario, n_partitions: int,
-               n_workers: int, trace: bool,
-               collect_metrics: bool = False,
-               series_interval: float | None = None,
-               ) -> tuple[ParallelRunReport, list[tuple]]:
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    groups: list[list[int]] = [[] for _ in range(n_workers)]
-    for i in range(n_partitions):
-        groups[i % n_workers].append(i)
-    owner_of = {i: w for w, g in enumerate(groups) for i in g}
-    per = -(-scenario.nodes_per_replica // n_partitions)
-    n = scenario.nodes_per_replica
-    pipes, procs = [], []
-    for w, g in enumerate(groups):
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(target=_worker_main,
-                           args=(child, scenario, g, n_partitions, trace,
-                                 collect_metrics, series_interval, w))
-        proc.start()
-        child.close()
-        pipes.append(parent)
-        procs.append(proc)
-
-    def broadcast(cmd, payload=None):
-        for c in pipes:
-            c.send((cmd, payload))
-        return [_checked_recv(c, p, g)
-                for c, p, g in zip(pipes, procs, groups)]
-
-    try:
-        windows = 0
-        rounds = 0
-        now = 0.0
-        clock = _RoundClock(scenario.coordinated_interval)
-        pending: list[tuple] = []
-        for out in broadcast("outbox"):
-            pending.extend(out)
-        t_loop = time.perf_counter()
-        while now < scenario.horizon:
-            if pending:
-                # Route each boundary stamp to the worker owning its
-                # destination partition — no more pickling the whole list
-                # to every pipe.
-                buckets: list[list[tuple]] = [[] for _ in range(n_workers)]
-                for entry in pending:
-                    buckets[owner_of[(entry[1] % n) // per]].append(entry)
-                targets = [w for w in range(n_workers) if buckets[w]]
-                for w in targets:
-                    pipes[w].send(("inject", buckets[w]))
-                for w in targets:
-                    _checked_recv(pipes[w], procs[w], groups[w])
-                pending = []
-            horizon = _window_horizon(min(broadcast("eot", now)), now,
-                                      scenario, clock)
-            for out in broadcast("run", horizon):
-                pending.extend(out)
-            now = horizon
-            windows += 1
-            if now == clock.next_time and now < scenario.horizon:
-                merged = merge_progress_bounds(broadcast("consensus"))
-                decided = merged[0] if merged is not None else None
-                broadcast("apply", (decided, now))
-                rounds += 1
-                clock.advance()
-        loop_wall = time.perf_counter() - t_loop
-        finals = broadcast("stop")
-    except ParallelWorkerError:
-        _terminate(procs)
-        raise
-    finally:
-        _reap(procs)
-    report, records = _assemble_multiprocess(
-        finals, scenario, n_partitions, n_workers, windows, rounds,
-        collect_metrics, series_interval)
-    report.loop_wall_s = loop_wall
-    return report, records
-
-
-def _assemble_multiprocess(finals: list[dict], scenario: ParallelScenario,
-                           n_partitions: int, n_workers: int, windows: int,
-                           rounds: int, collect_metrics: bool,
-                           series_interval: float | None,
-                           completed: bool | None = None,
-                           ) -> tuple[ParallelRunReport, list[tuple]]:
-    per_part = sorted((pp for f in finals for pp in f["per_part"]))
-    records = [r for f in finals for r in f["records"]]
-    obs = sorted((o for f in finals for o in f["obs"]), key=lambda o: o[0])
+            f"workers disagree on window count: "
+            f"{[f['windows'] for f in finals]}")
+    parts = sorted((pp for f in finals for pp in f["parts"]),
+                   key=lambda pp: pp[0])
+    per_part = [events for _, events, _, _ in parts]
     report = ParallelRunReport(
-        completed=(all(f["at_cap"] for f in finals)
-                   if completed is None else completed),
+        completed=all(f["at_cap"] for f in finals),
         sim_time=max(f["sim_time"] for f in finals),
-        events_processed=sum(f["events"] for f in finals),
-        windows=windows, cpu_count=os.cpu_count() or 1,
-        requested_workers=n_workers, effective_workers=n_workers,
+        events_processed=sum(per_part),
+        windows=finals[0]["windows"], cpu_count=os.cpu_count() or 1,
+        requested_workers=requested, effective_workers=len(finals),
         partitions=n_partitions,
-        per_partition_events=[e for _, e in per_part])
-    report.consensus_rounds = rounds
+        loop_wall_s=max(f["loop_wall_s"] for f in finals),
+        consensus_rounds=finals[0]["rounds"],
+        per_partition_events=per_part,
+        barrier_wait_s=[sum(f["window_waits"]) for f in finals],
+        window_barrier_s=[max(waits) for waits in
+                          zip(*(f["window_waits"] for f in finals))],
+        worker_peak_rss_mib=[f["peak_rss_mib"] for f in finals])
     if collect_metrics:
-        report.partition_metrics = [snap for _, snap, _ in obs]
+        report.partition_metrics = [snap for _, _, snap, _ in parts]
+        report.metrics = merge_snapshots(report.partition_metrics)
     if series_interval:
         report.series = merge_series(
-            [series for _, _, series in obs if series is not None])
-    return report, records
+            [series for _, _, _, series in parts if series is not None])
+    return report, [r for f in finals for r in f["records"]]
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory plane
+# Forked workers
 # ---------------------------------------------------------------------------
 
-def _worker_shm_main(conn, barrier, plane: _SharedPlane,
-                     scenario: ParallelScenario, indices: list[int],
-                     n_partitions: int, trace: bool, collect_metrics: bool,
-                     series_interval: float | None,
-                     worker_index: int) -> None:
-    """Child process: run the window loop autonomously over shared memory.
+def _worker(conn, barrier, plane: _SharedPlane, scenario: ParallelScenario,
+            indices: list[int], trace: bool, collect_metrics: bool,
+            series_interval: float | None, worker_index: int) -> None:
+    """Child process: run :func:`_drive` over its group behind the barrier.
 
-    Unlike the pipe worker there is no command loop — every worker derives
-    the identical horizon sequence from the shared scalar slots, so the
-    only synchronization is the barrier (two waits per window, one more per
-    consensus round) and the only pipe traffic is the single final payload.
+    The only pipe traffic is the single final message.
     """
     import threading
 
     timeout = float(os.environ.get("REPRO_PARALLEL_BARRIER_TIMEOUT_S", "120"))
-    try:
-        parts = [_Partition(scenario, i, n_partitions, trace=trace,
-                            series_interval=series_interval, plane=plane)
-                 for i in indices]
-        clock = _RoundClock(scenario.coordinated_interval)
-        now = 0.0
-        windows = 0
-        rounds = 0
-        window_waits: list[float] = []
-        barrier_total = 0.0
 
-        def wait() -> float:
-            t0 = time.perf_counter()
-            barrier.wait(timeout)
-            return time.perf_counter() - t0
-
-        # Construction fence: every partition's initial announcements are in
-        # the rings before anyone drains.
+    def wait() -> float:
+        t0 = time.perf_counter()
         barrier.wait(timeout)
-        t_loop = time.perf_counter()
-        while now < scenario.horizon:
-            spent = 0.0
-            for p in parts:
-                entries = plane.drain(p.index)
-                if entries:
-                    p.transport.inject(entries)
-            for p in parts:
-                plane.eot[p.index] = p.earliest_output_time(now)
-            spent += wait()
-            horizon = _window_horizon(float(plane.eot.min()), now,
-                                      scenario, clock)
-            if _TEST_CRASH == (worker_index, windows):
-                os._exit(17)
-            for p in parts:
-                p.run_window(horizon)
-            spent += wait()
-            now = horizon
-            windows += 1
-            if now == clock.next_time and now < scenario.horizon:
-                for p in parts:
-                    bounds = p.consensus_local()
-                    plane.cons[p.index] = (_NO_BOUND if bounds is None
-                                           else bounds[0])
-                spent += wait()
-                decided_raw = int(plane.cons.min())
-                decided = None if decided_raw >= _NO_BOUND else decided_raw
-                for p in parts:
-                    p.apply_consensus(decided, now)
-                rounds += 1
-                clock.advance()
-            window_waits.append(spent)
-            barrier_total += spent
-        loop_wall = time.perf_counter() - t_loop
-        for p in parts:
-            p.finish()
-        payload = _worker_payload(parts, trace, collect_metrics)
-        payload.update(windows=windows, rounds=rounds,
-                       barrier_wait_s=barrier_total,
-                       window_waits=window_waits, loop_wall_s=loop_wall,
-                       peak_rss_mib=_peak_rss_mib())
-        conn.send(("done", payload))
+        return time.perf_counter() - t0
+
+    try:
+        conn.send(("done", _drive(
+            plane, scenario, indices, trace=trace,
+            collect_metrics=collect_metrics, series_interval=series_interval,
+            wait=wait, worker_index=worker_index)))
     except threading.BrokenBarrierError:
         try:
             conn.send(("error",
@@ -1371,20 +1123,34 @@ def _worker_shm_main(conn, barrier, plane: _SharedPlane,
         conn.close()
 
 
-def _run_shm(scenario: ParallelScenario, n_partitions: int, n_workers: int,
-             trace: bool, collect_metrics: bool = False,
-             series_interval: float | None = None,
-             ) -> tuple[ParallelRunReport, list[tuple]]:
+def _terminate(procs) -> None:
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+
+
+def _reap(procs, timeout: float = 5.0) -> None:
+    for proc in procs:
+        proc.join(timeout=timeout)
+    for proc in procs:
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=1.0)
+
+
+def _run_forked(plane: _SharedPlane, scenario: ParallelScenario,
+                n_workers: int, *, trace: bool, collect_metrics: bool,
+                series_interval: float | None) -> list[dict]:
+    """Fork ``n_workers`` workers over the arena; their results in order."""
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
-    plane = _SharedPlane(scenario, n_partitions)
     barrier = ctx.Barrier(n_workers)
     # Contiguous partition groups: rank-adjacent partitions share a worker
     # where possible, which keeps most ring traffic within one process's
     # cache footprint.
     groups: list[list[int]] = []
-    base, extra = divmod(n_partitions, n_workers)
+    base, extra = divmod(plane.partitions, n_workers)
     start = 0
     for w in range(n_workers):
         count = base + (1 if w < extra else 0)
@@ -1395,9 +1161,9 @@ def _run_shm(scenario: ParallelScenario, n_partitions: int, n_workers: int,
         for w, g in enumerate(groups):
             parent, child = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_shm_main,
-                args=(child, barrier, plane, scenario, g, n_partitions,
-                      trace, collect_metrics, series_interval, w))
+                target=_worker,
+                args=(child, barrier, plane, scenario, g, trace,
+                      collect_metrics, series_interval, w))
             proc.start()
             child.close()
             pipes.append(parent)
@@ -1436,9 +1202,6 @@ def _run_shm(scenario: ParallelScenario, n_partitions: int, n_workers: int,
                 else:
                     raise ParallelWorkerError(str(payload),
                                               partitions=groups[w])
-        # Completion is read straight out of the shared arrays — the
-        # controller never shipped any per-window state over a pipe.
-        completed = plane.all_at_cap(scenario.total_iterations)
     except Exception:
         # Terminate only; the controller never touches the barrier.  A
         # worker can die (crash, or the SIGTERM sent here) while it holds
@@ -1449,22 +1212,7 @@ def _run_shm(scenario: ParallelScenario, n_partitions: int, n_workers: int,
         raise
     finally:
         _reap(procs)
-        plane.destroy()
-    finals = [results[w] for w in range(n_workers)]
-    if len({f["windows"] for f in finals}) != 1:  # pragma: no cover
-        raise ParallelWorkerError(
-            f"workers disagree on window count: "
-            f"{[f['windows'] for f in finals]}")
-    report, records = _assemble_multiprocess(
-        finals, scenario, n_partitions, n_workers, finals[0]["windows"],
-        finals[0]["rounds"], collect_metrics, series_interval,
-        completed=completed)
-    report.loop_wall_s = max(f["loop_wall_s"] for f in finals)
-    report.barrier_wait_s = [f["barrier_wait_s"] for f in finals]
-    report.window_barrier_s = [
-        max(vals) for vals in zip(*(f["window_waits"] for f in finals))]
-    report.worker_peak_rss_mib = [f["peak_rss_mib"] for f in finals]
-    return report, records
+    return [results[w] for w in range(n_workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -1475,23 +1223,21 @@ def run_parallel(scenario: ParallelScenario, *, partitions: int = 1,
                  workers: int | None = 1, trace: bool = False,
                  force_processes: bool = False,
                  collect_metrics: bool = False,
-                 series_interval: float | None = None,
-                 shared_memory: bool | None = None) -> ParallelRunReport:
+                 series_interval: float | None = None) -> ParallelRunReport:
     """Run a :class:`ParallelScenario` over ``partitions`` rank ranges.
 
     ``workers`` is the *requested* process count; like the campaign runner it
     is clamped to ``min(workers, partitions, cpu_count)`` and both numbers
-    are recorded in the report.  ``workers <= 1`` (after clamping) runs every
-    partition in-process — same windows, same trace, no fork — which is what
-    1-CPU runners exercise.  ``trace=True`` collects the canonical merged
-    event trace (byte-identical across any partition/worker decomposition).
-
-    ``shared_memory`` selects the multiprocess data plane: ``None`` (the
-    default) uses the shared-memory plane whenever the ``fork`` start method
-    exists and ≥2 workers run, ``True`` forces it, ``False`` forces the
-    pickled-pipe plane.  In-process runs honor ``shared_memory=True`` too
-    (arena + rings without a barrier) so the shm code path is testable on
-    one CPU.  ``report.data_plane`` records the choice.
+    are recorded in the report.  Every run lays out one shared arena with
+    the partitions' state and boundary-stamp rings, then runs the single
+    window loop (:func:`_drive`).  With one effective worker that loop
+    drives every partition in-process — same windows, same trace, no fork
+    — which is what 1-CPU runners exercise; with more, forked workers run
+    it over contiguous partition groups behind a shared barrier.  Without
+    the ``fork`` start method the run is always in-process.
+    ``report.data_plane`` reads ``"inprocess"`` or ``"shm"`` accordingly.
+    ``trace=True`` collects the canonical merged event trace
+    (byte-identical across any partition/worker decomposition).
 
     ``collect_metrics=True`` ships each partition's decomposition-invariant
     counter snapshot home (``report.partition_metrics``, partition order)
@@ -1513,38 +1259,28 @@ def run_parallel(scenario: ParallelScenario, *, partitions: int = 1,
         # Test hook: exercise the fork machinery even where the CPU clamp
         # would fall back in-process (1-CPU CI runners).
         eff = min(requested, partitions)
+    if not _fork_available():
+        # Workers inherit the arena mapping across fork; without it every
+        # partition runs in-process.
+        eff = 1
     t0 = time.perf_counter()
-    if eff <= 1:
-        plane = (_SharedPlane(scenario, partitions) if shared_memory
-                 else None)
-        try:
-            report, records = _run_inprocess(scenario, partitions, trace,
-                                             collect_metrics, series_interval,
-                                             plane=plane)
-        finally:
-            if plane is not None:
-                plane.destroy()
-        report.data_plane = "inprocess-shm" if shared_memory else "inprocess"
-    else:
-        use_shm = shared_memory if shared_memory is not None \
-            else _fork_available()
-        if use_shm and not _fork_available():
-            # Spawn-only platforms (e.g. macOS default) cannot inherit the
-            # arena mapping; fall back to the pipe plane.
-            use_shm = False
-        if use_shm:
-            report, records = _run_shm(scenario, partitions, eff, trace,
-                                       collect_metrics, series_interval)
-            report.data_plane = "shm"
+    plane = _SharedPlane(scenario, partitions)
+    try:
+        if eff > 1:
+            finals = _run_forked(plane, scenario, eff, trace=trace,
+                                 collect_metrics=collect_metrics,
+                                 series_interval=series_interval)
         else:
-            report, records = _run_pipes(scenario, partitions, eff, trace,
-                                         collect_metrics, series_interval)
-            report.data_plane = "pipes"
-    report.wall_s = time.perf_counter() - t0
-    if collect_metrics and report.partition_metrics is not None:
-        report.metrics = merge_snapshots(report.partition_metrics)
-    report.requested_workers = requested
-    report.effective_workers = eff
+            finals = [_drive(plane, scenario, list(range(partitions)),
+                             trace=trace, collect_metrics=collect_metrics,
+                             series_interval=series_interval)]
+    finally:
+        plane.destroy()
+    wall = time.perf_counter() - t0
+    report, records = _assemble(finals, partitions, requested,
+                                collect_metrics, series_interval)
+    report.wall_s = wall
+    report.data_plane = "shm" if eff > 1 else "inprocess"
     if trace:
         lines = _format_trace(records)
         report.trace = lines

@@ -4,12 +4,13 @@
 determinism oracles in ``tests/runtime/test_scale_equivalence.py`` and
 ``tests/harness/test_parallel.py`` (marked there).  This file runs the
 quick ``bench_scale`` configuration — a 2×8192-node replica pair end to
-end, the partitioned-mode determinism checks, and the shm-vs-pipes
-window-stress comparison on a trimmed 2×8192-node (16Ki) scenario — and
+end, the partitioned-mode determinism checks, and the window-stress
+comparison (the one window loop in-process vs on two forked workers over
+the shared-memory rings) on a trimmed 2×8192-node (16Ki) scenario — and
 enforces a wall-clock budget so the scale path can never quietly regress
-into being unrunnable.  The per-window barrier-overhead series is written
-to ``scale_smoke_barrier_series.json`` so the CI job can upload it as an
-artifact when the lane fails.
+into being unrunnable.  The forked run's per-window barrier-overhead
+series is written to ``scale_smoke_barrier_series.json`` so the CI job can
+upload it as an artifact when the lane fails.
 """
 
 import json
@@ -54,13 +55,13 @@ class TestScaleSmoke:
         assert stress["completed"]
         assert stress["nodes"] == 16384
         assert stress["windows"] > 100, "window-stress cadence collapsed"
-        assert stress["shm_speedup_vs_copy"] > 0
+        assert stress["shm_speedup_vs_inprocess"] > 0
         assert stress["max_worker_rss_mib"] > 0
         assert elapsed < WALL_BUDGET_S, (
             f"scale smoke took {elapsed:.1f}s (> {WALL_BUDGET_S}s budget)")
 
     def test_shm_plane_barrier_series_artifact(self):
-        """Run the shm plane on the trimmed scenario and persist its
+        """Run forked workers on the trimmed scenario and persist their
         per-window barrier-overhead series.  The file is written on success
         too (cheap), so a *later* failure in this lane still has the most
         recent series to upload."""
@@ -69,7 +70,7 @@ class TestScaleSmoke:
             iteration_seconds=5.0, horizon=6.0,
             coordinated_interval=0.05, scheme="strong", seed=5)
         report = run_parallel(scenario, partitions=2, workers=2,
-                              force_processes=True, shared_memory=True)
+                              force_processes=True)
         assert report.data_plane == "shm"
         assert report.completed
         assert report.wall_s > 0
