@@ -90,6 +90,24 @@ class ReplicaApp(ABC):
             self.advance()
             self.iteration += 1
 
+    def copy_state_from(self, other: "ReplicaApp") -> None:
+        """Make this replica's state a bitwise copy of ``other``'s, without
+        running the kernel.
+
+        ``other`` must be the same app built with the same configuration.
+        Every ndarray attribute of ``other`` is copied into this instance's
+        array of the same name with ``np.copyto`` -- so an app whose
+        ``advance`` rebinds an array still copies into its own buffer, and
+        the two replicas never share memory -- and numeric scalars (the
+        iteration counter, HPCCG's ``rho``) are copied by value.
+        """
+        mine = vars(self)
+        for name, value in vars(other).items():
+            if isinstance(value, np.ndarray):
+                np.copyto(mine[name], value)
+            elif isinstance(value, (int, float, np.number)):
+                mine[name] = value
+
     @abstractmethod
     def pup_shard(self, p: PUPer, rank: int) -> None:
         """Serialize / restore / compare node ``rank``'s partition.

@@ -30,6 +30,9 @@ class CheckpointGeneration:
     iteration: int
     shards: dict[int, PackedState] = field(default_factory=dict)
     wallclock: float = 0.0
+    #: Lineage token of the replica state the shards were packed from (see
+    #: ``ACR`` and docs/protocols.md, "Replica lineage"); None when unknown.
+    lineage: int | None = None
 
     @property
     def nbytes(self) -> int:
@@ -71,9 +74,11 @@ class CheckpointStore:
                 hook(*args)
 
     # -- candidate lifecycle -----------------------------------------------------
-    def begin_candidate(self, replica: int, iteration: int, wallclock: float) -> None:
+    def begin_candidate(self, replica: int, iteration: int, wallclock: float,
+                        lineage: int | None = None) -> None:
         self._held_bytes -= self._candidate_bytes.get(replica, 0)
-        self._candidate[replica] = CheckpointGeneration(iteration, wallclock=wallclock)
+        self._candidate[replica] = CheckpointGeneration(
+            iteration, wallclock=wallclock, lineage=lineage)
         self._candidate_bytes[replica] = 0
 
     def put_shard(self, replica: int, rank: int, state: PackedState) -> None:
@@ -155,4 +160,5 @@ class CheckpointStore:
             iteration=gen.iteration,
             shards={r: s.copy() for r, s in gen.shards.items()},
             wallclock=gen.wallclock,
+            lineage=gen.lineage,
         )

@@ -15,6 +15,7 @@ and runs the whole thing under injected faults, producing a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,6 +270,13 @@ class ACR:
         self._handled_deaths: set[tuple[int, int]] = set()
         self._sdc_rollback_streak = 0
         self._started = False
+        #: Lineage token per replica: two replicas with the same token at the
+        #: same ``iteration`` hold bitwise-identical state, so one can copy
+        #: the other's arrays instead of re-running the kernel (see
+        #: docs/protocols.md, "Replica lineage").  Every SDC injection forks
+        #: the victim's token; restoring a generation adopts its token.
+        self._lineage = [0, 0]
+        self._lineage_ids = itertools.count(1)
 
         # --- telemetry span bookkeeping ---------------------------------------------
         self._span_checkpoint = None
@@ -379,7 +387,8 @@ class ACR:
         # Replica 1 packs like its buddy's shard, so buddies share one field
         # directory from the start (and every later pack keeps sharing it).
         for replica in (0, 1):
-            gen = CheckpointGeneration(iteration=0)
+            gen = CheckpointGeneration(iteration=0,
+                                       lineage=self._lineage[replica])
             buddy = self._initial_gen[0].shards if replica else {}
             for rank in range(self.n):
                 gen.shards[rank] = pack(self.apps[replica].shard(rank),
@@ -449,6 +458,7 @@ class ACR:
             self.timeline.record(self.sim.now, TimelineKind.SDC_INJECTED,
                                  replica=event.replica, rank=event.node_id)
             self.bitflip.inject(self.apps[event.replica].shard(event.node_id))
+            self._lineage[event.replica] = next(self._lineage_ids)
         else:
             node = self.nodes[self._node_id(event.replica, event.node_id)]
             if not node.alive:
@@ -574,7 +584,13 @@ class ACR:
         replicas = ((1 - self._weak_pending.replica,) if self._weak_pending is not None
                     else (0, 1))
         for replica in replicas:
-            self.apps[replica].advance_to(iteration)
+            other = self.apps[1 - replica]
+            if (len(replicas) == 2 and other.iteration == iteration
+                    and self.apps[replica].iteration < iteration
+                    and self._lineage[0] == self._lineage[1]):
+                self._copy_replica_state(replica, 1 - replica)
+            else:
+                self.apps[replica].advance_to(iteration)
         pack_t = self.cost.pack_time(self.profile)
         self._phase_events = [
             self.sim.schedule(pack_t, self._do_pack, iteration, replicas)
@@ -586,7 +602,8 @@ class ACR:
                          self.sim.now, parent=self._span_checkpoint,
                          iteration=iteration, replicas=len(replicas))
         for replica in replicas:
-            self.store.begin_candidate(replica, iteration, self.sim.now)
+            self.store.begin_candidate(replica, iteration, self.sim.now,
+                                       lineage=self._lineage[replica])
             app, safe = self.apps[replica], self.store.safe(replica).shards
             for rank in range(self.n):
                 self.store.put_shard(replica, rank,
@@ -767,6 +784,9 @@ class ACR:
                              hit=True, level=result.level,
                              iteration=result.generation.iteration,
                              fellback=result.fellback)
+        # One fresh token: both replicas install clones of these bytes, so
+        # they share computation again from here.
+        result.generation.lineage = next(self._lineage_ids)
         return result.generation
 
     def _rollback_both(self, reason: str) -> None:
@@ -953,7 +973,8 @@ class ACR:
         self.tracer.emit("checkpoint.pack", self.sim.now - pack_t,
                          self.sim.now, parent=self._span_recovery,
                          iteration=iteration, replicas=1)
-        self.store.begin_candidate(healthy, iteration, self.sim.now)
+        self.store.begin_candidate(healthy, iteration, self.sim.now,
+                                   lineage=self._lineage[healthy])
         app, safe = self.apps[healthy], self.store.safe(healthy).shards
         for rank in range(self.n):
             self.store.put_shard(healthy, rank,
@@ -1165,8 +1186,20 @@ class ACR:
         for rank in range(self.n):
             unpack(app.shard(rank), gen.shards[rank])
         app.iteration = gen.iteration
+        self._lineage[replica] = (gen.lineage if gen.lineage is not None
+                                  else next(self._lineage_ids))
         for t in self.tasks[replica]:
             t.restore(gen.iteration)
+
+    def _copy_replica_state(self, replica: int, source: int) -> None:
+        """Bring ``replica`` to ``source``'s iteration by copying its state.
+
+        Only called when both replicas carry the same lineage token, so the
+        copy is bitwise what re-running the kernel would give.  Every check
+        downstream (pack, checksum, buddy compare, tier persist) still runs
+        on ``replica``'s own arrays.
+        """
+        self.apps[replica].copy_state_from(self.apps[source])
 
     # -- completion & bookkeeping -------------------------------------------------------------
     def _on_node_progress(self, node: Node) -> None:
@@ -1324,6 +1357,7 @@ class ACR:
             for r in (0, 1) for t in self.tasks[r]
         )
         cap = self.config.total_iterations
+        scratch = None
         for replica in (0, 1):
             gen = self.store.safe(replica)
             if (rep.completed and cap is not None and gen is not None
@@ -1332,13 +1366,16 @@ class ACR:
                 # Live arrays may have been corrupted after the final pack
                 # (an SDC landing mid-comparison is invisible to it); the
                 # committed generation is what ACR actually guarantees.
-                fresh = make_app(self.app_name, self.n,
-                                 scale=self.config.app_scale,
-                                 seed=self.config.seed)
+                # One scratch app serves both replicas: unpacking a
+                # generation overwrites every field the digest reads.
+                if scratch is None:
+                    scratch = make_app(self.app_name, self.n,
+                                       scale=self.config.app_scale,
+                                       seed=self.config.seed)
                 for rank in range(self.n):
-                    unpack(fresh.shard(rank), gen.shards[rank])
-                fresh.iteration = gen.iteration
-                rep.digests[replica] = fresh.result_digest()
+                    unpack(scratch.shard(rank), gen.shards[rank])
+                scratch.iteration = gen.iteration
+                rep.digests[replica] = scratch.result_digest()
             else:
                 rep.digests[replica] = self.apps[replica].result_digest()
         if self.adaptive is not None:

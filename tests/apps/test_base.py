@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.apps.base import _hash_unit, partition_bounds
+from repro.apps.registry import make_app
 from repro.apps.synthetic import SyntheticApp, synthetic_descriptor
 from repro.pup import pack, unpack
 from repro.util.errors import ConfigurationError
+from tests.conftest import check_copied_state
 
 
 class TestPartitionBounds:
@@ -99,3 +101,30 @@ class TestSyntheticApp:
             unpack(b.shard(r), shards[r])
         b.advance_to(20)
         assert np.array_equal(b.result_digest(), target)
+
+
+class TestCopyStateFrom:
+    """``copy_state_from`` is what re-running the kernel would give, into the
+    destination's own buffers."""
+
+    @pytest.mark.parametrize("name", [
+        "lulesh", "hpccg", "jacobi3d-charm", "jacobi3d-ampi", "minimd",
+        "leanmd", "synthetic"])
+    def test_copy_equals_recompute(self, name):
+        src, dst, ref = (make_app(name, 2, scale=0.005, seed=4)
+                         for _ in range(3))
+        buffers = {k: id(v) for k, v in vars(dst).items()
+                   if isinstance(v, np.ndarray)}
+        src.advance_to(3)
+        ref.advance_to(3)
+        dst.copy_state_from(src)
+        check_copied_state(dst, ref, src)
+        assert buffers == {k: id(v) for k, v in vars(dst).items()
+                           if isinstance(v, np.ndarray)}
+        # The copy owns its state: moving the source on leaves it alone,
+        # and it continues exactly like the reference.
+        src.advance_to(5)
+        check_copied_state(dst, ref, src)
+        dst.advance_to(5)
+        ref.advance_to(5)
+        check_copied_state(dst, ref, src)

@@ -4,6 +4,10 @@ import pytest
 
 from repro.chaos import run_chaos_campaign, run_chaos_seed
 
+#: Every lineage copy in these campaigns is checked against a recompute
+#: (tests/conftest.py); forked workers inherit the check.
+pytestmark = pytest.mark.usefixtures("verify_lineage")
+
 
 class TestCampaign:
     def test_count_means_range(self):
@@ -19,11 +23,13 @@ class TestCampaign:
         with pytest.raises(ValueError):
             run_chaos_campaign(2, workers=0)
 
-    def test_coverage_matrix_counts_all_outcomes(self):
+    def test_coverage_matrix_counts_all_outcomes(self, verify_lineage):
         result = run_chaos_campaign(12, shrink=False)
         coverage = result.coverage()
         assert sum(coverage.values()) == 12
         assert len(coverage) == 12  # the full 12-cell cycle
+        assert result.ok
+        assert verify_lineage  # replicas shared state, and it was checked
 
     def test_parallel_matches_serial_bitwise(self):
         serial = run_chaos_campaign(6, workers=1, shrink=False)

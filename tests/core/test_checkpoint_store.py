@@ -46,6 +46,15 @@ class TestCandidateLifecycle:
         assert store.safe_iteration(0) == 2
         assert store.discards == 1
 
+    def test_lineage_stamped_and_carried_by_clone(self):
+        store = CheckpointStore(1)
+        store.begin_candidate(0, 4, 0.0, lineage=7)
+        store.put_shard(0, 0, shard())
+        gen = store.commit(0)
+        assert gen.lineage == 7
+        assert store.clone_generation(gen).lineage == 7
+        assert full_generation().lineage is None
+
     def test_put_without_begin_rejected(self):
         store = CheckpointStore(1)
         with pytest.raises(SimulationError):

@@ -17,6 +17,9 @@ from repro.faults import FaultEvent, FaultKind
 
 SCHEMES = ("strong", "medium", "weak")
 
+#: Every lineage copy is checked against a recompute (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("verify_lineage")
+
 #: Buddy heartbeat detection latency (interval 0.5s, timeout factor 4).
 DETECTION = 2.0
 
