@@ -15,6 +15,7 @@ and feeds the topology-aware cost model.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -108,6 +109,26 @@ class ReplicaApp(ABC):
             elif isinstance(value, (int, float, np.number)):
                 mine[name] = value
 
+    def clone(self) -> "ReplicaApp":
+        """A second, independent replica equal to building this app again
+        with the same arguments -- made by copying this one's state instead
+        of drawing it from the random stream a second time.
+
+        Every ndarray attribute is copied (same layout, own memory), lists
+        and dicts are copied one level deep, the random stream is copied
+        with its position, and everything else (descriptor, shape, bounds)
+        is shared, as the app never mutates it.
+        """
+        twin = copy.copy(self)
+        clone_of = vars(twin)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                clone_of[name] = value.copy(order="K")
+            elif isinstance(value, (list, dict)):
+                clone_of[name] = copy.copy(value)
+        twin.rng = self.rng.copy()
+        return twin
+
     @abstractmethod
     def pup_shard(self, p: PUPer, rank: int) -> None:
         """Serialize / restore / compare node ``rank``'s partition.
@@ -155,6 +176,30 @@ class ReplicaApp(ABC):
         h ^= h >> 31
         jitter = 0.05 * ((h & 0xFFFFFFFFFFFF) / _UNIT_SCALE)
         return base * (1.0 + jitter)
+
+    def iteration_times(self, first: int, count: int,
+                        task_ids: np.ndarray) -> np.ndarray:
+        """:meth:`iteration_time` for iterations ``first .. first+count-1``
+        (rows) of every task in ``task_ids`` (columns), as float64.
+
+        The same hash and the same float operations in the same order, so
+        each element equals the scalar call exactly.  Task ids must be
+        non-negative.
+        """
+        ids = np.asarray(task_ids, dtype=np.int64)
+        prefixes = self._jitter_prefixes
+        top = int(ids.max()) if len(ids) else -1
+        if top >= len(prefixes):
+            prefixes = self._jitter_prefix_table(top)
+        p = np.array([prefixes[t] for t in ids.tolist()], dtype=np.uint64)
+        k = (np.arange(first, first + count, dtype=np.uint64)
+             + np.uint64(_GOLDEN))
+        h = p[None, :] ^ k[:, None]
+        h *= np.uint64(_MIX)
+        h ^= h >> np.uint64(31)
+        h &= np.uint64(0xFFFFFFFFFFFF)
+        jitter = 0.05 * (h.astype(np.float64) / _UNIT_SCALE)
+        return self.descriptor.base_iteration_seconds * (1.0 + jitter)
 
     def _jitter_prefix_table(self, task_id: int) -> list[int]:
         """Grow the ``(seed, task_id)`` prefix table to cover ``task_id``.

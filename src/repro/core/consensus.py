@@ -164,6 +164,8 @@ class ConsensusController:
                 # restores them; resuming them here would resurrect work on a
                 # failed node behind the recovery machinery's back.
                 continue
+            if node.ring is not None:
+                node.ring.close()
             for t in node.tasks:
                 t.resume()
         self._agents = {}
@@ -185,6 +187,8 @@ class ConsensusController:
             return
         agent = self._agents[nid]
         node = self.nodes[nid]
+        if node.ring is not None:
+            node.ring.close()  # the reads below need the exact task state
         for child in agent.children:
             self._send(nid, child, self._on_start, self.round_id)
         # Local bound: no local task can end up past this iteration (a task
@@ -233,6 +237,8 @@ class ConsensusController:
         _, decided = payload
         agent = self._agents[nid]
         node = self.nodes[nid]
+        if node.ring is not None:
+            node.ring.close()
         agent.decided = decided
         if self._sim is not None:
             self._t_last_decision = self._sim.now

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from repro.runtime.des import EventHandle, Simulator
 from repro.runtime.heartbeat import HeartbeatMonitor
 from repro.runtime.messages import Transport
 from repro.runtime.node import Node
+from repro.runtime.ring import RingFastForward
 from repro.runtime.soa import TaskProgressArray
 from repro.runtime.task import Task
 from repro.storage.hierarchy import DurableHierarchy
@@ -181,11 +183,9 @@ class ACR:
             self.buddy_of[b] = a
 
         # --- applications (same seed => bit-identical replicas) ------------------
-        self.apps: dict[int, ReplicaApp] = {
-            r: make_app(app_name, self.n, scale=self.config.app_scale,
-                        seed=self.config.seed, **(app_kwargs or {}))
-            for r in (0, 1)
-        }
+        first = make_app(app_name, self.n, scale=self.config.app_scale,
+                         seed=self.config.seed, **(app_kwargs or {}))
+        self.apps: dict[int, ReplicaApp] = {0: first, 1: first.clone()}
         self.profile = self.apps[0].checkpoint_profile()
 
         # --- tasks: a ring per replica, dependency-gated -------------------------
@@ -283,7 +283,11 @@ class ACR:
         self._span_recovery = None
         self._span_rollback = None
         self._rework_span = None
+        self._pending_rework_from = 0
         self._rework_target: int | None = None
+        #: Per-replica task-ring fast-forward engines (built in start(); see
+        #: docs/protocols.md §7).
+        self._rings: dict[int, RingFastForward] = {}
         self._last_ckpt_breakdown = None
         if self.tracer.enabled:
             # Mirror every timeline event as a trace instant so the exported
@@ -311,20 +315,21 @@ class ACR:
             rep.recovery_time += duration
         self.metrics.histogram("phase.duration_s", phase=phase).observe(duration)
 
-    # -- rework span tracking (tracer-only; zero cost when disabled) ----------------
+    # -- rework span tracking ------------------------------------------------------------
+    # The target is tracked with telemetry on or off, so the instant the
+    # rings report it is posted either way and a traced run processes the
+    # same events as an untraced one; only the span itself is tracer-only.
     def _note_rework_target(self) -> None:
         """Remember the pre-rollback progress so the re-execution back to it
         can be traced as a ``rework`` span."""
-        if not self.tracer.enabled:
-            return
+        self._advance_rings()
         self._pending_rework_from = self._task_soa.min_progress()
 
     def _begin_rework_span(self) -> None:
-        if not self.tracer.enabled:
-            return
-        target = getattr(self, "_pending_rework_from", 0)
+        target = self._pending_rework_from
+        self._advance_rings()
         base = self._task_soa.min_progress()
-        if self._rework_span is not None:
+        if self._rework_target is not None:
             # A second rollback landed before the first rework finished.
             self.tracer.end(self._rework_span, self.sim.now, interrupted=True)
             self._rework_span = None
@@ -334,15 +339,75 @@ class ACR:
                 "rework", self.sim.now, from_iteration=base,
                 to_iteration=target)
             self._rework_target = target
+        self._watch_rework()
 
     def _check_rework_done(self) -> None:
         if self._rework_target is None:
+            return
+        if not self._rings_reached(self._rework_target):
             return
         if self._task_soa.all_at_least(self._rework_target):
             self.tracer.end(self._rework_span, self.sim.now,
                             iterations=self._rework_target)
             self._rework_span = None
             self._rework_target = None
+            self._watch_rework()
+
+    # -- task-ring fast-forward (docs/protocols.md §7) ------------------------------------
+    def _build_rings(self) -> None:
+        for replica in (0, 1):
+            tasks = self.tasks[replica]
+            ids = np.array([t.task_id for t in tasks], dtype=np.int64)
+            self._rings[replica] = RingFastForward(
+                tasks, sim=self.sim, transport=self.transport,
+                row_times=partial(self.apps[replica].iteration_times,
+                                  task_ids=ids),
+                # A ring at a watched level (the cap, the rework target)
+                # runs the same check as a task completion.
+                on_output=partial(self._on_node_progress, None),
+                in_round=partial(self._in_round, replica))
+        self.sim.return_hooks.append(self._refresh_rings)
+
+    def _in_round(self, replica: int) -> bool:
+        consensus = self.consensus
+        return consensus.active and any(
+            self.nodes[nid].replica == replica for nid in consensus.scope)
+
+    def _advance_rings(self) -> None:
+        """Bring the progress array up to now for every open window."""
+        for ring in self._rings.values():
+            if ring.open:
+                ring.advance()
+
+    def _rings_reached(self, level: int) -> bool:
+        """False when some open window is still below ``level``; otherwise
+        brings the progress array up to now (so the caller's read of it is
+        exact) and returns True.  The early out keeps the per-completion
+        checks of event-mode tasks from touching the arrays."""
+        for ring in self._rings.values():
+            if ring.open and not ring.reached(level):
+                return False
+        self._advance_rings()
+        return True
+
+    def _refresh_rings(self) -> None:
+        """Make tasks, nodes and transport counters exact as of now (a read:
+        open windows stay open)."""
+        for ring in self._rings.values():
+            ring.refresh()
+
+    def _watch_rework(self) -> None:
+        for ring in self._rings.values():
+            ring.watch_rework(self._rework_target)
+
+    def _resume_replica(self, replica: int) -> None:
+        """Release every task of a replica (checkpoint done): hand the ring
+        to its engine when it can be fast-forwarded, else resume each task."""
+        ring = self._rings.get(replica)
+        if ring is not None and ring.resume():
+            return
+        for t in self.tasks[replica]:
+            t.resume()
 
     # -- observable protocol phase ------------------------------------------------------
     @property
@@ -402,9 +467,13 @@ class ACR:
                 for t in self.tasks[replica]:
                     t.iteration_cap = cap
             self._task_soa.set_cap(cap)
+        self._build_rings()
         for node in self.nodes.values():
             node.on_progress = self._on_node_progress
-            node.start_tasks()
+        for replica in (0, 1):
+            if not self._rings[replica].open_start():
+                for nid in self._replica_scope(replica):
+                    self.nodes[nid].start_tasks()
         self.heartbeat.start()
         for event in self.plan.events:
             self.sim.schedule_at(event.time, self._inject_fault, event)
@@ -622,9 +691,7 @@ class ACR:
             self.report.checkpoint_blocking_time += breakdown.local
             self.phase = "running"
             for replica in replicas:
-                for nid in self._replica_scope(replica):
-                    for t in self.nodes[nid].tasks:
-                        t.resume()
+                self._resume_replica(replica)
             self._background_event = self.sim.schedule(
                 remaining, self._finish_checkpoint, iteration, replicas)
             self._phase_events = []
@@ -712,13 +779,11 @@ class ACR:
         if self._weak_pending is not None:
             self._start_weak_shipment(committed[replicas[0]])
             # The healthy replica resumes immediately: zero-overhead recovery.
-            for nid in self._replica_scope(replicas[0]):
-                for t in self.nodes[nid].tasks:
-                    t.resume()
+            self._resume_replica(replicas[0])
             return
         self.phase = "running"
-        for t in self.tasks[0] + self.tasks[1]:
-            t.resume()
+        for replica in (0, 1):
+            self._resume_replica(replica)
         self._after_activity()
 
     # -- durable tiers (level 2/3 behind the in-memory double checkpoint) -----------------
@@ -758,8 +823,8 @@ class ACR:
                                  **outcome)
         if self.phase == "persisting":
             self.phase = "running"
-            for t in self.tasks[0] + self.tasks[1]:
-                t.resume()
+            for replica in (0, 1):
+                self._resume_replica(replica)
         self._after_activity()
 
     def _restore_from_storage(self) -> CheckpointGeneration | None:
@@ -989,9 +1054,7 @@ class ACR:
             self.sim.now + breakdown.transfer, parent=self._span_recovery)
         # The healthy replica resumes as soon as its checkpoints are on the
         # wire; the crashed replica reconstructs at the end of the transfer.
-        for nid in self._replica_scope(healthy):
-            for t in self.nodes[nid].tasks:
-                t.resume()
+        self._resume_replica(healthy)
         self._phase_events = [
             self.sim.schedule(duration, self._finish_medium_recovery, dead)
         ]
@@ -1188,6 +1251,8 @@ class ACR:
         app.iteration = gen.iteration
         self._lineage[replica] = (gen.lineage if gen.lineage is not None
                                   else next(self._lineage_ids))
+        if self._rings[replica].restore(gen.iteration):
+            return
         for t in self.tasks[replica]:
             t.restore(gen.iteration)
 
@@ -1202,13 +1267,13 @@ class ACR:
         self.apps[replica].copy_state_from(self.apps[source])
 
     # -- completion & bookkeeping -------------------------------------------------------------
-    def _on_node_progress(self, node: Node) -> None:
+    def _on_node_progress(self, node: Node | None) -> None:
         if self._rework_target is not None:
             self._check_rework_done()
         cap = self.config.total_iterations
         if cap is None or self._final_requested:
             return
-        if self._task_soa.all_at_cap:
+        if self._rings_reached(cap) and self._task_soa.all_at_cap:
             self._final_requested = True
             self.sim.schedule(0.0, self._begin_checkpoint, "final")
 
@@ -1216,6 +1281,7 @@ class ACR:
         """Common epilogue after a checkpoint or recovery completes."""
         cap = self.config.total_iterations
         if cap is not None:
+            self._advance_rings()
             at_cap = self._task_soa.all_at_cap
             if (at_cap and self.phase == "running"
                     and self.store.safe_iteration(0) == cap
@@ -1251,6 +1317,8 @@ class ACR:
             self._watchdog_event = None
         if self.storage is not None:
             self.storage.discard_inflight()
+        for ring in self._rings.values():
+            ring.close()
 
     def _finish_job(self) -> None:
         self._quiesce_timers()
@@ -1271,6 +1339,7 @@ class ACR:
         return its snapshot.  Safe to call mid-run (the chaos monitor and the
         CLI both do); counters use ``set_total`` so repeated snapshots don't
         double-count."""
+        self._refresh_rings()
         m = self.metrics
         rep = self.report
         m.counter("sim.events_scheduled").set_total(self.sim.events_scheduled)
@@ -1290,6 +1359,13 @@ class ACR:
                 hi = (1 << (i + 1)) - 1
                 label = str(lo) if hi == lo else f"{lo}-{hi}"
                 m.counter("sim.cohort_size", bucket=label).set_total(count)
+        # Task-ring fast-forward (docs/protocols.md §7): windows opened,
+        # task-iterations committed inside windows, syncs, and syncs that
+        # landed on the instant of a fast-forwarded task event.
+        rings = self._rings.values()
+        for name in ("windows_opened", "iterations", "syncs", "ties"):
+            m.counter(f"sim.fast_forward.{name}").set_total(
+                sum(getattr(r, name) for r in rings))
         m.counter("transport.messages_sent").set_total(self.transport.messages_sent)
         m.counter("transport.messages_delivered").set_total(
             self.transport.messages_delivered)

@@ -14,8 +14,9 @@ trade generality for cost:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — the general
   path; returns a cancellable :class:`EventHandle`;
-* :meth:`Simulator.post` — fire-and-forget: no handle is allocated, for the
-  per-message deliveries that nothing ever cancels;
+* :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget: no
+  handle is allocated, for the per-message deliveries that nothing ever
+  cancels;
 * :meth:`Simulator.schedule_periodic` — recurring timers rescheduled inside
   the engine, so a heartbeat that ticks a million times costs one handle and
   no public re-entry per tick.
@@ -117,6 +118,10 @@ class Simulator:
         #: cancelled) — kept current by schedule/cancel/dispatch so
         #: :attr:`pending_events` is O(1) instead of a heap scan.
         self._live = 0
+        #: Callables run (no arguments) whenever :meth:`run` returns, so
+        #: state kept outside the heap (the task-ring fast-forward, see
+        #: :mod:`repro.runtime.ring`) is exact for whoever reads it next.
+        self.return_hooks: list[Callable[[], None]] = []
 
     # -- scheduling ---------------------------------------------------------------
     # The push bookkeeping (heap insert, stats, live count) is inlined into
@@ -155,6 +160,25 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         heap = self._heap
         heappush(heap, (self.now + delay, next(self._seq), None, callback, args))
+        self.events_scheduled += 1
+        self._live += 1
+        if len(heap) > self.max_queue_depth:
+            self.max_queue_depth = len(heap)
+
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Fire-and-forget :meth:`schedule_at`: ``callback(*args)`` at the
+        absolute instant ``time``, with no :class:`EventHandle`.
+
+        For events whose instant was computed elsewhere: ``now + (time -
+        now)`` need not round back to ``time``, so :meth:`post` cannot
+        place them exactly.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} before current time {self.now}"
+            )
+        heap = self._heap
+        heappush(heap, (time, next(self._seq), None, callback, args))
         self.events_scheduled += 1
         self._live += 1
         if len(heap) > self.max_queue_depth:
@@ -334,6 +358,8 @@ class Simulator:
                     self.now = until
         finally:
             self._running = False
+            for hook in self.return_hooks:
+                hook()
         return self.now
 
     @property

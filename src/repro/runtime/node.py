@@ -16,6 +16,7 @@ from repro.runtime.task import Task, TaskState
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.ring import RingFastForward
     from repro.runtime.soa import NodeStateArrays
 
 
@@ -44,6 +45,9 @@ class Node:
         #: vectorized.  die()/revive() are the only writers (see soa.py).
         self._soa: "NodeStateArrays | None" = None
         self._soa_slot = -1
+        #: The fast-forward engine that owns this node's tasks while their
+        #: ring is free-running (see ring.py); None in event mode.
+        self.ring: "RingFastForward | None" = None
         #: Maximum progress reported by any local task (consensus Phase 1).
         self.local_max_progress = 0
         #: Hooks installed by the ACR framework.
@@ -129,6 +133,8 @@ class Node:
         """Fail-stop: stop responding to any communication (§6.1)."""
         if not self.alive:
             return
+        if self.ring is not None:
+            self.ring.close()
         self.alive = False
         if self._soa is not None:
             self._soa.set_dead(self._soa_slot)

@@ -1,0 +1,529 @@
+"""Fast-forward of one replica's task ring between protocol instants.
+
+Tasks progress by messages, with no global barrier (paper §2.2).  Between
+two protocol instants -- a fault, a consensus message, a checkpoint timer --
+the only thing that happens in a healthy replica is ring progress, and that
+progress is a max-plus recurrence.  Task ``i`` starts iteration ``k+1`` once
+its own iteration ``k`` is done and both neighbours' iteration-``k`` stamps
+have arrived::
+
+    S[i,k+1] = max(C[i,k], A[i-1,k], A[i+1,k])
+    C[i,k+1] = S[i,k+1] + tau(i,k+1)
+    A[j,k]   = C[j,k] + d
+
+with ``d = transport.small_delay(DEP_STAMP_NBYTES)`` and ``tau`` the app's
+iteration time.  The event engine computes exactly these floats: a
+completion fires at ``now + duration`` where ``now`` is the instant of the
+event that started the iteration (the latest of the three conditions), and a
+stamp is delivered at ``now + d``.  A max of floats is exact, and each step
+is the same single addition, so the recurrence reproduces every completion
+and stamp instant bit for bit.
+
+While a *window* is open, :class:`RingFastForward` owns the ring: no task
+completion or stamp delivery is posted.  The engine evaluates the recurrence
+lazily, a chunk of rows at a time, behind one wake-up event, and posts only
+the instants the rest of the program needs (``on_output``): when every task
+of the ring reaches a watched progress level (the iteration cap, the rework
+target).  Reads (:meth:`advance`, :meth:`refresh`) bring the task objects,
+the progress array and the transport counters up to ``sim.now`` without
+closing the window; :meth:`close` also re-posts the in-flight completions
+and stamps as real events and hands the ring back to the event engine.  The
+rules for when a window may open and must close are in docs/protocols.md §7.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from repro.runtime.des import EventHandle, Simulator
+from repro.runtime.messages import Transport
+from repro.runtime.task import (
+    _COMPUTING,
+    _IDLE,
+    _PAUSED,
+    DEP_STAMP_NBYTES,
+    Task,
+)
+
+__all__ = ["RingFastForward"]
+
+_NEG_INF = float("-inf")
+#: What a closed window holds in place of its row buffers.
+_NO_ROWS = np.empty((0, 0))
+#: Rows per chunk: a window evaluates one row when it opens (many windows
+#: close before their first completion), then 8, then twice the last, up
+#: to :data:`_MAX_CHUNK`.  The chunk schedule only decides when the engine
+#: wakes up to evaluate more rows -- never a simulated instant.
+_SECOND_CHUNK = 8
+_MAX_CHUNK = 256
+
+
+class RingFastForward:
+    """Max-plus fast-forward for one ring of tasks (one replica)."""
+
+    def __init__(
+        self,
+        tasks: Sequence[Task],
+        *,
+        sim: Simulator,
+        transport: Transport,
+        row_times: Callable[[int, int], np.ndarray],
+        on_output: Callable[[], None] | None = None,
+        in_round: Callable[[], bool] | None = None,
+    ):
+        """
+        Parameters
+        ----------
+        tasks:
+            The ring, in task-id order (``tasks[i].task_id == i``); each
+            task's neighbours are its left and right ring neighbours, and
+            the tasks' progress is bound to consecutive slots of one
+            :class:`~repro.runtime.soa.TaskProgressArray`.
+        row_times:
+            ``row_times(first, count)`` -> ``(count, len(tasks))`` array of
+            the tasks' iteration times for iterations ``first ..
+            first+count-1``; must equal the tasks' ``iteration_time``
+            element for element.
+        on_output:
+            Called (no arguments) at each instant the whole ring reaches a
+            watched progress level.
+        in_round:
+            True while a consensus round covers the ring's nodes; no window
+            opens then.
+        """
+        n = len(tasks)
+        if n == 0:
+            raise ValueError("a ring needs at least one task")
+        self.tasks = list(tasks)
+        self.sim = sim
+        self.transport = transport
+        self.nodes = list(dict.fromkeys(t.node for t in self.tasks))
+        left: list[int] = []
+        right: list[int] = []
+        for i, t in enumerate(self.tasks):
+            ring = [(i - 1) % n, (i + 1) % n]
+            if t.task_id != i or [tid for _, tid in t.neighbors] != ring:
+                raise ValueError("tasks must form a ring in task-id order")
+            left.append(ring[0])
+            right.append(ring[1])
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._index = np.arange(n)
+        self._row_times = row_times
+        self._on_output = on_output
+        self._in_round = in_round
+        self._d = transport.small_delay(DEP_STAMP_NBYTES)
+        self._soa = self.tasks[0]._soa
+        self._soa_start = self.tasks[0]._soa_index
+        if self._soa is not None and any(
+                t._soa is not self._soa or t._soa_index != self._soa_start + i
+                for i, t in enumerate(self.tasks)):
+            raise ValueError("ring progress must be bound to consecutive slots")
+        #: Counters (the ``sim.fast_forward.*`` metrics).
+        self.windows_opened = 0
+        self.iterations = 0
+        self.syncs = 0
+        self.ties = 0
+        self.open = False
+        self._wake: EventHandle | None = None
+        self._rework: int | None = None
+
+    # -- eligibility and entry ----------------------------------------------------
+    def eligible(self) -> bool:
+        """Whether the ring may be handed to the engine now: every node is
+        alive and no consensus round covers the ring."""
+        if not all(node.alive for node in self.nodes):
+            return False
+        return self._in_round is None or not self._in_round()
+
+    def open_start(self) -> bool:
+        """Open at job start instead of ``Task.start`` on every task."""
+        if self.open or not self.eligible():
+            return False
+        cap = self.tasks[0].iteration_cap
+        if cap is not None and cap <= 0:
+            return False
+        self._open(base=0, cap=cap, own=self.sim.now,
+                   arrival=self.sim.now + self._d, announced=True)
+        return True
+
+    def resume(self) -> bool:
+        """``Task.resume`` on every task, performed by the engine.
+
+        On an open window this is a no-op unless some task is parked at the
+        cap (then the window closes).  Otherwise it opens a window, provided
+        every task is paused at one common iteration with every stamp
+        already delivered (nothing of the ring in flight).  False means the
+        caller must resume the tasks itself.
+        """
+        if self.open:
+            self.advance()
+            if self._cap_row is None or int(self._p.max()) < self._cap_row:
+                return True
+            self.close()
+            return False
+        if not self.eligible():
+            return False
+        first = self.tasks[0]
+        base, cap = first.progress, first.iteration_cap
+        if cap is not None and base >= cap:
+            return False
+        for t in self.tasks:
+            if (t.state is not _PAUSED or t.progress != base
+                    or t.iteration_cap != cap
+                    or any(s != base for s in t.dep_stamps.values())):
+                return False
+        self._open(base=base, cap=cap, own=self.sim.now, arrival=_NEG_INF,
+                   announced=False)
+        # Every task starts its next iteration right away.
+        for t, busy in zip(self.tasks, self._C[1].tolist()):
+            t.pause_at = None
+            t.state = _COMPUTING
+            t.busy_until = busy
+        return True
+
+    def restore(self, progress: int) -> bool:
+        """``Task.restore(progress)`` on every task, performed by the engine
+        (restore stamps included); declines -- after closing any open
+        window -- when the ring cannot be fast-forwarded."""
+        self.close()
+        cap = self.tasks[0].iteration_cap
+        if not self.eligible() or (cap is not None and progress >= cap):
+            return False
+        base = int(progress)
+        for t in self.tasks:
+            t.progress = base
+            t.epoch += 1
+            t.dep_stamps = {tid: base - 1 for _, tid in t.neighbors}
+            t.pause_at = None
+            t.state = _IDLE
+        if self._soa is not None:
+            self._soa.assign(self._soa_start,
+                             np.full(len(self.tasks), base, dtype=np.int64))
+        self._open(base=base, cap=cap, own=self.sim.now,
+                   arrival=self.sim.now + self._d, announced=True)
+        return True
+
+    def _open(self, *, base: int, cap: int | None, own: float,
+              arrival: float, announced: bool) -> None:
+        n = len(self.tasks)
+        rows = 2 * _SECOND_CHUNK
+        if cap is not None:
+            rows = min(rows, cap - base + 1)
+        self._base = base
+        self._cap_row = None if cap is None else cap - base
+        self._C = np.empty((rows, n))
+        self._A = np.empty((rows, n))
+        self._S = np.empty((rows, n))
+        self._C[0] = own
+        self._A[0] = arrival
+        #: Rows ``_r0 .. _n`` (``_r0`` at index 0) are kept; rows every task
+        #: has completed and delivered are dropped as new chunks arrive.
+        self._r0 = 0
+        self._n = 0
+        #: Chunk-boundary wake-up instants, in order.
+        self._bound_times: list[float] = []
+        self._instants: dict[int, float] = {}
+        self._chunk = 1
+        self._p = np.zeros(n, dtype=np.int64)
+        # A resumed ring's stamps are delivered already (row 0 is -inf).
+        self._q = np.full(n, -1 if announced else 0, dtype=np.int64)
+        self._at = self.sim.now
+        self._base_batches = n if announced else 0
+        self._base_arrivals = announced
+        self._sent = 0
+        self._delivered = 0
+        self._exec0 = [t.iterations_executed for t in self.tasks]
+        self._busy0 = [t.busy_until for t in self.tasks]
+        self.open = True
+        self.windows_opened += 1
+        for node in self.nodes:
+            node.ring = self
+        self._ensure(self.sim.now)
+        # The task fields are exact already (the caller set them); only the
+        # announcements of a start or restore need crediting.
+        self._flush_counters()
+        self._written = (0, int(self._q.sum()), 0 if announced else n)
+        self._arm()
+
+    # -- the recurrence --------------------------------------------------------------
+    def _extend(self) -> None:
+        """Evaluate the next chunk of rows."""
+        n = self._n
+        count = self._chunk
+        self._chunk = min(max(2 * count, _SECOND_CHUNK), _MAX_CHUNK)
+        if self._cap_row is not None:
+            count = min(count, self._cap_row - n)
+        if count <= 0:
+            return
+        r0 = self._r0
+        if n + count - r0 + 1 > len(self._C):
+            # Out of room: drop the rows no read can reach any more (every
+            # task has completed them and delivered their stamps), then
+            # grow, so a long window holds O(chunk) rows, not O(window).
+            lo = max(min(int(self._p.min()), int(self._q.min())), r0)
+            keep = n - lo + 1
+            size = 2 * (keep + count)
+            if self._cap_row is not None:
+                size = min(size, self._cap_row - lo + 1)
+            for name in ("_C", "_A", "_S"):
+                old = getattr(self, name)
+                new = np.empty((size, old.shape[1]))
+                new[:keep] = old[lo - r0:n - r0 + 1]
+                setattr(self, name, new)
+            self._r0 = r0 = lo
+        C, A, S = self._C, self._A, self._S
+        tau = self._row_times(self._base + n + 1, count)
+        left, right, d = self._left, self._right, self._d
+        for i in range(n + 1 - r0, n + count + 1 - r0):
+            a = A[i - 1]
+            s = S[i]
+            np.maximum(C[i - 1], a[left], out=s)
+            np.maximum(s, a[right], out=s)
+            c = C[i]
+            np.add(s, tau[i + r0 - n - 1], out=c)
+            np.add(c, d, out=A[i])
+        self._n = n = n + count
+        self._bound_times.append(float(C[n - r0].min()))
+
+    def _more_rows(self) -> bool:
+        return self._cap_row is None or self._n < self._cap_row
+
+    def _ensure(self, now: float) -> None:
+        """Evaluate rows until every task's next completion lies after
+        ``now`` (or the ring reaches the cap)."""
+        while self._more_rows() and (
+                self._n == 0 or self._bound_times[-1] <= now):
+            self._extend()
+
+    def times_through(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(completions, arrivals)`` of iterations ``base+1 .. level``,
+        one row per iteration, one column per task (read-only views; a
+        stamp's arrival is the instant its neighbours receive it)."""
+        rows = level - self._base
+        while self._n < rows and self._more_rows():
+            self._extend()
+        rows = min(rows, self._n)
+        r0 = self._r0
+        if r0 > 1:
+            raise ValueError("rows already dropped; read before advancing")
+        return self._C[1 - r0:rows + 1 - r0], self._A[1 - r0:rows + 1 - r0]
+
+    def _level_instant(self, level: int | None) -> float | None:
+        """When the last task of the ring reaches ``level`` (None: not yet
+        evaluated, or nothing to wait for; -inf: long past)."""
+        if level is None:
+            return None
+        t = self._instants.get(level)
+        if t is None:
+            row = level - self._base
+            if row <= 0 or row > self._n:
+                return None
+            if row < self._r0:
+                return _NEG_INF
+            t = self._instants[level] = float(self._C[row - self._r0].max())
+        return t
+
+    # -- wake-ups and outputs ----------------------------------------------------------
+    def watch_rework(self, level: int | None) -> None:
+        """Also report the instant the ring reaches ``level`` (None: stop)."""
+        self._rework = level
+        if self.open:
+            self._arm()
+
+    def _watched(self) -> tuple[int | None, int | None]:
+        cap = None if self._cap_row is None else self._base + self._cap_row
+        return cap, self._rework
+
+    def _arm(self) -> None:
+        """(Re)schedule the single wake-up at the next chunk boundary or
+        watched-level instant after now."""
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
+        now = self.sim.now
+        times = []
+        if self._more_rows():
+            for t in self._bound_times:
+                if t > now:
+                    times.append(t)
+                    break
+        for level in self._watched():
+            t = self._level_instant(level)
+            if t is not None and t > now:
+                times.append(t)
+        if times:
+            self._wake = self.sim.schedule_at(min(times), self._on_wake)
+
+    def _on_wake(self) -> None:
+        self._wake = None
+        now = self.sim.now
+        self.advance()  # also keeps the row compaction bound current
+        fire = any(self._level_instant(level) == now
+                   for level in self._watched())
+        self._arm()
+        if fire and self._on_output is not None:
+            self._on_output()
+
+    # -- reads ---------------------------------------------------------------------------
+    def advance(self) -> None:
+        """Bring the ring's progress stamps (and the engine's own counts) up
+        to ``sim.now``; the window stays open."""
+        now = self.sim.now
+        if not self.open or now == self._at:
+            return
+        self._at = now
+        self._ensure(now)
+        n, r0 = self._n, self._r0
+        p = self._p
+        lo = int(p.min()) + 1
+        if lo <= n:
+            new = (lo - 1) + np.count_nonzero(
+                self._C[lo - r0:n + 1 - r0] <= now, axis=0)
+            moved = int(new.sum() - p.sum())
+            if moved:
+                self.iterations += moved
+                self._p = new
+                if self._soa is not None:
+                    self._soa.assign(self._soa_start, self._base + new)
+        q = self._q
+        lo = int(q.min()) + 1
+        if lo <= n:
+            self._q = (lo - 1) + np.count_nonzero(
+                self._A[lo - r0:n + 1 - r0] <= now, axis=0)
+
+    def reached(self, level: int) -> bool:
+        """Whether every task of the open window has progress >= ``level``
+        now -- without touching the progress array.
+
+        Exact because the chunk wake-ups keep the evaluated rows ahead of
+        ``sim.now``: a level whose row is not evaluated yet lies in the
+        future.
+        """
+        if level <= self._base:
+            return True
+        t = self._level_instant(level)
+        return t is not None and t <= self.sim.now
+
+    def is_paused(self, task: Task) -> bool:
+        """Whether ``task`` is paused now (in a window: parked at the cap)."""
+        self.advance()
+        return self._cap_row is not None and self._p[task.task_id] == self._cap_row
+
+    def refresh(self) -> None:
+        """Write the exact state as of ``sim.now`` into the tasks, their
+        nodes, the progress array and the transport counters; the window
+        stays open."""
+        if not self.open:
+            return
+        self.advance()
+        self._flush_counters()
+        now = self.sim.now
+        n, base, cap_row = self._n, self._base, self._cap_row
+        p = self._p
+        idx = self._index
+        at = p - self._r0
+        nxt = np.minimum(at + 1, n - self._r0)
+        computing = self._S[nxt, idx] <= now
+        computing &= p < n
+        if cap_row is not None:
+            computing &= p < cap_row
+        # p, q and (for a given p) the computing flags only ever grow, so
+        # equal sums mean the task fields written last time are still exact.
+        written = (int(p.sum()), int(self._q.sum()), int(computing.sum()))
+        if written == self._written:
+            return
+        self._written = written
+        busy = np.where(computing, self._C[nxt, idx], self._C[at, idx])
+        stamps = (base + self._q).tolist()
+        left, right = self._left.tolist(), self._right.tolist()
+        for i, (t, r, comp, b) in enumerate(zip(self.tasks, p.tolist(),
+                                                computing.tolist(),
+                                                busy.tolist())):
+            progress = base + r
+            t.progress = progress
+            t.iterations_executed = self._exec0[i] + r
+            if comp:
+                t.state = _COMPUTING
+                t.busy_until = b
+            else:
+                t.state = _PAUSED if r == cap_row else _IDLE
+                t.busy_until = b if r else self._busy0[i]
+            deps = t.dep_stamps
+            deps[left[i]] = stamps[left[i]]
+            deps[right[i]] = stamps[right[i]]
+            if r:
+                node = t.node
+                if progress > node.local_max_progress:
+                    node.local_max_progress = progress
+
+    def _flush_counters(self) -> None:
+        """Credit the transport with the ring's sends and deliveries up to
+        the last :meth:`advance`."""
+        fanout = 2
+        sent = self._base_batches + int(self._p.sum())
+        delivered = int(self._q.sum()) + len(self.tasks)
+        if not self._base_arrivals:
+            delivered -= len(self.tasks)
+        tr = self.transport
+        if sent != self._sent:
+            batches = sent - self._sent
+            self._sent = sent
+            msgs = fanout * batches
+            tr.messages_sent += msgs
+            tr.sent_by_kind["app"] += msgs
+            tr.bytes_by_kind["app"] += msgs * DEP_STAMP_NBYTES
+            tr.batched_messages += msgs
+            tr.batch_events += batches
+        if delivered != self._delivered:
+            tr.messages_delivered += fanout * (delivered - self._delivered)
+            self._delivered = delivered
+
+    # -- sync --------------------------------------------------------------------------
+    def close(self) -> None:
+        """Sync: make the state exact as of ``sim.now``, re-post every
+        in-flight completion and stamp as a real event, and hand the ring
+        back to the event engine.
+
+        Tie rule: a ring event at exactly ``now`` counts as committed before
+        the protocol event that closes the window; each one is counted in
+        :attr:`ties`.
+        """
+        if not self.open:
+            return
+        now = self.sim.now
+        self.refresh()
+        n, r0 = self._n, self._r0
+        C, A, S = self._C, self._A, self._S
+        rows = n + 1 - r0
+        self.ties += (int(np.count_nonzero(C[1 if r0 == 0 else 0:rows] == now))
+                      + int(np.count_nonzero(A[:rows] == now)))
+        events = []
+        base, cap_row = self._base, self._cap_row
+        for i, (t, r) in enumerate(zip(self.tasks, self._p.tolist())):
+            j = r - r0
+            if (cap_row is None or r < cap_row) and r < n and S[j + 1, i] <= now:
+                events.append((float(C[j + 1, i]), float(S[j + 1, i]), i, 0, r))
+            while j >= 0 and A[j, i] > now:
+                events.append((float(A[j, i]), float(C[j, i]), i, 1, r0 + j))
+                j -= 1
+        events.sort()
+        post_at = self.sim.post_at
+        transport = self.transport
+        for time, _, i, kind, r in events:
+            t = self.tasks[i]
+            if kind == 0:
+                post_at(time, t._on_iteration_done, t.epoch)
+            else:
+                post_at(time, transport._deliver_stamps, t.neighbors,
+                        t.task_id, base + r, t.epoch)
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
+        for node in self.nodes:
+            node.ring = None
+        self.open = False
+        self.syncs += 1
+        self._C = self._A = self._S = _NO_ROWS

@@ -203,6 +203,16 @@ class TaskProgressArray:
             elif new < cap <= old:
                 self.below_cap += 1
 
+    def assign(self, start: int, values: np.ndarray) -> None:
+        """Record a run of stamps ``progress[start:start+len(values)]``
+        moving to ``values`` at once (the vectorised :meth:`stamp`)."""
+        view = self.progress[start:start + len(values)]
+        cap = self.cap
+        if cap is not None:
+            self.below_cap += (int(np.count_nonzero(values < cap))
+                               - int(np.count_nonzero(view < cap)))
+        view[:] = values
+
     @property
     def all_at_cap(self) -> bool:
         return self.below_cap == 0

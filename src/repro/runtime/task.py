@@ -122,6 +122,8 @@ class Task:
         that prevents the hang scenario of §2.2.  The epoch bump also retires
         any in-flight completion.
         """
+        if self.node.ring is not None:
+            self.node.ring.close()
         old = self.progress
         self.progress = int(progress)
         if self._soa is not None:
@@ -140,6 +142,8 @@ class Task:
         ``None`` pauses at the current progress (Phase-2 tentative pause);
         a concrete iteration is the decided checkpoint iteration (Phase 3).
         """
+        if self.node.ring is not None:
+            self.node.ring.close()
         if self.state is _DEAD:
             return
         self.pause_at = self.progress if iteration is None else int(iteration)
@@ -149,7 +153,17 @@ class Task:
             self.node.on_task_ready_for_checkpoint(self)
 
     def resume(self) -> None:
-        """Release a pause (checkpoint done, or the decision allows running on)."""
+        """Release a pause (checkpoint done, or the decision allows running on).
+
+        On a fast-forwarded ring this is a read: a task that is not paused
+        keeps running untouched; only one parked at the cap closes the
+        window first.
+        """
+        ring = self.node.ring
+        if ring is not None:
+            if not ring.is_paused(self):
+                return
+            ring.close()
         if self.state is _DEAD:
             return
         self.pause_at = None

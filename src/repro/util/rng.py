@@ -28,6 +28,12 @@ class RngStream:
         self._seed = int.from_bytes(digest[:8], "little")
         self.generator = np.random.default_rng(self._seed)
 
+    def copy(self) -> "RngStream":
+        """An independent stream at this stream's current position."""
+        twin = RngStream(self.root_seed, self.name)
+        twin.generator.bit_generator.state = self.generator.bit_generator.state
+        return twin
+
     def child(self, suffix: str) -> "RngStream":
         """Spawn a dependent stream with a qualified name."""
         return RngStream(self.root_seed, f"{self.name}/{suffix}")

@@ -128,3 +128,32 @@ class TestCopyStateFrom:
         dst.advance_to(5)
         ref.advance_to(5)
         check_copied_state(dst, ref, src)
+
+
+class TestClone:
+    """``clone`` is what building the app a second time would give."""
+
+    @pytest.mark.parametrize("name", [
+        "lulesh", "hpccg", "jacobi3d-charm", "jacobi3d-ampi", "minimd",
+        "leanmd", "synthetic"])
+    def test_clone_equals_a_second_build(self, name):
+        first, built = (make_app(name, 3, scale=0.005, seed=9)
+                        for _ in range(2))
+        twin = first.clone()
+        check_copied_state(twin, built, first)
+        for key, value in vars(built).items():
+            mine = vars(twin)[key]
+            if isinstance(value, np.ndarray):
+                assert mine.strides == value.strides, key
+            elif isinstance(value, (list, dict)):
+                assert mine == value and mine is not vars(first)[key], key
+        assert (twin.rng.generator.bit_generator.state
+                == built.rng.generator.bit_generator.state)
+        assert twin.rng is not first.rng
+        # Independent from here on: advancing the original leaves the twin
+        # alone, and the twin advances exactly like the second build.
+        first.advance_to(2)
+        check_copied_state(twin, built, first)
+        twin.advance_to(4)
+        built.advance_to(4)
+        check_copied_state(twin, built, first)

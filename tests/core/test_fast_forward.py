@@ -1,0 +1,217 @@
+"""Fast-forwarded task rings against the event-only engine.
+
+Every scenario runs twice: as is, and under the ``event_only`` fixture, which
+patches ``RingFastForward.eligible`` so that no window ever opens and every
+task iteration and stamp is a heap event.  The two executions must agree on
+everything observable: the report (timeline, digests, accounting), every
+metric outside the ``sim.*`` family and every sampled series column.  Only
+the engine's own counters (``sim.events_processed``, cohorts, queue depth)
+may differ.  Docs: docs/protocols.md §7.
+"""
+
+import contextlib
+
+import pytest
+
+from repro.apps.registry import DESCRIPTORS
+from repro.chaos.fuzzer import fuzz_schedule
+from repro.chaos.runner import run_schedule
+from repro.core import ACR, ACRConfig
+from repro.core.prediction import Alarm, PredictionTrace
+from repro.faults import FaultEvent, FaultKind, InjectionPlan
+from repro.model import ResilienceScheme
+from repro.obs import MetricsRegistry, TimeSeriesRecorder
+from repro.runtime.ring import RingFastForward
+from repro.storage.tiers import default_tiers
+from repro.store.serialization import report_to_dict
+from repro.util.hashing import canonical_digest
+
+
+@pytest.fixture
+def event_only(monkeypatch):
+    """A context in which no fast-forward window opens."""
+
+    @contextlib.contextmanager
+    def scope():
+        with monkeypatch.context() as m:
+            m.setattr(RingFastForward, "eligible", lambda self: False)
+            yield
+
+    return scope
+
+
+def _without_sim(columns: dict) -> dict:
+    return {k: v for k, v in columns.items() if not k.startswith("sim.")}
+
+
+def observe(acr: ACR, report) -> dict:
+    """Everything a run shows, with the ``sim.*`` family set aside."""
+    payload = report_to_dict(report)
+    snapshot = payload.pop("metrics_snapshot")
+    series = payload.pop("series")
+    seen = {
+        "report_digest": canonical_digest(payload),
+        "metrics": {family: _without_sim(values)
+                    for family, values in snapshot.items()},
+        "counters": dict(snapshot["counters"]),
+    }
+    if series is not None:
+        seen["series"] = {
+            "times": series["times"],
+            "counters": _without_sim(series["counters"]),
+            "gauges": _without_sim(series["gauges"]),
+        }
+    return seen
+
+
+def run_cell(app="jacobi3d-charm", *, plan=None, prediction=None,
+             nodes=4, until=5000.0, **overrides) -> dict:
+    config = dict(total_iterations=60, checkpoint_interval=1.0, seed=3,
+                  app_scale=1e-4, spare_nodes=50)
+    config.update(overrides)
+    acr = ACR(app, nodes_per_replica=nodes, config=ACRConfig(**config),
+              injection_plan=plan or InjectionPlan(),
+              prediction_trace=prediction, metrics=MetricsRegistry(),
+              series=TimeSeriesRecorder(interval=0.5))
+    return observe(acr, acr.run(until=until))
+
+
+def assert_same(fast: dict, slow: dict) -> None:
+    assert fast["report_digest"] == slow["report_digest"]
+    assert fast["metrics"] == slow["metrics"]
+    assert fast.get("series") == slow.get("series")
+    counters = fast["counters"]
+    assert counters["sim.fast_forward.ties"] == 0
+    assert counters["sim.fast_forward.windows_opened"] >= 1
+    assert counters["sim.fast_forward.iterations"] > 0
+    assert slow["counters"]["sim.fast_forward.windows_opened"] == 0
+
+
+def both(event_only, **kwargs) -> None:
+    fast = run_cell(**kwargs)
+    with event_only():
+        slow = run_cell(**kwargs)
+    assert_same(fast, slow)
+
+
+FAULTS = InjectionPlan([
+    FaultEvent(1.3, FaultKind.HARD, replica=0, node_id=1),
+    FaultEvent(2.1, FaultKind.SDC, replica=1, node_id=2),
+])
+
+
+@pytest.mark.parametrize("scheme", list(ResilienceScheme),
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("app", sorted(DESCRIPTORS))
+def test_apps_and_schemes_with_a_hard_fault_and_an_sdc(event_only, app, scheme):
+    both(event_only, app=app, plan=FAULTS, scheme=scheme, tasks_per_node=2)
+
+
+@pytest.mark.parametrize("scheme", list(ResilienceScheme),
+                         ids=lambda s: s.value)
+def test_async_checkpointing(event_only, scheme):
+    both(event_only, plan=FAULTS, scheme=scheme, async_checkpointing=True)
+
+
+def test_storage_tiers_with_a_tier_restore(event_only):
+    # Both halves of a buddy pair die inside one detection window: recovery
+    # resumes from the durable tier.
+    plan = InjectionPlan([
+        FaultEvent(time=2.5, kind=FaultKind.HARD, replica=0, node_id=0),
+        FaultEvent(time=2.51, kind=FaultKind.HARD, replica=1, node_id=0),
+    ])
+    kwargs = dict(plan=plan, scheme=ResilienceScheme.WEAK,
+                  storage_tiers=default_tiers(tier2_interval=1.0,
+                                              tier3_interval=2.0))
+    fast = run_cell(**kwargs)
+    with event_only():
+        slow = run_cell(**kwargs)
+    assert_same(fast, slow)
+    assert fast["counters"]["acr.recoveries{scheme=tier-restore}"] >= 1
+
+
+def test_prediction_alarms(event_only):
+    prediction = PredictionTrace(alarms=[
+        Alarm(time=0.7, true_positive=True, fault_time=1.3),
+        Alarm(time=2.45, true_positive=False),
+    ])
+    both(event_only, plan=FAULTS, prediction=prediction)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_chaos_schedule_matrix(event_only, seed):
+    # Seeds 0..23 cover the fuzzer's 12-cell configuration cycle with and
+    # without durable tiers.
+    schedule = fuzz_schedule(seed)
+    fast = run_schedule(schedule)
+    with event_only():
+        slow = run_schedule(schedule)
+    assert fast.ok and slow.ok
+    assert fast.fingerprint == slow.fingerprint
+    assert ({f: _without_sim(v) for f, v in fast.metrics.items()}
+            == {f: _without_sim(v) for f, v in slow.metrics.items()})
+    assert fast.metrics["counters"]["sim.fast_forward.ties"] == 0
+    assert fast.metrics["counters"]["sim.fast_forward.windows_opened"] >= 1
+
+
+# -- observing a run in the middle of an open window --------------------------------------
+def _state(acr: ACR) -> dict:
+    tr = acr.transport
+    return {
+        "tasks": [(t.task_id, t.progress, t.state, t.epoch, dict(t.dep_stamps),
+                   t.pause_at, t.busy_until, t.iterations_executed,
+                   t.iteration_cap)
+                  for r in (0, 1) for t in acr.tasks[r]],
+        "local_max": [n.local_max_progress for n in acr.nodes.values()],
+        "soa": acr._task_soa.progress.tolist(),
+        "below_cap": acr._task_soa.below_cap,
+        "transport": (tr.messages_sent, tr.messages_delivered,
+                      tr.messages_dropped, dict(tr.sent_by_kind),
+                      dict(tr.bytes_by_kind), tr.batched_messages,
+                      tr.batch_events),
+    }
+
+
+def _build(series=None) -> ACR:
+    plan = InjectionPlan([FaultEvent(4.1, FaultKind.SDC, replica=0, node_id=1)])
+    return ACR("jacobi3d-charm", nodes_per_replica=4,
+               config=ACRConfig(total_iterations=150, checkpoint_interval=2.0,
+                                tasks_per_node=2, app_scale=1e-4, seed=11),
+               injection_plan=plan, series=series)
+
+
+#: Instants inside open windows: after start, after a checkpoint resume,
+#: during the rework after the SDC rollback.
+MID_WINDOW = (0.7311, 3.1234, 5.4321)
+
+
+def test_mid_window_reads_see_the_event_engine_state(event_only):
+    fast = _build()
+    fast.start()
+    seen = []
+    for t in MID_WINDOW:
+        fast.sim.run(until=t)
+        assert any(ring.open for ring in fast._rings.values()), t
+        seen.append(_state(fast))
+    with event_only():
+        slow = _build()
+        slow.start()
+        for t, state in zip(MID_WINDOW, seen):
+            slow.sim.run(until=t)
+            assert _state(slow) == state, t
+        slow_digest = canonical_digest(report_to_dict(slow.run()))
+    # Reading did not close anything, and both runs still end identically.
+    assert fast._rings[0].ties == fast._rings[1].ties == 0
+    assert canonical_digest(report_to_dict(fast.run())) == slow_digest
+
+
+def test_series_ticks_do_not_close_a_window():
+    series = TimeSeriesRecorder(interval=0.25)
+    acr = _build(series=series)
+    acr.start()
+    acr.sim.run(until=1.9)  # the first checkpoint is at t = 2.0
+    assert len(series) >= 7
+    for ring in acr._rings.values():
+        assert ring.open
+        assert ring.windows_opened == 1
+        assert ring.syncs == 0

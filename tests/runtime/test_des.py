@@ -149,6 +149,35 @@ class TestPost:
         assert sim.events_processed == 1
         assert sim.pending_events == 0
 
+    def test_post_at_places_an_absolute_instant_exactly(self):
+        sim = Simulator()
+        log = []
+        sim.run(until=0.7)
+        # 0.7 + (2.9 - 0.7) != 2.9 in floats: post() could not hit it.
+        assert sim.now + (2.9 - sim.now) != 2.9
+        sim.post_at(2.9, lambda: log.append(sim.now))
+        sim.run()
+        assert log == [2.9]
+
+    def test_post_at_past_rejected(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.post_at(0.5, lambda: None)
+
+
+class TestReturnHooks:
+    def test_hooks_run_on_every_return(self):
+        sim = Simulator()
+        seen = []
+        sim.return_hooks.append(lambda: seen.append(sim.now))
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(3.0, sim.stop)
+        sim.run(until=2.0)   # until
+        sim.run()            # stop
+        sim.run()            # drained
+        assert seen == [2.0, 3.0, 3.0]
+
 
 class TestPeriodic:
     def test_fires_every_interval_until_cancelled(self):

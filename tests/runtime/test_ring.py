@@ -1,0 +1,177 @@
+"""The max-plus ring engine against the event engine, on bare rings.
+
+A ring here is what ``ACR`` builds for one replica: ``n`` tasks over
+``n / tpn`` nodes, each task gated by its left and right neighbour.  The
+event engine runs it with one heap event per completion and per stamp
+fan-out; :class:`RingFastForward` evaluates the same schedule as a
+recurrence.  Every completion instant and every stamp arrival must be
+``==``, not approximately equal.
+"""
+
+import numpy as np
+import pytest
+
+from repro.apps.registry import make_app
+from repro.runtime.des import Simulator
+from repro.runtime.messages import Transport
+from repro.runtime.node import Node
+from repro.runtime.ring import RingFastForward
+from repro.runtime.soa import TaskProgressArray
+from repro.runtime.task import Task, TaskState
+
+ITERATIONS = 40
+APPS = ("jacobi3d-charm", "lulesh", "synthetic")
+#: (tasks in the ring, tasks per node)
+RINGS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (16, 1), (16, 2), (15, 3)]
+
+
+class Ring:
+    """One replica's ring on a fresh simulator, with every completion and
+    stamp delivery logged."""
+
+    def __init__(self, app_name: str, n_tasks: int, tpn: int, *, seed=5):
+        self.sim = Simulator()
+        self.transport = Transport(self.sim)
+        n_nodes = n_tasks // tpn
+        self.app = make_app(app_name, n_nodes, scale=1e-4, seed=seed)
+        self.nodes = [Node(r, 0, r, self.sim, self.transport)
+                      for r in range(n_nodes)]
+        self.tasks = []
+        for tid in range(n_tasks):
+            left, right = (tid - 1) % n_tasks, (tid + 1) % n_tasks
+            node = self.nodes[tid // tpn]
+            task = Task(tid, node,
+                        neighbors=[(left // tpn, left), (right // tpn, right)],
+                        iteration_time=self.app.iteration_time)
+            task.iteration_cap = ITERATIONS
+            node.add_task(task)
+            self.tasks.append(task)
+        self.soa = TaskProgressArray(n_tasks)
+        for task in self.tasks:
+            task.bind_progress(self.soa, task.task_id)
+        self.soa.set_cap(ITERATIONS)
+        self.completions = {}
+        self.arrivals = {}
+        for node in self.nodes:
+            node.on_task_progress = self._completion(node.on_task_progress)
+        for task in self.tasks:
+            task.on_dep_message = self._arrival(task)
+
+    def _completion(self, original):
+        def logged(task):
+            self.completions[task.task_id, task.progress] = self.sim.now
+            original(task)
+        return logged
+
+    def _arrival(self, task):
+        original = task.on_dep_message
+
+        def logged(from_task, stamp, epoch):
+            self.arrivals[from_task, task.task_id, stamp] = self.sim.now
+            original(from_task, stamp, epoch)
+        return logged
+
+    def engine(self) -> RingFastForward:
+        ids = np.arange(len(self.tasks))
+        return RingFastForward(
+            self.tasks, sim=self.sim, transport=self.transport,
+            row_times=lambda first, count: self.app.iteration_times(
+                first, count, ids))
+
+    def run_events(self) -> None:
+        for node in self.nodes:
+            node.start_tasks()
+        self.sim.run()
+
+
+@pytest.mark.parametrize("n_tasks,tpn", RINGS)
+@pytest.mark.parametrize("app", APPS)
+def test_completions_and_stamps_are_bit_identical(app, n_tasks, tpn):
+    events = Ring(app, n_tasks, tpn)
+    events.run_events()
+    assert len(events.completions) == n_tasks * ITERATIONS
+
+    fast = Ring(app, n_tasks, tpn)
+    ring = fast.engine()
+    assert ring.open_start()
+    done, arrive = ring.times_through(ITERATIONS)
+    assert done.shape == arrive.shape == (ITERATIONS, n_tasks)
+    for (tid, k), t in events.completions.items():
+        assert done[k - 1, tid] == t, (tid, k)
+    for (sender, _receiver, stamp), t in events.arrivals.items():
+        if stamp == 0:
+            assert t == fast.transport.small_delay(1024)
+        else:
+            assert arrive[stamp - 1, sender] == t, (sender, stamp)
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_vectorised_iteration_times_equal_the_scalar_model(app):
+    model = make_app(app, 4, scale=1e-4, seed=123)
+    ids = np.arange(24)
+    block = model.iteration_times(1, 300, ids)
+    for k in range(1, 301):
+        for tid in ids.tolist():
+            assert block[k - 1, tid] == model.iteration_time(tid, k)
+
+
+@pytest.mark.parametrize("n_tasks,tpn", [(3, 1), (16, 2)])
+def test_close_hands_an_exact_ring_back_to_the_event_engine(n_tasks, tpn):
+    events = Ring("jacobi3d-charm", n_tasks, tpn)
+    events.run_events()
+
+    fast = Ring("jacobi3d-charm", n_tasks, tpn)
+    ring = fast.engine()
+    assert ring.open_start()
+    fast.sim.run(until=0.4)
+    ring.close()
+    assert not ring.open and ring.syncs == 1 and ring.ties == 0
+    assert all(node.ring is None for node in fast.nodes)
+    fast.sim.run()
+    # Completions after the sync are real events again, at the same instants.
+    later = {key: t for key, t in events.completions.items() if t > 0.4}
+    assert later and all(fast.completions[key] == t
+                         for key, t in later.items())
+    for a, b in zip(events.tasks, fast.tasks):
+        assert (a.progress, a.state, a.dep_stamps, a.busy_until,
+                a.iterations_executed) == (b.progress, b.state, b.dep_stamps,
+                                           b.busy_until, b.iterations_executed)
+    assert a.state is TaskState.PAUSED
+    assert events.soa.progress.tolist() == fast.soa.progress.tolist()
+    for attr in ("messages_sent", "messages_delivered", "messages_dropped",
+                 "batched_messages", "batch_events"):
+        assert getattr(events.transport, attr) == getattr(fast.transport, attr)
+    assert events.transport.bytes_by_kind == fast.transport.bytes_by_kind
+    assert ring.iterations == sum(
+        1 for t in events.completions.values() if t <= 0.4)
+
+
+def test_long_window_keeps_a_bounded_row_buffer():
+    events = Ring("synthetic", 6, 2)
+    fast = Ring("synthetic", 6, 2)
+    for ring in (events, fast):
+        for task in ring.tasks:
+            task.iteration_cap = None
+        ring.soa.set_cap(None)
+    for node in events.nodes:
+        node.start_tasks()
+    events.sim.run(until=400.0)
+
+    ring = fast.engine()
+    assert ring.open_start()
+    fast.sim.run(until=300.0)
+    ring.refresh()  # a bare ring has no return hook installed
+    progress = min(t.progress for t in fast.tasks)
+    assert progress > 1000
+    # Rows every task has completed were dropped along the way: the buffer
+    # holds about two chunks, not the whole window.
+    assert ring._r0 > 0 and len(ring._C) <= 4 * 256 + 8
+    ring.close()
+    fast.sim.run(until=400.0)
+    for a, b in zip(events.tasks, fast.tasks):
+        assert (a.progress, a.state, a.dep_stamps, a.busy_until,
+                a.iterations_executed) == (b.progress, b.state, b.dep_stamps,
+                                           b.busy_until, b.iterations_executed)
+    later = {key: t for key, t in events.completions.items() if t > 300.0}
+    assert later and all(fast.completions[key] == t
+                         for key, t in later.items())

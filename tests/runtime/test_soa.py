@@ -135,3 +135,18 @@ class TestBufferBackedTaskProgress:
     def test_length_mismatch_rejected(self, arena):
         with pytest.raises(ValueError):
             TaskProgressArray(8, progress_buffer=arena.view(0, 4, np.int64))
+
+
+class TestTaskProgressAssign:
+    def test_assign_equals_a_run_of_stamps(self):
+        stamped, assigned = TaskProgressArray(6), TaskProgressArray(6)
+        for soa in (stamped, assigned):
+            soa.set_cap(5)
+        steps = [(1, [5, 5, 2]), (1, [5, 1, 2]), (3, [5, 5, 5]), (0, [0] * 6)]
+        for start, values in steps:
+            for i, v in enumerate(values):
+                old = int(stamped.progress[start + i])
+                stamped.stamp(start + i, old, v)
+            assigned.assign(start, np.array(values, dtype=np.int64))
+            assert assigned.progress.tolist() == stamped.progress.tolist()
+            assert assigned.below_cap == stamped.below_cap

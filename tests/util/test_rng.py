@@ -34,6 +34,19 @@ class TestRngStream:
         b = RngStream(7, "root").child("sub").exponential(2.0, size=10)
         assert np.array_equal(a, b)
 
+    def test_copy_continues_from_the_same_position_independently(self):
+        stream = RngStream(7, "root")
+        stream.normal(size=5)
+        twin = stream.copy()
+        assert (twin.root_seed, twin.name) == (stream.root_seed, stream.name)
+        assert np.array_equal(twin.uniform(size=8), stream.uniform(size=8))
+        # Drawing from one leaves the other where it was.
+        stream.uniform(size=3)
+        fresh = RngStream(7, "root")
+        fresh.normal(size=5)
+        fresh.uniform(size=8)
+        assert np.array_equal(twin.uniform(size=4), fresh.uniform(size=4))
+
     def test_weibull_scale_applied(self):
         rng = RngStream(0, "w")
         samples = rng.weibull(1.0, 100.0, size=20_000)
