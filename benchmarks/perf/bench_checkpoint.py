@@ -1,14 +1,14 @@
 """Micro-benchmarks for the checkpoint hot path.
 
-Measures the three layers this overhaul touched, each against its reference
-baseline, so every future PR has a perf trajectory to defend:
+Measures the layers of the checkpoint bytes path, so every change has a
+perf trajectory to defend:
 
-* **packing** — the legacy chunk-and-concatenate path (``PackingPUPer``, the
-  seed's ``pack()``) vs the zero-copy sized path (``pack``) vs steady-state
-  buffer reuse (``pack_into``);
+* **packing** — ``pack(obj, like=prev)``, the engine's steady-state pack, in
+  GiB/s and in GiB/s on the reference host of
+  ``perfbench/hostspeed.py`` (``pack_ref_gib_per_s``, gated by an absolute
+  floor);
 * **checksums** — Fletcher-32/64 and the 32-byte striped digest throughput,
-  plus incremental field-granular digests with 1 of N fields dirty vs a full
-  recompute;
+  the digest gated against the seed's copying implementation;
 * **campaigns** — multi-seed replay throughput, serial vs ``workers=N``;
 * **durable tiers** — the level-2/3 persist path (deep copy + SHA-256 guard
   per shard), its modeled atomic-vs-unsafe safety overhead, and the
@@ -26,14 +26,10 @@ from typing import Callable
 
 import numpy as np
 
+from perfbench.hostspeed import speed
 from repro.harness.campaign import effective_workers, run_campaign
-from repro.pup.checksum import (
-    DigestCache,
-    checkpoint_checksum,
-    fletcher32,
-    fletcher64,
-)
-from repro.pup.puper import PackedState, PackingPUPer, pack, pack_into
+from repro.pup.checksum import checkpoint_checksum, fletcher32, fletcher64
+from repro.pup.puper import PackedState, pack
 
 MIB = float(1 << 20)
 
@@ -52,17 +48,6 @@ class MultiFieldState:
         for i, arr in enumerate(self.arrays):
             self.arrays[i] = p.pup_array(f"field{i:02d}", arr)
 
-    def dirty(self, index: int) -> None:
-        """Perturb one field so the next pack_into round sees it changed."""
-        self.arrays[index % len(self.arrays)][0] += 1.0
-
-
-def legacy_pack(obj) -> PackedState:
-    """The seed ``pack()`` path: per-field chunk copies + one concatenation."""
-    p = PackingPUPer()
-    obj.pup(p)
-    return PackedState(p.buffer(), p.fields)
-
 
 def _best(fn: Callable[[], object], repeats: int) -> float:
     best = float("inf")
@@ -73,24 +58,31 @@ def _best(fn: Callable[[], object], repeats: int) -> float:
     return best
 
 
+def host_speed(fn: Callable[[], float]) -> tuple[float, float]:
+    """``(fn(), host speed)``: the speed is the mean of
+    :func:`perfbench.hostspeed.speed` sampled just before and just after
+    ``fn``, so a rate divided by it is a rate on the reference host."""
+    before = speed()
+    result = fn()
+    return result, (before + speed()) / 2
+
+
 def bench_pack(total_mib: float = 64.0, nfields: int = 16,
                repeats: int = 5) -> dict:
-    """Legacy pack vs zero-copy pack vs steady-state pack_into."""
+    """Steady-state ``pack(obj, like=prev)`` throughput, raw and
+    host-normalised."""
     obj = MultiFieldState(nfields, int(total_mib * MIB))
-    t_legacy = _best(lambda: legacy_pack(obj), repeats)
-    t_pack = _best(lambda: pack(obj), repeats)
-    state = pack_into(obj)
-    t_into = _best(lambda: pack_into(obj, state), repeats)
-    nbytes = state.nbytes
+    prev = pack(obj)
+    t_pack, host = host_speed(lambda: _best(lambda: pack(obj, like=prev),
+                                            repeats))
+    gib_per_s = prev.nbytes / t_pack / (1 << 30)
     return {
-        "payload_mib": nbytes / MIB,
+        "payload_mib": prev.nbytes / MIB,
         "nfields": nfields,
-        "legacy_pack_s": t_legacy,
         "pack_s": t_pack,
-        "pack_into_s": t_into,
-        "pack_speedup_vs_legacy": t_legacy / t_pack,
-        "pack_into_speedup_vs_legacy": t_legacy / t_into,
-        "pack_into_gib_per_s": nbytes / t_into / (1 << 30),
+        "pack_gib_per_s": gib_per_s,
+        "host_speed": host,
+        "pack_ref_gib_per_s": gib_per_s / host,
     }
 
 
@@ -99,7 +91,7 @@ def _seed_striped_digest(data: np.ndarray) -> bytes:
     gathered, pad-*concatenated*, and expanded to an ``astype(int64)`` copy
     before a kernel that re-``arange``-s its weight vector per block.  Kept as
     the reference the current gather + in-place kernel is gated against."""
-    from repro.pup.checksum import _BLOCK64, _M64
+    from repro.pup.checksum import _BLOCK, _M64
 
     out = bytearray()
     for stripe in range(4):
@@ -110,8 +102,8 @@ def _seed_striped_digest(data: np.ndarray) -> bytes:
         words = raw.view(np.dtype(np.uint32).newbyteorder("<")).astype(np.int64)
         s1 = np.int64(0)
         s2 = np.int64(0)
-        for start in range(0, words.size, _BLOCK64):
-            chunk = words[start : start + _BLOCK64]
+        for start in range(0, words.size, _BLOCK):
+            chunk = words[start : start + _BLOCK]
             k = chunk.size
             weights = np.arange(k, 0, -1, dtype=np.int64)
             chunk_sum = np.int64(chunk.sum() % _M64)
@@ -155,34 +147,6 @@ def bench_fletcher(total_mib: float = 64.0, repeats: int = 3) -> dict:
         "fletcher64_gib_per_s": gib / t64,
         "striped_digest_gib_per_s": gib / t_striped,
         "striped_speedup_vs_seed": t_seed / t_striped,
-    }
-
-
-def bench_incremental_checksum(total_mib: float = 64.0, nfields: int = 16,
-                               dirty_fields: int = 1,
-                               repeats: int = 5) -> dict:
-    """Field-granular digest with ``dirty_fields`` of ``nfields`` dirty vs
-    recomputing the digest from scratch every round."""
-    obj = MultiFieldState(nfields, int(total_mib * MIB))
-    state = pack_into(obj)
-    t_full = _best(lambda: checkpoint_checksum(state), repeats)
-    cache = DigestCache()
-    checkpoint_checksum(state, cache=cache)  # warm the cache
-    best = float("inf")
-    for round_no in range(repeats):
-        for d in range(dirty_fields):
-            obj.dirty(round_no * dirty_fields + d)
-        pack_into(obj, state, track_dirty=True)
-        t0 = time.perf_counter()
-        checkpoint_checksum(state, cache=cache)
-        best = min(best, time.perf_counter() - t0)
-    return {
-        "payload_mib": state.nbytes / MIB,
-        "nfields": nfields,
-        "dirty_fields": dirty_fields,
-        "full_recompute_s": t_full,
-        "incremental_s": best,
-        "incremental_speedup": t_full / best,
     }
 
 
@@ -295,8 +259,6 @@ def run_all(*, quick: bool = False, total_mib: float = 64.0,
         "pack": bench_pack(total_mib=total_mib, repeats=repeats),
         "fletcher": bench_fletcher(total_mib=total_mib,
                                    repeats=max(2, repeats - 2)),
-        "incremental_checksum": bench_incremental_checksum(
-            total_mib=total_mib, repeats=repeats),
         "tiered_persist": bench_tiered_persist(
             total_mib=total_mib, repeats=max(2, repeats - 2)),
         "campaign": bench_campaign(**campaign_kwargs),

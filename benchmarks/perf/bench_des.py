@@ -3,143 +3,39 @@
 Every campaign cell, chaos run, and figure sweep spends its life inside
 ``Simulator.run`` dispatching millions of tiny events, so this file tracks
 the engine the same way ``bench_checkpoint.py`` tracks the pack/checksum
-path: each layer against its reference baseline, emitting dimensionless
-speedups that ``compare_bench.py`` gates in CI.
+path: within-run speedups and host-normalised rates that
+``compare_bench.py`` gates in CI.
 
-* **event dispatch** — the tuple-heap engine's fire-and-forget path
-  (:meth:`Simulator.post`, what message deliveries use) vs a verbatim
-  embedded replica of the pre-overhaul engine (dataclass ``_QueueEntry``
-  with ``order=True`` Python-level comparisons, a handle per event) on an
-  identical self-sustaining event storm; a handle-allocating
-  ``schedule``-vs-``schedule`` ratio rides along for the apples-to-apples
-  view;
+* **event dispatch** — the fire-and-forget path (:meth:`Simulator.post`,
+  what message deliveries use) on a self-sustaining event storm, in
+  events/s and in events/s on the reference host of
+  ``perfbench/hostspeed.py`` (``ref_events_per_s``, gated by an absolute
+  floor); the handle-allocating ``schedule`` path rides along;
 * **periodic timers** — ``schedule_periodic`` (in-engine rescheduling) vs
-  the classic callback-reschedules-itself pattern through the public API,
-  on both engines;
+  the classic callback-reschedules-itself pattern through the public API;
 * **message fan-out** — ``Transport.send_small`` (the heartbeat/dependency-
-  stamp fast path) vs ``send(Message(...))``, plus a replica of the
-  pre-overhaul per-send bookkeeping for the before/after trajectory;
+  stamp fast path) vs ``send(Message(...))``;
 * **end-to-end** — a small full ``ACR`` run measured in events/second
   (machine-dependent, informational only).
 
 All workloads are deterministic (an inline LCG, no wall-clock randomness),
-so both engines execute the exact same event sequence.
+so every path of one benchmark executes the exact same event sequence.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
-from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable
 
+from benchmarks.perf.bench_checkpoint import host_speed
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
-from repro.util.errors import SimulationError
 
 MIB = float(1 << 20)
 
 
 # ---------------------------------------------------------------------------
-# The pre-overhaul engine, embedded verbatim as the dispatch baseline — the
-# same validation, counters, and ``pending`` property its hot loop really
-# paid, so the speedup is honest (a leaner replica flatters the baseline).
-# ---------------------------------------------------------------------------
-
-@dataclass(order=True)
-class _LegacyQueueEntry:
-    time: float
-    seq: int
-    handle: "_LegacyHandle" = dc_field(compare=False)
-
-
-class _LegacyHandle:
-    __slots__ = ("callback", "args", "cancelled", "fired", "time")
-
-    def __init__(self, time: float, callback: Callable[..., Any], args: tuple):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    @property
-    def pending(self) -> bool:
-        return not (self.cancelled or self.fired)
-
-
-class LegacySimulator:
-    """The pre-overhaul engine: dataclass heap entries, a handle per event."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._heap: list[_LegacyQueueEntry] = []
-        self._seq = itertools.count()
-        self._running = False
-        self._stopped = False
-        self.events_processed = 0
-        self.events_scheduled = 0
-        self.events_cancelled = 0
-        self.max_queue_depth = 0
-
-    def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> _LegacyHandle:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> _LegacyHandle:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        handle = _LegacyHandle(time, callback, args)
-        heapq.heappush(self._heap, _LegacyQueueEntry(time, next(self._seq), handle))
-        self.events_scheduled += 1
-        if len(self._heap) > self.max_queue_depth:
-            self.max_queue_depth = len(self._heap)
-        return handle
-
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> float:
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        self._stopped = False
-        try:
-            while self._heap and not self._stopped:
-                entry = self._heap[0]
-                if until is not None and entry.time > until:
-                    self.now = until
-                    break
-                heapq.heappop(self._heap)
-                handle = entry.handle
-                if not handle.pending:
-                    self.events_cancelled += 1
-                    continue
-                if max_events is not None and self.events_processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway simulation?"
-                    )
-                self.now = entry.time
-                handle.fired = True
-                self.events_processed += 1
-                handle.callback(*handle.args)
-            else:
-                if until is not None and not self._heap and self.now < until:
-                    self.now = until
-        finally:
-            self._running = False
-        return self.now
-
-
-# ---------------------------------------------------------------------------
-# Workloads (identical event sequences on either engine)
+# Workloads (identical event sequences on every path)
 # ---------------------------------------------------------------------------
 
 _LCG_MUL = 6364136223846793005
@@ -150,7 +46,7 @@ _DELAY_TABLE = 4096  # power of two so the storm can mask instead of mod
 
 def _make_delays(n: int = _DELAY_TABLE) -> list[float]:
     """Deterministic pseudo-random delays, precomputed so the benchmark
-    callback costs the same handful of bytecodes on either engine."""
+    callback costs the same handful of bytecodes on every path."""
     state = 0x9E3779B97F4A7C15
     delays = []
     for _ in range(n):
@@ -188,7 +84,7 @@ class _DispatchStorm:
             self.sched(self.delays[i & 4095], self.tick)
 
 
-def _time_storm(sim: Any, sched: Callable[..., Any], n_events: int,
+def _time_storm(sim: Simulator, sched: Callable[..., Any], n_events: int,
                 depth: int, delays: list[float]) -> tuple[float, int]:
     storm = _DispatchStorm(sched, delays, n_events)
     storm.prime(depth)
@@ -198,50 +94,50 @@ def _time_storm(sim: Any, sched: Callable[..., Any], n_events: int,
     return elapsed, sim.events_processed
 
 
-def bench_event_dispatch(n_events: int = 200_000, depth: int = 4096,
-                         repeats: int = 3) -> dict:
-    """Tuple-heap dispatch vs the legacy dataclass-entry engine.
-
-    The headline ratio compares each engine's natural per-event path: the
-    legacy engine *had* to allocate a ``_LegacyHandle`` + ``_LegacyQueueEntry``
-    per event, the new engine's deliveries go through :meth:`Simulator.post`
-    (no handle at all).  ``dispatch_handle_speedup_vs_legacy`` is the
-    conservative same-API comparison (``schedule`` vs ``schedule``).
-    """
-    delays = _make_delays()
-    t_new = t_handle = t_legacy = float("inf")
+def _best_storm(method: str, n_events: int, depth: int, delays: list[float],
+                repeats: int) -> tuple[float, int]:
+    """Best-of-``repeats`` seconds of the storm through ``Simulator.<method>``."""
+    best = float("inf")
     processed = 0
     for _ in range(repeats):
         sim = Simulator()
-        elapsed, processed = _time_storm(sim, sim.post, n_events, depth, delays)
-        t_new = min(t_new, elapsed)
-        sim = Simulator()
-        elapsed, handle_processed = _time_storm(sim, sim.schedule, n_events,
-                                                depth, delays)
-        t_handle = min(t_handle, elapsed)
-        legacy = LegacySimulator()
-        elapsed, legacy_processed = _time_storm(legacy, legacy.schedule,
-                                                n_events, depth, delays)
-        t_legacy = min(t_legacy, elapsed)
-        assert legacy_processed == processed == handle_processed, \
-            "engines diverged on the storm"
+        elapsed, processed = _time_storm(sim, getattr(sim, method), n_events,
+                                         depth, delays)
+        best = min(best, elapsed)
+    return best, processed
+
+
+def bench_event_dispatch(n_events: int = 200_000, depth: int = 4096,
+                         repeats: int = 3) -> dict:
+    """Tuple-heap dispatch rate, raw and host-normalised.
+
+    The gated path is :meth:`Simulator.post` (no handle at all), what the
+    engine's deliveries use; ``schedule`` allocates a cancellable handle per
+    event and is reported alongside.
+    """
+    delays = _make_delays()
+    (t_post, processed), host = host_speed(
+        lambda: _best_storm("post", n_events, depth, delays, repeats))
+    (t_handle, handle_processed), handle_host = host_speed(
+        lambda: _best_storm("schedule", n_events, depth, delays, repeats))
+    assert processed == handle_processed, "post and schedule storms diverged"
     return {
         "n_events": processed,
         "queue_depth": depth,
-        "legacy_dispatch_s": t_legacy,
-        "dispatch_s": t_new,
+        "dispatch_s": t_post,
         "dispatch_handle_s": t_handle,
-        "dispatch_speedup_vs_legacy": t_legacy / t_new,
-        "dispatch_handle_speedup_vs_legacy": t_legacy / t_handle,
-        "events_per_s": processed / t_new,
-        "legacy_events_per_s": processed / t_legacy,
+        "events_per_s": processed / t_post,
+        "handle_events_per_s": processed / t_handle,
+        "host_speed": host,
+        "ref_events_per_s": processed / t_post / host,
+        "handle_ref_events_per_s": processed / t_handle / handle_host,
     }
 
 
-def _time_resched(sim_cls: Any, n_timers: int, horizon: float,
+def _time_resched(n_timers: int, horizon: float,
                   interval: float) -> tuple[float, int]:
     """The classic pattern: every tick reschedules itself via the public API."""
-    sim = sim_cls()
+    sim = Simulator()
     fired = [0]
 
     def make_tick():
@@ -277,53 +173,27 @@ def bench_periodic_timers(n_timers: int = 64, ticks: int = 2000,
     """In-engine periodic rescheduling vs self-rescheduling public ticks.
 
     Models the heartbeat monitor's load: ``n_timers`` recurring timers each
-    firing ``ticks`` times.  The baseline is the pre-overhaul pattern (each
-    tick re-enters ``schedule`` and allocates a fresh handle); the legacy
-    engine running the same pattern gives the absolute before/after point.
+    firing ``ticks`` times.  The baseline is the pre-overhaul pattern: each
+    tick re-enters ``schedule`` and allocates a fresh handle.
     """
     interval = 0.5
     horizon = ticks * interval
-    t_resched = t_periodic = t_legacy = float("inf")
+    t_resched = t_periodic = float("inf")
     fired = 0
     for _ in range(repeats):
-        elapsed, fired = _time_resched(Simulator, n_timers, horizon, interval)
+        elapsed, fired = _time_resched(n_timers, horizon, interval)
         t_resched = min(t_resched, elapsed)
         elapsed, fired_p = _time_periodic(n_timers, horizon, interval)
         t_periodic = min(t_periodic, elapsed)
-        elapsed, fired_l = _time_resched(LegacySimulator, n_timers, horizon,
-                                         interval)
-        t_legacy = min(t_legacy, elapsed)
-        assert fired == fired_p == fired_l, "timer workloads diverged"
+        assert fired == fired_p, "timer workloads diverged"
     return {
         "n_timers": n_timers,
         "ticks_fired": fired,
         "resched_s": t_resched,
         "periodic_s": t_periodic,
-        "legacy_resched_s": t_legacy,
         "periodic_speedup_vs_resched": t_resched / t_periodic,
-        "periodic_speedup_vs_legacy": t_legacy / t_periodic,
         "ticks_per_s": fired / t_periodic,
     }
-
-
-class _LegacyStyleTransport(Transport):
-    """Replica of the pre-overhaul per-send bookkeeping: enum ``.value``
-    descriptor per message, ``.get`` accounting, handle-allocating
-    ``sim.schedule`` for the delivery."""
-
-    def send(self, msg: Message, *, extra_delay: float = 0.0) -> None:
-        if msg.dst not in self._handlers:
-            raise SimulationError(f"message to unregistered node {msg.dst}")
-        if not self._alive.get(msg.src, False):
-            self.messages_dropped += 1
-            return
-        self.messages_sent += 1
-        kind = msg.kind.value
-        self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + 1
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + msg.nbytes
-        msg.send_time = self.sim.now
-        delay = self.latency + msg.nbytes / self.bandwidth + extra_delay
-        self.sim.schedule(delay, self._deliver, msg)
 
 
 def _drain_sends(transport: Transport, sender: Callable[[int, int], None],
@@ -340,7 +210,7 @@ def _drain_sends(transport: Transport, sender: Callable[[int, int], None],
 
 def bench_message_fanout(n_nodes: int = 32, rounds: int = 200,
                          repeats: int = 3) -> dict:
-    """``send_small`` fast path vs ``send(Message(...))`` vs legacy send."""
+    """``send_small`` fast path vs ``send(Message(...))``."""
     sink = [0]
 
     def build(transport_cls):
@@ -351,7 +221,7 @@ def bench_message_fanout(n_nodes: int = 32, rounds: int = 200,
         return transport
 
     n_msgs = n_nodes * rounds
-    t_small = t_send = t_legacy = float("inf")
+    t_small = t_send = float("inf")
     for _ in range(repeats):
         tr = build(Transport)
         t_small = min(t_small, _drain_sends(
@@ -365,20 +235,12 @@ def bench_message_fanout(n_nodes: int = 32, rounds: int = 200,
             lambda s, d: tr2.send(Message(kind=MsgKind.HEARTBEAT, src=s,
                                           dst=d, nbytes=16, tag="hb")),
             n_nodes, rounds))
-        tr3 = build(_LegacyStyleTransport)
-        t_legacy = min(t_legacy, _drain_sends(
-            tr3,
-            lambda s, d: tr3.send(Message(kind=MsgKind.HEARTBEAT, src=s,
-                                          dst=d, nbytes=16, tag="hb")),
-            n_nodes, rounds))
     return {
         "n_nodes": n_nodes,
         "messages": n_msgs,
         "send_small_s": t_small,
         "send_s": t_send,
-        "legacy_send_s": t_legacy,
         "fastpath_speedup": t_send / t_small,
-        "fastpath_speedup_vs_legacy": t_legacy / t_small,
         "messages_per_s": n_msgs / t_small,
     }
 

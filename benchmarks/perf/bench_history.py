@@ -4,7 +4,8 @@
 Runs the three ``perfbench`` workloads untraced -- each in its own Python
 process, as ``perfbench/run.py`` does -- and appends one JSON object with
 the checkout's commit, a host fingerprint, each workload's end-to-end
-medians and median ``host.slowdown``, and the line count of ``src/``::
+medians and median ``host.slowdown``, the line count of ``src/`` and the
+number of public names (``__all__`` entries) under ``src/``::
 
     python benchmarks/perf/bench_history.py                  # this checkout
     python benchmarks/perf/bench_history.py --seconds 20
@@ -19,6 +20,7 @@ history is a trajectory: compare lines from one host fingerprint only.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import subprocess
@@ -68,6 +70,19 @@ def src_stats(repo: Path) -> tuple[int, str]:
     return lines, digest.hexdigest()
 
 
+def public_names(repo: Path) -> int:
+    """``__all__`` entries in ``src/**/*.py``, read with :mod:`ast` so the
+    measured checkout is never imported."""
+    count = 0
+    for path in sorted((repo / "src").rglob("*.py")):
+        for node in ast.parse(path.read_bytes(), str(path)).body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                count += len(ast.literal_eval(node.value))
+    return count
+
+
 def measure(repo: Path, workload: str, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _MEASURE_SCRIPT, str(repo), workload, str(seconds)],
@@ -101,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         "dirty": dirty,
         "src_sha256": src_sha,
         "src_loc": loc,
+        "public_names": public_names(repo),
         "recorded_unix": int(time.time()),
         "seconds": args.seconds,
         "host": host,

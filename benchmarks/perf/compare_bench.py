@@ -7,12 +7,16 @@ Usage::
     python benchmarks/perf/compare_bench.py \
         --baseline BENCH_checkpoint.json --new bench_ci.json --tolerance 0.30
 
-Only *dimensionless* metrics are gated — the speedup ratios that motivated
-the hot-path work (zero-copy pack, incremental checksums).  Absolute seconds
-and GiB/s vary with the machine, so they are reported but never fail the
-gate.  A gated metric regresses when it drops more than ``--tolerance``
-below the baseline; improvements never fail.  Exit code 1 on regression,
-with a readable delta table either way.
+Three kinds of metric are gated.  Within-run speedup ratios regress when
+they drop more than ``--tolerance`` below the baseline; improvements never
+fail.  Rates scaled to the reference host of ``perfbench/hostspeed.py`` and
+within-run ratios with a meaning of their own must clear an absolute floor.
+Correctness flags must stay true.  Raw seconds, GiB/s and events/s vary
+with the machine, so they are reported but never fail the gate.
+
+A baseline recorded on one CPU is refused: every CPU-gated row would be
+skipped against it.  Exit code 1 on regression or on such a baseline, with a
+readable delta table either way.
 """
 
 from __future__ import annotations
@@ -31,20 +35,27 @@ from repro.harness.report import format_table  # noqa: E402
 #: (section, metric) pairs gated by the tolerance — all higher-is-better
 #: ratios, stable across machines and payload sizes.
 GATED_RATIOS = (
-    ("pack", "pack_speedup_vs_legacy"),
-    ("pack", "pack_into_speedup_vs_legacy"),
-    ("incremental_checksum", "incremental_speedup"),
     ("fletcher", "striped_speedup_vs_seed"),
     ("tiered_persist", "sim_safety_overhead"),
-    ("des_dispatch", "dispatch_speedup_vs_legacy"),
     ("des_periodic", "periodic_speedup_vs_resched"),
     ("des_messages", "fastpath_speedup"),
     ("bench_scale", "events_speedup_vs_des_acr"),
 )
 
-#: (section, metric, floor) ratios that must also clear an absolute bar —
-#: within-run dimensionless ratios, so the floor is machine-independent.
+#: (section, metric, floor) metrics that must clear an absolute bar —
+#: within-run dimensionless ratios, or rates divided by the host speed of
+#: ``perfbench/hostspeed.py`` sampled around the timed region, so the floor
+#: is machine-independent.
 GATED_MINIMUMS = (
+    # Ten rounds on a 2-vCPU host read 3.65-4.94 ref-GiB/s for
+    # ``pack(like=)`` on 64 MiB in 16 fields, and 1.07-1.74 for the
+    # chunk-and-concatenate pack it replaced (one copy per field, then the
+    # concatenation).  A floor between the two catches a second copy.
+    ("pack", "pack_ref_gib_per_s", 2.2),
+    # The same rounds read 505k-771k ref-events/s for ``Simulator.post`` and
+    # 168k-315k for the dataclass-entry engine (a handle and a dataclass per
+    # event, Python-level ``__lt__``) the tuple heap replaced.
+    ("des_dispatch", "ref_events_per_s", 400_000.0),
     ("bench_scale", "events_speedup_vs_des_acr", 3.0),
     # The atomic protocol can never be cheaper than streaming straight to
     # the final location — a ratio below 1 means the cost model broke.
@@ -96,11 +107,12 @@ CPU_GATED_RATIOS = (
 
 #: Machine-dependent metrics shown for context only.
 INFORMATIONAL = (
-    ("pack", "pack_into_gib_per_s"),
+    ("pack", "pack_gib_per_s"),
     ("fletcher", "fletcher64_gib_per_s"),
     ("tiered_persist", "persist_gib_per_s"),
     ("tiered_persist", "sha_share_of_persist"),
     ("des_dispatch", "events_per_s"),
+    ("des_dispatch", "handle_ref_events_per_s"),
     ("des_acr", "events_per_s"),
     ("des_acr", "legacy_equivalent_events_per_s"),
     ("obs_stream", "sampled_events_per_s"),
@@ -126,6 +138,12 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> tuple[list, list]:
     """(table_rows, failures) for a baseline/fresh results comparison."""
     rows: list[list] = []
     failures: list[str] = []
+
+    if all((_lookup(baseline, row[0], "cpu_count") or 1) <= 1
+           for row in CPU_GATED_MINIMUMS + CPU_GATED_RATIOS):
+        failures.append("baseline: recorded at cpu_count<=1 in every "
+                        "CPU-gated section; regenerate it on a multi-core host")
+        rows.append(["baseline cpu_count", 1, None, "-", "REFUSED"])
 
     def gate_ratio(section: str, metric: str) -> None:
         name = f"{section}.{metric}"

@@ -75,16 +75,15 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
 
     pack = results["pack"]
-    inc = results["incremental_checksum"]
+    fl = results["fletcher"]
     camp = results["campaign"]
     print(f"wrote {args.out}")
     print(f"pack        {pack['payload_mib']:8.1f} MiB  "
-          f"zero-copy {pack['pack_speedup_vs_legacy']:.2f}x, "
-          f"pack_into {pack['pack_into_speedup_vs_legacy']:.2f}x vs legacy "
-          f"({pack['pack_into_gib_per_s']:.2f} GiB/s steady state)")
-    print(f"checksum    {inc['payload_mib']:8.1f} MiB  "
-          f"incremental ({inc['dirty_fields']}/{inc['nfields']} dirty) "
-          f"{inc['incremental_speedup']:.1f}x vs full recompute")
+          f"{pack['pack_gib_per_s']:.2f} GiB/s steady state "
+          f"({pack['pack_ref_gib_per_s']:.2f} on the reference host)")
+    print(f"checksum    {fl['payload_mib']:8.1f} MiB  "
+          f"striped digest {fl['striped_digest_gib_per_s']:.2f} GiB/s, "
+          f"{fl['striped_speedup_vs_seed']:.2f}x vs seed")
     tier = results["tiered_persist"]
     print(f"tiers       {tier['payload_mib']:8.1f} MiB  "
           f"persist {tier['persist_gib_per_s']:.2f} GiB/s "
@@ -100,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     msg = results["des_messages"]
     acr = results["des_acr"]
     print(f"des engine  {disp['n_events']} events "
-          f"dispatch {disp['dispatch_speedup_vs_legacy']:.2f}x vs legacy "
-          f"({disp['events_per_s'] / 1e3:.0f}k ev/s), "
+          f"dispatch {disp['events_per_s'] / 1e3:.0f}k ev/s "
+          f"({disp['ref_events_per_s'] / 1e3:.0f}k on the reference host), "
           f"periodic {per['periodic_speedup_vs_resched']:.2f}x, "
           f"msg fastpath {msg['fastpath_speedup']:.2f}x")
     print(f"acr run     {acr['events']} events in {acr['wall_s']:.2f}s "

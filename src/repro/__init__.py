@@ -47,7 +47,6 @@ from repro.pup import (
     PUPer,
     compare_checkpoints,
     pack,
-    pack_into,
     unpack,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "PUPer",
     "compare_checkpoints",
     "pack",
-    "pack_into",
     "unpack",
     "__version__",
 ]

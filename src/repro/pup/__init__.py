@@ -1,8 +1,10 @@
 """PUP (Pack/UnPack) serialization framework — the checkpoint substrate.
 
 Mirrors the Charm++ PUP framework ACR builds on (paper §4.1): one ``pup``
-description per application drives sizing, packing, unpacking, and SDC
-comparison, plus the Fletcher checksum optimization of §4.2.
+description per application drives sizing (``sizeof``), packing (``pack``,
+with ``like=`` sharing the previous directory), unpacking (``unpack``) and
+SDC comparison (``compare_checkpoints``), plus the 32-byte striped Fletcher
+digest buddies exchange instead (``checkpoint_checksum``, paper §4.2).
 """
 
 from repro.pup.checker import (
@@ -13,26 +15,18 @@ from repro.pup.checker import (
 )
 from repro.pup.checksum import (
     CHECKSUM_NBYTES,
-    DigestCache,
-    FieldDigest,
     checkpoint_checksum,
-    combine_digests,
-    field_digest,
     fletcher32,
     fletcher64,
 )
 from repro.pup.puper import (
-    BufferPackingPUPer,
     FieldRecord,
     PackedState,
-    PackingPUPer,
     Pupable,
     PUPError,
     PUPer,
-    SizingPUPer,
     UnpackingPUPer,
     pack,
-    pack_into,
     sizeof,
     unpack,
 )
@@ -43,24 +37,16 @@ __all__ = [
     "compare_checkpoints",
     "compare_checksums",
     "CHECKSUM_NBYTES",
-    "DigestCache",
-    "FieldDigest",
     "checkpoint_checksum",
-    "combine_digests",
-    "field_digest",
     "fletcher32",
     "fletcher64",
-    "BufferPackingPUPer",
     "FieldRecord",
     "PackedState",
-    "PackingPUPer",
     "Pupable",
     "PUPError",
     "PUPer",
-    "SizingPUPer",
     "UnpackingPUPer",
     "pack",
-    "pack_into",
     "sizeof",
     "unpack",
 ]

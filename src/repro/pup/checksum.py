@@ -16,26 +16,18 @@ instructions per word, so the hot path here avoids every avoidable copy:
   the per-block weighted products are the only int64 temporaries);
 * only the final partial word is padded — the aligned prefix is checksummed
   where it lies instead of being concatenated into a padded copy;
-* block weight vectors are cached across calls instead of re-``arange``-d;
+* one block weight vector, built at import, serves every call of both
+  widths instead of being re-``arange``-d;
 * the 32-byte striped digest gathers each stripe in a single strided pass and
   feeds it straight to the in-place Fletcher kernel — the seed's per-stripe
   pad-concatenate and ``astype(int64)`` expansion copies are gone.
 
-For incremental checkpoints, :func:`field_digest` captures one field's
-striped partial sums; :func:`combine_digests` composes them into the 32-byte
-digest using Fletcher's concatenation identity, and :class:`DigestCache`
-keyed on ``PackedState.versions`` means a round that dirtied one field of
-sixteen rehashes only that field.
-
 Both sums are computed blockwise with vectorized numpy arithmetic; the modulus
-is only applied per block, which is exact because block sizes are chosen so the
-int64 accumulators cannot overflow.
+is only applied per block, which is exact because the block size is chosen so
+the int64 accumulators cannot overflow.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -44,22 +36,15 @@ _M32 = np.int64(65535)
 #: Fletcher-64 operates on 32-bit words modulo 2**32 - 1.
 _M64 = np.int64(2**32 - 1)
 
-#: Block sizes guaranteeing no int64 overflow in the weighted sums:
-#: sum(weight_i * word_i) <= block * block * word_max.
-_BLOCK32 = 1 << 20
-_BLOCK64 = 1 << 14
+#: Words per block.  The weighted sum of one block is at most
+#: block * block * word_max = 2**14 * 2**14 * (2**32 - 1) < 2**63, so the
+#: int64 accumulators cannot overflow for either word width.
+_BLOCK = 1 << 14
 
-#: Cached descending weight vectors (block, block-1, ..., 1) per block size.
+#: The descending weights (block, block-1, ..., 1), 128 KiB, built once at
+#: import so the long-lived vector is placed before any checkpoint state.
 #: A partial final block of k words slices the suffix (k, ..., 1).
-_WEIGHTS: dict[int, np.ndarray] = {}
-
-
-def _weights(block: int) -> np.ndarray:
-    w = _WEIGHTS.get(block)
-    if w is None:
-        w = np.arange(block, 0, -1, dtype=np.int64)
-        _WEIGHTS[block] = w
-    return w
+_WEIGHTS = np.arange(_BLOCK, 0, -1, dtype=np.int64)
 
 
 def _as_bytes(data: np.ndarray | bytes) -> np.ndarray:
@@ -80,18 +65,16 @@ def _split_words(raw: np.ndarray, word_dtype: np.dtype) -> tuple[np.ndarray, int
     return head, tail
 
 
-def _fletcher(words: np.ndarray, tail: int | None, modulus: np.int64,
-              block: int) -> tuple[int, int]:
+def _fletcher(words: np.ndarray, tail: int | None,
+              modulus: np.int64) -> tuple[int, int]:
     s1 = np.int64(0)
     s2 = np.int64(0)
-    n = words.size
-    full = _weights(block)
-    for start in range(0, n, block):
-        chunk = words[start : start + block]
+    for start in range(0, words.size, _BLOCK):
+        chunk = words[start : start + _BLOCK]
         k = chunk.size
         # Within the block: s1 advances by sum(chunk); s2 advances by
         # k * s1_before + sum((k - i) * chunk[i]) with i zero-based.
-        weights = full if k == block else full[block - k :]
+        weights = _WEIGHTS if k == _BLOCK else _WEIGHTS[_BLOCK - k :]
         chunk_sum = chunk.sum(dtype=np.int64) % modulus
         weighted = (weights * chunk).sum(dtype=np.int64) % modulus
         s2 = (s2 + (np.int64(k) % modulus) * s1 + weighted) % modulus
@@ -105,14 +88,14 @@ def _fletcher(words: np.ndarray, tail: int | None, modulus: np.int64,
 def fletcher32(data: np.ndarray | bytes) -> int:
     """Fletcher-32 checksum of a byte buffer (16-bit words mod 65535)."""
     words, tail = _split_words(_as_bytes(data), np.dtype(np.uint16))
-    s1, s2 = _fletcher(words, tail, _M32, _BLOCK32)
+    s1, s2 = _fletcher(words, tail, _M32)
     return (s2 << 16) | s1
 
 
 def fletcher64(data: np.ndarray | bytes) -> int:
     """Fletcher-64 checksum of a byte buffer (32-bit words mod 2**32-1)."""
     words, tail = _split_words(_as_bytes(data), np.dtype(np.uint32))
-    s1, s2 = _fletcher(words, tail, _M64, _BLOCK64)
+    s1, s2 = _fletcher(words, tail, _M64)
     return (s2 << 32) | s1
 
 
@@ -143,140 +126,16 @@ def _striped_sums(raw: np.ndarray) -> list[tuple[int, int]]:
     for stripe in range(_STRIPES):
         part = np.ascontiguousarray(raw[stripe::_STRIPES])
         words, tail = _split_words(part, np.dtype(np.uint32))
-        sums.append(_fletcher(words, tail, _M64, _BLOCK64))
+        sums.append(_fletcher(words, tail, _M64))
     return sums
 
 
-def _stripe_nwords(nbytes: int) -> tuple[int, ...]:
-    """Padded 32-bit word count of each byte stripe of an ``nbytes`` buffer."""
-    counts = []
-    for stripe in range(_STRIPES):
-        stripe_bytes = (nbytes - stripe + 3) // 4 if nbytes > stripe else 0
-        counts.append((stripe_bytes + 3) // 4)
-    return tuple(counts)
-
-
-@dataclass(frozen=True)
-class FieldDigest:
-    """Striped Fletcher-64 partial sums of one field's bytes.
-
-    Each stripe records ``(s1, s2, nwords)`` — enough to compose digests of
-    concatenated fields via Fletcher's identity without touching the bytes
-    again (see :func:`combine_digests`).
-    """
-
-    nbytes: int
-    stripes: tuple[tuple[int, int, int], ...]
-
-
-def field_digest(data: np.ndarray | bytes) -> FieldDigest:
-    """Striped partial sums of one field, striped from the field's own start.
-
-    Fields are striped independently (each field's stripe word stream is
-    padded to whole words), so digests stay composable regardless of the
-    field's byte offset inside the checkpoint.
-    """
-    raw = _as_bytes(data)
-    sums = _striped_sums(raw)
-    nwords = _stripe_nwords(raw.nbytes)
-    return FieldDigest(
-        nbytes=raw.nbytes,
-        stripes=tuple((s1, s2, nw) for (s1, s2), nw in zip(sums, nwords)),
-    )
-
-
-def combine_digests(digests: Sequence[FieldDigest]) -> bytes:
-    """Compose per-field digests into the 32-byte checkpoint digest.
-
-    Uses Fletcher's concatenation identity per stripe: appending a segment B
-    (``nB`` words, standalone sums ``s1B``/``s2B``) to a prefix with sums
-    ``s1A``/``s2A`` gives ``s1 = s1A + s1B`` and ``s2 = s2A + nB*s1A + s2B``.
-    """
-    modulus = int(_M64)
+def checkpoint_checksum(data: np.ndarray | bytes) -> bytes:
+    """The 32-byte striped Fletcher-64 digest ACR exchanges between buddies:
+    :func:`fletcher64` of each of the four interleaved byte stripes of the
+    whole buffer, little-endian, stripe 0 first."""
     out = bytearray()
-    for stripe in range(_STRIPES):
-        s1 = s2 = 0
-        for digest in digests:
-            d1, d2, nwords = digest.stripes[stripe]
-            s2 = (s2 + nwords * s1 + d2) % modulus
-            s1 = (s1 + d1) % modulus
+    for s1, s2 in _striped_sums(_as_bytes(data)):
         out += ((s2 << 32) | s1).to_bytes(8, "little")
     assert len(out) == CHECKSUM_NBYTES
     return bytes(out)
-
-
-class DigestCache:
-    """Per-field digest cache for incremental checkpoint checksums.
-
-    Keyed on field name and the ``PackedState.versions`` counter bumped by
-    ``pack_into``: a field whose bytes did not change since its digest was
-    cached is never rehashed.  One cache serves one checkpoint stream (one
-    ``PackedState`` reused across rounds) — do not share it between states.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[int, FieldDigest]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, name: str, version: int) -> FieldDigest | None:
-        entry = self._entries.get(name)
-        if entry is not None and entry[0] == version:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        return None
-
-    def put(self, name: str, version: int, digest: FieldDigest) -> None:
-        self._entries[name] = (version, digest)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def checkpoint_checksum(
-    data: Any,
-    *,
-    fields: Sequence[Any] | None = None,
-    versions: dict[str, int] | None = None,
-    cache: DigestCache | None = None,
-) -> bytes:
-    """The 32-byte striped Fletcher-64 digest ACR exchanges between buddies.
-
-    Two granularities:
-
-    * **byte-level** (default, ``fields=None``): stripes the whole buffer —
-      bit-compatible with what compare_checksums has always shipped.
-    * **field-granular**: pass ``fields`` (``FieldRecord``-likes with
-      ``name``/``offset``/``nbytes``) — or a ``PackedState``, whose directory
-      and versions are picked up automatically — and the digest is composed
-      from per-field digests.  With a :class:`DigestCache`, only fields whose
-      version changed since the last call are rehashed, so an incremental
-      checkpoint that dirtied one field rehashes one field.
-
-    The two granularities are distinct digests (fields pad their stripe words
-    independently); both replicas must use the same one.
-    """
-    if hasattr(data, "buffer") and hasattr(data, "fields"):
-        if fields is None:
-            fields = data.fields
-        if versions is None:
-            versions = getattr(data, "versions", None)
-        data = data.buffer
-    raw = _as_bytes(data)
-    if fields is None:
-        out = bytearray()
-        for s1, s2 in _striped_sums(raw):
-            out += ((s2 << 32) | s1).to_bytes(8, "little")
-        assert len(out) == CHECKSUM_NBYTES
-        return bytes(out)
-    digests = []
-    for rec in fields:
-        version = versions.get(rec.name, 0) if versions else 0
-        digest = cache.get(rec.name, version) if cache is not None else None
-        if digest is None:
-            digest = field_digest(raw[rec.offset : rec.offset + rec.nbytes])
-            if cache is not None:
-                cache.put(rec.name, version, digest)
-        digests.append(digest)
-    return combine_digests(digests)

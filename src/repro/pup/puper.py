@@ -4,7 +4,7 @@ This mirrors the Charm++ PUP framework that ACR builds on (paper §4.1): an
 application describes its state once in a ``pup(p)`` method, and the same
 description drives four operations:
 
-* **sizing** — compute the checkpoint footprint (:class:`SizingPUPer`);
+* **sizing** — the checkpoint footprint (:func:`sizeof`);
 * **packing** — serialize state into a flat byte buffer.  :func:`pack` runs
   the description exactly once, collecting each field's contiguous byte
   view and directory key, then joins the views with one concatenation — a
@@ -12,9 +12,7 @@ description drives four operations:
   description need not be deterministic across two runs (it only must not
   mutate a field it already pupped in the same call).  ``pack(obj,
   like=prev)`` shares ``prev``'s directory when every field key matches, so
-  steady-state packs build no :class:`FieldRecord` at all.  The
-  chunk-and-concatenate :class:`PackingPUPer` remains as the reference
-  baseline of the packing micro-benchmarks.
+  steady-state packs build no :class:`FieldRecord` at all;
 * **unpacking** — restore state from a buffer (:class:`UnpackingPUPer`);
 * **checking** — compare two checkpoints field-by-field to detect silent data
   corruption (:mod:`repro.pup.checker`), including user-customizable per-field
@@ -26,11 +24,6 @@ is the deserialized one, so application code is written direction-agnostically::
     def pup(self, p):
         self.iteration = p.pup_int("iteration", self.iteration)
         self.grid = p.pup_array("grid", self.grid)
-
-Steady-state checkpointing should use :func:`pack_into`, which reuses the
-buffer (and field directory) of the previous round: after the first call the
-hot path allocates nothing and optionally tracks which fields actually
-changed, enabling incremental checksums (:mod:`repro.pup.checksum`).
 """
 
 from __future__ import annotations
@@ -129,14 +122,12 @@ def _as_array(name: str, value: Any) -> np.ndarray:
 class PUPer:
     """Base class defining the pup vocabulary.
 
-    Subclasses implement :meth:`_handle` to size, write, or read the field.
+    Subclasses implement :meth:`_handle` to collect or read the field.
     """
 
     #: True when the PUPer restores state (application code may branch on it,
     #: e.g. to rebuild derived data after restart).
     is_unpacking: bool = False
-    #: True when the PUPer only measures sizes.
-    is_sizing: bool = False
     #: Per-instance stack of nested-object scope names.  Kept on the instance
     #: (not the module) so independent PUPers — e.g. on different campaign
     #: worker processes or threads — can pup nested objects concurrently.
@@ -239,24 +230,10 @@ class PUPer:
         return out
 
 
-class SizingPUPer(PUPer):
-    """Counts the serialized size of an object without copying data."""
-
-    is_sizing = True
-
-    def __init__(self) -> None:
-        self.nbytes = 0
-        self.nfields = 0
-
-    def _handle(self, name, arr, *, rtol, atol, skip_compare):
-        self.nbytes += arr.nbytes
-        self.nfields += 1
-        return arr
-
-
 class _ViewPUPer(PUPer):
-    """One pass over a pup description for :func:`pack`: each field's
-    contiguous flat byte view and its directory key, nothing copied yet."""
+    """One pass over a pup description for :func:`pack` and :func:`sizeof`:
+    each field's contiguous flat byte view and its directory key, nothing
+    copied yet."""
 
     def __init__(self) -> None:
         self.views: list[np.ndarray] = []
@@ -299,117 +276,8 @@ def _build_directory(keys: list[tuple]) -> list[FieldRecord]:
     return fields
 
 
-class PackingPUPer(PUPer):
-    """Streaming packer: collects per-field chunks, concatenated on demand.
-
-    Copies every field twice (once into its chunk, once in the final
-    concatenation).  :func:`pack` no longer uses it — it concatenates the
-    fields' own views in one copy — but it stays as the reference baseline
-    for the packing micro-benchmarks.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
-        self.fields: list[FieldRecord] = []
-        self._offset = 0
-        self._names: set[str] = set()
-
-    def _handle(self, name, arr, *, rtol, atol, skip_compare):
-        if name in self._names:
-            raise PUPError(f"duplicate pup field name {name!r}")
-        self._names.add(name)
-        flat = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
-        self.fields.append(
-            FieldRecord(
-                name=name,
-                dtype=_dtype_name(arr.dtype),
-                shape=tuple(arr.shape),
-                offset=self._offset,
-                nbytes=flat.nbytes,
-                rtol=rtol,
-                atol=atol,
-                skip_compare=skip_compare,
-            )
-        )
-        self._chunks.append(flat.copy())
-        self._offset += flat.nbytes
-        return arr
-
-    def buffer(self) -> np.ndarray:
-        """Concatenate all packed chunks into one contiguous buffer."""
-        if not self._chunks:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(self._chunks)
-
-
-class BufferPackingPUPer(PUPer):
-    """Reuse packer: rewrites a previous round's buffer in place.
-
-    ``expect`` is the previous round's directory and the contract: every
-    field is validated against it (name, dtype, shape) and written into the
-    same slice, so a drifting pup description raises :class:`PUPError`
-    instead of silently writing out of bounds.  With ``track_dirty=True``, a
-    field whose bytes are unchanged is left alone (its cached checksum
-    digest stays valid); changed fields bump their entry in ``versions`` so
-    incremental checksums know what to rehash.
-    """
-
-    def __init__(
-        self,
-        buffer: np.ndarray,
-        *,
-        expect: list[FieldRecord],
-        versions: dict[str, int] | None = None,
-        track_dirty: bool = False,
-    ) -> None:
-        buf = np.asarray(buffer)
-        if buf.dtype != np.uint8 or buf.ndim != 1:
-            raise PUPError("pack buffer must be a flat uint8 array")
-        if not buf.flags.writeable or not buf.flags.c_contiguous:
-            raise PUPError("pack buffer must be writable and contiguous")
-        self._buffer = buf
-        self._expect = expect
-        self.versions: dict[str, int] = versions if versions is not None else {}
-        self._track_dirty = track_dirty
-        self.fields: list[FieldRecord] = expect
-        self._index = 0
-
-    def _handle(self, name, arr, *, rtol, atol, skip_compare):
-        flat = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
-        if self._index >= len(self._expect):
-            raise PUPError(
-                f"pup description grew since last pack: unexpected field {name!r}"
-            )
-        rec = self._expect[self._index]
-        self._index += 1
-        if rec.name != name:
-            raise PUPError(
-                f"pup field order mismatch: expected {rec.name!r}, got {name!r}"
-            )
-        if _dtype_name(arr.dtype) != rec.dtype or tuple(arr.shape) != rec.shape:
-            raise PUPError(
-                f"field {name!r} drifted since last pack: "
-                f"({rec.dtype}, {rec.shape}) -> ({arr.dtype}, {tuple(arr.shape)}); "
-                "repack from scratch instead of pack_into"
-            )
-        dst = self._buffer[rec.offset : rec.offset + rec.nbytes]
-        if self._track_dirty and np.array_equal(dst, flat):
-            return arr
-        dst[:] = flat
-        self.versions[name] = self.versions.get(name, 0) + 1
-        return arr
-
-    def finish(self) -> None:
-        """Assert the pup description consumed exactly the whole directory."""
-        if self._index != len(self._expect):
-            raise PUPError(
-                f"pup description consumed {self._index} of "
-                f"{len(self._expect)} fields"
-            )
-
-
 class UnpackingPUPer(PUPer):
-    """Restores an object from a buffer produced by :class:`PackingPUPer`.
+    """Restores an object from a buffer produced by :func:`pack`.
 
     Fields are matched positionally *and* validated by name/dtype/shape, so a
     drifting pup description fails loudly rather than silently misreading.
@@ -454,26 +322,18 @@ class PackedState:
     """A serialized object state: buffer plus field directory.
 
     This is the unit that ACR stores, ships between buddies, and compares.
-    ``versions`` counts how many times each field's bytes have changed across
-    :func:`pack_into` rounds (missing name = 0); incremental checksum caches
-    key on it to decide which fields need rehashing.
     """
 
     buffer: np.ndarray
     fields: list[FieldRecord] = field(default_factory=list)
-    versions: dict[str, int] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
         return int(self.buffer.nbytes)
 
-    def version_of(self, name: str) -> int:
-        return self.versions.get(name, 0)
-
     def copy(self) -> "PackedState":
         # Directories are never mutated once built, so copies share them.
-        return PackedState(self.buffer.copy(), self.fields,
-                           dict(self.versions))
+        return PackedState(self.buffer.copy(), self.fields)
 
 
 def pack(obj: Pupable, like: PackedState | None = None) -> PackedState:
@@ -504,37 +364,6 @@ def pack(obj: Pupable, like: PackedState | None = None) -> PackedState:
     return PackedState(buf, _build_directory(keys))
 
 
-def pack_into(
-    obj: Pupable,
-    state: PackedState | None = None,
-    *,
-    track_dirty: bool = False,
-) -> PackedState:
-    """Serialize ``obj``, reusing ``state``'s buffer and directory in place.
-
-    The steady-state checkpoint hot path: the first call (``state=None``)
-    allocates the buffer once; subsequent calls with the returned state write
-    into the *same* buffer object (identity is preserved — zero allocations
-    per round) and validate every field against the previous round's
-    directory, raising :class:`PUPError` on shape/dtype/order drift.
-
-    With ``track_dirty=True`` unchanged fields are detected (one compare, no
-    write) and their ``state.versions`` entry stays put, so an incremental
-    checksum cache (:class:`repro.pup.checksum.DigestCache`) only rehashes
-    fields that actually changed.  Leave it off when most fields change every
-    round — an unconditional write is cheaper than compare-then-write.
-    """
-    if state is None:
-        out = pack(obj)
-        out.versions = {}
-        return out
-    p = BufferPackingPUPer(state.buffer, expect=state.fields,
-                           versions=state.versions, track_dirty=track_dirty)
-    obj.pup(p)
-    p.finish()
-    return state
-
-
 def unpack(obj: Pupable, state: PackedState) -> None:
     """Restore ``obj`` in place from a :class:`PackedState`."""
     p = UnpackingPUPer(state.buffer, state.fields)
@@ -544,6 +373,6 @@ def unpack(obj: Pupable, state: PackedState) -> None:
 
 def sizeof(obj: Pupable) -> int:
     """Checkpoint footprint of ``obj`` in bytes."""
-    p = SizingPUPer()
+    p = _ViewPUPer()
     obj.pup(p)
-    return p.nbytes
+    return sum(key[3] for key in p.keys)

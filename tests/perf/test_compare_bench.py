@@ -15,8 +15,8 @@ compare_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_bench)
 
 
-def _results(pack=2.0, pack_into=6.0, incremental=15.0, identical=True,
-             dispatch=3.2, periodic=4.0, fastpath=1.5, striped=1.7,
+def _results(pack_ref=4.0, identical=True,
+             dispatch_ref=6.0e5, periodic=4.0, fastpath=1.5, striped=1.7,
              parallel=2.5, cpu_count=4, scale_speedup=4.0,
              scale_completed=True, trace_identical=True,
              scale_parallel=1.8, scale_cpu_count=4,
@@ -25,12 +25,7 @@ def _results(pack=2.0, pack_into=6.0, incremental=15.0, identical=True,
              serve_cpu_count=4, modes_identical=True, coordinated_ok=True,
              xl_completed=True, shm_speedup=1.8):
     return {
-        "pack": {
-            "pack_speedup_vs_legacy": pack,
-            "pack_into_speedup_vs_legacy": pack_into,
-            "pack_into_gib_per_s": 4.0,
-        },
-        "incremental_checksum": {"incremental_speedup": incremental},
+        "pack": {"pack_ref_gib_per_s": pack_ref, "pack_gib_per_s": 3.0},
         "fletcher": {"fletcher64_gib_per_s": 8.0,
                      "striped_speedup_vs_seed": striped},
         "tiered_persist": {"sim_safety_overhead": safety_overhead,
@@ -40,7 +35,8 @@ def _results(pack=2.0, pack_into=6.0, incremental=15.0, identical=True,
         "campaign": {"summaries_identical": identical,
                      "parallel_speedup": parallel,
                      "cpu_count": cpu_count},
-        "des_dispatch": {"dispatch_speedup_vs_legacy": dispatch,
+        "des_dispatch": {"ref_events_per_s": dispatch_ref,
+                         "handle_ref_events_per_s": 4.0e5,
                          "events_per_s": 8.0e5},
         "des_periodic": {"periodic_speedup_vs_resched": periodic},
         "des_messages": {"fastpath_speedup": fastpath},
@@ -80,25 +76,25 @@ class TestCompare:
         assert all(r[-1] in ("ok", "info") for r in rows)
 
     def test_drop_within_tolerance_passes(self):
-        fresh = _results(pack=2.0 * 0.75)  # -25% on a 30% gate
+        fresh = _results(striped=1.7 * 0.75)  # -25% on a 30% gate
         _, failures = compare_bench.compare(_results(), fresh, 0.30)
         assert failures == []
 
     def test_drop_beyond_tolerance_fails(self):
-        fresh = _results(pack=2.0 * 0.5)  # -50% on a 30% gate
+        fresh = _results(striped=1.7 * 0.5)  # -50% on a 30% gate
         rows, failures = compare_bench.compare(_results(), fresh, 0.30)
         assert len(failures) == 1
-        assert "pack.pack_speedup_vs_legacy" in failures[0]
+        assert "fletcher.striped_speedup_vs_seed" in failures[0]
         assert any(r[-1] == "REGRESSION" for r in rows)
 
     def test_improvement_never_fails(self):
-        fresh = _results(pack=20.0, pack_into=60.0, incremental=150.0)
+        fresh = _results(pack_ref=40.0, dispatch_ref=6.0e6, striped=17.0)
         _, failures = compare_bench.compare(_results(), fresh, 0.30)
         assert failures == []
 
     def test_missing_gated_metric_fails(self):
         fresh = _results()
-        del fresh["incremental_checksum"]["incremental_speedup"]
+        del fresh["fletcher"]["striped_speedup_vs_seed"]
         _, failures = compare_bench.compare(_results(), fresh, 0.30)
         assert any("missing" in f for f in failures)
 
@@ -115,10 +111,42 @@ class TestCompare:
         assert failures == []
 
     def test_des_dispatch_regression_fails(self):
-        fresh = _results(dispatch=3.2 * 0.5)  # -50% on a 30% gate
-        _, failures = compare_bench.compare(_results(), fresh, 0.30)
-        assert any("des_dispatch.dispatch_speedup_vs_legacy" in f
-                   for f in failures)
+        # Within tolerance of the baseline but below the absolute floor.
+        fresh = _results(dispatch_ref=6.0e5 * 0.6)
+        _, failures = compare_bench.compare(
+            _results(dispatch_ref=5.0e5), fresh, 0.30)
+        assert any("des_dispatch.ref_events_per_s" in f
+                   and "below required floor" in f for f in failures)
+
+    @pytest.mark.parametrize("metric, legacy, current", [
+        # The highest reading of the replaced path and the lowest of the
+        # current one in ten rounds on a 2-vCPU host (see compare_bench).
+        ("pack_ref", 1.74, 3.65),
+        ("dispatch_ref", 3.15e5, 5.05e5),
+    ])
+    def test_host_normalised_floor_separates_the_paths(self, metric, legacy,
+                                                       current):
+        name = {"pack_ref": "pack.pack_ref_gib_per_s",
+                "dispatch_ref": "des_dispatch.ref_events_per_s"}[metric]
+        _, failures = compare_bench.compare(
+            _results(), _results(**{metric: legacy}), 0.30)
+        assert len(failures) == 1
+        assert name in failures[0] and "below required floor" in failures[0]
+        _, failures = compare_bench.compare(
+            _results(), _results(**{metric: current}), 0.30)
+        assert failures == []
+
+    def test_single_cpu_baseline_refused(self):
+        # Every CPU-gated row would be skipped against a 1-CPU baseline.
+        base = _results(cpu_count=1, scale_cpu_count=1, serve_cpu_count=1)
+        rows, failures = compare_bench.compare(base, _results(), 0.30)
+        assert len(failures) == 1
+        assert "baseline" in failures[0] and "cpu_count" in failures[0]
+        assert any(r[-1] == "REFUSED" for r in rows)
+        # One multi-core section is enough for the baseline to count.
+        _, failures = compare_bench.compare(
+            _results(cpu_count=1, scale_cpu_count=1), _results(), 0.30)
+        assert failures == []
 
     def test_parallel_speedup_gated_on_multicore(self):
         fresh = _results(parallel=2.5 * 0.5)  # -50% on a 30% gate
@@ -256,10 +284,18 @@ class TestMain:
 
     def test_exit_one_on_regression(self, tmp_path, capsys):
         base = self._write(tmp_path / "base.json", _results())
-        new = self._write(tmp_path / "new.json", _results(incremental=1.0))
+        new = self._write(tmp_path / "new.json", _results(striped=0.5))
         assert compare_bench.main(
             ["--baseline", str(base), "--new", str(new)]) == 1
         assert "regression" in capsys.readouterr().err
+
+    def test_exit_one_on_single_cpu_baseline(self, tmp_path, capsys):
+        base = self._write(tmp_path / "base.json", _results(
+            cpu_count=1, scale_cpu_count=1, serve_cpu_count=1))
+        new = self._write(tmp_path / "new.json", _results())
+        assert compare_bench.main(
+            ["--baseline", str(base), "--new", str(new)]) == 1
+        assert "multi-core" in capsys.readouterr().err
 
     def test_gated_metrics_exist_in_committed_baseline(self):
         baseline = json.loads(
@@ -271,3 +307,11 @@ class TestMain:
             assert compare_bench._lookup(baseline, section, metric) is not None, (
                 f"committed baseline lacks gated metric {section}.{metric}"
             )
+
+    def test_committed_baseline_is_multicore(self):
+        baseline = json.loads(
+            (REPO_ROOT / "BENCH_checkpoint.json").read_text())["results"]
+        sections = {row[0] for row in compare_bench.CPU_GATED_MINIMUMS
+                    + compare_bench.CPU_GATED_RATIOS}
+        assert any((compare_bench._lookup(baseline, s, "cpu_count") or 1) > 1
+                   for s in sections)

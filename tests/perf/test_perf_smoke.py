@@ -13,21 +13,18 @@ from benchmarks.perf.bench_checkpoint import (
     MultiFieldState,
     bench_campaign,
     bench_fletcher,
-    bench_incremental_checksum,
     bench_pack,
     bench_tiered_persist,
-    legacy_pack,
     run_all,
 )
 from benchmarks.perf.bench_des import (
-    LegacySimulator,
     bench_event_dispatch,
     bench_message_fanout,
     bench_periodic_timers,
     run_all_des,
 )
 from benchmarks.perf.run_bench import main as run_bench_main
-from repro.pup.puper import pack
+from repro.pup.puper import PUPer, pack
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -37,11 +34,11 @@ TINY_MIB = 1 / 16  # 64 KiB payloads keep the smoke run fast
 class TestMicroBenchmarks:
     def test_bench_pack_reports_speedups(self):
         result = bench_pack(total_mib=TINY_MIB, nfields=4, repeats=1)
-        assert result["legacy_pack_s"] > 0
         assert result["pack_s"] > 0
-        assert result["pack_into_s"] > 0
-        assert result["pack_speedup_vs_legacy"] > 0
-        assert result["pack_into_gib_per_s"] > 0
+        assert result["pack_gib_per_s"] > 0
+        assert result["host_speed"] > 0
+        assert result["pack_ref_gib_per_s"] == pytest.approx(
+            result["pack_gib_per_s"] / result["host_speed"])
 
     def test_bench_fletcher_reports_throughput(self):
         result = bench_fletcher(total_mib=TINY_MIB, repeats=1)
@@ -52,13 +49,6 @@ class TestMicroBenchmarks:
         # path must never fall behind it (the bench itself also asserts the
         # two digests stay bit-identical).
         assert result["striped_speedup_vs_seed"] > 0
-
-    def test_bench_incremental_reports_speedup(self):
-        result = bench_incremental_checksum(total_mib=TINY_MIB, nfields=4,
-                                            repeats=2)
-        assert result["full_recompute_s"] > 0
-        assert result["incremental_s"] > 0
-        assert result["incremental_speedup"] > 0
 
     def test_bench_campaign_parallel_matches_serial(self):
         result = bench_campaign(seeds=2, workers=2, total_iterations=20)
@@ -75,15 +65,31 @@ class TestMicroBenchmarks:
         assert result["restore_fallback_correct"]
 
     def test_legacy_pack_matches_zero_copy_pack(self):
+        class ChunkPUPer(PUPer):
+            """The seed's pack: copy each field, concatenate the copies."""
+
+            def __init__(self):
+                self.chunks, self.directory = [], []
+
+            def _handle(self, name, arr, *, rtol, atol, skip_compare):
+                offset = sum(len(c) for c in self.chunks)
+                self.chunks.append(arr.tobytes())
+                self.directory.append((name, str(arr.dtype), arr.shape,
+                                       offset, arr.nbytes))
+                return arr
+
         obj = MultiFieldState(4, int(TINY_MIB * (1 << 20)))
-        legacy = legacy_pack(obj)
+        ref = ChunkPUPer()
+        obj.pup(ref)
         fast = pack(obj)
-        assert bytes(legacy.buffer) == bytes(fast.buffer)
-        assert [f.name for f in legacy.fields] == [f.name for f in fast.fields]
+        assert bytes(fast.buffer) == b"".join(ref.chunks)
+        assert [(f.name, f.dtype, f.shape, f.offset, f.nbytes)
+                for f in fast.fields] == ref.directory
+        assert pack(obj, like=fast).buffer.tobytes() == b"".join(ref.chunks)
 
 
 class TestDesBenchmarks:
-    """Engine micro-benches: both engines must agree on the workload before
+    """Engine micro-benches: every path must agree on the workload before
     any timing is meaningful (the benches assert it; these keep them honest
     at smoke sizes)."""
 
@@ -91,9 +97,10 @@ class TestDesBenchmarks:
         result = bench_event_dispatch(n_events=2_000, depth=128, repeats=1)
         assert result["n_events"] == 2_000 + 128
         assert result["dispatch_s"] > 0
-        assert result["legacy_dispatch_s"] > 0
-        assert result["dispatch_speedup_vs_legacy"] > 0
-        assert result["dispatch_handle_speedup_vs_legacy"] > 0
+        assert result["dispatch_handle_s"] > 0
+        assert result["ref_events_per_s"] == pytest.approx(
+            result["events_per_s"] / result["host_speed"])
+        assert result["handle_ref_events_per_s"] > 0
 
     def test_periodic_matches_resched_tick_counts(self):
         result = bench_periodic_timers(n_timers=4, ticks=50, repeats=1)
@@ -104,21 +111,6 @@ class TestDesBenchmarks:
         result = bench_message_fanout(n_nodes=4, rounds=10, repeats=1)
         assert result["messages"] == 40
         assert result["fastpath_speedup"] > 0
-
-    def test_legacy_replica_is_deterministic(self):
-        """The embedded baseline replays the same sequence as itself."""
-        def trace(sim):
-            order = []
-            sim.schedule(2.0, order.append, "late")
-            sim.schedule(1.0, order.append, "early")
-            h = sim.schedule(1.5, order.append, "never")
-            h.cancel()
-            sim.schedule(1.0, order.append, "early-tie")
-            sim.run()
-            return order, sim.now
-
-        assert trace(LegacySimulator()) == trace(LegacySimulator()) == (
-            ["early", "early-tie", "late"], 2.0)
 
     def test_run_all_des_quick_covers_every_section(self):
         results = run_all_des(quick=True)
@@ -213,7 +205,7 @@ class TestRunBenchEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "checkpoint_hot_path"
         assert set(payload["results"]) == {
-            "pack", "fletcher", "incremental_checksum", "tiered_persist",
+            "pack", "fletcher", "tiered_persist",
             "campaign", "des_dispatch", "des_periodic", "des_messages",
             "des_acr", "obs_stream", "bench_scale", "serve"}
         obs = payload["results"]["obs_stream"]

@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from repro.pup.checksum import (
     CHECKSUM_NBYTES,
-    DigestCache,
     checkpoint_checksum,
-    combine_digests,
-    field_digest,
     fletcher32,
     fletcher64,
 )
-from repro.pup.puper import pack_into
 
 
 def _naive_fletcher(data: bytes, word_size: int, modulus: int) -> tuple[int, int]:
@@ -93,7 +89,7 @@ class TestFletcher64:
         assert fletcher64(data) == _naive_fletcher64(data)
 
     def test_blockwise_matches_naive_across_block_boundary(self):
-        # _BLOCK64 = 2**14 words = 64 KiB; cross it with an unaligned size.
+        # _BLOCK = 2**14 words = 64 KiB; cross it with an unaligned size.
         rng = np.random.default_rng(7)
         data = rng.integers(0, 256, size=3 * (1 << 16) + 5,
                             dtype=np.uint8).tobytes()
@@ -163,92 +159,3 @@ class TestCheckpointChecksum:
     @settings(max_examples=60, deadline=None)
     def test_property_matches_striped_reference(self, data):
         assert checkpoint_checksum(data) == _naive_checkpoint_checksum(data)
-
-
-class _FieldState:
-    """Sixteen small fields for incremental-digest tests."""
-
-    def __init__(self, nfields=16):
-        rng = np.random.default_rng(3)
-        self.arrays = [rng.random(37 + i) for i in range(nfields)]
-
-    def pup(self, p):
-        for i, arr in enumerate(self.arrays):
-            self.arrays[i] = p.pup_array(f"f{i:02d}", arr)
-
-
-def _naive_field_granular(state) -> bytes:
-    """Scalar reference: per-field independent striping, then Fletcher
-    concatenation per stripe."""
-    modulus = 2**32 - 1
-    out = b""
-    for stripe in range(4):
-        s1 = s2 = 0
-        for rec in state.fields:
-            raw = bytes(state.buffer[rec.offset : rec.offset + rec.nbytes])
-            part = raw[stripe::4]
-            if len(part) % 4:
-                part = part + b"\x00" * (4 - len(part) % 4)
-            for i in range(0, len(part), 4):
-                word = int.from_bytes(part[i : i + 4], "little")
-                s1 = (s1 + word) % modulus
-                s2 = (s2 + s1) % modulus
-        out += ((s2 << 32) | s1).to_bytes(8, "little")
-    return out
-
-
-class TestFieldGranularChecksum:
-    def test_composition_matches_scalar_reference(self):
-        state = pack_into(_FieldState())
-        digest = checkpoint_checksum(state)
-        assert digest == _naive_field_granular(state)
-
-    def test_field_digest_composes_to_checkpoint_digest(self):
-        state = pack_into(_FieldState())
-        digests = [
-            field_digest(state.buffer[rec.offset : rec.offset + rec.nbytes])
-            for rec in state.fields
-        ]
-        assert combine_digests(digests) == checkpoint_checksum(state)
-
-    def test_incremental_equals_from_scratch_after_dirty_update(self):
-        obj = _FieldState()
-        state = pack_into(obj)
-        cache = DigestCache()
-        checkpoint_checksum(state, cache=cache)  # warm
-        for dirty in (0, 5, 15):
-            obj.arrays[dirty] *= 2.0
-            pack_into(obj, state, track_dirty=True)
-            incremental = checkpoint_checksum(state, cache=cache)
-            from_scratch = checkpoint_checksum(state)
-            assert incremental == from_scratch
-
-    def test_cache_only_rehashes_dirty_fields(self):
-        obj = _FieldState()
-        state = pack_into(obj)
-        cache = DigestCache()
-        checkpoint_checksum(state, cache=cache)
-        obj.arrays[3] += 1.0
-        pack_into(obj, state, track_dirty=True)
-        cache.hits = cache.misses = 0
-        checkpoint_checksum(state, cache=cache)
-        assert cache.misses == 1  # only the dirty field
-        assert cache.hits == len(obj.arrays) - 1
-
-    def test_dirty_field_changes_digest(self):
-        obj = _FieldState()
-        state = pack_into(obj)
-        cache = DigestCache()
-        base = checkpoint_checksum(state, cache=cache)
-        obj.arrays[0][0] += 1.0
-        pack_into(obj, state, track_dirty=True)
-        assert checkpoint_checksum(state, cache=cache) != base
-
-    def test_field_granular_differs_from_byte_level_by_design(self):
-        # Fields pad their stripe word streams independently, so the
-        # field-granular digest is a distinct function from the byte-level
-        # one unless every field is 16-byte aligned; both replicas must
-        # simply agree on the granularity.
-        state = pack_into(_FieldState())
-        assert checkpoint_checksum(state) == checkpoint_checksum(
-            state.buffer, fields=state.fields)

@@ -1,5 +1,7 @@
 """PUP framework tests: sizing, packing, unpacking, round trips."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.pup.puper import (
-    PackingPUPer,
     PUPError,
-    SizingPUPer,
     UnpackingPUPer,
     _dtype_name,
     _dtype_of,
+    _ViewPUPer,
     pack,
-    pack_into,
     sizeof,
     unpack,
 )
@@ -58,11 +58,15 @@ class TestSizing:
         expected = 8 + 8 + 8 + len("replica-one") + 3 + 24 * 8 + 5 * 4
         assert sizeof(s) == expected
 
-    def test_sizing_puper_counts_fields(self):
-        p = SizingPUPer()
-        Sample().pup(p)
-        assert p.nfields == 7
-        assert p.is_sizing and not p.is_unpacking
+    @pytest.mark.parametrize("make", [
+        Nested, lambda: Outer(3),
+        lambda: TestFieldDtypes.Fields(TestFieldDtypes.ARRAYS),
+        # A strided view: sized by its bytes, not by its base array.
+        lambda: TestFieldDtypes.Fields({"view": np.arange(40.0)[::3]}),
+    ])
+    def test_sizeof_equals_packed_nbytes(self, make):
+        obj = make()
+        assert sizeof(obj) == pack(obj).nbytes
 
 
 class TestRoundTrip:
@@ -154,17 +158,14 @@ class TestFieldDtypes:
 
     def test_pack_directories_match_str_dtype(self):
         obj = self.Fields(self.ARRAYS)
+        first = pack(obj)
         for _ in range(2):  # the second pass reads the memoised names
-            for fields in (pack(obj).fields, _packing(obj).fields):
+            for fields in (pack(obj).fields, pack(obj, like=first).fields):
                 assert {f.name: f.dtype for f in fields} == {
                     name: str(arr.dtype) for name, arr in self.ARRAYS.items()}
-        state = pack_into(obj)
-        assert pack_into(obj, state) is state  # reuse accepts every field
-
-    def test_pack_into_reuse_still_catches_dtype_drift(self):
-        state = pack_into(self.Fields({"x": np.arange(3.0)}))
-        with pytest.raises(PUPError, match="drifted"):
-            pack_into(self.Fields({"x": np.arange(3.0).astype(">f8")}), state)
+        # Every field's key matches its own earlier pack, so the directory
+        # is shared rather than rebuilt.
+        assert pack(obj, like=first).fields is first.fields
 
     def test_builtin_dtypes_restore_in_place(self):
         builtin = {k: v for k, v in self.ARRAYS.items()
@@ -203,12 +204,6 @@ class TestFieldDtypes:
             # Field-wise: padding bytes of aligned dtypes are not state.
             assert (dst[name] == arr).all()
             assert dst[name].dtype == arr.dtype
-
-
-def _packing(obj):
-    p = PackingPUPer()
-    obj.pup(p)
-    return p
 
 
 class TestErrors:
@@ -271,6 +266,65 @@ class TestErrors:
         state = pack(Long())
         with pytest.raises(PUPError, match="consumed 1 of 2"):
             unpack(Short(), state)
+
+
+class Inner:
+    def __init__(self, tag):
+        self.value = np.full(3, float(tag))
+
+    def pup(self, p):
+        self.value = p.pup_array("value", self.value)
+
+
+class Outer:
+    def __init__(self, tag):
+        self.tag = tag
+        self.inner = Inner(tag)
+
+    def pup(self, p):
+        self.tag = p.pup_int("tag", self.tag)
+        p.pup_object("inner", self.inner)
+
+
+class TestScopeConcurrency:
+    """The scope stack is per-PUPer instance, so concurrent packs of nested
+    objects (parallel campaigns, threads) cannot cross-contaminate names."""
+
+    def test_nested_names_qualified_per_instance(self):
+        state = pack(Outer(1))
+        assert [f.name for f in state.fields] == ["tag", "inner.value"]
+
+    def test_concurrent_nested_packs_keep_names_straight(self):
+        errors = []
+
+        def worker(tag):
+            try:
+                for _ in range(200):
+                    state = pack(Outer(tag))
+                    names = [f.name for f in state.fields]
+                    if names != ["tag", "inner.value"]:
+                        errors.append(names)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+
+    def test_interleaved_pupers_do_not_share_scope(self):
+        outer = Outer(2)
+        state = pack(outer)
+        # Simulate interleaving: enter a scope on one PUPer, then use others.
+        viewer = _ViewPUPer()
+        viewer._scopes = ["somewhere", "deep"]
+        assert [f.name for f in pack(outer).fields] == ["tag", "inner.value"]
+        reader = UnpackingPUPer(state.buffer, state.fields)
+        outer.pup(reader)
+        reader.finish()
+        assert viewer._scopes == ["somewhere", "deep"]
 
 
 class TestListOfArrays:
