@@ -264,7 +264,6 @@ class ACR:
         self._checkpoint_deferred = False
         self._final_requested = False
         self._weak_pending: Node | None = None
-        self._recovering_node: Node | None = None
         self._initial_gen: dict[int, CheckpointGeneration] = {}
         self._spares_left = self.config.spare_nodes
         self._handled_deaths: set[tuple[int, int]] = set()
@@ -280,8 +279,9 @@ class ACR:
 
         # --- telemetry span bookkeeping ---------------------------------------------
         self._span_checkpoint = None
+        #: The open recovery span (an SDC rollback's too): at most one
+        #: recovery is in flight at a time.
         self._span_recovery = None
-        self._span_rollback = None
         self._rework_span = None
         self._pending_rework_from = 0
         self._rework_target: int | None = None
@@ -435,9 +435,6 @@ class ACR:
     def _replica_scope(self, replica: int) -> list[int]:
         return [self._node_id(replica, r) for r in range(self.n)]
 
-    def _all_scope(self) -> list[int]:
-        return self._replica_scope(0) + self._replica_scope(1)
-
     # -- lifecycle ----------------------------------------------------------------------
     def start(self) -> None:
         """Arm the job: initial checkpoints, heartbeats, faults, first timer."""
@@ -573,16 +570,16 @@ class ACR:
             self._checkpoint_timer = None
         # A crashed replica waiting for weak recovery cannot participate: the
         # healthy replica checkpoints alone and ships the result (Fig. 5d).
-        if self._weak_pending is not None:
-            scope = self._replica_scope(1 - self._weak_pending.replica)
-        else:
-            scope = self._all_scope()
+        # Any death cancels the checkpoint, so this choice holds to its end.
+        replicas = ((1 - self._weak_pending.replica,)
+                    if self._weak_pending is not None else (0, 1))
+        scope = [nid for r in replicas for nid in self._replica_scope(r)]
         self.timeline.record(self.sim.now, TimelineKind.CONSENSUS_START,
                              reason=reason, scope=len(scope))
         self._span_checkpoint = self.tracer.begin(
             "checkpoint", self.sim.now, reason=reason,
-            solo=self._weak_pending is not None)
-        self._start_consensus(scope, self._on_consensus_done,
+            solo=len(replicas) == 1)
+        self._start_consensus(scope, partial(self._on_consensus_done, replicas),
                               span_parent=self._span_checkpoint)
 
     def _start_consensus(self, scope: list[int], on_complete,
@@ -646,12 +643,18 @@ class ACR:
             timeout, self._consensus_watchdog, rid, timeout)
 
     # -- checkpoint phases ----------------------------------------------------------------
-    def _on_consensus_done(self, round_id: int, iteration: int) -> None:
+    def _on_consensus_done(self, replicas: tuple[int, ...], round_id: int,
+                           iteration: int) -> None:
         self.phase = "checkpointing"
+        self._consensus_decided(replicas, iteration,
+                                self._do_pack, iteration, replicas)
+
+    def _consensus_decided(self, replicas: tuple[int, ...], iteration: int,
+                           packed, *args) -> None:
+        """Bring ``replicas`` to the decided ``iteration`` and call
+        ``packed(*args)`` once their local pack has elapsed."""
         self.timeline.record(self.sim.now, TimelineKind.CONSENSUS_DECIDED,
                              iteration=iteration)
-        replicas = ((1 - self._weak_pending.replica,) if self._weak_pending is not None
-                    else (0, 1))
         for replica in replicas:
             other = self.apps[1 - replica]
             if (len(replicas) == 2 and other.iteration == iteration
@@ -661,14 +664,16 @@ class ACR:
             else:
                 self.apps[replica].advance_to(iteration)
         pack_t = self.cost.pack_time(self.profile)
-        self._phase_events = [
-            self.sim.schedule(pack_t, self._do_pack, iteration, replicas)
-        ]
+        self._phase_events = [self.sim.schedule(pack_t, packed, *args)]
 
-    def _do_pack(self, iteration: int, replicas: tuple[int, ...]) -> None:
+    def _pack_candidates(self, iteration: int, replicas: tuple[int, ...],
+                         parent) -> float:
+        """Pack each replica's state as its candidate generation (like its
+        safe shards, so the field directories stay shared); traces the pack
+        that just elapsed under ``parent`` and returns its modeled duration."""
         pack_t = self.cost.pack_time(self.profile)
         self.tracer.emit("checkpoint.pack", self.sim.now - pack_t,
-                         self.sim.now, parent=self._span_checkpoint,
+                         self.sim.now, parent=parent,
                          iteration=iteration, replicas=len(replicas))
         for replica in replicas:
             self.store.begin_candidate(replica, iteration, self.sim.now,
@@ -677,6 +682,10 @@ class ACR:
             for rank in range(self.n):
                 self.store.put_shard(replica, rank,
                                      pack(app.shard(rank), like=safe[rank]))
+        return pack_t
+
+    def _do_pack(self, iteration: int, replicas: tuple[int, ...]) -> None:
+        self._pack_candidates(iteration, replicas, self._span_checkpoint)
         breakdown = self.cost.checkpoint_breakdown(
             self.profile, self.mapping, use_checksum=self.config.use_checksum
         )
@@ -734,12 +743,10 @@ class ACR:
                 if self.adaptive is not None:
                     self.adaptive.record_failure(self.sim.now)
                 self.metrics.counter("acr.sdc_comparison_failures").inc()
-                self.tracer.end(self._span_checkpoint, self.sim.now,
-                                sdc_detected=True)
-                self._span_checkpoint = None
+                self._end_checkpoint_span(sdc_detected=True)
                 self.store.discard(0)
                 self.store.discard(1)
-                self._rollback_both("sdc")
+                self._rollback_both()
                 return
         # The candidate and safe generations briefly coexist: the in-memory
         # double-checkpoint high-water mark.
@@ -754,9 +761,7 @@ class ACR:
         self.timeline.record(self.sim.now, TimelineKind.CHECKPOINT_DONE,
                              iteration=iteration,
                              compared=len(replicas) == 2)
-        self.tracer.end(self._span_checkpoint, self.sim.now,
-                        iteration=iteration)
-        self._span_checkpoint = None
+        self._end_checkpoint_span(iteration=iteration)
         self.metrics.gauge("store.memory_bytes").set(self.store.memory_bytes())
         if self.storage is not None and len(replicas) == 2:
             # Only compared generations flow to the durable tiers: a solo
@@ -776,7 +781,7 @@ class ACR:
                     self.sim.schedule(persist_s, self._finish_tier_persist)
                 ]
                 return
-        if self._weak_pending is not None:
+        if len(replicas) == 1:
             self._start_weak_shipment(committed[replicas[0]])
             # The healthy replica resumes immediately: zero-overhead recovery.
             self._resume_replica(replicas[0])
@@ -854,49 +859,112 @@ class ACR:
         result.generation.lineage = next(self._lineage_ids)
         return result.generation
 
-    def _rollback_both(self, reason: str) -> None:
+    def _install_restart_point(self) -> bool:
+        """Install one restart point on both replicas: the newest intact
+        durable generation, else the launch state (generation zero).
+        Returns True on a tier hit."""
+        restored = self._restore_from_storage()
+        for replica in (0, 1):
+            source = (restored if restored is not None
+                      else self._initial_gen[replica])
+            self.store.install_safe(replica,
+                                    self.store.clone_generation(source))
+        return restored is not None
+
+    # -- one recovery path: schedule, roll back, finish ---------------------------------
+    # The schemes differ in what a recovery restores, not in how it is
+    # charged, traced or finished: every hard-error recovery is scheduled by
+    # _schedule_restart and every recovery ends in _finish_recovery.
+    def _schedule_restart(self, scheme: str, dead: Node, key: str, finish,
+                          *args, span=None, pack_t: float = 0.0,
+                          transfer: bool = True, **span_attrs) -> None:
+        """Charge ``dead``'s restart under ``scheme``'s cost model (plus the
+        spare's boot and ``pack_t`` of packing already done) to phase
+        ``key`` and schedule ``finish(*args)`` when it completes.  ``span``
+        (by default a new ``key`` span naming the victim and ``span_attrs``)
+        becomes the open recovery span."""
+        if span is None:
+            span = self.tracer.begin(key, self.sim.now, replica=dead.replica,
+                                     rank=dead.rank, **span_attrs)
+        breakdown = self.cost.restart_breakdown(
+            self.profile, self.mapping, scheme=scheme, crashed_pair=dead.rank
+        )
+        duration = breakdown.total + self.config.spare_boot_time
+        self._charge(key, pack_t + duration, "recovery")
+        self._span_recovery = span
+        if transfer:
+            self.tracer.emit(
+                "recovery.transfer", self.sim.now,
+                self.sim.now + breakdown.transfer, parent=span)
+        self._phase_events = [self.sim.schedule(duration, finish, *args)]
+
+    def _finish_restart(self, dead: Node, key: str,
+                        gen: CheckpointGeneration | None = None) -> None:
+        """A spare takes over ``dead``'s identity.  Its replica rolls back to
+        its own safe generation (strong), or installs ``gen`` shipped from
+        the healthy replica (medium, weak)."""
+        self._weak_pending = None
+        dead.revive()
+        self.heartbeat.notify_revived(dead.node_id)
+        if gen is None:
+            self._roll_back((dead.replica,), reason="hard",
+                            replica=dead.replica)
+        else:
+            self.store.install_safe(dead.replica,
+                                    self.store.clone_generation(gen))
+            self._restore_replica(dead.replica, self.store.safe(dead.replica))
+        self._finish_recovery(key)
+
+    def _roll_back(self, replicas: tuple[int, ...], **detail) -> None:
+        """Return ``replicas`` to their safe generations; the re-execution
+        back to the pre-rollback progress is traced as ``rework``."""
+        self._note_rework_target()
+        for replica in replicas:
+            self._restore_replica(replica, self.store.safe(replica))
+        self._begin_rework_span()
+        self.report.rollbacks += 1
+        self.timeline.record(self.sim.now, TimelineKind.ROLLBACK, **detail)
+
+    def _finish_recovery(self, key: str, **span_attrs) -> None:
+        """Count a finished recovery under ``key``, close its span and
+        return to normal operation."""
+        self.report.recoveries[key] = self.report.recoveries.get(key, 0) + 1
+        self.timeline.record(self.sim.now, TimelineKind.RECOVERY_DONE,
+                             scheme=key)
+        self.tracer.end(self._span_recovery, self.sim.now, **span_attrs)
+        self._span_recovery = None
+        self._phase_events = []
+        self.phase = "running"
+        self._after_activity()
+
+    # -- SDC: both replicas roll back locally ----------------------------------------------
+    def _rollback_both(self) -> None:
         """Both replicas return to their last safe checkpoint (SDC recovery:
         local unpack, no inter-replica transfer, §6.3)."""
         self.phase = "recovering"
         duration = self.cost.sdc_rollback_time(self.profile, 2 * self.n)
         self._charge("recovery.sdc-rollback", duration, "recovery")
-        self._span_rollback = self.tracer.begin("rollback", self.sim.now,
-                                                reason=reason)
+        self._span_recovery = self.tracer.begin("rollback", self.sim.now,
+                                                reason="sdc")
         self._phase_events = [
-            self.sim.schedule(duration, self._finish_rollback_both, reason)
+            self.sim.schedule(duration, self._finish_rollback_both)
         ]
 
-    def _finish_rollback_both(self, reason: str) -> None:
-        self._phase_events = []
-        self.report.rollbacks += 1
-        if reason == "sdc":
-            self._sdc_rollback_streak += 1
-            if self._sdc_rollback_streak > 3:
-                # Comparison keeps failing after rollback: the rollback
-                # target itself must be corrupted/divergent.  Prefer the
-                # durable tiers — any intact persisted generation passed
-                # comparison when written, and installing one identical copy
-                # on BOTH replicas breaks the livelock without losing the
-                # run.  Last resort: restart from the beginning.
-                reason = "sdc-escalation"
-                self._sdc_rollback_streak = 0
-                restored = self._restore_from_storage()
-                for replica in (0, 1):
-                    source = (restored if restored is not None
-                              else self._initial_gen[replica])
-                    self.store.install_safe(
-                        replica, self.store.clone_generation(source))
-        self.report.recoveries[reason] = self.report.recoveries.get(reason, 0) + 1
-        self._note_rework_target()
-        for replica in (0, 1):
-            self._restore_replica(replica, self.store.safe(replica))
-        self._begin_rework_span()
-        self.timeline.record(self.sim.now, TimelineKind.ROLLBACK, reason=reason)
-        self.timeline.record(self.sim.now, TimelineKind.RECOVERY_DONE, scheme=reason)
-        self.tracer.end(self._span_rollback, self.sim.now, reason=reason)
-        self._span_rollback = None
-        self.phase = "running"
-        self._after_activity()
+    def _finish_rollback_both(self) -> None:
+        reason = "sdc"
+        self._sdc_rollback_streak += 1
+        if self._sdc_rollback_streak > 3:
+            # Comparison keeps failing after rollback: the rollback target
+            # itself must be corrupted/divergent.  Prefer the durable tiers —
+            # any intact persisted generation passed comparison when
+            # written, and installing one identical copy on BOTH replicas
+            # breaks the livelock without losing the run.  Last resort:
+            # restart from the beginning.
+            reason = "sdc-escalation"
+            self._sdc_rollback_streak = 0
+            self._install_restart_point()
+        self._roll_back((0, 1), reason=reason)
+        self._finish_recovery(reason, reason=reason)
 
     # -- hard-error handling ------------------------------------------------------------
     def _on_death_detected(self, detector: Node, dead: Node) -> None:
@@ -919,94 +987,51 @@ class ACR:
         self._spares_left -= 1
         self.report.spare_nodes_used += 1
 
-        if self._background_event is not None and self._background_event.pending:
-            self._background_event.cancel()
-            self._background_event = None
-            for r in (0, 1):
-                self.store.discard(r)
-            if self.storage is not None:
-                # The crash interrupted an asynchronous tier group write:
-                # unsafe tiers land a torn generation, atomic tiers abort.
-                self.storage.abort_inflight(self.sim.now)
-            self._checkpoint_deferred = True
-            self._end_checkpoint_span_cancelled()
-        if self.phase == "recovering":
+        if (self.phase in ("consensus", "checkpointing", "persisting")
+                or self._background_event is not None):
+            self._abandon_checkpoint()
+        if self.phase == "recovering" or self._weak_pending is not None:
             self._second_failure(dead)
-            return
-        if self.phase == "consensus":
-            self.consensus.abort_round()
-            self._checkpoint_deferred = True
-            self._end_checkpoint_span_cancelled()
-            self.phase = "running"
-        elif self.phase in ("checkpointing", "persisting"):
-            self._cancel_phase_events()
-            for r in (0, 1):
-                self.store.discard(r)
-            if self.storage is not None:
-                self.storage.abort_inflight(self.sim.now)
-            self._checkpoint_deferred = True
-            self._end_checkpoint_span_cancelled()
-            self.phase = "running"
-        if self._weak_pending is not None:
-            self._failure_while_weak_pending(dead)
             return
 
         scheme = self.config.scheme
         self.phase = "recovering"
-        self._recovering_node = dead
         if scheme is ResilienceScheme.STRONG:
-            self._start_strong_recovery(dead)
+            # Roll the crashed replica back to the previous checkpoint.
+            self._schedule_restart("strong", dead, "recovery.strong",
+                                   self._finish_restart, dead, "strong")
         elif scheme is ResilienceScheme.MEDIUM:
             self._start_medium_recovery(dead)
         else:
             self._start_weak_wait(dead)
+
+    def _abandon_checkpoint(self) -> None:
+        """A crash interrupted a checkpoint (consensus, blocking phases or
+        background tail): cancel what is pending, drop the candidates, cut
+        the tier group write short (unsafe tiers land a torn generation,
+        atomic tiers abort) and retry once recovered."""
+        if self._background_event is not None:
+            self._background_event.cancel()
+            self._background_event = None
+        self.consensus.abort_round()
+        self._cancel_phase_events()
+        for r in (0, 1):
+            self.store.discard(r)
+        if self.storage is not None:
+            self.storage.abort_inflight(self.sim.now)
+        self._checkpoint_deferred = True
+        self._end_checkpoint_span(cancelled=True)
+        self.phase = "running"
 
     def _cancel_phase_events(self) -> None:
         for h in self._phase_events:
             h.cancel()
         self._phase_events = []
 
-    def _end_checkpoint_span_cancelled(self) -> None:
-        if self._span_checkpoint is not None:
-            self.tracer.end(self._span_checkpoint, self.sim.now,
-                            cancelled=True)
-            self._span_checkpoint = None
-            self._last_ckpt_breakdown = None
-
-    # -- strong: roll the crashed replica back to the previous checkpoint ---------------
-    def _start_strong_recovery(self, dead: Node) -> None:
-        breakdown = self.cost.restart_breakdown(
-            self.profile, self.mapping, scheme="strong", crashed_pair=dead.rank
-        )
-        duration = breakdown.total + self.config.spare_boot_time
-        self._charge("recovery.strong", duration, "recovery")
-        self._span_recovery = self.tracer.begin(
-            "recovery.strong", self.sim.now, replica=dead.replica,
-            rank=dead.rank)
-        self.tracer.emit(
-            "recovery.transfer", self.sim.now,
-            self.sim.now + breakdown.transfer, parent=self._span_recovery)
-        self._phase_events = [
-            self.sim.schedule(duration, self._finish_strong_recovery, dead)
-        ]
-
-    def _finish_strong_recovery(self, dead: Node) -> None:
-        self._phase_events = []
-        dead.revive()
-        self.heartbeat.notify_revived(dead.node_id)
-        self._note_rework_target()
-        self._restore_replica(dead.replica, self.store.safe(dead.replica))
-        self._begin_rework_span()
-        self.report.rollbacks += 1
-        self.report.recoveries["strong"] = self.report.recoveries.get("strong", 0) + 1
-        self.timeline.record(self.sim.now, TimelineKind.ROLLBACK,
-                             reason="hard", replica=dead.replica)
-        self.timeline.record(self.sim.now, TimelineKind.RECOVERY_DONE, scheme="strong")
-        self.tracer.end(self._span_recovery, self.sim.now)
-        self._span_recovery = None
-        self.phase = "running"
-        self._recovering_node = None
-        self._after_activity()
+    def _end_checkpoint_span(self, **attrs) -> None:
+        self.tracer.end(self._span_checkpoint, self.sim.now, **attrs)
+        self._span_checkpoint = None
+        self._last_ckpt_breakdown = None
 
     # -- medium: immediate checkpoint in the healthy replica -----------------------------
     def _start_medium_recovery(self, dead: Node) -> None:
@@ -1018,51 +1043,23 @@ class ACR:
             rank=dead.rank)
         self._start_consensus(
             healthy_scope,
-            lambda rid, it: self._medium_consensus_done(dead, it),
+            lambda rid, it: self._consensus_decided(
+                (1 - dead.replica,), it, self._medium_packed, dead, it),
             span_parent=self._span_recovery,
         )
 
-    def _medium_consensus_done(self, dead: Node, iteration: int) -> None:
-        healthy = 1 - dead.replica
-        self.timeline.record(self.sim.now, TimelineKind.CONSENSUS_DECIDED,
-                             iteration=iteration)
-        self.apps[healthy].advance_to(iteration)
-        pack_t = self.cost.pack_time(self.profile)
-        self._phase_events = [
-            self.sim.schedule(pack_t, self._medium_packed, dead, iteration)
-        ]
-
     def _medium_packed(self, dead: Node, iteration: int) -> None:
         healthy = 1 - dead.replica
-        pack_t = self.cost.pack_time(self.profile)
-        self.tracer.emit("checkpoint.pack", self.sim.now - pack_t,
-                         self.sim.now, parent=self._span_recovery,
-                         iteration=iteration, replicas=1)
-        self.store.begin_candidate(healthy, iteration, self.sim.now,
-                                   lineage=self._lineage[healthy])
-        app, safe = self.apps[healthy], self.store.safe(healthy).shards
-        for rank in range(self.n):
-            self.store.put_shard(healthy, rank,
-                                 pack(app.shard(rank), like=safe[rank]))
-        breakdown = self.cost.restart_breakdown(
-            self.profile, self.mapping, scheme="medium", crashed_pair=dead.rank
-        )
-        duration = breakdown.total + self.config.spare_boot_time
-        self._charge("recovery.medium", pack_t + duration, "recovery")
-        self.tracer.emit(
-            "recovery.transfer", self.sim.now,
-            self.sim.now + breakdown.transfer, parent=self._span_recovery)
+        pack_t = self._pack_candidates(iteration, (healthy,),
+                                       self._span_recovery)
         # The healthy replica resumes as soon as its checkpoints are on the
         # wire; the crashed replica reconstructs at the end of the transfer.
         self._resume_replica(healthy)
-        self._phase_events = [
-            self.sim.schedule(duration, self._finish_medium_recovery, dead)
-        ]
+        self._schedule_restart("medium", dead, "recovery.medium",
+                               self._finish_medium_recovery, dead,
+                               span=self._span_recovery, pack_t=pack_t)
 
     def _finish_medium_recovery(self, dead: Node) -> None:
-        self._phase_events = []
-        dead.revive()
-        self.heartbeat.notify_revived(dead.node_id)
         # Commit the immediate checkpoint and install it for BOTH replicas in
         # one step: the two safe generations must never diverge (a second
         # failure between an early commit and the installation would leave
@@ -1070,22 +1067,12 @@ class ACR:
         # comparison livelock).  Whatever the healthy replica had - including
         # any silent corruption since the last compared checkpoint - becomes
         # both replicas' truth: the undetected-SDC window of §2.3.
-        healthy = 1 - dead.replica
-        gen = self.store.commit(healthy)
-        self.store.install_safe(dead.replica, self.store.clone_generation(gen))
-        self._restore_replica(dead.replica, self.store.safe(dead.replica))
-        self.report.recoveries["medium"] = self.report.recoveries.get("medium", 0) + 1
-        self.timeline.record(self.sim.now, TimelineKind.RECOVERY_DONE, scheme="medium")
-        self.tracer.end(self._span_recovery, self.sim.now)
-        self._span_recovery = None
-        self.phase = "running"
-        self._recovering_node = None
-        self._after_activity()
+        self._finish_restart(dead, "medium",
+                             self.store.commit(1 - dead.replica))
 
     # -- weak: wait for the next periodic checkpoint -------------------------------------
     def _start_weak_wait(self, dead: Node) -> None:
         self._weak_pending = dead
-        self._recovering_node = None
         self._span_recovery = self.tracer.begin(
             "recovery.weak.wait", self.sim.now, replica=dead.replica,
             rank=dead.rank)
@@ -1101,86 +1088,36 @@ class ACR:
         dead = self._weak_pending
         assert dead is not None
         self.phase = "recovering"
-        breakdown = self.cost.restart_breakdown(
-            self.profile, self.mapping, scheme="weak", crashed_pair=dead.rank
-        )
-        duration = breakdown.total + self.config.spare_boot_time
-        self._charge("recovery.weak", duration, "recovery")
         self.tracer.end(self._span_recovery, self.sim.now)
-        self._span_recovery = self.tracer.begin(
-            "recovery.weak", self.sim.now, replica=dead.replica,
-            rank=dead.rank, iteration=gen.iteration)
-        self.tracer.emit(
-            "recovery.transfer", self.sim.now,
-            self.sim.now + breakdown.transfer, parent=self._span_recovery)
-        self._phase_events = [
-            self.sim.schedule(duration, self._finish_weak_recovery, dead, gen)
-        ]
+        self._schedule_restart("weak", dead, "recovery.weak",
+                               self._finish_restart, dead, "weak", gen,
+                               iteration=gen.iteration)
 
-    def _finish_weak_recovery(self, dead: Node, gen: CheckpointGeneration) -> None:
-        self._phase_events = []
-        self._weak_pending = None
-        dead.revive()
-        self.heartbeat.notify_revived(dead.node_id)
-        self.store.install_safe(dead.replica, self.store.clone_generation(gen))
-        self._restore_replica(dead.replica, self.store.safe(dead.replica))
-        self.report.recoveries["weak"] = self.report.recoveries.get("weak", 0) + 1
-        self.timeline.record(self.sim.now, TimelineKind.RECOVERY_DONE, scheme="weak")
-        self.tracer.end(self._span_recovery, self.sim.now)
-        self._span_recovery = None
-        self.phase = "running"
-        self._after_activity()
-
-    def _failure_while_weak_pending(self, dead: Node) -> None:
-        """Second failure before the weak recovery's checkpoint (§2.3): buddy
-        of the crashed node -> restart from the beginning; otherwise both
-        replicas roll back to the previous checkpoint."""
-        first = self._weak_pending
-        assert first is not None
-        self._weak_pending = None
-        for r in (0, 1):
-            self.store.discard(r)
-        self.phase = "recovering"
-        from_scratch = (dead.rank == first.rank and dead.replica != first.replica)
-        breakdown = self.cost.restart_breakdown(
-            self.profile, self.mapping, scheme="medium", crashed_pair=dead.rank
-        )
-        duration = breakdown.total + self.config.spare_boot_time
-        self._charge("recovery.double-failure", duration, "recovery")
-        self.tracer.end(self._span_recovery, self.sim.now, superseded=True)
-        self._span_recovery = self.tracer.begin(
-            "recovery.double-failure", self.sim.now, replica=dead.replica,
-            rank=dead.rank, from_scratch=from_scratch)
-        self._phase_events = [
-            self.sim.schedule(duration, self._finish_double_failure, from_scratch)
-        ]
-
+    # -- a failure during another recovery (§2.3) -----------------------------------------
     def _second_failure(self, dead: Node) -> None:
-        """A failure landed while another recovery was in flight: abandon it
-        and roll both replicas back to their last safe checkpoint."""
+        """A failure landed while another recovery was in flight, or while a
+        crashed replica waited for its weak recovery: abandon that recovery
+        and roll both replicas back to their last safe checkpoint.  In the
+        weak-pending window a failure of the crashed node's buddy restarts
+        from the beginning instead (§2.3)."""
+        first = self._weak_pending if self.phase != "recovering" else None
+        from_scratch = (first is not None and dead.rank == first.rank
+                        and dead.replica != first.replica)
         self._cancel_phase_events()
         self.consensus.abort_round()
         for r in (0, 1):
             self.store.discard(r)
-        self._recovering_node = None
         self._weak_pending = None
-        breakdown = self.cost.restart_breakdown(
-            self.profile, self.mapping, scheme="medium", crashed_pair=dead.rank
-        )
-        duration = breakdown.total + self.config.spare_boot_time
-        self._charge("recovery.double-failure", duration, "recovery")
+        self.phase = "recovering"
         self.tracer.end(self._span_recovery, self.sim.now, superseded=True)
-        self.tracer.end(self._span_rollback, self.sim.now, superseded=True)
-        self._span_rollback = None
-        self._span_recovery = self.tracer.begin(
-            "recovery.double-failure", self.sim.now, replica=dead.replica,
-            rank=dead.rank)
-        self._phase_events = [
-            self.sim.schedule(duration, self._finish_double_failure, False)
-        ]
+        # The finisher records from_scratch on every double-failure span; a
+        # weak-pending entry also names it when the span opens.
+        attrs = {} if first is None else {"from_scratch": from_scratch}
+        self._schedule_restart("medium", dead, "recovery.double-failure",
+                               self._finish_double_failure, from_scratch,
+                               transfer=False, **attrs)
 
     def _finish_double_failure(self, from_scratch: bool) -> None:
-        self._phase_events = []
         # Revive every dead node, not just this recovery's detected victims: a
         # cascade of failures during recovery replaces the scheduled finish
         # repeatedly, and earlier victims must not be stranded dead.  A node
@@ -1202,17 +1139,9 @@ class ACR:
                                      replica=v.replica, rank=v.rank, swept=True)
             v.revive()
             self.heartbeat.notify_revived(v.node_id)
-        tier_hit = False
-        if from_scratch:
-            # "Restart from the beginning" (§2.3) becomes "restart from the
-            # newest intact durable generation" when tiers are configured.
-            restored = self._restore_from_storage()
-            tier_hit = restored is not None
-            for replica in (0, 1):
-                source = (restored if tier_hit
-                          else self._initial_gen[replica])
-                self.store.install_safe(
-                    replica, self.store.clone_generation(source))
+        # "Restart from the beginning" (§2.3) becomes "restart from the
+        # newest intact durable generation" when tiers are configured.
+        tier_hit = from_scratch and self._install_restart_point()
         # A weak-pending solo checkpoint may have committed on the healthy
         # replica before this failure abandoned the shipment, leaving the two
         # safe generations at different iterations.  Rolling the replicas back
@@ -1224,22 +1153,11 @@ class ACR:
             self.store.install_safe(
                 1 - newer, self.store.clone_generation(self.store.safe(newer))
             )
-        self._note_rework_target()
-        for replica in (0, 1):
-            self._restore_replica(replica, self.store.safe(replica))
-        self._begin_rework_span()
-        self.report.rollbacks += 1
         key = ("tier-restore" if tier_hit
                else "restart-from-beginning" if from_scratch
                else "double-failure")
-        self.report.recoveries[key] = self.report.recoveries.get(key, 0) + 1
-        self.timeline.record(self.sim.now, TimelineKind.ROLLBACK, reason=key)
-        self.timeline.record(self.sim.now, TimelineKind.RECOVERY_DONE, scheme=key)
-        self.tracer.end(self._span_recovery, self.sim.now,
-                        from_scratch=from_scratch)
-        self._span_recovery = None
-        self.phase = "running"
-        self._after_activity()
+        self._roll_back((0, 1), reason=key)
+        self._finish_recovery(key, from_scratch=from_scratch)
 
     # -- restore ---------------------------------------------------------------------------
     def _restore_replica(self, replica: int, gen: CheckpointGeneration | None) -> None:

@@ -125,10 +125,9 @@ class ParallelWorkerError(RuntimeError):
 class ParallelScenario:
     """A seeded forward-path workload the partitioned mode can simulate.
 
-    ``scheme`` picks the recovery analogue of the paper's spectrum:
-    ``"strong"`` restores a revived node's tasks to their last periodic
-    partition-local snapshot stamp; ``"weak"`` restarts them from iteration
-    0; ``"coordinated"`` restores to the last globally-decided coordinated
+    ``scheme`` picks the recovery analogue: ``"strong"`` restores a revived
+    node's tasks to their last periodic partition-local snapshot stamp;
+    ``"coordinated"`` restores to the last globally-decided coordinated
     checkpoint line (requires ``coordinated_interval``).
 
     ``coordinated_interval`` (any scheme) runs a partitioned
@@ -159,7 +158,7 @@ class ParallelScenario:
     def __post_init__(self) -> None:
         if self.nodes_per_replica < 1 or self.tasks_per_node < 1:
             raise ConfigurationError("need >= 1 node and >= 1 task per node")
-        if self.scheme not in ("strong", "weak", "coordinated"):
+        if self.scheme not in ("strong", "coordinated"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.iteration_seconds <= 0 or self.snapshot_interval <= 0:
             raise ConfigurationError("iteration/snapshot times must be > 0")
@@ -753,15 +752,13 @@ class _Partition:
         self._record("revive", node, node.failures_survived)
         self._revives += 1
         self._dead_now -= 1
-        scheme = self.scenario.scheme
+        strong = self.scenario.scheme == "strong"
         for task in node.tasks:
-            if scheme == "strong":
+            if strong:
                 target = self._snapshot[task.task_id]
-            elif scheme == "coordinated":
+            else:
                 assert self._ckpt is not None
                 target = int(self._ckpt[self._task_pos[(nid, task.task_id)]])
-            else:
-                target = 0
             task.restore(target)
             self._restores += 1
             if self.trace is not None:
@@ -855,7 +852,7 @@ class _Partition:
         excluded — boundary stamps are injected as individual events but
         delivered batched locally, so they differ across decompositions.  A
         fresh registry per call keeps non-monotone values (task progress
-        drops on weak restore) honest.
+        drops on restore) honest.
         """
         m = MetricsRegistry()
         t = self.transport

@@ -4,7 +4,7 @@ The entire value of :mod:`repro.harness.parallel` is one promise: the merged
 canonical trace is *byte-identical* across every decomposition — 1 partition,
 N partitions in-process, N partitions across forked workers — for the same
 :class:`ParallelScenario`.  These tests assert that promise for both recovery
-schemes with mid-run hard faults, plus the worker-clamp accounting that
+schemes (strong and coordinated) with mid-run hard faults, plus the worker-clamp accounting that
 mirrors the campaign runner (requested vs effective vs cpu_count).
 """
 
@@ -47,7 +47,7 @@ def _scenario(scheme: str, **overrides) -> ParallelScenario:
 
 
 class TestTraceDeterminism:
-    @pytest.mark.parametrize("scheme", ["strong", "weak"])
+    @pytest.mark.parametrize("scheme", ["strong"])
     def test_trace_identical_across_partition_counts(self, scheme):
         scenario = _scenario(scheme)
         reports = {p: run_parallel(scenario, partitions=p, workers=1,
@@ -91,7 +91,7 @@ class TestTraceDeterminism:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="needs >1 CPU for a real parallel run")
     def test_multiprocess_trace_identical_on_multicore(self):
-        scenario = _scenario("weak")
+        scenario = _scenario("strong")
         single = run_parallel(scenario, partitions=1, trace=True)
         multi = run_parallel(scenario, partitions=4, workers=4, trace=True)
         assert multi.effective_workers > 1
@@ -342,6 +342,8 @@ class TestCoordinatedConsensus:
             "pause had no observable effect — scenario too short?"
 
     def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            _scenario("weak")  # no partitioned analogue of the weak scheme
         with pytest.raises(ConfigurationError):
             _scenario("coordinated")  # no interval
         with pytest.raises(ConfigurationError):
