@@ -43,7 +43,12 @@ Invariant catalog
     model quantifies.
 ``storage-monotone``
     Generations persisted to one durable tier never go backwards in
-    iteration (a later group write always stores a later-or-equal state).
+    iteration (a later group write always stores a later-or-equal state)
+    within one execution history.  A restart from a durable generation or
+    from the launch state (``TIER_RESTORE``) begins a new history at the
+    restored iteration: the tiers still hold the rejected newer copies,
+    which no restore can ever serve again, and every later persist must be
+    at or past the restart point.
 ``storage-integrity``
     A durable-tier restore never serves a torn or rotted copy: every shard
     of the generation handed back to recovery re-verifies against its
@@ -57,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.checkpoint import CheckpointGeneration
+from repro.core.events import TimelineKind
 from repro.util.errors import ACRError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,6 +159,11 @@ class InvariantMonitor:
                        f"{event.kind} recorded at {event.time} after an event "
                        f"at {self._last_event_time}")
         self._last_event_time = max(self._last_event_time, event.time)
+        if event.kind is TimelineKind.TIER_RESTORE:
+            # A tier miss restarts from the launch state (iteration 0).
+            restart = event.detail["iteration"] if event.detail["hit"] else 0
+            self._tier_last_iteration = dict.fromkeys(
+                self._tier_last_iteration, restart)
 
     # -- store hooks ----------------------------------------------------------------
     def on_commit(self, replica: int, gen: CheckpointGeneration) -> None:
@@ -298,8 +309,6 @@ class InvariantMonitor:
         for the crashed replica sight unseen."""
         if report.sdc_injected <= report.sdc_detected:
             return False
-        from repro.core.events import TimelineKind
-
         injected = [e.time for e in report.timeline.events
                     if e.kind is TimelineKind.SDC_INJECTED]
         if not injected:

@@ -364,14 +364,8 @@ class ACR:
                                   task_ids=ids),
                 # A ring at a watched level (the cap, the rework target)
                 # runs the same check as a task completion.
-                on_output=partial(self._on_node_progress, None),
-                in_round=partial(self._in_round, replica))
+                on_output=partial(self._on_node_progress, None))
         self.sim.return_hooks.append(self._refresh_rings)
-
-    def _in_round(self, replica: int) -> bool:
-        consensus = self.consensus
-        return consensus.active and any(
-            self.nodes[nid].replica == replica for nid in consensus.scope)
 
     def _advance_rings(self) -> None:
         """Bring the progress array up to now for every open window."""
@@ -392,9 +386,10 @@ class ACR:
 
     def _refresh_rings(self) -> None:
         """Make tasks, nodes and transport counters exact as of now (a read:
-        open windows stay open)."""
+        open windows and an evaluated consensus round stay as they are)."""
         for ring in self._rings.values():
             ring.refresh()
+        self.consensus.engine.flush()
 
     def _watch_rework(self) -> None:
         for ring in self._rings.values():
@@ -1284,6 +1279,14 @@ class ACR:
         for name in ("windows_opened", "iterations", "syncs", "ties"):
             m.counter(f"sim.fast_forward.{name}").set_total(
                 sum(getattr(r, name) for r in rings))
+        # Consensus rounds evaluated whole (docs/protocols.md §1), those
+        # handed back to the message path, and round instants that fell on
+        # the instant of another event.
+        engine = self.consensus.engine
+        m.counter("sim.fast_forward.rounds").set_total(engine.rounds)
+        m.counter("sim.fast_forward.round_fallbacks").set_total(
+            engine.fallbacks)
+        m.counter("sim.fast_forward.round_ties").set_total(engine.ties)
         m.counter("transport.messages_sent").set_total(self.transport.messages_sent)
         m.counter("transport.messages_delivered").set_total(
             self.transport.messages_delivered)

@@ -148,16 +148,6 @@ class HeartbeatMonitor:
             self._check_sweep_event.cancel()
             self._check_sweep_event = None
 
-    # -- compatibility views ------------------------------------------------------
-    @property
-    def last_seen(self) -> dict[int, float]:
-        """Last-heartbeat times keyed by node id (a copy; state lives in the
-        struct-of-arrays)."""
-        if self._soa is None:
-            return {}
-        return {int(nid): float(t)
-                for nid, t in zip(self._soa.ids, self._soa.last_seen)}
-
     # -- periodic sweeps ---------------------------------------------------------
     def _send_sweep(self) -> None:
         """Every live node heartbeats its buddy, in registration order.

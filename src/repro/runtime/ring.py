@@ -27,7 +27,12 @@ of the ring reaches a watched progress level (the iteration cap, the rework
 target).  Reads (:meth:`advance`, :meth:`refresh`) bring the task objects,
 the progress array and the transport counters up to ``sim.now`` without
 closing the window; :meth:`close` also re-posts the in-flight completions
-and stamps as real events and hands the ring back to the event engine.  The
+and stamps as real events and hands the ring back to the event engine.
+
+A consensus round pauses a ring without closing it (:meth:`hold`,
+:meth:`release`): a task held at row ``h`` from instant ``T`` starts no
+iteration past ``h`` until its release instant ``R``, and then none past the
+decided row, so ``S[i,k+1]`` also takes the max with ``R[i,k+1]``.  The
 rules for when a window may open and must close are in docs/protocols.md §7.
 """
 
@@ -50,6 +55,9 @@ from repro.runtime.task import (
 __all__ = ["RingFastForward"]
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
+#: Hold row of a task no round holds: past every row a window evaluates.
+_FREE = np.iinfo(np.int64).max
 #: What a closed window holds in place of its row buffers.
 _NO_ROWS = np.empty((0, 0))
 #: Rows per chunk: a window evaluates one row when it opens (many windows
@@ -71,7 +79,6 @@ class RingFastForward:
         transport: Transport,
         row_times: Callable[[int, int], np.ndarray],
         on_output: Callable[[], None] | None = None,
-        in_round: Callable[[], bool] | None = None,
     ):
         """
         Parameters
@@ -89,9 +96,6 @@ class RingFastForward:
         on_output:
             Called (no arguments) at each instant the whole ring reaches a
             watched progress level.
-        in_round:
-            True while a consensus round covers the ring's nodes; no window
-            opens then.
         """
         n = len(tasks)
         if n == 0:
@@ -113,7 +117,6 @@ class RingFastForward:
         self._index = np.arange(n)
         self._row_times = row_times
         self._on_output = on_output
-        self._in_round = in_round
         self._d = transport.small_delay(DEP_STAMP_NBYTES)
         self._soa = self.tasks[0]._soa
         self._soa_start = self.tasks[0]._soa_index
@@ -129,14 +132,19 @@ class RingFastForward:
         self.open = False
         self._wake: EventHandle | None = None
         self._rework: int | None = None
+        #: The consensus round engine evaluating a round over this ring
+        #: (see core/consensus.py); any close hands the round back first.
+        self.round = None
+        #: Some release floor or round hold shapes the rows (``_release``).
+        self._held = False
+        #: A round's pause bound is in force (held, not yet resumed).
+        self.parked = False
 
     # -- eligibility and entry ----------------------------------------------------
     def eligible(self) -> bool:
         """Whether the ring may be handed to the engine now: every node is
-        alive and no consensus round covers the ring."""
-        if not all(node.alive for node in self.nodes):
-            return False
-        return self._in_round is None or not self._in_round()
+        alive."""
+        return all(node.alive for node in self.nodes)
 
     def open_start(self) -> bool:
         """Open at job start instead of ``Task.start`` on every task."""
@@ -158,7 +166,11 @@ class RingFastForward:
         already delivered (nothing of the ring in flight).  False means the
         caller must resume the tasks itself.
         """
+        if self.round is not None:
+            self.close()
         if self.open:
+            if self.parked:
+                self._release_all()
             self.advance()
             if self._cap_row is None or int(self._p.max()) < self._cap_row:
                 return True
@@ -214,6 +226,10 @@ class RingFastForward:
             rows = min(rows, cap - base + 1)
         self._base = base
         self._cap_row = None if cap is None else cap - base
+        #: Last row any task may reach (the cap, or a round's decided row).
+        self._last = self._cap_row
+        self._held = self.parked = False
+        self._version = 0
         self._C = np.empty((rows, n))
         self._A = np.empty((rows, n))
         self._S = np.empty((rows, n))
@@ -245,8 +261,8 @@ class RingFastForward:
         # The task fields are exact already (the caller set them); only the
         # announcements of a start or restore need crediting.
         self._flush_counters()
-        self._written = (0, int(self._q.sum()), 0 if announced else n)
-        self._arm()
+        self._written = (0, int(self._q.sum()), 0 if announced else n, None)
+        self.arm()
 
     # -- the recurrence --------------------------------------------------------------
     def _extend(self) -> None:
@@ -254,8 +270,8 @@ class RingFastForward:
         n = self._n
         count = self._chunk
         self._chunk = min(max(2 * count, _SECOND_CHUNK), _MAX_CHUNK)
-        if self._cap_row is not None:
-            count = min(count, self._cap_row - n)
+        if self._last is not None:
+            count = min(count, self._last - n)
         if count <= 0:
             return
         r0 = self._r0
@@ -266,8 +282,8 @@ class RingFastForward:
             lo = max(min(int(self._p.min()), int(self._q.min())), r0)
             keep = n - lo + 1
             size = 2 * (keep + count)
-            if self._cap_row is not None:
-                size = min(size, self._cap_row - lo + 1)
+            if self._last is not None:
+                size = min(size, self._last - lo + 1)
             for name in ("_C", "_A", "_S"):
                 old = getattr(self, name)
                 new = np.empty((size, old.shape[1]))
@@ -277,11 +293,14 @@ class RingFastForward:
         C, A, S = self._C, self._A, self._S
         tau = self._row_times(self._base + n + 1, count)
         left, right, d = self._left, self._right, self._d
+        held = self._held
         for i in range(n + 1 - r0, n + count + 1 - r0):
             a = A[i - 1]
             s = S[i]
             np.maximum(C[i - 1], a[left], out=s)
             np.maximum(s, a[right], out=s)
+            if held and self._binds(i + r0):
+                np.maximum(s, self._release(i + r0), out=s)
             c = C[i]
             np.add(s, tau[i + r0 - n - 1], out=c)
             np.add(c, d, out=A[i])
@@ -289,7 +308,143 @@ class RingFastForward:
         self._bound_times.append(float(C[n - r0].min()))
 
     def _more_rows(self) -> bool:
-        return self._cap_row is None or self._n < self._cap_row
+        return self._last is None or self._n < self._last
+
+    # -- round holds ---------------------------------------------------------------------
+    # Per task (rows relative to ``_base``): from ``_hold_at`` on, ``pause_at``
+    # is the local bound ``_hold_row``; from ``_rel_at`` on it is the decided
+    # row ``_rel_row``, and rows ``_hold_row+1 .. _rel_row`` start no earlier
+    # than ``_rel_at``; rows past ``_rel_row`` wait for a resume.  A resume at
+    # instant ``R`` leaves a floor: rows past ``_floor_row`` start no earlier
+    # than ``_floor_at`` (only the first of them can be affected).
+    def _binds(self, row: int) -> bool:
+        """Whether a hold or a floor can delay a start of ``row``: a floor
+        only the first row past it (later rows start after a completion
+        that itself came after the floor)."""
+        return ((self.parked and row > self._hold_min)
+                or self._floor_lo <= row <= self._floor_hi)
+
+    def _release(self, row: int) -> np.ndarray:
+        """Earliest start of ``row`` per task (-inf: no constraint)."""
+        out = np.where(row > self._floor_row, self._floor_at, _NEG_INF)
+        if self.parked:
+            held = np.where(row > self._rel_row, _INF, self._rel_at)
+            held[row <= self._hold_row] = _NEG_INF
+            np.maximum(out, held, out=out)
+        return out
+
+    def _hold_arrays(self) -> None:
+        if self._held:
+            return
+        n = len(self.tasks)
+        self._floor_at = np.full(n, _NEG_INF)
+        self._floor_row = np.full(n, _FREE, dtype=np.int64)
+        self._hold_at = np.full(n, _INF)
+        self._hold_row = np.full(n, _FREE, dtype=np.int64)
+        self._rel_at = np.full(n, _INF)
+        self._rel_row = np.full(n, _FREE, dtype=np.int64)
+        self._floor_lo = self._floor_hi = _FREE
+        self._held = True
+
+    def _update_last(self) -> None:
+        last = self._cap_row
+        if self.parked:
+            self._hold_min = int(self._hold_row.min())
+            stop = int(self._rel_row.max())
+            if last is None or stop < last:
+                last = stop
+        self._last = last
+
+    def _truncate(self, row: int) -> None:
+        """Forget the evaluated rows past ``row`` (their inputs changed)."""
+        self._version += 1
+        self._instants.clear()
+        if row >= self._n:
+            return
+        self._n = row
+        self._chunk = 1  # reads after a round's write need few rows
+        self._bound_times = ([float(self._C[row - self._r0].min())]
+                             if row > 0 else [])
+
+    @property
+    def base(self) -> int:
+        """The iteration row 0 of the open window stands for."""
+        return self._base
+
+    def hold(self, idx: np.ndarray, at: float, rows: np.ndarray) -> None:
+        """Consensus Phase 2 on tasks ``idx``: from instant ``at`` they pause
+        after row ``rows`` (their node's local bound) until released."""
+        self._hold_arrays()
+        self._hold_at[idx] = at
+        self._hold_row[idx] = rows
+        self._rel_row[idx] = rows
+        self._rel_at[idx] = _INF
+        self.parked = True
+        self._update_last()
+        self._truncate(int(rows.min()))
+
+    def release(self, idx: np.ndarray, at: np.ndarray, row: int) -> None:
+        """Consensus Phase 3 on held tasks ``idx``: from instants ``at`` they
+        run on to the decided ``row`` and pause there."""
+        self._rel_at[idx] = at
+        self._rel_row[idx] = row
+        self._update_last()
+        self._truncate(int(self._hold_row[idx].min()))
+
+    def _release_all(self) -> None:
+        """``Task.resume`` on every parked task: rows past the decided row
+        start no earlier than now."""
+        self._floor_row[:] = self._rel_row
+        self._floor_at[:] = self.sim.now
+        self._floor_lo = int(self._floor_row.min()) + 1
+        self._floor_hi = int(self._floor_row.max()) + 1
+        self._hold_at[:] = _INF
+        self._hold_row[:] = _FREE
+        self._rel_at[:] = _INF
+        self._rel_row[:] = _FREE
+        self.parked = False
+        self._update_last()
+        self._truncate(int(self._floor_row.min()))
+        self._ensure(self.sim.now)
+        self.arm()
+
+    def _pause_rows(self, now: float) -> np.ndarray:
+        """Each task's ``pause_at`` row in force at ``now`` (_FREE: None)."""
+        return np.where(self._hold_at <= now,
+                        np.where(self._rel_at <= now, self._rel_row,
+                                 self._hold_row), _FREE)
+
+    def state_at(self, when: float,
+                 idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(progress rows, computing flags, ties)`` of tasks ``idx`` as a
+        read at instant ``when`` >= now would find them, given the holds in
+        force.  ``ties`` counts the tasks whose completion or start falls at
+        exactly ``when`` (ring events at a protocol instant count as
+        committed before it)."""
+        self.advance()
+        self._ensure(when)
+        n, r0 = self._n, self._r0
+        C, S = self._C, self._S
+        lo = int(self._p[idx].min()) + 1
+        rows = (lo - 1) + np.count_nonzero(
+            C[lo - r0:n + 1 - r0][:, idx] <= when, axis=0)
+        nxt = np.minimum(rows + 1, n) - r0
+        start = S[nxt, idx]
+        below = rows < n
+        if self._cap_row is not None:
+            below &= rows < self._cap_row
+        computing = (start <= when) & below
+        ties = (int(np.count_nonzero((C[rows - r0, idx] == when) & (rows > 0)))
+                + int(np.count_nonzero((start == when) & below)))
+        return rows, computing, ties
+
+    def completions(self, row: int) -> np.ndarray:
+        """Every task's completion instant of ``row`` (a copy)."""
+        while self._n < row and self._more_rows():
+            self._extend()
+        if self._n < row:
+            raise ValueError(f"row {row} lies past the ring's last row")
+        return self._C[row - self._r0].copy()
 
     def _ensure(self, now: float) -> None:
         """Evaluate rows until every task's next completion lies after
@@ -323,7 +478,10 @@ class RingFastForward:
                 return None
             if row < self._r0:
                 return _NEG_INF
-            t = self._instants[level] = float(self._C[row - self._r0].max())
+            t = float(self._C[row - self._r0].max())
+            if t == _INF:
+                return None  # a task waits for a round's release
+            self._instants[level] = t
         return t
 
     # -- wake-ups and outputs ----------------------------------------------------------
@@ -331,13 +489,13 @@ class RingFastForward:
         """Also report the instant the ring reaches ``level`` (None: stop)."""
         self._rework = level
         if self.open:
-            self._arm()
+            self.arm()
 
     def _watched(self) -> tuple[int | None, int | None]:
         cap = None if self._cap_row is None else self._base + self._cap_row
         return cap, self._rework
 
-    def _arm(self) -> None:
+    def arm(self) -> None:
         """(Re)schedule the single wake-up at the next chunk boundary or
         watched-level instant after now."""
         if self._wake is not None:
@@ -348,7 +506,8 @@ class RingFastForward:
         if self._more_rows():
             for t in self._bound_times:
                 if t > now:
-                    times.append(t)
+                    if t < _INF:
+                        times.append(t)
                     break
         for level in self._watched():
             t = self._level_instant(level)
@@ -363,7 +522,7 @@ class RingFastForward:
         self.advance()  # also keeps the row compaction bound current
         fire = any(self._level_instant(level) == now
                    for level in self._watched())
-        self._arm()
+        self.arm()
         if fire and self._on_output is not None:
             self._on_output()
 
@@ -408,9 +567,14 @@ class RingFastForward:
         return t is not None and t <= self.sim.now
 
     def is_paused(self, task: Task) -> bool:
-        """Whether ``task`` is paused now (in a window: parked at the cap)."""
+        """Whether ``task`` is paused now (in a window: parked at the cap or
+        at a round's pause bound)."""
         self.advance()
-        return self._cap_row is not None and self._p[task.task_id] == self._cap_row
+        i = task.task_id
+        p = int(self._p[i])
+        if self._cap_row is not None and p == self._cap_row:
+            return True
+        return self.parked and p >= int(self._pause_rows(self.sim.now)[i])
 
     def refresh(self) -> None:
         """Write the exact state as of ``sim.now`` into the tasks, their
@@ -431,14 +595,32 @@ class RingFastForward:
         if cap_row is not None:
             computing &= p < cap_row
         # p, q and (for a given p) the computing flags only ever grow, so
-        # equal sums mean the task fields written last time are still exact.
-        written = (int(p.sum()), int(self._q.sum()), int(computing.sum()))
+        # equal sums mean the task fields written last time are still exact;
+        # a round's pause bounds change at their own instants.
+        pause = None
+        phase = None
+        if self._held:
+            pause = (self._pause_rows(now) if self.parked
+                     else np.full(len(p), _FREE, dtype=np.int64))
+            held = pause != _FREE
+            phase = (self._version, int(np.count_nonzero(held)),
+                     int(pause[held].sum()))
+        written = (int(p.sum()), int(self._q.sum()), int(computing.sum()),
+                   phase)
         if written == self._written:
             return
         self._written = written
         busy = np.where(computing, self._C[nxt, idx], self._C[at, idx])
         stamps = (base + self._q).tolist()
         left, right = self._left.tolist(), self._right.tolist()
+        if pause is None:
+            bound = [_FREE if cap_row is None else cap_row] * len(p)
+            pause_at = None
+        else:
+            bound = (pause if cap_row is None
+                     else np.minimum(pause, cap_row)).tolist()
+            pause_at = [None if r == _FREE else base + r
+                        for r in pause.tolist()]
         for i, (t, r, comp, b) in enumerate(zip(self.tasks, p.tolist(),
                                                 computing.tolist(),
                                                 busy.tolist())):
@@ -449,8 +631,10 @@ class RingFastForward:
                 t.state = _COMPUTING
                 t.busy_until = b
             else:
-                t.state = _PAUSED if r == cap_row else _IDLE
+                t.state = _PAUSED if r >= bound[i] else _IDLE
                 t.busy_until = b if r else self._busy0[i]
+            if pause_at is not None:
+                t.pause_at = pause_at[i]
             deps = t.dep_stamps
             deps[left[i]] = stamps[left[i]]
             deps[right[i]] = stamps[right[i]]
@@ -491,6 +675,8 @@ class RingFastForward:
         the protocol event that closes the window; each one is counted in
         :attr:`ties`.
         """
+        if self.round is not None:
+            self.round.materialize()  # closes this ring too
         if not self.open:
             return
         now = self.sim.now
@@ -525,5 +711,6 @@ class RingFastForward:
         for node in self.nodes:
             node.ring = None
         self.open = False
+        self._held = self.parked = False
         self.syncs += 1
         self._C = self._A = self._S = _NO_ROWS

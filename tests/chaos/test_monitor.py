@@ -159,3 +159,32 @@ class TestReintroducedBug:
         for seed in range(32):
             outcome = run_schedule(fuzz_schedule(seed))
             assert outcome.ok, (seed, outcome.invariant, outcome.violation)
+
+
+class TestStorageMonotoneAfterRestart:
+    """A restart from the launch state or a durable generation begins a new
+    persisted history: the first persist after it may lie below the newer,
+    rejected copies the tiers still hold."""
+
+    @pytest.mark.parametrize("seed", [209, 1508, 2390])
+    def test_restart_from_the_beginning_then_persist(self, seed):
+        # Each schedule loses a weak-scheme buddy pair in the weak-pending
+        # window while the tier copies are bit-rotted, so the run restarts
+        # from generation zero and persists iteration 1 again.
+        outcome = run_schedule(fuzz_schedule(seed))
+        assert outcome.ok, (outcome.invariant, outcome.violation)
+
+    def test_a_persist_below_the_restart_point_still_fails(self):
+        from types import SimpleNamespace
+
+        from repro.core.events import TimelineEvent, TimelineKind
+
+        monitor = InvariantMonitor()
+        monitor.on_tier_persist(2, SimpleNamespace(iteration=30), False)
+        monitor._on_timeline_event(TimelineEvent(
+            1.0, TimelineKind.TIER_RESTORE,
+            {"hit": True, "level": 2, "iteration": 20}))
+        monitor.on_tier_persist(2, SimpleNamespace(iteration=20), False)
+        with pytest.raises(InvariantViolation,
+                           match="iteration 19 after iteration 20"):
+            monitor.on_tier_persist(2, SimpleNamespace(iteration=19), False)

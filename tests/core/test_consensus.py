@@ -5,12 +5,14 @@ exactly the decided iteration — no task ran past it, no in-flight iteration is
 lost — even though tasks progress at different rates with no global barrier.
 """
 
+import numpy as np
 import pytest
 
-from repro.core.consensus import ConsensusController
+from repro.core.consensus import ConsensusController, RoundEngine
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
 from repro.runtime.node import Node
+from repro.runtime.ring import RingFastForward
 from repro.runtime.task import Task, TaskState
 from repro.util.errors import SimulationError
 
@@ -195,8 +197,34 @@ class EnvelopeController(ConsensusController):
         getattr(self, msg.tag)(msg.src, msg.dst, msg.payload)
 
 
+def ring_over(sim, tasks, skew=0.3):
+    """The fast-forward engine over ``build``'s tasks (one ring)."""
+    ids = np.arange(len(tasks))
+
+    def row_times(first, count):
+        its = np.arange(first, first + count)[:, None]
+        return 0.1 * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
+
+    ring = RingFastForward(tasks, sim=sim, transport=tasks[0].node.transport,
+                           row_times=row_times)
+    sim.return_hooks.append(ring.refresh)
+    return ring
+
+
+def _sixteen_node_round(sim, nodes, controller, timeline):
+    sim.run(until=2.05)
+    controller.start_round(
+        [n.node_id for n in nodes],
+        lambda rid, it: timeline.append((sim.now, "done", rid, it)))
+    sim.run(until=6.0)
+
+
 class TestEnvelopeFreeMessages:
-    """``send_control`` rounds are event-for-event the ``Message`` rounds."""
+    """``send_control`` rounds are event-for-event the ``Message`` rounds.
+
+    Both sides run on the message path (the round engine patched off): the
+    comparison includes the simulator's own event and sequence counts.
+    """
 
     N = 16
 
@@ -217,28 +245,25 @@ class TestEnvelopeFreeMessages:
                  dict(transport.bytes_by_kind)),
                 (sim.events_processed, next(sim._seq)))
 
-    def _both(self, script):
-        old = self._observe(EnvelopeController, script)
-        new = self._observe(ConsensusController, script)
+    def _both(self, script, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(RoundEngine, "eligible", lambda self, scope: False)
+            old = self._observe(EnvelopeController, script)
+            new = self._observe(ConsensusController, script)
         assert new == old
         return new
 
-    def test_sixteen_node_round_matches_message_path(self):
-        def script(sim, nodes, controller, timeline):
-            sim.run(until=2.05)
-            controller.start_round(
-                [n.node_id for n in nodes],
-                lambda rid, it: timeline.append((sim.now, "done", rid, it)))
-            sim.run(until=6.0)
-
-        timeline, states, counters, _ = self._both(script)
+    def test_sixteen_node_round_matches_message_path(self, monkeypatch):
+        timeline, states, counters, _ = self._both(_sixteen_node_round,
+                                                   monkeypatch)
         (done,) = [e for e in timeline if e[1] == "done"]
         decided = done[3]
         assert all(s == (decided, TaskState.PAUSED) for s in states)
         sent, delivered, dropped, kinds, _ = counters
         assert dropped == 0 and kinds["control"] == 4 * (self.N - 1) + 2
 
-    def test_kill_mid_round_drops_at_dead_sender_and_receiver(self):
+    def test_kill_mid_round_drops_at_dead_sender_and_receiver(
+            self, monkeypatch):
         drops = {}
 
         def script(sim, nodes, controller, timeline):
@@ -266,9 +291,38 @@ class TestEnvelopeFreeMessages:
             sim.run(until=3.0)
             controller.abort_round()
 
-        timeline, states, counters, _ = self._both(script)
+        timeline, states, counters, _ = self._both(script, monkeypatch)
         assert drops == {"receiver": drops["receiver"], "decided": None,
                          "sender": 1}
         assert drops["receiver"] > 0
         assert "done" not in timeline
         assert counters[3]["control"] > 0
+
+    def test_engine_round_matches_message_round(self, monkeypatch):
+        """On a fast-forwarded ring the round engine runs the same round:
+        everything but the simulator's counters is equal."""
+
+        def observe(engine):
+            sim, nodes, tasks, controller = build(n_nodes=self.N)
+            ring = ring_over(sim, tasks)
+            assert ring.open_start()
+            timeline = []
+            _sixteen_node_round(sim, nodes, controller, timeline)
+            assert controller.engine.rounds == (1 if engine else 0)
+            transport = nodes[0].transport
+            return (timeline,
+                    [(t.progress, t.state, t.pause_at, t.busy_until,
+                      t.iterations_executed, dict(t.dep_stamps))
+                     for t in tasks],
+                    (transport.messages_sent, transport.messages_delivered,
+                     transport.messages_dropped, dict(transport.sent_by_kind),
+                     dict(transport.bytes_by_kind)))
+
+        with monkeypatch.context() as m:
+            m.setattr(RoundEngine, "eligible", lambda self, scope: False)
+            old = observe(engine=False)
+        new = observe(engine=True)
+        assert new == old
+        (done,) = new[0]
+        assert all(state[:2] == (done[3], TaskState.PAUSED)
+                   for state in new[1])

@@ -17,7 +17,12 @@ inside the weak-pending window (buddy and non-buddy), a failure during the
 weak shipment, a tier restore, deaths inside synchronous and asynchronous
 checkpoints, and the SDC escalation with and without durable tiers.  A
 refactor of the recovery machinery must leave every digest unchanged; a
-deliberate behaviour change must re-record them and say why.
+deliberate behaviour change must re-record them and say why.  The report
+payload carries the metrics snapshot, so the simulator's own counters
+(``sim.*``: events processed, fast-forward windows and rounds) are pinned
+too; a change to the event engine that moves only those re-records the
+report digests after checking that every trace and everything outside
+``sim.*`` is unchanged.
 """
 
 import hashlib
@@ -95,52 +100,52 @@ SCENARIOS = {
 PINS = {
     "medium-hard": (
         "6758115f6d10ec068e853ee6db33e4ebd5f4e9163aa34a65b8ec35a818e46740",
-        "5dbdbc8d180c395d584560f0c4d143a5181240b47c00806844f78ea980cc78b0"),
+        "e79d66a0239ab66a10bfd1da548b0b9f9669c8c50a20665918fbb2348213ad4f"),
     "medium-second-during-recovery": (
         "6076664c04566d1fa65c7e53bca2ed4b8bd694b08c6e40583cd8798e88e5dc2c",
-        "ac74df622efe5068b9df3180e69f68215b34dfc222272ea9690ea0b86208c8ab"),
+        "080b28351a32de9f3e9f8af063c51388cf1f510c9e833b03914503c8ac05b2f1"),
     "sdc-escalation": (
         "dfe35701d957f813021446c9fa0e678e93b5204f4675750b5781f5fa86aecaa1",
-        "7d80d9b52a5baef141dfc799fc641211683772c4cd0bf0b08a223a2ce2d93c0e"),
+        "35d662c8adc65dce2795074c141d1d8fda4768b8941b5848a16f99d8e2eb292f"),
     "sdc-escalation-tiers": (
         "6ad15767c21a9bb5c2c4ec9b6a8b81b8115d1d82ddedc38189285bc1ebc070e9",
-        "f67097d6be13dfaf8b4a34ac31ce3898089ebf4f736160502dc1db741e48d294"),
+        "eaac2e79a19c20c65bb572de023808f4e652a5eb382cc5e835b1204e48012d43"),
     "sdc-rollback": (
         "4fab774a4ab1c0c9e3b5cdb08d19de4087690d48761331015c1f03b428f31cfc",
-        "11c312a425ac80b2d4017ac5794b8203d1cfdbb487ce85d33ca6c88f5cb5c457"),
+        "bf57775de4aa93c9dabd296da808c8cc158932c91255e019cce648597e286598"),
     "second-during-sdc-rollback": (
         "49fdeef30c4b13e5bc2c89897aa9e5278c0faf7732bca829748bd8495901b163",
-        "18a7397aeddb3e49181af286a2725c456a3b81dff5ff7930fd1dfd5239c5def5"),
+        "d9ec3bfa2a4a65ed4d5d40a27623098ab3088df394d10e88dd6b71522e83f1e4"),
     "strong-death-during-async-transfer": (
         "3aa7a73f46d0c582ce04a03cd881635d9e7d9d92713a320befde2c5c0a54839b",
-        "d871072a0af68236b1e151519b507372632e3c56f32bab869e593eb15a0a24fe"),
+        "086378ef794ab064d18b112c60843ede911cacc6511706f73b695619d2ab734f"),
     "strong-death-during-checkpoint": (
         "3112fe0a4e5723fc09e0c1aded3e898812679a974ef439fcd46f342b43b4eae8",
-        "1f0d9f7b8b11b4f67e039e199f33b8efe8827ce5ce7a1b6d8df904f5cf99ef25"),
+        "9788be0dad77599662dc96ae2d820e2b441b7284fccd668f75713d6b13b0c63e"),
     "strong-death-during-persist": (
         "3e4a37d2cc4a28fa91d76190bb89c78a1e8ee69d75dbe985167d71eb13bf2e6c",
-        "1335a317e7a0f7589d33e9527526d477b939c81791ef498f3233bb345168e739"),
+        "aa485dcffc6cebc30664267743adca87ee63821424562b06222899e9296b70c1"),
     "strong-hard": (
         "1388915e379ba88364d057d2c16f308c5d00e361f200aac31f1002eff209c872",
-        "784ed7c81afe7532172e684a9d25bb81266e5dec577450baf897e10584253183"),
+        "839cea783a55cad4b304a25bbca938cd7c26dcd4836ca11fc043d17f12abf34c"),
     "strong-second-during-recovery": (
         "c69661fef63b1d555f0ea76f0a0b3d02b7725990cc406de7679cd8eef7bf6b0c",
-        "531b9b338c7cfec8e7442706508e65f16c54030b5e51dc129655112202c054de"),
+        "6a049a6bc825f8fd2ae33a72f780f7efd2a104b5c351445bfc727ce25eaa6aac"),
     "tier-restore": (
         "4e50a756dc3d47e0b0e1bcbca5808a6cd2308c5bd78392766d8b6a423a1db88c",
-        "8f67226b290a24667f1c404e01a3d696cd5093c413611617741f3acdac44b3f8"),
+        "c140dba622218139baf1c6760b820444c39e54cdb6d78c1ff88e21421b6d0f91"),
     "weak-hard": (
         "a92d7fbb3cad4195b5ed794d6bf1ef6f0fa77a8def68806f4be6a156cc2d2fc3",
-        "da01980eda19b2a4f13f52c45883b0b99db1769ab08dad779000f834cf5e4e91"),
+        "355b2df9fd3bcfa9a68cea9c80320a8e99757fecab2e80ff2b66a6c7b9c1c592"),
     "weak-pending-buddy": (
         "3ff7e373ade282d0dc8f8d790af633b5cb8928cdb722da25f5c87001ba4d453a",
-        "82c632bdcd7663afe6a0edd22f4a9de9dd52bb0aa8b0bc4a71f96742d3187a9e"),
+        "2541a1ed3bd0fc09b311da633608b929221f397d7ef3ceb77939dce1d7ff7844"),
     "weak-pending-non-buddy": (
         "eb1cb2e2f8422571a7262fe80f7161283639f8df6143a0a98f6fc4928839b6fb",
-        "0a618bc07f590e89a502eb13df16b9898f9da0fee1654a5ea63864a3a5059d80"),
+        "dc2097b776529d50a0bf1ec09a4dbfd503b023350359b17439dc1fc619b45520"),
     "weak-second-during-shipment": (
         "226a19d05a01565f84918a387d34baabed769725abda64a67878114e4f41aebe",
-        "198a72f695603294f787dd68ab88ec5379c90df55a9c93abffceb8710340ff85"),
+        "5db326576364d8c792c38a7b56f4d78acf87f82e2266b727c3693ad10a92a368"),
 }
 
 

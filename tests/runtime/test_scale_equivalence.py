@@ -200,9 +200,15 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
 
     sim.run(until=20.0)
     monitor.stop()
+    if legacy:
+        last_seen = dict(monitor.last_seen)
+    else:
+        soa = monitor.state_arrays
+        last_seen = {int(nid): float(t)
+                     for nid, t in zip(soa.ids, soa.last_seen)}
     return {
         "trace": trace,
-        "last_seen": dict(monitor.last_seen),
+        "last_seen": last_seen,
         "sent": transport.messages_sent,
         "delivered": transport.messages_delivered,
         "dropped": transport.messages_dropped,
