@@ -1,7 +1,7 @@
 """Chaos campaigns: fuzz many seeds, in parallel, and aggregate verdicts.
 
 ``run_chaos_campaign(seeds, workers=N)`` drives one monitored chaos run per
-seed over the same process-pool fan-out the experiment campaigns use (each
+seed through the same cached sweep loop the experiment campaigns use (each
 seed re-derives everything from itself, so parallel results are
 bitwise-identical to serial), then shrinks every failing schedule to a
 minimal replayable repro plan.
@@ -20,11 +20,10 @@ from typing import Sequence
 from repro.chaos.runner import ChaosOutcome, run_chaos_seed
 from repro.chaos.shrinker import ShrinkResult, shrink_schedule
 from repro.chaos.fuzzer import ChaosSchedule
-from repro.harness.campaign import effective_workers, fan_out
+from repro.harness.campaign import cached_sweep, open_store
 from repro.obs.metrics import merge_snapshots
 from repro.obs.progress import ProgressTracker
 from repro.store import (
-    KIND_CHAOS_OUTCOME,
     ResultStore,
     chaos_cell_material,
     outcome_from_dict,
@@ -109,67 +108,24 @@ def run_chaos_campaign(
     if isinstance(seeds, int):
         seeds = range(seeds)
     seed_list = [int(s) for s in seeds]
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    store = cache if cache is not None else (
-        ResultStore(cache_dir) if cache_dir is not None else None
-    )
+    store = open_store(cache, cache_dir)
     if flight_dir is None and store is not None:
         flight_dir = str(store.quarantine_dir)
-
-    outcomes: list[ChaosOutcome | None] = [None] * len(seed_list)
-    materials: dict[int, dict] = {}
-    hits = 0
-    pending: list[tuple[int, int]] = []  # (position, seed)
-    for pos, seed in enumerate(seed_list):
-        if store is not None:
-            materials[pos] = chaos_cell_material(seed, app)
-            if resume:
-                payload = store.get(materials[pos])
-                if payload is not None:
-                    outcomes[pos] = outcome_from_dict(payload)
-                    hits += 1
-                    if progress is not None:
-                        progress.cell_cached()
-                    continue
-        pending.append((pos, seed))
-
-    def commit(pos: int, outcome: ChaosOutcome) -> None:
-        outcomes[pos] = outcome
-        if store is not None:
-            store.put(
-                materials[pos], outcome_to_dict(outcome),
-                kind=KIND_CHAOS_OUTCOME,
-            )
-        if progress is not None:
-            if outcome.ok:
-                progress.cell_completed()
-            else:
-                progress.cell_failed()
-
-    if pending:
-        nworkers = effective_workers(workers, len(pending))
-        done = None
-        if nworkers > 1:
-            positions = [pos for pos, _ in pending]
-            done = fan_out(
-                run_chaos_seed,
-                [(seed, app, flight_dir) for _, seed in pending],
-                nworkers,
-                on_result=lambda j, outcome: commit(positions[j], outcome),
-            )
-        if done is None:
-            for pos, seed in pending:
-                if outcomes[pos] is None:
-                    commit(pos, run_chaos_seed(seed, app, flight_dir))
-
-    if progress is not None:
-        progress.finish()
-    final = [o for o in outcomes if o is not None]
-    assert len(final) == len(seed_list)
+    outcomes, hits = cached_sweep(
+        run_chaos_seed,
+        [(seed, app, flight_dir) for seed in seed_list],
+        material=lambda seed, *_: chaos_cell_material(seed, app),
+        encode=outcome_to_dict,
+        decode=outcome_from_dict,
+        store=store,
+        workers=workers,
+        resume=resume,
+        progress=progress,
+        failed=lambda outcome: not outcome.ok,
+    )
     result = ChaosCampaignResult(
         seeds=seed_list,
-        outcomes=final,
+        outcomes=outcomes,
         cache_hits=hits,
         cache_misses=len(seed_list) - hits,
     )

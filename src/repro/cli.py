@@ -153,29 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_p = sub.add_parser(
         "campaign",
         help="run a resumable multi-seed campaign (cache-backed sweep)")
-    campaign_p.add_argument("--app", default="jacobi3d-charm",
-                            choices=MINIAPP_NAMES)
-    campaign_p.add_argument("--seeds", type=int, default=8,
-                            help="number of seeds (cells) in the sweep")
-    campaign_p.add_argument("--seed-start", type=int, default=0,
-                            help="first seed (the sweep covers "
-                                 "[start, start+seeds))")
+    _add_sweep_flags(campaign_p)
     campaign_p.add_argument("--workers", type=int, default=None,
                             help="process-pool width (default: serial)")
-    campaign_p.add_argument("--nodes", type=int, default=4,
-                            help="nodes per replica")
-    campaign_p.add_argument("--scheme", default="strong",
-                            choices=[s.value for s in ResilienceScheme])
-    campaign_p.add_argument("--mapping", default="default",
-                            choices=["default", "column", "mixed"])
-    campaign_p.add_argument("--iterations", type=int, default=200)
-    campaign_p.add_argument("--interval", type=float, default=5.0,
-                            help="checkpoint period in simulated seconds")
-    campaign_p.add_argument("--hard-mtbf", type=float, default=None)
-    campaign_p.add_argument("--sdc-mtbf", type=float, default=None)
-    campaign_p.add_argument("--checksum", action="store_true")
-    campaign_p.add_argument("--horizon", type=float, default=10_000.0)
-    campaign_p.add_argument("--spare-nodes", type=int, default=64)
     _add_progress_flags(campaign_p)
     _add_cache_flags(campaign_p)
 
@@ -254,25 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "its campaign summary")
     submit_p.add_argument("--timeout", type=float, default=600.0,
                           help="--wait deadline in seconds")
-    submit_p.add_argument("--app", default="jacobi3d-charm",
-                          choices=MINIAPP_NAMES)
-    submit_p.add_argument("--seeds", type=int, default=8,
-                          help="number of seeds (cells) in the sweep")
-    submit_p.add_argument("--seed-start", type=int, default=0)
-    submit_p.add_argument("--nodes", type=int, default=4,
-                          help="nodes per replica")
-    submit_p.add_argument("--scheme", default="strong",
-                          choices=[s.value for s in ResilienceScheme])
-    submit_p.add_argument("--mapping", default="default",
-                          choices=["default", "column", "mixed"])
-    submit_p.add_argument("--iterations", type=int, default=200)
-    submit_p.add_argument("--interval", type=float, default=5.0,
-                          help="checkpoint period in simulated seconds")
-    submit_p.add_argument("--hard-mtbf", type=float, default=None)
-    submit_p.add_argument("--sdc-mtbf", type=float, default=None)
-    submit_p.add_argument("--checksum", action="store_true")
-    submit_p.add_argument("--horizon", type=float, default=10_000.0)
-    submit_p.add_argument("--spare-nodes", type=int, default=64)
+    _add_sweep_flags(submit_p)
 
     jobs_p = sub.add_parser(
         "jobs", help="list jobs on a running campaign server")
@@ -287,6 +249,51 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_server_flag(cancel_p)
     cancel_p.add_argument("job_id")
     return parser
+
+
+#: The sweep axes ``repro campaign`` and ``repro submit`` share: each flag,
+#: the ``run_acr_experiment`` keyword it sets, and its argparse options.
+_SWEEP_AXES: tuple[tuple[str, str, dict], ...] = (
+    ("--nodes", "nodes_per_replica",
+     {"type": int, "default": 4, "help": "nodes per replica"}),
+    ("--scheme", "scheme",
+     {"default": "strong", "choices": [s.value for s in ResilienceScheme]}),
+    ("--mapping", "mapping",
+     {"default": "default", "choices": ["default", "column", "mixed"]}),
+    ("--checksum", "use_checksum", {"action": "store_true"}),
+    ("--iterations", "total_iterations", {"type": int, "default": 200}),
+    ("--interval", "checkpoint_interval",
+     {"type": float, "default": 5.0,
+      "help": "checkpoint period in simulated seconds"}),
+    ("--hard-mtbf", "hard_mtbf", {"type": float, "default": None}),
+    ("--sdc-mtbf", "sdc_mtbf", {"type": float, "default": None}),
+    ("--horizon", "horizon", {"type": float, "default": 10_000.0}),
+    ("--spare-nodes", "spare_nodes", {"type": int, "default": 64}),
+)
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """--app, the seed range and the sweep axes (``campaign``, ``submit``)."""
+    parser.add_argument("--app", default="jacobi3d-charm",
+                        choices=MINIAPP_NAMES)
+    parser.add_argument("--seeds", type=int, default=8,
+                        help="number of seeds (cells) in the sweep")
+    parser.add_argument("--seed-start", type=int, default=0,
+                        help="first seed (the sweep covers "
+                             "[start, start+seeds))")
+    for flag, _, options in _SWEEP_AXES:
+        parser.add_argument(flag, **options)
+
+
+def _sweep_kwargs(args: argparse.Namespace) -> dict:
+    """Sweep-axis flags -> the experiment kwargs a cell is keyed by.
+
+    ``repro campaign`` runs with them and ``repro submit`` sends them as the
+    job's ``config``, so a sweep submitted to the server shares cache cells
+    with the same sweep run locally.
+    """
+    return {keyword: getattr(args, flag[2:].replace("-", "_"))
+            for flag, keyword, _ in _SWEEP_AXES}
 
 
 def _add_server_flag(parser: argparse.ArgumentParser) -> None:
@@ -809,16 +816,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         cache=store,
         resume=not args.no_resume,
         progress=progress,
-        nodes_per_replica=args.nodes,
-        scheme=args.scheme,
-        mapping=args.mapping,
-        use_checksum=args.checksum,
-        total_iterations=args.iterations,
-        checkpoint_interval=args.interval,
-        hard_mtbf=args.hard_mtbf,
-        sdc_mtbf=args.sdc_mtbf,
-        horizon=args.horizon,
-        spare_nodes=args.spare_nodes,
+        **_sweep_kwargs(args),
     )
     s = result.summary
     rows = [
@@ -983,27 +981,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1
 
 
-def _submit_config(args: argparse.Namespace) -> dict:
-    """``repro submit`` flags -> the experiment kwargs the cell is keyed by.
-
-    Deliberately the same shape ``repro campaign`` passes to
-    :func:`~repro.store.keys.experiment_cell_material`, so a sweep submitted
-    to the server shares cache cells with the same sweep run locally.
-    """
-    return {
-        "nodes_per_replica": args.nodes,
-        "scheme": args.scheme,
-        "mapping": args.mapping,
-        "use_checksum": args.checksum,
-        "total_iterations": args.iterations,
-        "checkpoint_interval": args.interval,
-        "hard_mtbf": args.hard_mtbf,
-        "sdc_mtbf": args.sdc_mtbf,
-        "horizon": args.horizon,
-        "spare_nodes": args.spare_nodes,
-    }
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import CampaignServer, ServeState, serve_forever
     from repro.serve.state import DEFAULT_QUEUE_LIMIT, DEFAULT_TENANT_QUOTA
@@ -1030,7 +1007,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             job = client.submit(
                 tenant=args.tenant, app=args.app,
                 seed_start=args.seed_start, count=args.seeds,
-                config=_submit_config(args), priority=args.priority)
+                config=_sweep_kwargs(args), priority=args.priority)
         except ServeError as err:
             if err.status == 429:
                 print(f"server busy: {err.payload.get('error')} "

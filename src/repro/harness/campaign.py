@@ -13,8 +13,7 @@ bitwise-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,11 +22,11 @@ import numpy as np
 
 from repro.core.framework import RunReport
 from repro.harness.experiment import run_experiment_report
+from repro.harness.pool import WorkerPool, effective_workers
 from repro.obs.metrics import merge_snapshots
 from repro.obs.progress import ProgressTracker
 from repro.obs.series import merge_series
 from repro.store import (
-    KIND_RUN_REPORT,
     ResultStore,
     experiment_cell_material,
     report_from_dict,
@@ -141,17 +140,6 @@ def summarize(reports: Sequence[RunReport]) -> CampaignSummary:
     )
 
 
-def effective_workers(requested: int | None, n_items: int) -> int:
-    """Clamp a worker request to what can actually help.
-
-    Never more workers than items, never more than the machine has cores —
-    on a 1-CPU box a process pool can only add fork/IPC overhead on top of a
-    workload that already saturates the core (the campaign micro-benchmark
-    measured 0.65x "speedup" exactly this way).
-    """
-    return min(requested or 1, n_items, os.cpu_count() or 1)
-
-
 def fan_out(
     fn: Callable,
     arg_tuples: Sequence[tuple],
@@ -159,65 +147,128 @@ def fan_out(
     *,
     on_result: Callable[[int, object], None] | None = None,
 ) -> list | None:
-    """Fan ``fn(*args)`` calls out over a process pool.
+    """Map ``fn(*args)`` over ``arg_tuples`` on a :class:`WorkerPool`.
 
-    The shared engine behind experiment and chaos campaigns.  Results come
-    back ordered by input position regardless of completion order, and every
-    worker re-derives its randomness from its own arguments, so the aggregate
-    is bitwise-identical to a serial loop.
+    Results come back in input order, and every worker re-derives its
+    randomness from its own arguments, so the aggregate is bitwise-identical
+    to a serial loop.  ``on_result(position, result)`` fires in the parent as
+    each call completes, which is what lets campaigns persist finished cells
+    while their siblings still run.
 
-    ``on_result(position, result)`` fires in the parent as each call
-    completes (not at join), which is what lets campaigns persist finished
-    cells incrementally — an interrupted sweep keeps everything already done.
-
-    Returns ``None`` — meaning "fall back to serial" — only on
-    *environmental* failures (no process support, a pool that dies before
-    doing work, or unpicklable arguments).  A genuine task error raises
-    :class:`FanOutError` naming the failing argument tuple, with the original
-    exception chained as its cause.
+    Returns ``None`` ("run it serially") only when the environment fails:
+    :meth:`WorkerPool.try_submit` refuses a call, or a worker dies.  Any
+    exception raised by a call raises :class:`FanOutError` naming its
+    argument tuple, with the original exception chained as its cause.
     """
+    pool = WorkerPool(workers)
     try:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    except (ImportError, NotImplementedError, OSError):
-        return None
-    try:
-        with executor:
-            futures = [executor.submit(fn, *args) for args in arg_tuples]
-            by_future = {f: i for i, f in enumerate(futures)}
-            results: list = [None] * len(futures)
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                failed: tuple[int, BaseException] | None = None
-                for f in done:
-                    i = by_future[f]
-                    err = f.exception()
-                    if err is None:
-                        # Commit every success in this batch before raising:
-                        # an interrupted sweep keeps everything already done.
-                        results[i] = f.result()
-                        if on_result is not None:
-                            on_result(i, results[i])
-                    elif failed is None:
-                        failed = (i, err)
-                if failed is not None:
-                    i, err = failed
-                    if isinstance(
-                        err, (BrokenProcessPool, TypeError, AttributeError)
-                    ):
-                        # Environmental: the pool broke or the arguments
-                        # would not pickle — let the caller run serially.
-                        raise err
-                    for not_started in pending:
-                        not_started.cancel()
-                    raise FanOutError(
-                        getattr(fn, "__name__", repr(fn)), arg_tuples[i], err
-                    ) from err
-            return results
-    except (BrokenProcessPool, TypeError, AttributeError):
-        # TypeError/AttributeError: unpicklable arguments (e.g. a
-        # closure-built injection plan) surface at submit or result time.
-        return None
+        futures = []
+        for args in arg_tuples:
+            future = pool.try_submit(fn, *args)
+            if future is None:
+                return None
+            futures.append(future)
+        position = {f: i for i, f in enumerate(futures)}
+        results: list = [None] * len(futures)
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            failed: tuple[int, BaseException] | None = None
+            for f in sorted(done, key=position.__getitem__):
+                i, err = position[f], f.exception()
+                if err is None:
+                    # Commit every success in this batch before raising:
+                    # an interrupted sweep keeps everything already done.
+                    results[i] = f.result()
+                    if on_result is not None:
+                        on_result(i, results[i])
+                elif failed is None:
+                    failed = (i, err)
+            if failed is not None:
+                i, err = failed
+                if isinstance(err, BrokenProcessPool):
+                    return None
+                raise FanOutError(
+                    getattr(fn, "__name__", repr(fn)), arg_tuples[i], err
+                ) from err
+        return results
+    finally:
+        pool.shutdown(wait=True)
+
+
+def open_store(
+    cache: ResultStore | None, cache_dir: str | None
+) -> ResultStore | None:
+    """The result store a sweep's ``cache`` / ``cache_dir`` pair selects."""
+    if cache is None and cache_dir is not None:
+        return ResultStore(cache_dir)
+    return cache
+
+
+def cached_sweep(
+    fn: Callable,
+    arg_tuples: Sequence[tuple],
+    *,
+    material: Callable[..., dict],
+    encode: Callable[[object], dict],
+    decode: Callable[[dict], object],
+    store: ResultStore | None,
+    workers: int | None,
+    resume: bool = True,
+    progress: ProgressTracker | None = None,
+    failed: Callable[[object], bool] | None = None,
+) -> tuple[list, int]:
+    """Run ``fn(*args)`` once per cell through the result store.
+
+    The loop every campaign shares.  With a ``store``, a cell is addressed
+    by ``material(*args)``; under ``resume`` a stored cell is decoded instead
+    of run, and each computed cell is encoded and stored the moment it lands
+    (under its material's ``"kind"``).  The rest fan out over ``workers``
+    processes; whatever they did not compute then runs serially, in order.
+    ``progress`` ticks once per cell: cached, or completed / failed as
+    ``failed(result)`` says.  Returns ``(results, cache_hits)``.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    results: list = [None] * len(arg_tuples)
+    materials: dict[int, dict] = {}
+    hits = 0
+    pending: list[int] = []
+    for pos, args in enumerate(arg_tuples):
+        if store is not None:
+            materials[pos] = material(*args)
+            payload = store.get(materials[pos]) if resume else None
+            if payload is not None:
+                results[pos] = decode(payload)
+                hits += 1
+                if progress is not None:
+                    progress.cell_cached()
+                continue
+        pending.append(pos)
+
+    def commit(pos: int, result: object) -> None:
+        results[pos] = result
+        if store is not None:
+            store.put(materials[pos], encode(result),
+                      kind=materials[pos]["kind"])
+        if progress is not None:
+            if failed is not None and failed(result):
+                progress.cell_failed()
+            else:
+                progress.cell_completed()
+
+    nworkers = effective_workers(workers, len(pending))
+    if nworkers > 1:
+        fan_out(fn, [arg_tuples[pos] for pos in pending], nworkers,
+                on_result=lambda j, result: commit(pending[j], result))
+    for pos in pending:
+        if results[pos] is None:  # not computed by a worker
+            commit(pos, fn(*arg_tuples[pos]))
+
+    if progress is not None:
+        progress.finish()
+    assert all(r is not None for r in results)
+    return results, hits
 
 
 def run_campaign(
@@ -233,14 +284,15 @@ def run_campaign(
 ) -> CampaignResult:
     """Run :func:`run_acr_experiment` once per seed and aggregate.
 
-    ``workers`` > 1 replays seeds concurrently on a ``ProcessPoolExecutor``
-    (each seed is an independent simulation — campaigns are embarrassingly
-    parallel).  The result is bitwise-identical to the serial path: reports
-    are ordered by seed and every worker derives its randomness from the
-    seed alone.  The request is clamped to ``os.cpu_count()`` (see
-    :func:`effective_workers`) — extra processes beyond the core count only
-    add fork/IPC overhead.  Where process pools are unavailable the runner
-    silently degrades to serial execution.
+    ``workers`` > 1 replays seeds concurrently on a
+    :class:`~repro.harness.pool.WorkerPool` (each seed is an independent
+    simulation — campaigns are embarrassingly parallel).  The result is
+    bitwise-identical to the serial path: reports are ordered by seed and
+    every worker derives its randomness from the seed alone.  The request is
+    clamped to ``os.cpu_count()`` (see :func:`effective_workers`) — extra
+    processes beyond the core count only add fork/IPC overhead.  Where
+    process pools are unavailable the runner silently degrades to serial
+    execution (see :func:`cached_sweep`).
 
     ``cache`` (a :class:`~repro.store.ResultStore`) or ``cache_dir`` turns
     the sweep into a resumable work-queue: with ``resume`` (the default),
@@ -254,65 +306,21 @@ def run_campaign(
     file both hang off it.
     """
     seed_list = [int(s) for s in seeds]
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    store = cache if cache is not None else (
-        ResultStore(cache_dir) if cache_dir is not None else None
+    reports, hits = cached_sweep(
+        run_experiment_report,
+        [(app, seed, experiment_kwargs) for seed in seed_list],
+        material=experiment_cell_material,
+        encode=report_to_dict,
+        decode=report_from_dict,
+        store=open_store(cache, cache_dir),
+        workers=workers,
+        resume=resume,
+        progress=progress,
     )
-
-    reports: list[RunReport | None] = [None] * len(seed_list)
-    materials: dict[int, dict] = {}
-    hits = 0
-    pending: list[tuple[int, int]] = []  # (position, seed)
-    for pos, seed in enumerate(seed_list):
-        if store is not None:
-            materials[pos] = experiment_cell_material(
-                app, seed, experiment_kwargs
-            )
-            if resume:
-                payload = store.get(materials[pos])
-                if payload is not None:
-                    reports[pos] = report_from_dict(payload)
-                    hits += 1
-                    if progress is not None:
-                        progress.cell_cached()
-                    continue
-        pending.append((pos, seed))
-
-    def commit(pos: int, report: RunReport) -> None:
-        reports[pos] = report
-        if store is not None:
-            store.put(
-                materials[pos], report_to_dict(report), kind=KIND_RUN_REPORT
-            )
-        if progress is not None:
-            progress.cell_completed()
-
-    if pending:
-        nworkers = effective_workers(workers, len(pending))
-        done = None
-        if nworkers > 1:
-            positions = [pos for pos, _ in pending]
-            done = fan_out(
-                run_experiment_report,
-                [(app, seed, experiment_kwargs) for _, seed in pending],
-                nworkers,
-                on_result=lambda j, rep: commit(positions[j], rep),
-            )
-        if done is None:
-            for pos, seed in pending:
-                if reports[pos] is None:  # skip cells a broken pool finished
-                    commit(pos, run_experiment_report(app, seed,
-                                                      experiment_kwargs))
-
-    if progress is not None:
-        progress.finish()
-    final = [r for r in reports if r is not None]
-    assert len(final) == len(seed_list)
     return CampaignResult(
-        reports=final,
+        reports=reports,
         seeds=seed_list,
-        summary=summarize(final),
+        summary=summarize(reports),
         cache_hits=hits,
         cache_misses=len(seed_list) - hits,
     )

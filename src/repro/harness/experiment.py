@@ -7,6 +7,7 @@ in a failure-free run, without hand-assembling the machinery.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from repro.core.config import ACRConfig
@@ -117,6 +118,23 @@ def run_experiment_report(app: str, seed: int,
 
         kwargs["series"] = TimeSeriesRecorder(interval=float(series_interval))
     return run_acr_experiment(app, seed=seed, **kwargs).report
+
+
+def _config_keys() -> frozenset[str]:
+    """``run_acr_experiment``'s keyword parameters a JSON value can set (not
+    object-valued ones such as ``tracer``, nor ``seed``, which each cell
+    supplies), plus the two switches :func:`run_experiment_report` takes."""
+    keys = {"collect_metrics", "collect_series"}
+    for name, param in inspect.signature(run_acr_experiment).parameters.items():
+        types = {t.strip() for t in str(param.annotation).split("|")}
+        if (param.kind is param.KEYWORD_ONLY and name != "seed"
+                and types & {"int", "float", "str", "bool", "dict"}):
+            keys.add(name)
+    return frozenset(keys)
+
+
+#: What a submitted cell ``config`` may carry (the campaign server checks).
+EXPERIMENT_CONFIG_KEYS = _config_keys()
 
 
 def forward_path_overhead(

@@ -82,6 +82,7 @@ import numpy as np
 
 from repro.apps.base import _hash_unit
 from repro.core.consensus import merge_progress_bounds
+from repro.harness.pool import effective_workers
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.series import TimeSeriesRecorder, merge_series
 from repro.runtime.des import Simulator
@@ -230,11 +231,6 @@ class ParallelRunReport:
     #: Merged per-partition time series (``series_interval``); see
     #: :func:`repro.obs.series.merge_series`.
     series: dict | None = None
-
-
-def effective_parallel_workers(requested: int | None, partitions: int) -> int:
-    """The campaign clamp applied to partition workers."""
-    return min(requested or 1, partitions, os.cpu_count() or 1)
 
 
 def _fork_available() -> bool:
@@ -1251,7 +1247,7 @@ def run_parallel(scenario: ParallelScenario, *, partitions: int = 1,
     if partitions > scenario.nodes_per_replica:
         raise ConfigurationError("more partitions than ranks")
     requested = workers or 1
-    eff = effective_parallel_workers(requested, partitions)
+    eff = effective_workers(requested, partitions)
     if force_processes:
         # Test hook: exercise the fork machinery even where the CPU clamp
         # would fall back in-process (1-CPU CI runners).

@@ -34,7 +34,6 @@ class MsgKind(str, Enum):
     APP = "app"                # application dependency messages
     HEARTBEAT = "heartbeat"    # buddy liveness probes
     CONTROL = "control"        # ACR protocol traffic (reductions, broadcasts)
-    CHECKPOINT = "checkpoint"  # bulk checkpoint payloads
 
 
 #: ``Enum.value`` is a ``DynamicClassAttribute`` — a descriptor *call* per

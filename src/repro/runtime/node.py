@@ -53,7 +53,6 @@ class Node:
         #: Hooks installed by the ACR framework.
         self.on_progress: Callable[["Node"], None] | None = None
         self.on_all_tasks_ready: Callable[["Node"], None] | None = None
-        self.control_handler: Callable[[Message], None] | None = None
         self.heartbeat_handler: Callable[[Message], None] | None = None
         transport.register(node_id, self._on_message)
         transport.register_stamps(node_id, self._on_stamp)
@@ -90,10 +89,11 @@ class Node:
         elif msg.kind is MsgKind.HEARTBEAT:
             if self.heartbeat_handler is not None:
                 self.heartbeat_handler(msg)
-        elif msg.kind in (MsgKind.CONTROL, MsgKind.CHECKPOINT):
-            if self.control_handler is None:
-                raise SimulationError(f"node {self.node_id}: no control handler")
-            self.control_handler(msg)
+        else:
+            # Protocol traffic rides Transport.send_control, never a Message.
+            raise SimulationError(
+                f"node {self.node_id}: no handler for {msg.kind.value} "
+                f"messages")
 
     def _find_task(self, task_id: int) -> Task | None:
         return self._task_by_id.get(task_id)

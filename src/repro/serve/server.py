@@ -20,7 +20,8 @@ API (all bodies JSON)::
     POST /v1/jobs/<id>/cancel      cancel
 
 Backpressure surfaces as ``429`` with a ``Retry-After`` header; everything
-else follows plain REST conventions (400 bad request, 404 unknown job, 409
+else follows plain REST conventions (400 bad request, such as a ``config``
+key ``run_acr_experiment`` cannot take; 404 unknown job; 409
 result-not-ready).
 """
 
@@ -31,6 +32,10 @@ import json
 from concurrent.futures.process import BrokenProcessPool
 from urllib.parse import parse_qs, urlsplit
 
+from repro.harness.experiment import (
+    EXPERIMENT_CONFIG_KEYS,
+    run_experiment_report,
+)
 from repro.harness.pool import WorkerPool
 from repro.obs.export import snapshot_to_openmetrics
 from repro.obs.metrics import MetricsRegistry
@@ -40,6 +45,7 @@ from repro.serve.state import (
     ServeState,
     UnknownJob,
 )
+from repro.store import report_to_dict
 
 #: Upper bound on request-body size (a sweep submission is a few KiB).
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -60,9 +66,6 @@ class _HttpError(Exception):
 
 def _compute_cell(app: str, seed: int, config: dict) -> dict:
     """Process-pool worker: one cell -> its serialized report payload."""
-    from repro.harness.experiment import run_experiment_report
-    from repro.store import report_to_dict
-
     return report_to_dict(run_experiment_report(app, seed, config))
 
 
@@ -186,16 +189,15 @@ class CampaignServer:
         if self._executor is not None:
             return await self._executor(cell)
         assert self.pool is not None
+        args = (cell.app, cell.seed, cell.config)
         try:
             return await asyncio.wrap_future(
-                self.pool.submit(_compute_cell, cell.app, cell.seed,
-                                 cell.config))
+                self.pool.submit(_compute_cell, *args))
         except BrokenProcessPool:
-            # A worker died mid-cell (e.g. OOM-killed): one retry on threads.
-            self.pool.fall_back_to_threads()
+            # A worker died mid-cell (e.g. OOM-killed): one retry, which the
+            # now-broken pool routes to threads.
             return await asyncio.wrap_future(
-                self.pool.submit(_compute_cell, cell.app, cell.seed,
-                                 cell.config))
+                self.pool.submit(_compute_cell, *args))
 
     def _set_queue_gauges(self) -> None:
         self.metrics.gauge("serve.queue_depth").set(self.state.queued_cells)
@@ -351,6 +353,10 @@ class CampaignServer:
         config = request.get("config") or {}
         if not isinstance(config, dict):
             raise _HttpError(400, "config must be a JSON object")
+        unknown = sorted(set(config) - EXPERIMENT_CONFIG_KEYS)
+        if unknown:
+            raise _HttpError(400, f"unknown config key {unknown[0]!r} "
+                                  f"(one of {sorted(EXPERIMENT_CONFIG_KEYS)})")
         tenant = str(request.get("tenant", "default"))
         priority = int(request.get("priority", DEFAULT_PRIORITY))
         job = self.state.submit(tenant=tenant, app=app, seeds=seeds,

@@ -180,21 +180,26 @@ class TestLiveness:
 
 class EnvelopeController(ConsensusController):
     """The consensus plumbing before ``Transport.send_control``: every
-    protocol message is a :class:`Message` routed through ``Transport.send``,
-    ``Node._on_message`` and ``Node.control_handler``."""
+    protocol message is a :class:`Message` routed through ``Transport.send``
+    to a transport handler that hands control traffic to this controller
+    and everything else to ``Node._on_message``."""
 
     def __init__(self, nodes):
         super().__init__(nodes)
         for node in nodes.values():
-            node.control_handler = self._on_control
+            node.transport.register(node.node_id, self._on_message)
 
     def _send(self, src, dst, handler, payload):
         self.nodes[src].transport.send(Message(
             MsgKind.CONTROL, src=src, dst=dst, payload=payload, nbytes=64,
             tag=handler.__name__))
 
-    def _on_control(self, msg):
-        getattr(self, msg.tag)(msg.src, msg.dst, msg.payload)
+    def _on_message(self, msg):
+        node = self.nodes[msg.dst]
+        if msg.kind is not MsgKind.CONTROL:
+            node._on_message(msg)
+        elif node.alive:
+            getattr(self, msg.tag)(msg.src, msg.dst, msg.payload)
 
 
 def ring_over(sim, tasks, skew=0.3):

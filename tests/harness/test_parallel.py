@@ -19,10 +19,10 @@ import repro.harness.parallel as parallel_mod
 from repro.harness.parallel import (
     ParallelScenario,
     ParallelWorkerError,
-    effective_parallel_workers,
     fault_plan,
     run_parallel,
 )
+from repro.harness.pool import effective_workers
 from repro.util.errors import ConfigurationError
 
 pytestmark = pytest.mark.scale_smoke
@@ -141,9 +141,9 @@ class TestPartitionMetrics:
 class TestWorkerAccounting:
     def test_clamp_mirrors_campaign_rule(self):
         cpus = os.cpu_count() or 1
-        assert effective_parallel_workers(None, 8) == 1
-        assert effective_parallel_workers(4, 2) == min(4, 2, cpus)
-        assert effective_parallel_workers(64, 64) == min(64, cpus)
+        assert effective_workers(None, 8) == 1
+        assert effective_workers(4, 2) == min(4, 2, cpus)
+        assert effective_workers(64, 64) == min(64, cpus)
 
     def test_report_records_requested_vs_effective(self):
         scenario = _scenario("strong", n_faults=0, nodes_per_replica=8,

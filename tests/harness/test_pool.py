@@ -45,14 +45,46 @@ class TestWorkerPool:
 
 
 class TestOrphanWatchdog:
-    def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
-        """A SIGKILLed pool owner must not leave workers behind.
+    """A SIGKILLed pool owner must not leave workers behind.
 
-        The server's durability contract is "kill -9 me and restart"; the
-        orphan watchdog is what keeps every such kill from stranding one
-        ProcessPoolExecutor worker blocked on the call queue forever.
-        """
-        script = textwrap.dedent("""
+    The server's durability contract is "kill -9 me and restart", and a
+    batch sweep can be OOM-killed mid-fan-out; the orphan watchdog is what
+    keeps every such kill from stranding ProcessPoolExecutor workers blocked
+    on the call queue (or still computing) forever.
+    """
+
+    def _assert_workers_die_with_parent(self, script):
+        """Run ``script`` (prints ``WORKER <pid>...`` once its workers are
+        busy or idle in the pool), SIGKILL it, and wait for its workers."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.Popen([sys.executable, "-u", "-c",
+                                 textwrap.dedent(script)],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("WORKER "), line
+            worker_pids = [int(pid) for pid in line.split()[1:]]
+            if worker_pids == [-1]:
+                return  # thread fallback on this platform: nothing to test
+            assert worker_pids and all(_alive(pid) for pid in worker_pids)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while (time.monotonic() < deadline
+                   and any(_alive(pid) for pid in worker_pids)):
+                time.sleep(0.2)
+            assert not any(_alive(pid) for pid in worker_pids), \
+                "orphaned pool worker survived its parent's SIGKILL"
+        finally:
+            proc.stdout.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+
+    def test_workers_exit_when_parent_is_sigkilled(self):
+        self._assert_workers_die_with_parent("""
             import os, sys, time
             from repro.harness import WorkerPool
 
@@ -65,27 +97,18 @@ class TestOrphanWatchdog:
             print(f"WORKER {worker_pid}", flush=True)
             time.sleep(300)
         """)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen([sys.executable, "-u", "-c", script],
-                                stdout=subprocess.PIPE, text=True, env=env)
-        try:
-            line = proc.stdout.readline()
-            assert line.startswith("WORKER "), line
-            worker_pid = int(line.split()[1])
-            if worker_pid < 0:
-                return  # thread fallback on this platform: nothing to test
-            assert _alive(worker_pid)
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline and _alive(worker_pid):
-                time.sleep(0.2)
-            assert not _alive(worker_pid), \
-                "orphaned pool worker survived its parent's SIGKILL"
-        finally:
-            proc.stdout.close()
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+
+    def test_batch_fan_out_workers_exit_when_parent_is_sigkilled(self):
+        """Killed mid-``fan_out`` with ``workers=2``: one worker is still
+        inside a cell, the other idle; both must go."""
+        self._assert_workers_die_with_parent("""
+            import multiprocessing, time
+            from repro.harness import fan_out
+
+            def report(position, result):
+                pids = sorted(p.pid for p in multiprocessing.active_children())
+                print("WORKER", *(pids or [-1]), flush=True)
+
+            fan_out(time.sleep, [(0,), (300,)], 2, on_result=report)
+            print("WORKER -1", flush=True)  # fell back to serial
+        """)

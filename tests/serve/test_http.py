@@ -158,6 +158,19 @@ def test_bad_requests_are_400(served):
     assert exc.value.status == 400
 
 
+def test_unknown_config_key_is_400_naming_it(served):
+    server, client = served
+    with pytest.raises(ServeError) as exc:
+        client.submit(tenant="a", seeds=[0], config=dict(CFG, bogus=1))
+    assert exc.value.status == 400
+    assert "'bogus'" in exc.value.payload["error"]
+    assert server.state.jobs == {}  # nothing queued or journaled
+    # A key only run_experiment_report consumes is accepted.
+    job = client.submit(tenant="a", seeds=[0],
+                        config=dict(CFG, collect_metrics=True))
+    assert client.wait(job["job_id"], timeout=60)["status"] == "done"
+
+
 def test_cancel_via_http(served):
     server, client = served
     orig_next = server.state.next_cell

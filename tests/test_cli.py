@@ -144,3 +144,77 @@ class TestPlotMode:
                             "--horizon", "300", "--failures", "6", "--plot")
         assert code == 0
         assert "trajectory" in out
+
+
+class TestSweepSpec:
+    """``repro campaign`` and ``repro submit`` share one flags->kwargs map."""
+
+    FLAGS = ("--nodes", "2", "--scheme", "medium", "--mapping", "column",
+             "--checksum", "--iterations", "30", "--interval", "3",
+             "--hard-mtbf", "15", "--sdc-mtbf", "40", "--horizon", "500",
+             "--spare-nodes", "8")
+    #: What ``repro submit`` sent as ``config`` for FLAGS before the two
+    #: subcommands shared their flag spec, key order included.
+    EXPECTED = {
+        "nodes_per_replica": 2,
+        "scheme": "medium",
+        "mapping": "column",
+        "use_checksum": True,
+        "total_iterations": 30,
+        "checkpoint_interval": 3.0,
+        "hard_mtbf": 15.0,
+        "sdc_mtbf": 40.0,
+        "horizon": 500.0,
+        "spare_nodes": 8,
+    }
+
+    class _Captured(Exception):
+        pass
+
+    def _campaign_kwargs(self, monkeypatch):
+        import repro.harness.campaign as campaign_mod
+
+        def fake_run_campaign(app, **kwargs):
+            raise self._Captured(kwargs)
+
+        monkeypatch.setattr(campaign_mod, "run_campaign", fake_run_campaign)
+        with pytest.raises(self._Captured) as exc:
+            main(["campaign", "--no-cache", *self.FLAGS])
+        kwargs = exc.value.args[0]
+        for key in ("seeds", "workers", "cache", "resume", "progress"):
+            kwargs.pop(key)
+        return kwargs
+
+    def _submit_config(self, monkeypatch):
+        import repro.serve as serve_mod
+
+        captured = self._Captured
+
+        class FakeClient:
+            def __init__(self, server):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, **request):
+                raise captured(request["config"])
+
+        monkeypatch.setattr(serve_mod, "ServeClient", FakeClient)
+        with pytest.raises(self._Captured) as exc:
+            main(["submit", *self.FLAGS])
+        return exc.value.args[0]
+
+    def test_campaign_and_submit_send_the_same_kwargs(self, monkeypatch):
+        campaign = self._campaign_kwargs(monkeypatch)
+        submit = self._submit_config(monkeypatch)
+        assert campaign == submit == self.EXPECTED
+        assert list(campaign) == list(submit) == list(self.EXPECTED)
+
+    def test_every_axis_is_a_server_config_key(self, monkeypatch):
+        from repro.harness.experiment import EXPERIMENT_CONFIG_KEYS
+
+        assert set(self._submit_config(monkeypatch)) <= EXPERIMENT_CONFIG_KEYS
