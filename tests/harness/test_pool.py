@@ -110,5 +110,5 @@ class TestOrphanWatchdog:
                 print("WORKER", *(pids or [-1]), flush=True)
 
             fan_out(time.sleep, [(0,), (300,)], 2, on_result=report)
-            print("WORKER -1", flush=True)  # fell back to serial
+            print("WORKER -1", flush=True)  # no worker processes here
         """)
