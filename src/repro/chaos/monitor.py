@@ -176,11 +176,11 @@ class InvariantMonitor:
                           gen: CheckpointGeneration) -> None:
         self.checks_performed += 1
         acr = self._acr
-        n = acr.store.nodes_per_replica if acr is not None else len(gen.shards)
+        n = acr.store.nodes_per_replica if acr is not None else len(gen.ranks)
         if not gen.complete(n):
             self._fail("generation-complete",
                        f"{action} on replica {replica}: generation at iteration "
-                       f"{gen.iteration} holds {len(gen.shards)}/{n} shards")
+                       f"{gen.iteration} holds {len(gen.ranks)}/{n} shards")
         if gen.iteration < 0:
             self._fail("generation-complete",
                        f"{action} on replica {replica}: negative iteration "
@@ -208,12 +208,12 @@ class InvariantMonitor:
 
         self.checks_performed += 1
         acr = self._acr
-        n = acr.store.nodes_per_replica if acr is not None else len(gen.shards)
+        n = acr.store.nodes_per_replica if acr is not None else len(gen.ranks)
         if len(staged.shards) != n or not gen.complete(n):
             self._fail("storage-integrity",
                        f"tier {level} restore served an incomplete generation "
                        f"({len(staged.shards)}/{n} stored, "
-                       f"{len(gen.shards)}/{n} returned)")
+                       f"{len(gen.ranks)}/{n} returned)")
         for rank in sorted(staged.shards):
             shard = staged.shards[rank]
             stored = shard.state.buffer.tobytes()
@@ -222,7 +222,7 @@ class InvariantMonitor:
                            f"tier {level} restore served rank {rank} whose "
                            f"bytes do not match the recorded SHA-256 "
                            f"(torn={shard.torn})")
-            if gen.shards[rank].buffer.tobytes() != stored:
+            if gen.shard(rank).buffer.tobytes() != stored:
                 self._fail("storage-integrity",
                            f"tier {level} restore returned rank {rank} bytes "
                            f"differing from the verified stored copy")

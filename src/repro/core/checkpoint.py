@@ -17,29 +17,35 @@ rollback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.pup.puper import PackedState
+from repro.pup.puper import PackedShards, PackedState
 from repro.util.errors import SimulationError
 
 
-@dataclass
-class CheckpointGeneration:
-    """One coordinated checkpoint of one replica: every rank's packed shard."""
+class CheckpointGeneration(PackedShards):
+    """One coordinated checkpoint of one replica: every rank's packed shard.
 
-    iteration: int
-    shards: dict[int, PackedState] = field(default_factory=dict)
-    wallclock: float = 0.0
-    #: Lineage token of the replica state the shards were packed from (see
-    #: ``ACR`` and docs/protocols.md, "Replica lineage"); None when unknown.
-    lineage: int | None = None
+    The unit of checkpoint work: :meth:`~repro.pup.puper.PackedShards.pack`
+    packs all ranks in one pass, ``detect_sdc`` compares two generations,
+    :meth:`~repro.pup.puper.PackedShards.unpack` restores one, and a clone
+    shares the read-only per-rank buffers (see
+    :meth:`CheckpointStore.clone_generation`).  ``shards`` and ``shard(r)``
+    are :class:`PackedState` views built on demand; ``shards=`` stores
+    read-only copies of the given states' buffers.
+    """
 
-    @property
-    def nbytes(self) -> int:
-        return sum(s.nbytes for s in self.shards.values())
+    __slots__ = ("iteration", "wallclock", "lineage")
 
-    def complete(self, nodes_per_replica: int) -> bool:
-        return len(self.shards) == nodes_per_replica
+    def __init__(self, iteration: int,
+                 shards: dict[int, PackedState] | None = None,
+                 wallclock: float = 0.0, lineage: int | None = None):
+        super().__init__()
+        self.iteration = iteration
+        self.wallclock = wallclock
+        #: Lineage token of the replica state the shards were packed from (see
+        #: ``ACR`` and docs/protocols.md, "Replica lineage"); None when unknown.
+        self.lineage = lineage
+        for rank, state in (shards or {}).items():
+            self.put(rank, state)
 
 
 class CheckpointStore:
@@ -82,12 +88,12 @@ class CheckpointStore:
         self._candidate_bytes[replica] = 0
 
     def put_shard(self, replica: int, rank: int, state: PackedState) -> None:
+        """Store a read-only copy of ``state``'s buffer as ``rank``'s shard
+        of the open candidate."""
         gen = self._candidate.get(replica)
         if gen is None:
             raise SimulationError(f"no candidate open for replica {replica}")
-        old = gen.shards.get(rank)
-        delta = state.nbytes - (old.nbytes if old is not None else 0)
-        gen.shards[rank] = state
+        delta = state.nbytes - gen.put(rank, state)
         self._candidate_bytes[replica] += delta
         self._held_bytes += delta
         if rank == self.nodes_per_replica - 1:
@@ -95,6 +101,16 @@ class CheckpointStore:
             # exists: the double-buffering peak.
             self.high_water_bytes = max(self.high_water_bytes,
                                         self._held_bytes)
+
+    def put_candidate(self, replica: int, gen: CheckpointGeneration) -> None:
+        """Open ``gen``, a whole generation, as ``replica``'s candidate: what
+        :meth:`begin_candidate` and one :meth:`put_shard` per rank do."""
+        self._held_bytes -= self._candidate_bytes.get(replica, 0)
+        self._candidate[replica] = gen
+        nbytes = gen.nbytes
+        self._candidate_bytes[replica] = nbytes
+        self._held_bytes += nbytes
+        self.high_water_bytes = max(self.high_water_bytes, self._held_bytes)
 
     def candidate(self, replica: int) -> CheckpointGeneration | None:
         return self._candidate.get(replica)
@@ -105,7 +121,7 @@ class CheckpointStore:
             raise SimulationError(f"no candidate to commit for replica {replica}")
         if not gen.complete(self.nodes_per_replica):
             raise SimulationError(
-                f"candidate for replica {replica} has {len(gen.shards)} of "
+                f"candidate for replica {replica} has {len(gen.ranks)} of "
                 f"{self.nodes_per_replica} shards"
             )
         self._safe[replica] = gen
@@ -154,11 +170,11 @@ class CheckpointStore:
         return self._held_bytes
 
     def clone_generation(self, gen: CheckpointGeneration) -> CheckpointGeneration:
-        """Deep-copy a generation (installing one replica's checkpoint as the
-        other's must not alias buffers that later get restored in place)."""
-        return CheckpointGeneration(
-            iteration=gen.iteration,
-            shards={r: s.copy() for r, s in gen.shards.items()},
-            wallclock=gen.wallclock,
-            lineage=gen.lineage,
-        )
+        """A generation holding ``gen``'s shards (installing one replica's
+        checkpoint as the other's).  Stored buffers are read-only, so the
+        clone shares them instead of copying; restoring either generation
+        copies the bytes out into the application's arrays."""
+        clone = CheckpointGeneration(gen.iteration, wallclock=gen.wallclock,
+                                     lineage=gen.lineage)
+        clone.share(gen)
+        return clone

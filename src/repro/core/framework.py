@@ -45,7 +45,10 @@ from repro.obs.series import NULL_SERIES
 from repro.obs.tracer import NULL_TRACER
 from repro.network.costs import CostModel, MachineConstants
 from repro.network.mapping import build_mapping
-from repro.pup.puper import pack, unpack
+# Checkpoints pack a whole generation at a time (CheckpointGeneration.pack);
+# ``pack`` stays importable from this module for the benchmark's span
+# wrappers (perfbench/spans.py), whose machinery test looks it up here.
+from repro.pup.puper import pack  # noqa: F401
 from repro.runtime.des import EventHandle, Simulator
 from repro.runtime.heartbeat import HeartbeatMonitor
 from repro.runtime.messages import Transport
@@ -441,15 +444,14 @@ class ACR:
                              app=self.app_name, scheme=str(self.config.scheme))
         # Generation zero: the launch state, always available for "restart
         # from the beginning of the execution" (§2.3).
-        # Replica 1 packs like its buddy's shard, so buddies share one field
-        # directory from the start (and every later pack keeps sharing it).
+        # Replica 1 packs like its buddy's generation, so buddies share one
+        # set of field directories from the start (and every later pack
+        # keeps sharing it).
         for replica in (0, 1):
             gen = CheckpointGeneration(iteration=0,
                                        lineage=self._lineage[replica])
-            buddy = self._initial_gen[0].shards if replica else {}
-            for rank in range(self.n):
-                gen.shards[rank] = pack(self.apps[replica].shard(rank),
-                                        like=buddy.get(rank))
+            gen.pack(self.apps[replica].pup_shard, self.n,
+                     like=self._initial_gen[0] if replica else None)
             self._initial_gen[replica] = gen
             self.store.install_safe(replica, self.store.clone_generation(gen))
         # Iteration cap for bounded runs.
@@ -664,19 +666,19 @@ class ACR:
     def _pack_candidates(self, iteration: int, replicas: tuple[int, ...],
                          parent) -> float:
         """Pack each replica's state as its candidate generation (like its
-        safe shards, so the field directories stay shared); traces the pack
-        that just elapsed under ``parent`` and returns its modeled duration."""
+        safe generation, so the field directories stay shared); traces the
+        pack that just elapsed under ``parent`` and returns its modeled
+        duration."""
         pack_t = self.cost.pack_time(self.profile)
         self.tracer.emit("checkpoint.pack", self.sim.now - pack_t,
                          self.sim.now, parent=parent,
                          iteration=iteration, replicas=len(replicas))
         for replica in replicas:
-            self.store.begin_candidate(replica, iteration, self.sim.now,
+            gen = CheckpointGeneration(iteration, wallclock=self.sim.now,
                                        lineage=self._lineage[replica])
-            app, safe = self.apps[replica], self.store.safe(replica).shards
-            for rank in range(self.n):
-                self.store.put_shard(replica, rank,
-                                     pack(app.shard(rank), like=safe[rank]))
+            gen.pack(self.apps[replica].pup_shard, self.n,
+                     like=self.store.safe(replica))
+            self.store.put_candidate(replica, gen)
         return pack_t
 
     def _do_pack(self, iteration: int, replicas: tuple[int, ...]) -> None:
@@ -1159,8 +1161,7 @@ class ACR:
         if gen is None:
             raise SimulationError(f"replica {replica} has no safe checkpoint")
         app = self.apps[replica]
-        for rank in range(self.n):
-            unpack(app.shard(rank), gen.shards[rank])
+        gen.unpack(app.pup_shard)
         app.iteration = gen.iteration
         self._lineage[replica] = (gen.lineage if gen.lineage is not None
                                   else next(self._lineage_ids))
@@ -1369,8 +1370,7 @@ class ACR:
                     scratch = make_app(self.app_name, self.n,
                                        scale=self.config.app_scale,
                                        seed=self.config.seed)
-                for rank in range(self.n):
-                    unpack(scratch.shard(rank), gen.shards[rank])
+                gen.unpack(scratch.pup_shard)
                 scratch.iteration = gen.iteration
                 rep.digests[replica] = scratch.result_digest()
             else:

@@ -13,6 +13,9 @@ description drives four operations:
   mutate a field it already pupped in the same call).  ``pack(obj,
   like=prev)`` shares ``prev``'s directory when every field key matches, so
   steady-state packs build no :class:`FieldRecord` at all;
+* **packing many shards** — :meth:`PackedShards.pack` runs one object's
+  per-shard descriptions in one pass, each shard into its own read-only
+  buffer, and decides directory sharing once for all shards;
 * **unpacking** — restore state from a buffer (:class:`UnpackingPUPer`);
 * **checking** — compare two checkpoints field-by-field to detect silent data
   corruption (:mod:`repro.pup.checker`), including user-customizable per-field
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -276,6 +279,61 @@ def _build_directory(keys: list[tuple]) -> list[FieldRecord]:
     return fields
 
 
+#: Shards packed smaller than this are joined as :class:`bytes` and viewed
+#: as an array: one call instead of a view per field plus a concatenation,
+#: which is most of the cost of packing a shard of a few fields.  Larger
+#: shards are concatenated into arrays numpy allocates: on the checkpoint
+#: workloads measured (shards of 150-380 KiB), buffers allocated as
+#: ``bytes`` raised peak RSS by 4-7 % over the same buffers from numpy.
+_JOIN_LIMIT = 1 << 16
+
+
+class _ShardPUPer(PUPer):
+    """The collecting PUPer of :meth:`PackedShards.pack`: the arrays and
+    directory keys of one shard's fields, joined into the shard's buffer
+    once the shard's description has run."""
+
+    def __init__(self) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.nbytes = 0
+        #: Every shard's keys so far, in order (see :class:`_ViewPUPer`).
+        self.keys: list[tuple] = []
+
+    def _handle(self, name, arr, *, rtol, atol, skip_compare):
+        self.arrays.append(arr)
+        nbytes = arr.nbytes
+        self.nbytes += nbytes
+        self.keys.append((name, _dtype_name(arr.dtype), arr.shape, nbytes,
+                          rtol, atol, skip_compare))
+        return arr
+
+    def join(self) -> np.ndarray:
+        """The collected fields' bytes as one read-only buffer; resets the
+        collected arrays."""
+        arrays, nbytes = self.arrays, self.nbytes
+        self.arrays, self.nbytes = [], 0
+        if nbytes < _JOIN_LIMIT:
+            try:
+                data = b"".join(arrays)
+            except TypeError:  # a field that is not C-contiguous
+                data = b"".join([np.ascontiguousarray(a) for a in arrays])
+            return np.frombuffer(data, dtype=np.uint8)
+        buf = np.concatenate([np.ascontiguousarray(a).view(np.uint8).reshape(-1)
+                              for a in arrays])
+        buf.flags.writeable = False
+        return buf
+
+
+def buffers_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two packed buffers hold the same bytes."""
+    if a.nbytes != b.nbytes:
+        return False
+    if a.nbytes < _JOIN_LIMIT:
+        # One memcmp; numpy's per-call overhead dominates at this size.
+        return a.tobytes() == b.tobytes()
+    return bool(np.array_equal(a, b))
+
+
 class UnpackingPUPer(PUPer):
     """Restores an object from a buffer produced by :func:`pack`.
 
@@ -286,6 +344,10 @@ class UnpackingPUPer(PUPer):
     is_unpacking = True
 
     def __init__(self, buffer: np.ndarray, fields: list[FieldRecord]):
+        self.load(buffer, fields)
+
+    def load(self, buffer: np.ndarray, fields: list[FieldRecord]) -> None:
+        """Read the next description from ``buffer`` under ``fields``."""
         self._buffer = np.asarray(buffer, dtype=np.uint8)
         self._fields = fields
         self._index = 0
@@ -362,6 +424,131 @@ def pack(obj: Pupable, like: PackedState | None = None) -> PackedState:
     if like is not None and _shares_directory(keys, like.fields):
         return PackedState(buf, like.fields)
     return PackedState(buf, _build_directory(keys))
+
+
+class PackedShards:
+    """Shards ``0..n-1`` of one object, as :meth:`pack` packs them in one pass.
+
+    ``buffers[r]`` is shard ``r``'s packed bytes and ``directories[r]`` its
+    field directory; :meth:`shard` pairs them as a :class:`PackedState`.
+    Every buffer is a read-only array that no one writes after it is
+    stored, so copies of the lists share the buffers safely.  ``keys`` and
+    ``ends`` are every shard's directory keys in order and the index in
+    ``keys`` where each shard's keys end; the next :meth:`pack` ``like=``
+    these shards compares them whole.  They are None once a shard was
+    stored by :meth:`put`.  ``None`` in ``buffers`` marks a shard not
+    stored yet.
+    """
+
+    __slots__ = ("buffers", "directories", "keys", "ends")
+
+    def __init__(self) -> None:
+        self.buffers: list[np.ndarray | None] = []
+        self.directories: list[list[FieldRecord] | None] = []
+        self.keys: list[tuple] | None = None
+        self.ends: list[int] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.buffers if b is not None)
+
+    @property
+    def ranks(self) -> list[int]:
+        """The shards stored, in order."""
+        return [r for r, b in enumerate(self.buffers) if b is not None]
+
+    def complete(self, count: int) -> bool:
+        """True when exactly shards ``0..count-1`` are stored."""
+        return (len(self.buffers) == count
+                and all(b is not None for b in self.buffers))
+
+    def shard(self, rank: int) -> PackedState:
+        """Shard ``rank`` as a :class:`PackedState` over its read-only buffer."""
+        buf = self.buffers[rank] if 0 <= rank < len(self.buffers) else None
+        if buf is None:
+            raise PUPError(f"shard {rank} is not stored")
+        return PackedState(buf, self.directories[rank])
+
+    @property
+    def shards(self) -> dict[int, PackedState]:
+        """Every stored shard by rank, built on demand."""
+        return {r: self.shard(r) for r in self.ranks}
+
+    def put(self, rank: int, state: PackedState) -> int:
+        """Store a read-only copy of ``state``'s buffer as shard ``rank``;
+        returns the byte size of the shard it replaces (0 if none)."""
+        missing = rank + 1 - len(self.buffers)
+        if missing > 0:
+            self.buffers.extend([None] * missing)
+            self.directories.extend([None] * missing)
+        old = self.buffers[rank]
+        buf = state.buffer.copy()
+        buf.flags.writeable = False
+        self.buffers[rank] = buf
+        self.directories[rank] = state.fields
+        self.keys = self.ends = None
+        return old.nbytes if old is not None else 0
+
+    def share(self, other: "PackedShards") -> None:
+        """Hold ``other``'s shards: the buffers and directories by
+        reference, in lists of this object's own."""
+        self.buffers = list(other.buffers)
+        self.directories = list(other.directories)
+        self.keys, self.ends = other.keys, other.ends
+
+    def pack(self, pup_shard: Callable[[PUPer, int], None], count: int,
+             like: "PackedShards | None" = None) -> None:
+        """Pack shards ``0..count-1`` of one object: ``pup_shard(p, rank)``
+        runs shard ``rank``'s pup description.
+
+        One collecting PUPer serves every shard; each shard's fields are
+        copied into its own read-only buffer as soon as its description has
+        run (one copy of the payload, as :func:`pack` makes).  Directory
+        sharing with ``like`` — an earlier pack of the same object — is
+        decided once: when every shard's keys equal ``like``'s (one list
+        comparison), every directory and the key list itself are
+        ``like``'s.  Otherwise each shard shares ``like``'s directory for
+        its rank when :func:`pack` ``like=`` that shard would, and the
+        directories built fresh are interned, so shards with equal keys
+        share one.
+        """
+        p = _ShardPUPer()
+        buffers, ends = [], []
+        for rank in range(count):
+            pup_shard(p, rank)
+            buffers.append(p.join())
+            ends.append(len(p.keys))
+        keys = p.keys
+        self.buffers = buffers
+        if like is not None and keys == like.keys and ends == like.ends:
+            self.directories = list(like.directories)
+            self.keys, self.ends = like.keys, like.ends
+            return
+        prior = like.directories if like is not None else []
+        interned: dict[tuple, list[FieldRecord]] = {}
+        directories = []
+        start = 0
+        for rank, end in enumerate(ends):
+            rank_keys = keys[start:end]
+            fields = prior[rank] if rank < len(prior) else None
+            if fields is None or not _shares_directory(rank_keys, fields):
+                token = tuple(rank_keys)
+                fields = interned.get(token)
+                if fields is None:
+                    fields = interned[token] = _build_directory(rank_keys)
+            directories.append(fields)
+            start = end
+        self.directories = directories
+        self.keys, self.ends = keys, ends
+
+    def unpack(self, pup_shard: Callable[[PUPer, int], None]) -> None:
+        """Restore every shard in place, in one pass over one PUPer."""
+        p = UnpackingPUPer(np.empty(0, dtype=np.uint8), [])
+        for rank in range(len(self.buffers)):
+            state = self.shard(rank)
+            p.load(state.buffer, state.fields)
+            pup_shard(p, rank)
+            p.finish()
 
 
 def unpack(obj: Pupable, state: PackedState) -> None:

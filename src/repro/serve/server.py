@@ -92,7 +92,9 @@ class CampaignServer:
         state.workers_hint = self.workers
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
+        #: Every connection's handler task and its stream writer, registered
+        #: when the connection is accepted, before the task's first step.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._worker_tasks: list[asyncio.Task] = []
         self._wake: asyncio.Event | None = None
         self._thread = None
@@ -102,7 +104,7 @@ class CampaignServer:
     async def start(self) -> None:
         self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._worker_tasks = [
             asyncio.create_task(self._worker_loop(i))
@@ -112,17 +114,25 @@ class CampaignServer:
             self._wake.set()
 
     async def shutdown(self) -> None:
-        for task in list(self._worker_tasks) + list(self._connections):
+        """Stop accepting, end every connection and worker, then close.
+
+        The listener closes first, so no connection arrives after the ones
+        ended here.  Each connection's transport is closed and its task
+        cancelled, whether or not the task has taken its first step; the
+        tasks are this server's own (see :meth:`_accept`), so a cancelled
+        one is never reported as an unhandled exception.
+        """
+        if self._server is not None:
+            self._server.close()
+        for writer in self._connections.values():
+            writer.close()
+        tasks = list(self._worker_tasks) + list(self._connections)
+        for task in tasks:
             task.cancel()
-        for task in list(self._worker_tasks) + list(self._connections):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._worker_tasks = []
         self._connections.clear()
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self.pool is not None:
@@ -157,6 +167,8 @@ class CampaignServer:
         self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=10)
+        if self._thread is None or not self._thread.is_alive():
+            self._loop.close()
         self._loop, self._thread = None, None
 
     # -- worker loop ----------------------------------------------------------
@@ -205,12 +217,22 @@ class CampaignServer:
             self.state.running_cells)
 
     # -- HTTP layer -----------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """``start_server``'s callback: run the connection as a task of this
+        server's own, registered before its first step.  (A coroutine
+        callback would make ``asyncio.streams`` create the task and report
+        its cancellation as an unhandled exception.)"""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer))
+        self._connections[task] = writer
+        task.add_done_callback(self._forget_connection)
+
+    def _forget_connection(self, task: asyncio.Task) -> None:
+        self._connections.pop(task, None)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
         try:
             while True:
                 request = await self._read_request(reader)
@@ -228,11 +250,6 @@ class CampaignServer:
                     break
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown while this keep-alive connection was idle;
-            # swallowing the cancel keeps the asyncio.streams done-callback
-            # from logging it as an unhandled exception.
             pass
         finally:
             writer.close()

@@ -334,10 +334,10 @@ class DurableHierarchy:
             for staged in reversed(tier.generations):
                 problem = self.verify_generation(staged)
                 if problem is None:
+                    # The generation stores copies of the stored bytes.
                     gen = CheckpointGeneration(
                         iteration=staged.iteration,
-                        shards={r: s.state.copy()
-                                for r, s in staged.shards.items()},
+                        shards={r: s.state for r, s in staged.shards.items()},
                         wallclock=staged.wallclock,
                     )
                     if not gen.complete(self.nodes_per_replica):

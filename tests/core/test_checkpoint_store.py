@@ -15,7 +15,7 @@ def shard(value=1.0, n=8):
 def full_generation(iteration=5, nodes=4, value=1):
     gen = CheckpointGeneration(iteration=iteration)
     for r in range(nodes):
-        gen.shards[r] = shard(value)
+        gen.put(r, shard(value))
     return gen
 
 
@@ -82,12 +82,21 @@ class TestSafeGenerations:
         with pytest.raises(SimulationError):
             store.install_safe(0, full_generation(nodes=2))
 
-    def test_clone_is_deep(self):
+    def test_clone_shares_read_only_buffers(self):
         store = CheckpointStore(2)
         gen = full_generation(nodes=2, value=5)
         clone = store.clone_generation(gen)
-        clone.shards[0].buffer[:] = 0
-        assert (gen.shards[0].buffer == 5).all()
+        assert len(clone.buffers) == 2
+        assert all(a is b for a, b in zip(clone.buffers, gen.buffers))
+        for held in (gen, clone):
+            with pytest.raises(ValueError, match="read-only"):
+                held.shard(0).buffer[:] = 0
+        assert (gen.shard(0).buffer == 5).all()
+        # The clone's lists are its own: storing a shard in one leaves the
+        # other as it was.
+        clone.put(0, shard(7))
+        assert (gen.shard(0).buffer == 5).all()
+        assert (clone.shard(0).buffer == 7).all()
 
     def test_nbytes_sums_shards(self):
         gen = full_generation(nodes=4)
@@ -148,9 +157,8 @@ class TestRunningByteTotal:
             assert store.high_water_bytes == peak
 
         # A generation whose shards were filled before install_safe.
-        gen = CheckpointGeneration(iteration=0)
-        gen.shards[0] = shard(n=8)
-        gen.shards[1] = shard(n=24)
+        gen = CheckpointGeneration(iteration=0,
+                                   shards={0: shard(n=8), 1: shard(n=24)})
         store.install_safe(0, gen)
         check(sampled=True)
         store.install_safe(1, store.clone_generation(gen))

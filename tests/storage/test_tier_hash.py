@@ -77,7 +77,7 @@ def test_each_group_write_hashes_anew(sha_calls):
     hier.persist_now(_gen(20), now=9.0)
     assert len(sha_calls) == 3 * NRANKS
     # A generation changed between group writes is stored as it is now.
-    gen.shards[0].buffer[:] = 7
+    gen.put(0, PackedState(np.full(256, 7, dtype=np.uint8)))
     hier.persist_now(gen, now=12.0)
     newest = hier.tiers[3].generations[-1].shards[0]
     assert newest.digest == hashlib.sha256(bytes([7]) * 256).hexdigest()

@@ -177,6 +177,9 @@ class TestRetention:
         hier = DurableHierarchy([NODE_LOCAL_TIER], NRANKS)
         hier.persist_now(_gen(10), now=0.0)
         first = hier.restore(now=1.0).generation
-        first.shards[0].buffer[:] = 0  # caller mutates its copy
-        second = hier.restore(now=2.0).generation
-        assert bytes(second.shards[0].buffer) != bytes(first.shards[0].buffer)
+        before = _payloads(first)
+        with pytest.raises(ValueError, match="read-only"):
+            first.shards[0].buffer[:] = 0
+        # Rot on the stored copy does not reach the restored generation.
+        hier.tiers[2].generations[-1].shards[0].state.buffer[:] = 0
+        assert _payloads(first) == before
