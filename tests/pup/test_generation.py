@@ -59,7 +59,7 @@ class TestPackEquivalence:
                     == shared_ref
             first = gen
 
-    def test_changed_field_builds_only_that_rank_a_directory(self):
+    def test_changed_field_rebuilds_only_that_ranks_directory(self):
         toy = Toy(4, seed=1)
         first = generation(toy)
         toy.ints[2] = np.arange(5)          # rank 2's shape changes
@@ -95,8 +95,6 @@ class TestPackEquivalence:
 class Toy:
     """A replica-like object with bit-exact, tolerant, atol and skipped
     fields on every rank."""
-
-    nodes_per_replica: int
 
     def __init__(self, nodes, seed, length=6):
         rng = np.random.default_rng(seed)
