@@ -10,9 +10,9 @@ perf trajectory to defend:
 * **checksums** — Fletcher-32/64 and the 32-byte striped digest throughput,
   the digest gated against the seed's copying implementation;
 * **campaigns** — multi-seed replay throughput, serial vs ``workers=N``;
-* **durable tiers** — the level-2/3 persist path (deep copy + SHA-256 guard
-  per shard), its modeled atomic-vs-unsafe safety overhead, and the
-  torn-write fallback guarantee.
+* **durable tiers** — the level-2/3 persist path (one SHA-256 guard per
+  shard over buffers the tier shares), its modeled atomic-vs-unsafe safety
+  overhead, and the torn-write fallback guarantee.
 
 All timings use best-of-``repeats`` ``perf_counter`` deltas; payload sizes
 and speedups land in ``BENCH_checkpoint.json`` via :func:`run_all`.
@@ -154,8 +154,8 @@ def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
                          repeats: int = 3) -> dict:
     """Durable-tier group write: real cost of the modeled persist path.
 
-    The hierarchy's bookkeeping per persist is one deep copy plus one
-    SHA-256 per shard, so ``persist_gib_per_s`` tracks how much simulated
+    The hierarchy's bookkeeping per persist is one SHA-256 per shard (the
+    tier shares the generation's read-only buffers), so ``persist_gib_per_s`` tracks how much simulated
     storage a campaign can afford and ``sha_share_of_persist`` shows where
     that wall time goes.  Two dimensionless gates ride along:
     ``sim_safety_overhead`` (the modeled atomic-vs-unsafe write-time ratio,

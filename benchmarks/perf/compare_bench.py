@@ -17,6 +17,10 @@ with the machine, so they are reported but never fail the gate.
 A baseline recorded on one CPU is refused: every CPU-gated row would be
 skipped against it.  Exit code 1 on regression or on such a baseline, with a
 readable delta table either way.
+
+After the gate, each perfbench end-to-end metric's trend per workload is
+printed from ``BENCH_history.jsonl`` (``--history``): its value in the
+first, the previous and the latest line.  The trend never fails the gate.
 """
 
 from __future__ import annotations
@@ -130,6 +134,44 @@ INFORMATIONAL = (
 )
 
 
+#: perfbench's end-to-end metrics, as ``bench_history.py`` records them.
+TREND_METRICS = ("node_iters_per_s", "setup_s", "peak_rss_mib")
+
+
+def load_history(path: Path) -> list[dict]:
+    """The lines of a ``BENCH_history.jsonl``, oldest first ([] if absent)."""
+    if not path.is_file():
+        return []
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
+
+
+def trend_lines(history: list[dict]) -> tuple:
+    """The first, previous and latest history line (previous is None when
+    there is only one)."""
+    return history[0], history[-2] if len(history) > 1 else None, history[-1]
+
+
+def trend_rows(history: list[dict]) -> list[list]:
+    """One row per workload and end-to-end metric of the latest history
+    line: the metric in the first, the previous and the latest line, and
+    the latest against the previous."""
+    ends = trend_lines(history)
+    rows = []
+    for workload in sorted(ends[-1].get("workloads", {})):
+        for metric in TREND_METRICS:
+            values = [None if line is None else
+                      line.get("workloads", {}).get(workload, {}).get(metric)
+                      for line in ends]
+            old, new = values[1], values[2]
+            delta = (f"{100.0 * (new - old) / old:+.1f}%"
+                     if old and new is not None else "-")
+            rows.append([f"{workload}.{metric}",
+                         *[None if v is None else round(v, 3) for v in values],
+                         delta])
+    return rows
+
+
 def _lookup(results: dict, section: str, metric: str):
     return (results.get(section) or {}).get(metric)
 
@@ -233,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed fractional drop below baseline "
                              "(default 0.30)")
+    parser.add_argument("--history", type=Path,
+                        default=REPO_ROOT / "BENCH_history.jsonl",
+                        help="perfbench trajectory to print trends from")
     args = parser.parse_args(argv)
 
     baseline = json.loads(args.baseline.read_text())["results"]
@@ -242,6 +287,16 @@ def main(argv: list[str] | None = None) -> int:
         ["metric", "baseline", "new", "delta", "status"], rows,
         title=f"perf gate: {args.new} vs {args.baseline} "
               f"(tolerance {100.0 * args.tolerance:.0f}%)"))
+    history = load_history(args.history)
+    if history:
+        commits = " / ".join(line.get("commit", "?")[:7]
+                             for line in trend_lines(history) if line)
+        print()
+        print(format_table(
+            ["metric", "first", "previous", "latest", "latest vs previous"],
+            trend_rows(history),
+            title=f"perfbench trend: {len(history)} lines of {args.history} "
+                  f"({commits})"))
     if failures:
         print(f"\n{len(failures)} perf regression(s):", file=sys.stderr)
         for f in failures:

@@ -209,19 +209,18 @@ class InvariantMonitor:
         self.checks_performed += 1
         acr = self._acr
         n = acr.store.nodes_per_replica if acr is not None else len(gen.ranks)
-        if len(staged.shards) != n or not gen.complete(n):
+        if not staged.gen.complete(n) or not gen.complete(n):
             self._fail("storage-integrity",
                        f"tier {level} restore served an incomplete generation "
-                       f"({len(staged.shards)}/{n} stored, "
+                       f"({len(staged.gen.ranks)}/{n} stored, "
                        f"{len(gen.ranks)}/{n} returned)")
-        for rank in sorted(staged.shards):
-            shard = staged.shards[rank]
-            stored = shard.state.buffer.tobytes()
-            if hashlib.sha256(stored).hexdigest() != shard.digest:
+        for rank in staged.gen.ranks:
+            stored = staged.gen.buffers[rank].tobytes()
+            if hashlib.sha256(stored).hexdigest() != staged.digests[rank]:
                 self._fail("storage-integrity",
                            f"tier {level} restore served rank {rank} whose "
                            f"bytes do not match the recorded SHA-256 "
-                           f"(torn={shard.torn})")
+                           f"(torn={rank in staged.torn})")
             if gen.shard(rank).buffer.tobytes() != stored:
                 self._fail("storage-integrity",
                            f"tier {level} restore returned rank {rank} bytes "

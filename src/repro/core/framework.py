@@ -763,7 +763,7 @@ class ACR:
         if self.storage is not None and len(replicas) == 2:
             # Only compared generations flow to the durable tiers: a solo
             # (weak-pending) checkpoint skipped SDC comparison and must not
-            # become a trusted deep copy.
+            # become a trusted durable copy.
             persist_s = self._begin_tier_persist(committed[replicas[0]])
             if persist_s > 0.0:
                 if self.config.async_checkpointing:

@@ -13,7 +13,6 @@ from repro.storage.hierarchy import (
     DurableHierarchy,
     RestoreResult,
     StoredGeneration,
-    StoredShard,
     TierState,
 )
 from repro.storage.tiers import (
@@ -28,7 +27,6 @@ __all__ = [
     "DurableHierarchy",
     "RestoreResult",
     "StoredGeneration",
-    "StoredShard",
     "TierState",
     "NODE_LOCAL_TIER",
     "SHARED_FS_TIER",

@@ -2,21 +2,22 @@
 
 A :class:`DurableHierarchy` holds the level-2 (node-local) and level-3
 (shared-FS) copies of committed checkpoint generations.  It is *modeled*
-storage: generations live in memory as deep copies, write/read durations
-come from each :class:`~repro.storage.tiers.TierSpec` cost model (the
-framework charges them through ``ACR._charge``), and crash/corruption
-behaviour is simulated precisely enough to test the recovery guarantees:
+storage: a tier shares the read-only buffers of the generations it stores,
+write/read durations come from each :class:`~repro.storage.tiers.TierSpec`
+cost model (the framework charges them through ``ACR._charge``), and
+crash/corruption behaviour is simulated precisely enough to test the
+recovery guarantees:
 
 * every stored shard carries the SHA-256 of its buffer, recorded at stage
   time — the integrity guard recovery verifies before trusting a copy.  A
-  generation staged on several tiers in one group write is hashed once: each
-  tier still stores its own deep copy, all copies of the same bytes;
+  generation staged on several tiers in one group write is hashed once;
 * a group write interrupted mid-flight (node death during the persist
   window) lands **torn** under the ``unsafe`` protocol — a prefix of shards
   intact, one shard's tail zeroed, the rest missing — and is aborted
   cleanly under ``atomic-dirsync`` (the previous generation survives);
 * injected storage faults (armed torn writes, bit rot at rest, write-latency
-  spikes) corrupt stored state the same way real media do: silently.
+  spikes) corrupt stored state the same way real media do: silently, and
+  copy on write, so no other tier or generation sees the corrupted buffer.
 
 :meth:`restore` scans level 2 then level 3, newest generation first, and
 returns the first copy whose every shard passes the SHA-256 guard — never a
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointGeneration
 from repro.storage.tiers import TierSpec, WriteProtocol
-from repro.util.errors import ConfigurationError, SimulationError
+from repro.util.errors import ConfigurationError
 from repro.util.rng import RngStream
 
 
@@ -40,33 +41,33 @@ def _digest(buffer) -> str:
     return hashlib.sha256(buffer).hexdigest()
 
 
-@dataclass
-class StoredShard:
-    """One rank's packed state as stored on a tier, plus its recorded guard.
-
-    ``digest`` is the SHA-256 of the buffer *as staged*; faults mutate the
-    buffer afterwards (tears, bit rot) without touching the digest, exactly
-    like real media corrupting data under a stale checksum.
-    """
-
-    state: object  # PackedState (kept duck-typed: .buffer/.nbytes/.copy())
-    digest: str
-    #: Set when a simulated tear hit this shard (accounting only; detection
-    #: always goes through the SHA-256 recompute).
-    torn: bool = False
+def _sharing(gen: CheckpointGeneration) -> CheckpointGeneration:
+    """A generation of its own holding ``gen``'s read-only buffers, unlike
+    ``CheckpointStore.clone_generation`` without its lineage: a stored
+    generation belongs to no replica until recovery gives it a token."""
+    out = CheckpointGeneration(gen.iteration, wallclock=gen.wallclock)
+    out.share(gen)
+    return out
 
 
 @dataclass
 class StoredGeneration:
-    """One checkpoint generation as stored on one tier."""
+    """One checkpoint generation as stored on one tier.
 
-    iteration: int
-    wallclock: float
-    shards: dict[int, StoredShard] = field(default_factory=dict)
+    ``digests[r]`` is the SHA-256 of rank ``r``'s buffer *as staged*; faults
+    replace buffers in ``gen`` afterwards (tears, bit rot) without touching
+    the digests, exactly like real media corrupting data under a stale
+    checksum.  ``torn`` names the ranks a simulated tear hit (accounting
+    only; detection always goes through the SHA-256 recompute).
+    """
+
+    gen: CheckpointGeneration
+    digests: list[str | None]
+    torn: set[int] = field(default_factory=set)
 
     @property
-    def nbytes(self) -> int:
-        return sum(s.state.nbytes for s in self.shards.values())
+    def iteration(self) -> int:
+        return self.gen.iteration
 
 
 @dataclass
@@ -126,8 +127,8 @@ class DurableHierarchy:
         #: write; populated by :meth:`stage`, consumed by complete/abort.
         self._inflight: list[tuple[int, StoredGeneration]] = []
         #: The generation last staged in the in-flight group write and its
-        #: first staged copy, whose digests later tiers reuse.
-        self._hashed: tuple[CheckpointGeneration, StoredGeneration] | None = None
+        #: per-rank digests, which later tiers reuse.
+        self._hashed: tuple[CheckpointGeneration, list[str | None]] | None = None
         #: Observers (e.g. the chaos InvariantMonitor); hooks:
         #: ``on_tier_persist(level, stored_gen, torn)`` and
         #: ``on_tier_restore(level, stored_gen, generation)``.
@@ -158,26 +159,20 @@ class DurableHierarchy:
         write duration (latency spikes included).  The write is in flight
         until :meth:`complete_inflight` / :meth:`abort_inflight`.
 
-        The first tier ``gen`` is staged on in a group write copies and
-        hashes its shards; later tiers of the same group write copy that
-        staged copy, which nothing mutates before the write completes or
-        aborts, and take its digests.  Each shard is hashed once per group
-        write however many tiers are due.
+        The tier stores a generation of its own over ``gen``'s read-only
+        buffers.  The first tier ``gen`` is staged on in a group write
+        hashes its shards; later tiers of the same group write take those
+        digests, so each shard is hashed once per group write however many
+        tiers are due.
         """
         tier = self.tiers[level]
-        staged = StoredGeneration(iteration=gen.iteration,
-                                  wallclock=gen.wallclock)
         if self._hashed is not None and self._hashed[0] is gen:
-            for rank, first in self._hashed[1].shards.items():
-                staged.shards[rank] = StoredShard(state=first.state.copy(),
-                                                  digest=first.digest)
+            digests = self._hashed[1]
         else:
-            for rank, shard in gen.shards.items():
-                copy = shard.copy()
-                staged.shards[rank] = StoredShard(state=copy,
-                                                  digest=_digest(copy.buffer))
-            self._hashed = (gen, staged)
-        duration = tier.spec.write_time(staged.nbytes, len(staged.shards))
+            digests = [None if b is None else _digest(b) for b in gen.buffers]
+            self._hashed = (gen, digests)
+        staged = StoredGeneration(_sharing(gen), digests)
+        duration = tier.spec.write_time(gen.nbytes, len(gen.ranks))
         if tier.armed_spike > 0.0:
             duration *= tier.armed_spike
             tier.armed_spike = 0.0
@@ -201,7 +196,7 @@ class DurableHierarchy:
                     outcomes.append({"level": level, "outcome": "aborted",
                                      "iteration": staged.iteration})
                     continue
-                self._tear(staged, len(staged.shards) // 2, drop_rest=False)
+                self._tear(staged, len(staged.gen.ranks) // 2, drop_rest=False)
                 tier.counters["torn_writes"] += 1
                 self._land(tier, staged)
                 outcomes.append({"level": level, "outcome": "torn",
@@ -209,7 +204,7 @@ class DurableHierarchy:
                 self._notify("on_tier_persist", level, staged, True)
                 continue
             tier.counters["persists"] += 1
-            tier.counters["bytes_written"] += staged.nbytes
+            tier.counters["bytes_written"] += staged.gen.nbytes
             self._land(tier, staged)
             outcomes.append({"level": level, "outcome": "ok",
                              "iteration": staged.iteration})
@@ -232,8 +227,8 @@ class DurableHierarchy:
             if tier.spec.protocol is WriteProtocol.ATOMIC_DIRSYNC:
                 tier.counters["aborted_writes"] += 1
                 continue
-            k = (len(staged.shards) // 2 if fault_point is None
-                 else max(0, min(fault_point, len(staged.shards) - 1)))
+            k = (len(staged.gen.ranks) // 2 if fault_point is None
+                 else max(0, min(fault_point, len(staged.gen.ranks) - 1)))
             self._tear(staged, k, drop_rest=True)
             tier.counters["torn_writes"] += 1
             self._land(tier, staged)
@@ -255,17 +250,21 @@ class DurableHierarchy:
     @staticmethod
     def _tear(staged: StoredGeneration, fault_point: int, *,
               drop_rest: bool) -> None:
-        ranks = sorted(staged.shards)
+        gen = staged.gen
+        ranks = gen.ranks
         if not ranks:
             return
         victim = ranks[min(fault_point, len(ranks) - 1)]
-        buf = staged.shards[victim].state.buffer
-        # Zero the tail: a genuinely different payload under the stale digest.
+        # Zero the tail of a copy (copy on write): a genuinely different
+        # payload under the stale digest.
+        buf = gen.buffers[victim].copy()
         buf[len(buf) // 2:] = 0
-        staged.shards[victim].torn = True
+        buf.flags.writeable = False
+        gen.buffers[victim] = buf
+        staged.torn.add(victim)
         if drop_rest:
             for r in ranks[fault_point + 1:]:
-                del staged.shards[r]
+                gen.buffers[r] = gen.directories[r] = None
 
     def persist_now(self, gen: CheckpointGeneration, now: float,
                     levels=None) -> float:
@@ -294,30 +293,33 @@ class DurableHierarchy:
         tier = self.tiers.get(level)
         if tier is None or not tier.generations:
             return False
-        gen = tier.generations[-1]
-        ranks = sorted(gen.shards)
+        gen = tier.generations[-1].gen
+        ranks = gen.ranks
         if not ranks:
             return False
-        victim = gen.shards[ranks[int(self._rng.integers(0, len(ranks)))]]
-        buf = victim.state.buffer
+        victim = ranks[int(self._rng.integers(0, len(ranks)))]
+        buf = gen.buffers[victim]
         if buf.nbytes == 0:
             return False
         byte = int(self._rng.integers(0, buf.nbytes))
         bit = int(self._rng.integers(0, 8))
+        buf = buf.copy()                    # copy on write
         buf[byte] ^= (1 << bit)
+        buf.flags.writeable = False
+        gen.buffers[victim] = buf
         tier.counters["rot_injected"] += 1
         return True
 
     # -- restore ---------------------------------------------------------------
     def verify_generation(self, staged: StoredGeneration) -> str | None:
         """None when intact; otherwise why the integrity guard rejects it."""
-        if len(staged.shards) != self.nodes_per_replica:
-            return (f"incomplete: {len(staged.shards)}/"
+        gen = staged.gen
+        if not gen.complete(self.nodes_per_replica):
+            return (f"incomplete: {len(gen.ranks)}/"
                     f"{self.nodes_per_replica} shards")
-        for rank in sorted(staged.shards):
-            shard = staged.shards[rank]
-            if _digest(shard.state.buffer) != shard.digest:
-                kind = "torn shard" if shard.torn else "digest mismatch"
+        for rank, buf in enumerate(gen.buffers):
+            if _digest(buf) != staged.digests[rank]:
+                kind = "torn shard" if rank in staged.torn else "digest mismatch"
                 return f"{kind} at rank {rank}"
         return None
 
@@ -327,22 +329,15 @@ class DurableHierarchy:
         Scans level 2 then level 3, newest stored copy first, verifying the
         SHA-256 guard on every shard; torn and rotted copies are rejected and
         counted, and the scan falls back to the next candidate.  Returns None
-        when no tier holds an intact generation.
+        when no tier holds an intact generation.  The generation returned
+        shares the verified buffers in lists of its own.
         """
         fellback = False
         for level, tier in sorted(self.tiers.items()):
             for staged in reversed(tier.generations):
                 problem = self.verify_generation(staged)
                 if problem is None:
-                    # The generation stores copies of the stored bytes.
-                    gen = CheckpointGeneration(
-                        iteration=staged.iteration,
-                        shards={r: s.state for r, s in staged.shards.items()},
-                        wallclock=staged.wallclock,
-                    )
-                    if not gen.complete(self.nodes_per_replica):
-                        raise SimulationError(
-                            "verified generation is incomplete")  # pragma: no cover
+                    gen = _sharing(staged.gen)
                     tier.counters["restore_hits"] += 1
                     if fellback:
                         self.fallbacks += 1

@@ -315,3 +315,51 @@ class TestMain:
                     + compare_bench.CPU_GATED_RATIOS}
         assert any((compare_bench._lookup(baseline, s, "cpu_count") or 1) > 1
                    for s in sections)
+
+
+class TestTrend:
+    """The perfbench trajectory printed from a BENCH_history.jsonl."""
+
+    @staticmethod
+    def _line(commit, rate, setup, rss):
+        return {"commit": commit, "workloads": {
+            "ckpt_bulk": {"node_iters_per_s": rate, "setup_s": setup,
+                          "peak_rss_mib": rss, "failed": 0}}}
+
+    def _history(self, tmp_path):
+        lines = [self._line("a" * 40, 1000.0, 0.04, 180.0),
+                 self._line("b" * 40, 1500.0, 0.03, 170.0),
+                 self._line("c" * 40, 1800.0, 0.03, 160.0)]
+        path = tmp_path / "history.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return path
+
+    def test_first_previous_and_latest_per_metric(self, tmp_path):
+        history = compare_bench.load_history(self._history(tmp_path))
+        rows = {row[0]: row[1:] for row in compare_bench.trend_rows(history)}
+        assert rows == {
+            "ckpt_bulk.node_iters_per_s": [1000.0, 1500.0, 1800.0, "+20.0%"],
+            "ckpt_bulk.setup_s": [0.04, 0.03, 0.03, "+0.0%"],
+            "ckpt_bulk.peak_rss_mib": [180.0, 170.0, 160.0, "-5.9%"],
+        }
+
+    def test_one_line_has_no_previous(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        path.write_text(json.dumps(self._line("a" * 40, 1000.0, 0.04, 180.0)))
+        [row, *_] = compare_bench.trend_rows(compare_bench.load_history(path))
+        assert row == ["ckpt_bulk.node_iters_per_s", 1000.0, None, 1000.0, "-"]
+
+    def test_main_prints_the_trend_and_it_never_fails(self, tmp_path, capsys):
+        base, new = tmp_path / "base.json", tmp_path / "new.json"
+        for path in (base, new):
+            path.write_text(json.dumps({"results": _results()}))
+        history = self._history(tmp_path)
+        assert compare_bench.main(["--baseline", str(base), "--new", str(new),
+                                   "--history", str(history)]) == 0
+        out = capsys.readouterr().out
+        assert "perfbench trend: 3 lines" in out
+        assert "(aaaaaaa / bbbbbbb / ccccccc)" in out
+        assert "ckpt_bulk.peak_rss_mib" in out
+
+    def test_missing_history_is_empty(self, tmp_path):
+        assert compare_bench.load_history(tmp_path / "absent.jsonl") == []

@@ -56,16 +56,50 @@ def test_two_due_tiers_hash_each_shard_once(sha_calls):
     hier.complete_inflight(0.0)
     assert len(sha_calls) == NRANKS
 
-    stored = {level: hier.tiers[level].generations[-1] for level in (2, 3)}
-    for rank, source in gen.shards.items():
-        expected = hashlib.sha256(source.buffer.tobytes()).hexdigest()
-        copies = [stored[level].shards[rank] for level in (2, 3)]
-        for shard in copies:
-            assert shard.digest == expected
-            assert shard.state.buffer.tobytes() == source.buffer.tobytes()
-            assert not np.shares_memory(shard.state.buffer, source.buffer)
-        assert not np.shares_memory(copies[0].state.buffer,
-                                    copies[1].state.buffer)
+    stored = [hier.tiers[level].generations[-1] for level in (2, 3)]
+    for rank, source in enumerate(gen.buffers):
+        expected = hashlib.sha256(source.tobytes()).hexdigest()
+        for copy in stored:
+            assert copy.digests[rank] == expected
+            # Shared, not copied: the tier holds the read-only source buffer.
+            assert copy.gen.buffers[rank] is source
+            assert not source.flags.writeable
+    # Each tier's generation is its own object with lists of its own.
+    assert len({id(gen), id(stored[0].gen), id(stored[1].gen)}) == 3
+    assert stored[0].gen.buffers is not stored[1].gen.buffers
+
+
+def _bytes(gen):
+    return [bytes(b) for b in gen.buffers]
+
+
+@pytest.mark.parametrize("fault", ["rot", "armed tear", "crash"])
+def test_a_fault_on_one_tier_reaches_no_other_copy(fault):
+    hier = _hier()
+    gen = _gen(10)
+    before = _bytes(gen)
+    hier.persist_now(gen, now=0.0)
+    restored = hier.restore(now=1.0).generation
+    if fault == "rot":
+        assert hier.inject_bit_rot(2, now=2.0)
+    elif fault == "armed tear":
+        hier.arm_torn_write(2)
+        hier.persist_now(gen, now=2.0)      # level 2 lands torn, level 3 ok
+    else:
+        hier.stage(2, gen, now=2.0)
+        hier.abort_inflight(2.0, fault_point=1)
+    damaged = hier.tiers[2].generations[-1]
+    assert hier.verify_generation(damaged) is not None
+    # Copy on write: the one buffer the fault corrupted was replaced by a
+    # read-only copy in that tier's own list.
+    replaced = [r for r in damaged.gen.ranks
+                if damaged.gen.buffers[r] is not gen.buffers[r]]
+    assert len(replaced) == 1
+    assert not damaged.gen.buffers[replaced[0]].flags.writeable
+    assert _bytes(gen) == before
+    assert _bytes(restored) == before
+    assert all(_bytes(stored.gen) == before
+               for stored in hier.tiers[3].generations)
 
 
 def test_each_group_write_hashes_anew(sha_calls):
@@ -79,8 +113,8 @@ def test_each_group_write_hashes_anew(sha_calls):
     # A generation changed between group writes is stored as it is now.
     gen.put(0, PackedState(np.full(256, 7, dtype=np.uint8)))
     hier.persist_now(gen, now=12.0)
-    newest = hier.tiers[3].generations[-1].shards[0]
-    assert newest.digest == hashlib.sha256(bytes([7]) * 256).hexdigest()
+    newest = hier.tiers[3].generations[-1]
+    assert newest.digests[0] == hashlib.sha256(bytes([7]) * 256).hexdigest()
 
 
 def test_distinct_generations_in_one_group_write_hash_separately(sha_calls):

@@ -9,6 +9,7 @@ deeper tier) or reports a miss.
 import numpy as np
 import pytest
 
+from repro.chaos.monitor import InvariantMonitor, InvariantViolation
 from repro.core.checkpoint import CheckpointGeneration
 from repro.pup.puper import PackedState
 from repro.storage.hierarchy import DurableHierarchy
@@ -76,6 +77,26 @@ class TestKillPointMatrix:
         hier.abort_inflight(0.0, fault_point=1)
         assert hier.restore(now=1.0) is None
         assert hier.restore_misses == 1
+
+
+@pytest.mark.storage_smoke
+def test_monitor_recomputes_the_digest_the_guard_skipped(monkeypatch):
+    """A rotted copy that slips past ``verify_generation`` still fails the
+    monitor's ``storage-integrity`` check, which hashes the stored bytes
+    itself instead of trusting the hierarchy's verdict."""
+    hier = DurableHierarchy([NODE_LOCAL_TIER], NRANKS)
+    hier.observers.append(InvariantMonitor())
+    source = _gen(10)
+    hier.persist_now(source, now=0.0)
+    assert hier.inject_bit_rot(2, now=1.0)
+    stored = hier.tiers[2].generations[-1].gen
+    [rotted] = [r for r in range(NRANKS)
+                if bytes(stored.buffers[r]) != bytes(source.buffers[r])]
+    monkeypatch.setattr(hier, "verify_generation", lambda staged: None)
+    with pytest.raises(InvariantViolation,
+                       match=f"rank {rotted} whose bytes do not match") as exc:
+        hier.restore(now=2.0)
+    assert exc.value.invariant == "storage-integrity"
 
 
 class TestArmedTornWrites:
@@ -173,13 +194,19 @@ class TestRetention:
         assert counters["restore_misses"] == 0.0
         assert counters["fallbacks"] == 0.0
 
-    def test_restored_state_is_a_copy(self):
+    def test_restored_generation_shares_read_only_bytes(self):
         hier = DurableHierarchy([NODE_LOCAL_TIER], NRANKS)
         hier.persist_now(_gen(10), now=0.0)
         first = hier.restore(now=1.0).generation
-        before = _payloads(first)
+        stored = hier.tiers[2].generations[-1].gen
+        assert first is not stored and first.buffers is not stored.buffers
+        assert all(a is b for a, b in zip(first.buffers, stored.buffers))
+        # Neither side can write the shared bytes...
         with pytest.raises(ValueError, match="read-only"):
             first.shards[0].buffer[:] = 0
-        # Rot on the stored copy does not reach the restored generation.
-        hier.tiers[2].generations[-1].shards[0].state.buffer[:] = 0
-        assert _payloads(first) == before
+        with pytest.raises(ValueError, match="read-only"):
+            stored.buffers[0][:] = 0
+        # ...and recovery's lineage token stays on the restored generation.
+        first.lineage = 7
+        assert stored.lineage is None
+        assert hier.restore(now=2.0).generation.lineage is None
