@@ -20,7 +20,10 @@ readable delta table either way.
 
 After the gate, each perfbench end-to-end metric's trend per workload is
 printed from ``BENCH_history.jsonl`` (``--history``): its value in the
-first, the previous and the latest line.  The trend never fails the gate.
+first, the previous and the latest line.  Only lines recorded on the latest
+line's host (same ``cpu_count``, ``python`` and ``numpy``) are compared; the
+others are left out with the reason printed.  The trend never fails the
+gate.
 """
 
 from __future__ import annotations
@@ -74,14 +77,7 @@ GATED_FLAGS = (
     ("campaign", "summaries_identical"),
     ("tiered_persist", "restore_fallback_correct"),
     ("bench_scale", "completed"),
-    ("bench_scale", "parallel_trace_identical"),
-    # The in-process/forked × partitions trace-identity matrix and the
-    # coordinated-consensus-under-parallel check are pure correctness
-    # oracles — they must hold on every machine, including 1-CPU runners
-    # (forced multiprocess exercises the real workers there too).
-    ("bench_scale", "modes_trace_identical"),
-    ("bench_scale", "coordinated_parallel_ok"),
-    # 2×128Ki completion including the per-worker RSS ceiling.
+    # The same engine at 2×128Ki nodes, in one process.
     ("bench_scale", "xl_completed"),
     # Every benchmark submit must have been a pure cache hit, or the
     # serve.cache_hit_rps measurement is of the wrong path.
@@ -94,19 +90,12 @@ GATED_FLAGS = (
 #: dominated by scheduler noise.
 CPU_GATED_MINIMUMS = (
     ("serve", "cache_hit_rps", 1000.0),
-    # Two forked workers vs the same 2 partitions in-process on the
-    # window-heavy 2×64Ki scenario (loop-wall ratio).  On one CPU the
-    # workers serialize and the ratio is scheduler noise; with real cores
-    # they must win.  Twelve pairs on a 2-vCPU host read 1.22-1.89 (median
-    # 1.41); the floor sits below the worst of them.
-    ("bench_scale", "shm_speedup_vs_inprocess", 1.1),
 )
 
 #: Gated only when the machine can actually go parallel: on a 1-CPU runner
 #: the worker clamp makes both paths serial and the ratio is pure noise.
 CPU_GATED_RATIOS = (
     ("campaign", "parallel_speedup"),
-    ("bench_scale", "parallel_speedup"),
 )
 
 #: Machine-dependent metrics shown for context only.
@@ -125,9 +114,6 @@ INFORMATIONAL = (
     ("bench_scale", "legacy_equivalent_events_per_s"),
     ("bench_scale", "node_iterations_per_s"),
     ("bench_scale", "peak_rss_mib"),
-    ("bench_scale", "shm_events_per_s"),
-    ("bench_scale", "inprocess_events_per_s"),
-    ("bench_scale", "max_worker_rss_mib"),
     ("serve", "cache_hit_rps"),
     ("serve", "p50_ms"),
     ("serve", "p99_ms"),
@@ -137,6 +123,10 @@ INFORMATIONAL = (
 #: perfbench's end-to-end metrics, as ``bench_history.py`` records them.
 TREND_METRICS = ("node_iters_per_s", "setup_s", "peak_rss_mib")
 
+#: The fields of a history line's ``host`` that must match for two lines'
+#: metrics to be comparable.
+HOST_FINGERPRINT = ("cpu_count", "python", "numpy")
+
 
 def load_history(path: Path) -> list[dict]:
     """The lines of a ``BENCH_history.jsonl``, oldest first ([] if absent)."""
@@ -144,6 +134,30 @@ def load_history(path: Path) -> list[dict]:
         return []
     return [json.loads(line) for line in path.read_text().splitlines()
             if line.strip()]
+
+
+def _fingerprint(line: dict) -> dict:
+    host = line.get("host") or {}
+    return {key: host.get(key) for key in HOST_FINGERPRINT}
+
+
+def same_host(history: list[dict]) -> tuple[list[dict], str | None]:
+    """The history lines recorded on the latest line's host, and why the
+    others were left out (None when none was)."""
+    if not history:
+        return [], None
+    latest = _fingerprint(history[-1])
+    others = [line for line in history if _fingerprint(line) != latest]
+    if not others:
+        return history, None
+    differing = sorted({f"{key}={value}" for line in others
+                        for key, value in _fingerprint(line).items()
+                        if value != latest[key]})
+    kept = [line for line in history if _fingerprint(line) == latest]
+    return kept, (
+        f"left out {len(others)} of {len(history)} lines of "
+        f"another host ({', '.join(differing)}) than the latest line's "
+        f"({', '.join(f'{k}={v}' for k, v in latest.items())})")
 
 
 def trend_lines(history: list[dict]) -> tuple:
@@ -287,8 +301,11 @@ def main(argv: list[str] | None = None) -> int:
         ["metric", "baseline", "new", "delta", "status"], rows,
         title=f"perf gate: {args.new} vs {args.baseline} "
               f"(tolerance {100.0 * args.tolerance:.0f}%)"))
-    history = load_history(args.history)
-    if history:
+    history, left_out = same_host(load_history(args.history))
+    if left_out:
+        print(f"\nperfbench trend: {left_out}")
+    # When every other line was left out, the latest compares with nothing.
+    if len(history) > 1 or (history and not left_out):
         commits = " / ".join(line.get("commit", "?")[:7]
                              for line in trend_lines(history) if line)
         print()

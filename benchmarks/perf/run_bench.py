@@ -110,31 +110,16 @@ def main(argv: list[str] | None = None) -> int:
           f"sim-s (+{obs['extra_events']} events): "
           f"{obs['sampled_rate_ratio']:.3f}x unsampled throughput")
     scale = results["bench_scale"]
-    print(f"scale       {scale['nodes']} nodes x{scale['total_iterations']} "
-          f"iters in {scale['wall_s']:.1f}s "
-          f"({scale['legacy_equivalent_events_per_s'] / 1e3:.0f}k eq-ev/s, "
-          f"{scale.get('events_speedup_vs_des_acr', 0.0):.2f}x des_acr, "
-          f"rss {scale['peak_rss_mib']:.0f} MiB), "
-          f"parallel trace identical={scale['parallel_trace_identical']} "
-          f"({scale['parallel']['effective_workers']}/"
-          f"{scale['parallel']['requested_workers']} workers "
-          f"on {scale['cpu_count']} core(s))")
-    stress = scale["window_stress"]
-    print(f"shm plane   {stress['nodes']} nodes x{stress['windows']} windows: "
-          f"shm {stress['shm_loop_wall_s']:.2f}s vs "
-          f"in-process {stress['inprocess_loop_wall_s']:.2f}s "
-          f"({stress['shm_speedup_vs_inprocess']:.2f}x, "
-          f"barrier share {stress['barrier_wait_share']:.2f}, "
-          f"worker rss {stress['max_worker_rss_mib']:.0f} MiB), "
-          f"modes identical={scale['modes_trace_identical']}, "
-          f"coordinated parallel ok={scale['coordinated_parallel_ok']}")
-    xl = scale.get("parallel_xl")
-    if xl is not None:
-        print(f"shm xl      {xl['nodes']} nodes in {xl['wall_s']:.1f}s "
-              f"({xl['windows']} windows, {xl['consensus_rounds']} rounds, "
-              f"completed={xl['completed']}, max worker rss "
-              f"{xl['max_worker_rss_mib']:.0f} MiB "
-              f"<= {xl['rss_ceiling_mib']:.0f})")
+    for label, row in (("scale", scale), ("scale xl", scale.get("xl"))):
+        if row is None:
+            continue
+        print(f"{label:<11} {row['nodes']} nodes x{row['total_iterations']} "
+              f"iters in {row['wall_s']:.1f}s "
+              f"(+{row['construct_s']:.1f}s construction, "
+              f"{row['legacy_equivalent_events_per_s'] / 1e3:.0f}k eq-ev/s, "
+              f"{row.get('events_speedup_vs_des_acr', 0.0):.2f}x des_acr, "
+              f"rss {row['peak_rss_mib']:.0f} MiB, "
+              f"completed={row['completed']})")
     serve = results["serve"]
     print(f"serve       {serve['requests']} submits x"
           f"{serve['seeds_per_job']} seeds  "

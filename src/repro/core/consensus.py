@@ -49,15 +49,11 @@ def merge_progress_bounds(
 ) -> tuple[int, int] | None:
     """Associative merge of per-scope ``(min, max)`` progress bounds.
 
-    This is the scalar decision rule shared by both consensus embodiments.
     The message-passing tree reduction below merges the *max* side on its
-    way to the root (the decided checkpoint iteration, Phase 3).  The
-    space-partitioned parallel mode (:mod:`repro.harness.parallel`) runs
-    per-partition local sub-rounds instead, publishes each partition's
-    bounds through its conservative-window barrier, and takes the *min*
-    side as the globally safe recovery line for its time-cut coordinated
-    checkpoints.  ``None`` entries (scopes with no live tasks) are skipped;
-    the result is ``None`` when nothing contributed.
+    way to the root (the decided checkpoint iteration, Phase 3); the *min*
+    side is the lowest live progress in scope.  ``None`` entries (scopes
+    with no live tasks) are skipped; the result is ``None`` when nothing
+    contributed.
     """
     lo: int | None = None
     hi: int | None = None

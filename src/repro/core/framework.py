@@ -1107,12 +1107,9 @@ class ACR:
         self._weak_pending = None
         self.phase = "recovering"
         self.tracer.end(self._span_recovery, self.sim.now, superseded=True)
-        # The finisher records from_scratch on every double-failure span; a
-        # weak-pending entry also names it when the span opens.
-        attrs = {} if first is None else {"from_scratch": from_scratch}
         self._schedule_restart("medium", dead, "recovery.double-failure",
                                self._finish_double_failure, from_scratch,
-                               transfer=False, **attrs)
+                               transfer=False, from_scratch=from_scratch)
 
     def _finish_double_failure(self, from_scratch: bool) -> None:
         # Revive every dead node, not just this recovery's detected victims: a

@@ -238,11 +238,11 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
     are associative and independent of snapshot order.  Gauges are
     *last-writer-by-worker-index*: when two snapshots carry the same gauge
     key, the value from the snapshot appearing later in ``snapshots`` wins.
-    Callers pass snapshots in worker-index order (campaigns and parallel-DES
-    partitions both do), which makes conflicting gauges deterministic without
-    pretending a max or mean is meaningful for a last-set value.  Histogram
-    snapshots with differing bucket layouts for the same key are rejected —
-    they came from incompatible instrument definitions.
+    Callers pass snapshots in worker-index order (campaigns do), which
+    makes conflicting gauges deterministic without pretending a max or mean
+    is meaningful for a last-set value.  Histogram snapshots with differing
+    bucket layouts for the same key are rejected — they came from
+    incompatible instrument definitions.
     """
     merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     for snap in snapshots:

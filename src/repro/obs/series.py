@@ -17,9 +17,9 @@ Design points, mirroring the rest of ``repro.obs``:
   (golden digests are the oracle).  Enabling sampling *does* schedule
   engine-level periodic events, so a sampled run is a different (still
   deterministic) execution — callers opt in knowingly.
-* **Columnar + mergeable.**  Series from campaign workers or parallel-DES
-  partitions merge onto a union time grid (:func:`merge_series`): counters
-  add, gauges follow the same last-writer-by-worker-index rule as
+* **Columnar + mergeable.**  Series from campaign workers merge onto a
+  union time grid (:func:`merge_series`): counters add, gauges follow the
+  same last-writer-by-worker-index rule as
   :func:`~repro.obs.metrics.merge_snapshots`.
 * **Exportable.**  JSONL (one row per sample) for downstream pandas/jq, and
   Prometheus/OpenMetrics text exposition (:meth:`to_openmetrics`) so a
@@ -218,7 +218,7 @@ class TimeSeriesRecorder:
 
 
 def merge_series(series_list: list[dict | None]) -> dict:
-    """Merge per-worker/per-partition series dicts onto a union time grid.
+    """Merge per-worker series dicts onto a union time grid.
 
     Each input is a :meth:`TimeSeriesRecorder.to_dict` payload (``None`` and
     empty entries are skipped).  Sample times are unioned and each column is

@@ -393,10 +393,6 @@ class PackedState:
     def nbytes(self) -> int:
         return int(self.buffer.nbytes)
 
-    def copy(self) -> "PackedState":
-        # Directories are never mutated once built, so copies share them.
-        return PackedState(self.buffer.copy(), self.fields)
-
 
 def pack(obj: Pupable, like: PackedState | None = None) -> PackedState:
     """Serialize ``obj`` via its pup method.

@@ -57,7 +57,6 @@ class HeartbeatMonitor:
         interval: float = 1.0,
         timeout_factor: float = 4.0,
         on_death: Callable[[Node, Node], None],
-        state_buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         """
         Parameters
@@ -72,11 +71,6 @@ class HeartbeatMonitor:
             Silence threshold in heartbeat periods before declaring death.
         on_death:
             ``callback(detector, dead_node)`` fired once per failure.
-        state_buffers:
-            Optional ``(alive, last_seen, failures_survived)`` arrays to
-            back the node state (shared-memory views from a
-            :class:`~repro.runtime.soa.ShmArena`); default is private
-            process memory.  Behaviour is identical either way.
         """
         if interval <= 0 or timeout_factor < 2:
             raise ConfigurationError("interval must be > 0 and timeout_factor >= 2")
@@ -101,7 +95,6 @@ class HeartbeatMonitor:
         self._reported_upto: np.ndarray | None = None
         self._sim: Simulator | None = None
         self._transport: Transport | None = None
-        self._state_buffers = state_buffers
 
     @property
     def state_arrays(self) -> NodeStateArrays | None:
@@ -109,19 +102,13 @@ class HeartbeatMonitor:
         return self._soa
 
     def start(self) -> None:
-        if not self.nodes:
-            # An empty partition has nothing to monitor; stay inert so
-            # degenerate decompositions (more partitions than ranks need)
-            # do not crash.
-            self._started = True
-            return
         first = next(iter(self.nodes.values()))
         sim = first.sim
         self._sim = sim
         self._transport = first.transport
         # Slots follow registration order — that is what keeps the sweep
         # walk order of the scalar fallback identical to the legacy loop.
-        soa = NodeStateArrays(list(self.nodes), buffers=self._state_buffers)
+        soa = NodeStateArrays(list(self.nodes))
         self._soa = soa
         for node in self.nodes.values():
             node.bind_state_arrays(soa, soa.slot_of[node.node_id])

@@ -23,88 +23,13 @@ array together, so the two views cannot diverge.  Nothing here schedules
 events or changes observable simulation behaviour — binding the arrays is a
 pure representation change, which is what keeps the golden digests and trace
 oracles bit-identical.
-
-The arrays can live in private process memory (the default) or inside a
-:class:`ShmArena` — one named ``multiprocessing.shared_memory`` segment that
-hands out numpy views at caller-planned offsets.  The parallel DES mode
-(:mod:`repro.harness.parallel`) plans one arena for all partitions before
-forking, so every worker's hot state is a view into the same mapping: the
-controller reads progress/liveness zero-copy instead of asking over a pipe,
-and cross-partition stamp rings live next door in the same segment.  Slab
-*content* still has a single writer (the owning partition); the arena only
-changes where the bytes live.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NodeStateArrays", "ShmArena", "TaskProgressArray"]
-
-
-class ShmArena:
-    """A named shared-memory segment handing out numpy views by offset.
-
-    Lifecycle contract (see docs/performance.md "Scaling to paper-size
-    runs"): the *creator* plans a layout (fixed offsets per array), creates
-    the arena, and is the only caller of :meth:`unlink`.  Forked workers
-    inherit the mapping and simply build views at the planned offsets;
-    unrelated processes may :meth:`attach` by name instead.  ``close()`` detaches
-    this process's mapping (views must be dropped first); ``unlink()``
-    removes the segment from the OS.  Segments are zero-filled at creation.
-    """
-
-    __slots__ = ("shm", "nbytes", "owner")
-
-    def __init__(self, shm, nbytes: int, owner: bool):
-        self.shm = shm
-        self.nbytes = nbytes
-        self.owner = owner
-
-    @classmethod
-    def create(cls, nbytes: int) -> "ShmArena":
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1))
-        return cls(shm, nbytes, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, nbytes: int | None = None) -> "ShmArena":
-        from multiprocessing import shared_memory
-
-        try:
-            # 3.13+: attachers must not register with the resource tracker,
-            # or their exit would unlink a segment they do not own.
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # pragma: no cover - older Pythons
-            shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, nbytes if nbytes is not None else shm.size, owner=False)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def view(self, offset: int, shape: tuple[int, ...] | int,
-             dtype) -> np.ndarray:
-        """A numpy array over ``[offset, offset + size)`` of the segment."""
-        return np.ndarray(shape, dtype=dtype, buffer=self.shm.buf,
-                          offset=offset)
-
-    def close(self) -> None:
-        """Detach this process's mapping (drop all views first)."""
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - a view outlived its owner
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment (creator only; idempotent)."""
-        if not self.owner:
-            return
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+__all__ = ["NodeStateArrays", "TaskProgressArray"]
 
 
 class NodeStateArrays:
@@ -113,35 +38,17 @@ class NodeStateArrays:
     Slots are assigned in the order node ids are passed to the constructor
     (the heartbeat monitor uses registration order, which is what fixes the
     sweep ordering contract).
-
-    ``buffers`` optionally supplies the three state arrays as externally
-    owned views — ``(alive, last_seen, failures_survived)``, typically
-    slices of a :class:`ShmArena` — which this constructor (re)initialises
-    to the same values a private allocation would get, so backing choice
-    never changes behaviour.
     """
 
     __slots__ = ("ids", "slot_of", "alive", "last_seen", "failures_survived")
 
-    def __init__(self, node_ids: list[int], *,
-                 buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+    def __init__(self, node_ids: list[int]):
         n = len(node_ids)
         self.ids = np.asarray(node_ids, dtype=np.int64)
         self.slot_of: dict[int, int] = {nid: i for i, nid in enumerate(node_ids)}
-        if buffers is None:
-            self.alive = np.ones(n, dtype=bool)
-            self.last_seen = np.zeros(n, dtype=np.float64)
-            self.failures_survived = np.zeros(n, dtype=np.int64)
-        else:
-            alive, last_seen, failures = buffers
-            if not (len(alive) == len(last_seen) == len(failures) == n):
-                raise ValueError("state buffers must match the node count")
-            alive[:] = True
-            last_seen[:] = 0.0
-            failures[:] = 0
-            self.alive = alive
-            self.last_seen = last_seen
-            self.failures_survived = failures
+        self.alive = np.ones(n, dtype=bool)
+        self.last_seen = np.zeros(n, dtype=np.float64)
+        self.failures_survived = np.zeros(n, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -162,23 +69,12 @@ class TaskProgressArray:
     assignment reports its old/new value through :meth:`stamp`, which keeps
     the counter exact across forward progress *and* rollbacks (restores can
     move stamps down, re-raising the count).
-
-    ``progress_buffer`` optionally supplies the stamp array as an externally
-    owned int64 view (a :class:`ShmArena` slice); it is zeroed on
-    construction so shared and private backings start identically.
     """
 
     __slots__ = ("progress", "cap", "below_cap")
 
-    def __init__(self, n_tasks: int, *,
-                 progress_buffer: np.ndarray | None = None):
-        if progress_buffer is None:
-            self.progress = np.zeros(n_tasks, dtype=np.int64)
-        else:
-            if len(progress_buffer) != n_tasks:
-                raise ValueError("progress buffer must match the task count")
-            progress_buffer[:] = 0
-            self.progress = progress_buffer
+    def __init__(self, n_tasks: int):
+        self.progress = np.zeros(n_tasks, dtype=np.int64)
         self.cap: int | None = None
         self.below_cap = n_tasks
 

@@ -217,3 +217,23 @@ def test_recovery_path_is_pinned(name, monkeypatch):
     assert report.completed and report.result_correct
     assert tracer.open_spans == 0
     assert digests(report, tracer) == PINS[name]
+
+
+@pytest.mark.parametrize("scheme", ["strong", "medium", "weak"])
+def test_superseded_double_failure_span_names_from_scratch(scheme):
+    """A third failure supersedes a double-failure recovery; both
+    double-failure spans carry ``from_scratch`` from the moment they open."""
+    config = ACRConfig(scheme=ResilienceScheme(scheme),
+                       checkpoint_interval=2.0, total_iterations=300,
+                       seed=2, spare_nodes=16, **FAST_HEARTBEAT)
+    tracer = SpanTracer()
+    acr = ACR("synthetic", nodes_per_replica=4, config=config,
+              injection_plan=InjectionPlan(
+                  [hard(3.1, 1, 1), hard(4.0, 0, 0), hard(4.5, 0, 2)]),
+              tracer=tracer)
+    report = acr.run(until=600.0)
+    assert report.completed and report.result_correct
+    superseded, last = tracer.by_name("recovery.double-failure")
+    assert superseded.attrs["superseded"] is True
+    assert superseded.attrs["from_scratch"] is False
+    assert last.attrs["from_scratch"] is False

@@ -1,4 +1,4 @@
-"""Tests for the campaign server's long-lived worker pool."""
+"""Tests for the long-lived worker pool and its worker clamp."""
 
 import os
 import signal
@@ -8,6 +8,7 @@ import textwrap
 import time
 
 from repro.harness import WorkerPool
+from repro.harness.pool import effective_workers
 
 
 def _alive(pid: int) -> bool:
@@ -42,6 +43,14 @@ class TestWorkerPool:
             assert pool.mode == "threads"
         finally:
             pool.shutdown()
+
+
+class TestWorkerAccounting:
+    def test_clamp_mirrors_campaign_rule(self):
+        cpus = os.cpu_count() or 1
+        assert effective_workers(None, 8) == 1
+        assert effective_workers(4, 2) == min(4, 2, cpus)
+        assert effective_workers(64, 64) == min(64, cpus)
 
 
 class TestOrphanWatchdog:

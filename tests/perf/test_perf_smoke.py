@@ -216,7 +216,6 @@ class TestRunBenchEntryPoint:
         assert tier["sim_safety_overhead"] >= 1.0
         scale = payload["results"]["bench_scale"]
         assert scale["completed"]
-        assert scale["parallel_trace_identical"]
         assert scale["events_speedup_vs_des_acr"] > 0
         serve = payload["results"]["serve"]
         assert serve["all_hits"]

@@ -100,12 +100,6 @@ class TestPackLike:
         with pytest.raises(PUPError, match="duplicate"):
             pack(Dup())
 
-    def test_copy_shares_the_directory(self):
-        state = pack(State())
-        clone = state.copy()
-        assert clone.fields is state.fields
-        assert clone.buffer is not state.buffer
-
 
 class TestCompareFastPath:
     def _pair(self):
