@@ -30,7 +30,7 @@ completion hands it back to the message path here (docs/protocols.md §1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -42,30 +42,6 @@ from repro.util.errors import SimulationError
 
 #: Size of every consensus control message.
 CONTROL_NBYTES = 64
-
-
-def merge_progress_bounds(
-    bounds: Iterable[tuple[int, int] | None],
-) -> tuple[int, int] | None:
-    """Associative merge of per-scope ``(min, max)`` progress bounds.
-
-    The message-passing tree reduction below merges the *max* side on its
-    way to the root (the decided checkpoint iteration, Phase 3); the *min*
-    side is the lowest live progress in scope.  ``None`` entries (scopes
-    with no live tasks) are skipped; the result is ``None`` when nothing
-    contributed.
-    """
-    lo: int | None = None
-    hi: int | None = None
-    for pair in bounds:
-        if pair is None:
-            continue
-        b_lo, b_hi = pair
-        lo = b_lo if lo is None else min(lo, b_lo)
-        hi = b_hi if hi is None else max(hi, b_hi)
-    if lo is None or hi is None:
-        return None
-    return lo, hi
 
 
 @dataclass
@@ -87,6 +63,8 @@ class ConsensusController:
     """Drives consensus rounds over an arbitrary scope of nodes."""
 
     def __init__(self, nodes: dict[int, Node]):
+        if not nodes:
+            raise SimulationError("consensus needs at least one node")
         self.nodes = nodes
         self.round_id = 0
         self.active = False
@@ -104,7 +82,7 @@ class ConsensusController:
         #: Telemetry metrics registry (no-op by default); completed rounds
         #: feed a wall-time histogram.
         self.metrics = NULL_METRICS
-        self._sim = next(iter(nodes.values())).sim if nodes else None
+        self._sim = next(iter(nodes.values())).sim
         self._round_span = None
         self._t_start = 0.0
         self._t_decided = 0.0
@@ -113,8 +91,7 @@ class ConsensusController:
         for node in nodes.values():
             node.on_all_tasks_ready = self._on_node_all_ready
         self.engine = RoundEngine(self)
-        if self._sim is not None:
-            self._sim.return_hooks.append(self.engine.flush)
+        self._sim.return_hooks.append(self.engine.flush)
 
     # -- round lifecycle --------------------------------------------------------
     def start_round(self, scope: list[int],
@@ -134,7 +111,7 @@ class ConsensusController:
         self.round_id += 1
         self.rounds_started += 1
         self.active = True
-        now = self._sim.now if self._sim is not None else 0.0
+        now = self._sim.now
         self._t_start = self._t_decided = now
         self._t_last_decision = self._t_last_ready = now
         self._round_span = self.tracer.begin(
@@ -168,8 +145,7 @@ class ConsensusController:
         self.engine.materialize()
         self.active = False
         self.rounds_aborted += 1
-        now = self._sim.now if self._sim is not None else 0.0
-        self.tracer.end(self._round_span, now, aborted=True)
+        self.tracer.end(self._round_span, self._sim.now, aborted=True)
         self._round_span = None
         for nid in self.scope:
             node = self.nodes[nid]
@@ -224,10 +200,7 @@ class ConsensusController:
         _, child_max = payload
         agent = self._agents[nid]
         agent.pending_max.discard(src)
-        merged = merge_progress_bounds(
-            [(agent.subtree_max, agent.subtree_max), (child_max, child_max)])
-        assert merged is not None
-        agent.subtree_max = merged[1]
+        agent.subtree_max = max(agent.subtree_max, child_max)
         self._maybe_send_max_up(nid)
 
     def _maybe_send_max_up(self, nid: int) -> None:
@@ -240,8 +213,7 @@ class ConsensusController:
         else:
             # Root: Phase 3 — the checkpoint iteration is decided.
             self.decided_iteration = agent.subtree_max
-            if self._sim is not None:
-                self._t_decided = self._sim.now
+            self._t_decided = self._sim.now
             self._send(nid, nid, self._on_decision,
                        (self.round_id, agent.subtree_max))
 
@@ -253,8 +225,7 @@ class ConsensusController:
         agent = self._agents[nid]
         node = self.nodes[nid]
         agent.decided = decided
-        if self._sim is not None:
-            self._t_last_decision = self._sim.now
+        self._t_last_decision = self._sim.now
         agent.pending_ready = set(agent.children)
         for child in agent.children:
             self._send(nid, child, self._on_decision, (self.round_id, decided))
@@ -272,8 +243,7 @@ class ConsensusController:
         if agent is None or agent.decided is None or agent.local_ready_sent:
             return
         agent.local_ready_sent = True
-        if self._sim is not None:
-            self._t_last_ready = self._sim.now
+        self._t_last_ready = self._sim.now
         self._maybe_send_ready_up(node.node_id)
 
     def _on_ready(self, src: int, nid: int, payload) -> None:
@@ -299,9 +269,8 @@ class ConsensusController:
         """The root is ready: the round is over."""
         self.active = False
         self.rounds_completed += 1
-        if self._sim is not None:
-            self.metrics.histogram("consensus.round_duration_s").observe(
-                self._sim.now - self._t_start)
+        self.metrics.histogram("consensus.round_duration_s").observe(
+            self._sim.now - self._t_start)
         self._emit_round_spans()
         if self.on_complete is not None:
             self.on_complete(self.round_id, self.decided_iteration)
@@ -316,7 +285,7 @@ class ConsensusController:
         readiness reduction until the round completes.  Each boundary is
         clamped monotone so float ties cannot produce negative spans.
         """
-        if self._sim is None or self._round_span is None:
+        if self._round_span is None:
             return
         now = self._sim.now
         t0 = self._t_start
@@ -386,8 +355,6 @@ class RoundEngine:
     def eligible(self, scope: list[int]) -> bool:
         """Whether the round over ``scope`` may be evaluated here."""
         c = self.controller
-        if c._sim is None:
-            return False
         rings = {}
         for nid in scope:
             node = c.nodes[nid]

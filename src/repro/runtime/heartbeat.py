@@ -9,10 +9,13 @@ Each node periodically sends a heartbeat to its buddy in the other replica
 and checks the buddy's last-seen time; a silence longer than ``timeout``
 triggers the death callback exactly once per failure epoch.
 
-The monitor used to walk all N node objects per sweep (attribute chases,
-N ``send_small`` calls, N posted delivery events).  It now keeps liveness,
-last-seen timestamps, and failure incarnations in a
-:class:`~repro.runtime.soa.NodeStateArrays` struct-of-arrays, so:
+Liveness itself lives in the transport (a dead node is one the transport
+stops delivering to and from); the monitor owns only what detection adds:
+per-node last-seen times and one "death reported" flag per node, set when
+the buddy reports the death and cleared by :meth:`~HeartbeatMonitor.
+notify_revived`.  Both are numpy arrays indexed by node id, and the sweeps
+read liveness through the transport's numpy view (:meth:`Transport.
+liveness`), so:
 
 * the send sweep is one vectorized liveness scan plus a *single* posted
   delivery event that settles the whole sweep's probes at the common arrival
@@ -20,10 +23,10 @@ last-seen timestamps, and failure incarnations in a
   the per-message deliveries would have carried consecutive sequence numbers
   — nothing could ever observe a state between them);
 * the check sweep is one vectorized silence scan; only when it finds a
-  fresh, unreported candidate does it fall back to the exact legacy per-node
-  walk (in registration order, re-reading live state between callbacks), so
-  detection instants, detector attribution, and callback ordering are
-  bit-identical to the per-object implementation.
+  fresh, unreported candidate does it fall back to the exact per-node walk
+  (in registration order, re-reading live state between callbacks), so
+  detection instants, detector attribution, and callback ordering are those
+  of a per-object monitor.
 
 Transport accounting flows through :meth:`Transport.account_sent`/
 ``account_delivered``/``account_dropped`` in bulk — the counter totals equal
@@ -39,7 +42,6 @@ import numpy as np
 from repro.runtime.des import PeriodicHandle, Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
 from repro.runtime.node import Node
-from repro.runtime.soa import NodeStateArrays
 from repro.util.errors import ConfigurationError
 
 #: Heartbeat payload size in bytes (a liveness probe carries no data).
@@ -82,49 +84,39 @@ class HeartbeatMonitor:
         self.interval = interval
         self.timeout = timeout_factor * interval
         self.on_death = on_death
-        self._reported: set[tuple[int, int]] = set()  # (node_id, failures_survived)
-        self._started = False
         self._send_sweep_event: PeriodicHandle | None = None
         self._check_sweep_event: PeriodicHandle | None = None
-        #: Struct-of-arrays node state, bound at start() (see soa.py).
-        self._soa: NodeStateArrays | None = None
-        self._buddy_slots: np.ndarray | None = None
-        #: Per-slot highest failures_survived already reported dead — the
-        #: vectorized mirror of the ``_reported`` dedup set (incarnations are
-        #: monotone, so "key in reported" == "fs <= reported_upto").
-        self._reported_upto: np.ndarray | None = None
+        #: By node id, filled at start(): the last time a heartbeat from that
+        #: node arrived, and whether its current death has been reported.
+        self.last_seen: np.ndarray | None = None
+        self._reported: np.ndarray | None = None
+        #: The monitored ids in registration order (the order both sweeps
+        #: walk) and their buddies' ids.
+        self._ids: np.ndarray | None = None
+        self._buddy_ids: np.ndarray | None = None
         self._sim: Simulator | None = None
         self._transport: Transport | None = None
-
-    @property
-    def state_arrays(self) -> NodeStateArrays | None:
-        """The bound node struct-of-arrays (None before :meth:`start`)."""
-        return self._soa
 
     def start(self) -> None:
         first = next(iter(self.nodes.values()))
         sim = first.sim
         self._sim = sim
         self._transport = first.transport
-        # Slots follow registration order — that is what keeps the sweep
-        # walk order of the scalar fallback identical to the legacy loop.
-        soa = NodeStateArrays(list(self.nodes))
-        self._soa = soa
-        for node in self.nodes.values():
-            node.bind_state_arrays(soa, soa.slot_of[node.node_id])
+        nodes = self.nodes
+        self._ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        self._buddy_ids = np.array([self.buddy_of[nid] for nid in nodes],
+                                   dtype=np.int64)
+        size = int(self._ids.max()) + 1
+        self.last_seen = np.full(size, sim.now, dtype=np.float64)
+        self._reported = np.zeros(size, dtype=bool)
+        for node in nodes.values():
             node.heartbeat_handler = self._on_heartbeat
-        soa.last_seen[:] = sim.now
-        self._buddy_slots = np.array(
-            [soa.slot_of[self.buddy_of[nid]] for nid in self.nodes],
-            dtype=np.int64)
-        self._reported_upto = np.full(len(soa), -1, dtype=np.int64)
         # One monitor-wide sweep per event class instead of one tick per
         # node: 2 heap entries per interval, not 2·N.
         self._send_sweep_event = sim.schedule_periodic(
             self.interval, self._send_sweep)
         self._check_sweep_event = sim.schedule_periodic(
             self.interval, self._check_sweep, first_delay=self.timeout)
-        self._started = True
 
     def stop(self) -> None:
         """Cancel both sweeps (lets a drained queue actually drain)."""
@@ -145,15 +137,15 @@ class HeartbeatMonitor:
         liveness scan, one bulk accounting call, and one posted delivery
         event (all probes share one bit-identical delay).
         """
-        soa = self._soa
-        alive = soa.alive
+        transport = self._transport
+        ids = self._ids
+        alive = transport.liveness()[ids]
         n_alive = int(np.count_nonzero(alive))
         if n_alive == 0:
             return
-        transport = self._transport
         transport.account_sent(MsgKind.HEARTBEAT, n_alive,
                                n_alive * HEARTBEAT_NBYTES)
-        senders = None if n_alive == len(alive) else np.flatnonzero(alive)
+        senders = None if n_alive == len(ids) else np.flatnonzero(alive)
         self._sim.post(transport.small_delay(HEARTBEAT_NBYTES),
                        self._deliver_sweep, senders)
 
@@ -165,21 +157,17 @@ class HeartbeatMonitor:
         observable effect is ``last_seen[s] = now`` — order within the batch
         cannot matter, so settling all probes in one event is exact.
         """
-        soa = self._soa
-        alive = soa.alive
-        buddies = self._buddy_slots
-        if senders is None:
-            n_sent = len(buddies)
-            delivered_src = np.flatnonzero(alive[buddies])
-        else:
-            n_sent = len(senders)
-            delivered_src = senders[alive[buddies[senders]]]
-        n_delivered = len(delivered_src)
         transport = self._transport
+        src, dst = self._ids, self._buddy_ids
+        if senders is not None:
+            src, dst = src[senders], dst[senders]
+        delivered_src = src[transport.liveness()[dst]]
+        n_sent = len(src)
+        n_delivered = len(delivered_src)
         transport.account_delivered(n_delivered)
         if n_delivered != n_sent:
             transport.account_dropped(n_sent - n_delivered)
-        soa.last_seen[delivered_src] = self._sim.now
+        self.last_seen[delivered_src] = self._sim.now
 
     def _check_sweep(self) -> None:
         """Every live node inspects its buddy's silence, in registration order.
@@ -187,51 +175,44 @@ class HeartbeatMonitor:
         Detection is purely silence-based: the detector has no ground truth
         about its buddy, only missing heartbeats.  The vectorized scan exits
         early when no *unreported* silence exists (the steady state); a
-        candidate drops to the exact legacy walk, which re-reads live state
+        candidate drops to the exact per-node walk, which re-reads live state
         between callbacks so side effects (revivals, cascades) influence
-        later nodes in the same sweep exactly as before.
+        later nodes in the same sweep.
         """
-        soa = self._soa
         now = self._sim.now
-        buddies = self._buddy_slots
-        silent = (now - soa.last_seen) >= self.timeout
-        fresh = (soa.alive & silent[buddies]
-                 & (soa.failures_survived[buddies] > self._reported_upto[buddies]))
+        last_seen = self.last_seen
+        reported = self._reported
+        timeout = self.timeout
+        buddies = self._buddy_ids
+        fresh = (self._transport.liveness()[self._ids]
+                 & ((now - last_seen[buddies]) >= timeout)
+                 & ~reported[buddies])
         if not fresh.any():
             return
-        timeout = self.timeout
-        last_seen = soa.last_seen
-        slot_of = soa.slot_of
-        reported = self._reported
-        reported_upto = self._reported_upto
+        buddy_of = self.buddy_of
         for node in self.nodes.values():
             if not node.alive:
                 continue
-            buddy_id = self.buddy_of[node.node_id]
-            buddy_slot = slot_of[buddy_id]
-            silent_for = node.sim.now - last_seen[buddy_slot]
-            if silent_for >= timeout:
-                buddy = self.nodes[buddy_id]
-                key = (buddy_id, buddy.failures_survived)
-                if key not in reported:
-                    reported.add(key)
-                    reported_upto[buddy_slot] = buddy.failures_survived
-                    self.on_death(node, buddy)
+            buddy_id = buddy_of[node.node_id]
+            if now - last_seen[buddy_id] >= timeout and not reported[buddy_id]:
+                reported[buddy_id] = True
+                self.on_death(node, self.nodes[buddy_id])
 
     def _on_heartbeat(self, msg: Message) -> None:
         """Per-message path kept for externally injected HEARTBEAT traffic."""
-        soa = self._soa
-        soa.last_seen[soa.slot_of[msg.src]] = self.nodes[msg.src].sim.now
+        self.last_seen[msg.src] = self._sim.now
 
     def notify_revived(self, node_id: int) -> None:
-        """Reset silence clocks when a spare replaces a dead node.
+        """Reset silence clocks and re-arm detection when a spare replaces a
+        dead node.
 
         Both directions need resetting: the buddy stopped hearing the dead
         node, and the dead node heard nothing while down — without the second
         reset the revived node would immediately (and wrongly) declare its
-        perfectly healthy buddy dead.
+        perfectly healthy buddy dead.  Clearing the node's reported flag lets
+        its next death be reported again.
         """
-        now = self.nodes[node_id].sim.now
-        soa = self._soa
-        soa.last_seen[soa.slot_of[node_id]] = now
-        soa.last_seen[soa.slot_of[self.buddy_of[node_id]]] = now
+        now = self._sim.now
+        self.last_seen[node_id] = now
+        self.last_seen[self.buddy_of[node_id]] = now
+        self._reported[node_id] = False

@@ -3,6 +3,10 @@
 The transport models the fail-stop semantics of §6.1: a dead node neither
 sends nor receives — messages addressed to it vanish without error, which is
 exactly why failure detection needs heartbeats rather than connection errors.
+It is therefore also the one record of node liveness: :attr:`Transport.alive`
+holds one byte per node id, :meth:`Transport.register`/:meth:`~Transport.
+set_alive` are its only writers, and :class:`~repro.runtime.node.Node` and
+the heartbeat sweeps read it (the sweeps through a numpy view).
 
 Per-message costs are the second-hottest path after event dispatch itself, so
 :class:`Message` carries ``__slots__`` (no per-message ``__dict__``), the
@@ -23,6 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.runtime.des import Simulator
 from repro.util.errors import SimulationError
@@ -77,7 +83,9 @@ class Transport:
         self.bandwidth = bandwidth
         self._handlers: dict[int, Callable[[Message], None]] = {}
         self._stamp_handlers: dict[int, Callable[[int, int, int, int], None]] = {}
-        self._alive: dict[int, bool] = {}
+        #: Liveness by node id: 1 alive, 0 dead or never registered.  Every
+        #: send and delivery reads it; register/set_alive are its writers.
+        self.alive = bytearray()
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -103,8 +111,14 @@ class Transport:
 
     # -- registration -----------------------------------------------------------
     def register(self, node_id: int, handler: Callable[[Message], None]) -> None:
+        if node_id < 0:
+            raise SimulationError(f"node id must be >= 0, got {node_id}")
         self._handlers[node_id] = handler
-        self._alive[node_id] = True
+        alive = self.alive
+        if node_id >= len(alive):
+            # Grow geometrically: ids arrive one at a time, mostly in order.
+            alive.extend(bytes(max(node_id + 1, 2 * len(alive)) - len(alive)))
+        alive[node_id] = 1
 
     def register_stamps(
         self, node_id: int,
@@ -121,10 +135,12 @@ class Transport:
     def set_alive(self, node_id: int, alive: bool) -> None:
         if node_id not in self._handlers:
             raise SimulationError(f"unknown node {node_id}")
-        self._alive[node_id] = alive
+        self.alive[node_id] = 1 if alive else 0
 
-    def is_alive(self, node_id: int) -> bool:
-        return self._alive.get(node_id, False)
+    def liveness(self) -> np.ndarray:
+        """A bool view of :attr:`alive` indexed by node id.  Drop it before
+        the next :meth:`register`: a live view pins the record's size."""
+        return np.frombuffer(self.alive, dtype=np.bool_)
 
     # -- sending ------------------------------------------------------------------
     def send(self, msg: Message, *, extra_delay: float = 0.0) -> None:
@@ -133,9 +149,10 @@ class Transport:
         The drop-on-dead-sender rule models the no-response scheme: "the
         process on that node stops responding to any communication".
         """
-        if msg.dst not in self._handlers:
+        handlers = self._handlers
+        if msg.dst not in handlers:
             raise SimulationError(f"message to unregistered node {msg.dst}")
-        if not self._alive.get(msg.src, False):
+        if msg.src not in handlers or not self.alive[msg.src]:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -167,9 +184,10 @@ class Transport:
         than a few KiB should use :meth:`send` so ``extra_delay`` and bulk
         modelling stay available.
         """
-        if dst not in self._handlers:
+        handlers = self._handlers
+        if dst not in handlers:
             raise SimulationError(f"message to unregistered node {dst}")
-        if not self._alive.get(src, False):
+        if src not in handlers or not self.alive[src]:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -203,9 +221,10 @@ class Transport:
         message — but delivery calls ``handler(src, dst, payload)``
         directly.  The consensus tree ships through here.
         """
-        if dst not in self._handlers:
+        handlers = self._handlers
+        if dst not in handlers:
             raise SimulationError(f"message to unregistered node {dst}")
-        if not self._alive.get(src, False):
+        if src not in handlers or not self.alive[src]:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -216,7 +235,7 @@ class Transport:
 
     def _deliver_control(self, handler: Callable[[int, int, Any], None],
                          src: int, dst: int, payload: Any) -> None:
-        if not self._alive.get(dst, False):
+        if not self.alive[dst]:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
@@ -244,7 +263,7 @@ class Transport:
         dropped, per-kind tallies) matches the per-message path count for
         count.  Targets must be registered via :meth:`register_stamps`.
         """
-        if not self._alive.get(src, False):
+        if src not in self._handlers or not self.alive[src]:
             self.messages_dropped += len(targets)
             return
         n = len(targets)
@@ -264,10 +283,10 @@ class Transport:
         self, targets: list[tuple[int, int]], from_task: int,
         stamp: int, epoch: int,
     ) -> None:
-        alive = self._alive
+        alive = self.alive
         handlers = self._stamp_handlers
         for dst, to_task in targets:
-            if not alive.get(dst, False):
+            if not alive[dst]:
                 self.messages_dropped += 1
                 continue
             self.messages_delivered += 1
@@ -304,7 +323,7 @@ class Transport:
         self.messages_dropped += count
 
     def _deliver(self, msg: Message) -> None:
-        if not self._alive.get(msg.dst, False):
+        if not self.alive[msg.dst]:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1

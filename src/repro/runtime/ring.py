@@ -577,9 +577,8 @@ class RingFastForward:
         return self.parked and p >= int(self._pause_rows(self.sim.now)[i])
 
     def refresh(self) -> None:
-        """Write the exact state as of ``sim.now`` into the tasks, their
-        nodes, the progress array and the transport counters; the window
-        stays open."""
+        """Write the exact state as of ``sim.now`` into the tasks, the
+        progress array and the transport counters; the window stays open."""
         if not self.open:
             return
         self.advance()
@@ -638,10 +637,6 @@ class RingFastForward:
             deps = t.dep_stamps
             deps[left[i]] = stamps[left[i]]
             deps[right[i]] = stamps[right[i]]
-            if r:
-                node = t.node
-                if progress > node.local_max_progress:
-                    node.local_max_progress = progress
 
     def _flush_counters(self) -> None:
         """Credit the transport with the ring's sends and deliveries up to

@@ -1,65 +1,24 @@
-"""Struct-of-arrays hot state for paper-scale runs.
+"""Struct-of-arrays task progress for paper-scale runs.
 
-At 2×64Ki nodes the per-node/per-task Python objects are fine as the home of
-*behaviour* (state machines, handlers), but any monitor-wide operation that
-walks them — heartbeat send/check sweeps, the at-iteration-cap test that runs
-once per completed iteration — turns into N attribute chases per tick and
-dominates the run.  This module keeps the hot *state* in contiguous numpy
-arrays so those operations become single vectorized expressions:
+At 2×64Ki nodes the per-task Python objects are fine as the home of
+*behaviour* (state machines, handlers), but the at-iteration-cap test runs
+once per completed iteration, and walking 2·N·tpn task objects for it would
+dominate the run.  :class:`TaskProgressArray` keeps every task's progress
+stamp in one numpy array plus an O(1) below-cap counter, so "are all tasks
+at the iteration cap?" is an integer compare.
 
-* :class:`NodeStateArrays` — liveness, last-heartbeat timestamps, and failure
-  incarnations for a set of nodes.  Written through by :class:`~repro.runtime.
-  node.Node` on the rare transitions (``die``/``revive``), read vectorized by
-  the :class:`~repro.runtime.heartbeat.HeartbeatMonitor` sweeps every
-  interval.
-* :class:`TaskProgressArray` — per-task progress stamps plus an O(1)
-  below-cap counter, so "are all 2·N·tpn tasks at the iteration cap?" is an
-  integer compare instead of a generator sweep per progress event.
-
-The arrays are *mirrors with a single writer*: exactly one object method owns
-each transition (``Node.die``/``Node.revive`` for liveness, ``Task`` progress
-assignment for stamps), and that method updates the object attribute and the
-array together, so the two views cannot diverge.  Nothing here schedules
-events or changes observable simulation behaviour — binding the arrays is a
-pure representation change, which is what keeps the golden digests and trace
-oracles bit-identical.
+``Task`` progress assignment is the array's single writer: it updates the
+task attribute and its stamp together (the ring fast-forward writes a run of
+stamps at once through :meth:`TaskProgressArray.assign`), so the two views
+cannot diverge.  Nothing here schedules events or changes observable
+simulation behaviour.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NodeStateArrays", "TaskProgressArray"]
-
-
-class NodeStateArrays:
-    """Liveness / last-heartbeat / incarnation state for N nodes.
-
-    Slots are assigned in the order node ids are passed to the constructor
-    (the heartbeat monitor uses registration order, which is what fixes the
-    sweep ordering contract).
-    """
-
-    __slots__ = ("ids", "slot_of", "alive", "last_seen", "failures_survived")
-
-    def __init__(self, node_ids: list[int]):
-        n = len(node_ids)
-        self.ids = np.asarray(node_ids, dtype=np.int64)
-        self.slot_of: dict[int, int] = {nid: i for i, nid in enumerate(node_ids)}
-        self.alive = np.ones(n, dtype=bool)
-        self.last_seen = np.zeros(n, dtype=np.float64)
-        self.failures_survived = np.zeros(n, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    # -- single-writer transitions (called by Node.die / Node.revive) -----------
-    def set_dead(self, slot: int) -> None:
-        self.alive[slot] = False
-
-    def set_alive(self, slot: int, failures_survived: int) -> None:
-        self.alive[slot] = True
-        self.failures_survived[slot] = failures_survived
+__all__ = ["TaskProgressArray"]
 
 
 class TaskProgressArray:

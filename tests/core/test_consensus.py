@@ -168,6 +168,10 @@ class TestLiveness:
         with pytest.raises(SimulationError):
             controller.start_round([], lambda *a: None)
 
+    def test_empty_node_map_rejected(self):
+        with pytest.raises(SimulationError):
+            ConsensusController({})
+
     def test_round_counters(self):
         sim, nodes, tasks, controller = build()
         for n in nodes:
@@ -239,7 +243,8 @@ class TestEnvelopeFreeMessages:
         timeline = []
         for n in nodes:
             n.on_progress = lambda node: timeline.append(
-                (sim.now, "progress", node.node_id, node.local_max_progress))
+                (sim.now, "progress", node.node_id,
+                 max(t.progress for t in node.tasks)))
             n.start_tasks()
         transport = nodes[0].transport
         script(sim, nodes, controller, timeline)

@@ -110,7 +110,6 @@ class Bare:
             "tasks": [(t.progress, t.state, t.pause_at, t.busy_until,
                        t.iterations_executed, dict(t.dep_stamps))
                       for t in self.tasks],
-            "local_max": [n.local_max_progress for n in self.nodes],
             "transport": _transport(self.nodes[0].transport),
             "trace": json.dumps(self.tracer.to_chrome_trace()),
             "metrics": self.metrics.snapshot(),
@@ -327,7 +326,6 @@ def _state(acr: ACR) -> dict:
         "tasks": [(t.task_id, t.progress, t.state, t.epoch, t.pause_at,
                    dict(t.dep_stamps), t.busy_until, t.iterations_executed)
                   for r in (0, 1) for t in acr.tasks[r]],
-        "local_max": [n.local_max_progress for n in acr.nodes.values()],
         "soa": acr._task_soa.progress.tolist(),
         "transport": _transport(acr.transport),
         "decided": acr.consensus.decided_iteration,

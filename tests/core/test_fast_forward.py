@@ -162,7 +162,6 @@ def _state(acr: ACR) -> dict:
                    t.pause_at, t.busy_until, t.iterations_executed,
                    t.iteration_cap)
                   for r in (0, 1) for t in acr.tasks[r]],
-        "local_max": [n.local_max_progress for n in acr.nodes.values()],
         "soa": acr._task_soa.progress.tolist(),
         "below_cap": acr._task_soa.below_cap,
         "transport": (tr.messages_sent, tr.messages_delivered,

@@ -91,6 +91,31 @@ class TestDetection:
         assert {d[1] for d in deaths} == {nodes[0].node_id, nodes[3].node_id}
 
 
+class TestTransportOwnsLiveness:
+    def test_transport_record_is_the_node_liveness(self):
+        sim, nodes, monitor, deaths = build()  # interval 0.5 s
+        monitor.start()
+        sim.run(until=5.1)
+        victim = nodes[0]
+        buddy = monitor.buddy_of[victim.node_id]
+        transport = victim.transport
+        transport.set_alive(victim.node_id, False)  # no Node.die()
+        assert not victim.alive
+        sent = transport.sent_by_kind["heartbeat"]
+        sim.run(until=5.6)  # exactly one send sweep, at 5.5
+        assert transport.sent_by_kind["heartbeat"] - sent == len(nodes) - 1
+        sim.run(until=30.0)
+        assert [d[:2] for d in deaths] == [(buddy, victim.node_id)]
+        victim.revive()
+        monitor.notify_revived(victim.node_id)
+        assert victim.alive
+        sim.run(until=45.0)
+        assert len(deaths) == 1
+        transport.set_alive(victim.node_id, False)
+        sim.run(until=60.0)
+        assert [d[:2] for d in deaths] == [(buddy, victim.node_id)] * 2
+
+
 class TestValidation:
     def test_asymmetric_buddy_map_rejected(self):
         sim = Simulator()

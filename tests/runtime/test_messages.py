@@ -54,6 +54,21 @@ class TestFailStop:
         assert inboxes[1] == []
         assert transport.messages_dropped == 1
 
+    def test_unregistered_sender_reads_dead(self):
+        sim, transport, inboxes = setup()
+        transport.send(Message(MsgKind.APP, src=99, dst=1))
+        transport.send_small(MsgKind.APP, -1, 1)
+        sim.run()
+        assert inboxes[1] == []
+        assert transport.messages_dropped == 2
+        up = transport.liveness()
+        assert up[:3].all() and not up[3:].any()
+
+    def test_negative_node_id_rejected(self):
+        _, transport, _ = setup()
+        with pytest.raises(SimulationError):
+            transport.register(-1, lambda msg: None)
+
     def test_death_after_delivery_does_not_retract(self):
         sim, transport, inboxes = setup()
         transport.send(Message(MsgKind.APP, src=0, dst=1))

@@ -55,26 +55,6 @@ class TestBookkeeping:
         node.add_task(t)
         return t
 
-    def test_local_max_progress_tracks_fastest_task(self):
-        sim, transport, node, peer = build()
-        fast = self._task(node, 0)
-        slow = self._task(node, 1)
-        slow.iteration_time = lambda *_: 0.3
-        node.start_tasks()
-        sim.run(until=0.95)
-        assert node.local_max_progress == fast.progress
-        assert node.local_max_progress > slow.progress
-
-    def test_min_task_progress_excludes_dead(self):
-        sim, transport, node, peer = build()
-        a = self._task(node, 0)
-        b = self._task(node, 1)
-        node.start_tasks()
-        sim.run(until=0.55)
-        b.kill()
-        b.progress = 0
-        assert node.min_task_progress() == a.progress
-
     def test_revive_counts_incarnations(self):
         sim, transport, node, peer = build()
         assert node.failures_survived == 0

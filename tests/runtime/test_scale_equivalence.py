@@ -1,15 +1,16 @@
 """Large-N observable-equivalence oracle for the scale overhaul.
 
-The vectorized heartbeat sweeps, the struct-of-arrays liveness mirror, and
-the batched dependency-stamp fan-outs are only legal because nothing
-observable changes.  This drives a 4096-node world (both replicas, ring
-tasks, mid-run node deaths and revivals) twice — once on the optimized
-runtime, once against embedded per-object replicas of the pre-overhaul
-implementations — and asserts the *full* observable record matches:
+The vectorized heartbeat sweeps (reading liveness through the transport's
+numpy view, with one "death reported" flag per node) and the batched
+dependency-stamp fan-outs are only legal because nothing observable changes.
+This drives a 4096-node world (both replicas, ring tasks, mid-run node
+deaths and revivals) twice — once on the optimized runtime, once against
+embedded per-object replicas of the pre-overhaul implementations — and
+asserts the *full* observable record matches:
 
 * every death-detection callback (instant, detector, victim, order);
-* every task-progress report (instant, node, progress);
-* final per-node last-seen clocks;
+* every task-progress report (instant, node, its tasks' max progress);
+* final per-node last-seen clocks, as each monitor records them;
 * transport counter totals (sent / delivered / dropped, per-kind tallies).
 
 The legacy side also routes dependency stamps through per-message
@@ -156,7 +157,8 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
                               sim, transport))
     for node in nodes:
         node.on_progress = (lambda nd: trace.append(
-            ("prog", sim.now, nd.node_id, nd.local_max_progress)))
+            ("prog", sim.now, nd.node_id,
+             max(t.progress for t in nd.tasks))))
 
     # One ring of tasks per replica (task_id == node_id, tasks_per_node=1),
     # capped so the rings finish mid-run and go quiet like a real app phase.
@@ -200,12 +202,7 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
 
     sim.run(until=20.0)
     monitor.stop()
-    if legacy:
-        last_seen = dict(monitor.last_seen)
-    else:
-        soa = monitor.state_arrays
-        last_seen = {int(nid): float(t)
-                     for nid, t in zip(soa.ids, soa.last_seen)}
+    last_seen = {nid: float(monitor.last_seen[nid]) for nid in monitor.nodes}
     return {
         "trace": trace,
         "last_seen": last_seen,

@@ -1,31 +1,14 @@
-"""Struct-of-arrays node and task state (:mod:`repro.runtime.soa`).
+"""Struct-of-arrays task progress (:mod:`repro.runtime.soa`).
 
-The single-writer transitions must leave exactly the state the heartbeat
-sweeps and the at-cap test read: ``set_dead``/``set_alive`` on node slots,
-and an exact ``below_cap`` count across forward stamps *and* rollbacks.
+Stamps must leave exactly the state the at-cap test reads: an exact
+``below_cap`` count across forward stamps *and* rollbacks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.soa import NodeStateArrays, TaskProgressArray
-
-
-class TestNodeStateArrays:
-    def test_transitions_update_only_their_slot(self):
-        soa = NodeStateArrays([10, 11, 20, 21])
-        assert soa.slot_of == {10: 0, 11: 1, 20: 2, 21: 3}
-        assert soa.alive.all()
-        assert (soa.last_seen == 0.0).all()
-        assert (soa.failures_survived == 0).all()
-        soa.set_dead(1)
-        soa.set_alive(1, failures_survived=3)
-        soa.set_dead(2)
-        soa.last_seen[0] = 4.5
-        assert soa.alive.tolist() == [True, True, False, True]
-        assert soa.last_seen.tolist() == [4.5, 0.0, 0.0, 0.0]
-        assert soa.failures_survived.tolist() == [0, 3, 0, 0]
+from repro.runtime.soa import TaskProgressArray
 
 
 class TestTaskProgressStamp:

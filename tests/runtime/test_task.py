@@ -48,14 +48,6 @@ class TestForwardProgress:
         progresses = [t.progress for t in tasks]
         assert max(progresses) - min(progresses) <= 2
 
-    def test_node_tracks_local_max_progress(self):
-        sim, nodes, tasks = build_ring(n_tasks=4, tasks_per_node=2)
-        for n in nodes:
-            n.start_tasks()
-        sim.run(until=1.05)
-        for n in nodes:
-            assert n.local_max_progress == max(t.progress for t in n.tasks)
-
 
 class TestPauseResume:
     def test_pause_at_iteration(self):
