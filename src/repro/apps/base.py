@@ -1,9 +1,10 @@
 """Mini-application substrate.
 
-Each application models one replica's numeric state *globally* and exposes
-per-node **shards** for checkpointing: shard ``rank`` pups the contiguous
-block of state owned by that node, so a node's local checkpoint is exactly the
-serialization of its partition (paper §2.1).  The two replicas run the same
+Each application models one replica's numeric state *globally* and describes
+it once, in ``pup(p)``, for checkpointing.  Arrays partitioned across the
+replica's nodes are pupped with ``pup_split``: node ``rank``'s **shard**
+holds its contiguous block of each, so a node's local checkpoint is exactly
+the serialization of its partition (paper §2.1).  The two replicas run the same
 deterministic computation from the same seed, which is what makes bit-exact
 checkpoint comparison meaningful.
 
@@ -49,14 +50,25 @@ class ShardRef:
         self.rank = rank
 
     def pup(self, p: PUPer) -> None:
-        self.app.pup_shard(p, self.rank)
+        with p.shard_of(self.rank, self.app.nodes_per_replica):
+            self.app.pup(p)
 
 
 class ReplicaApp(ABC):
     """One replica's full application instance.
 
     Subclasses hold the numeric state, implement one deterministic
-    ``advance()`` step, and describe each node's partition via ``pup_shard``.
+    ``advance()`` step, and describe the whole replica once in ``pup(p)``:
+    replicated values with the scalar words (assigned back, for restores),
+    arrays partitioned across the nodes with ``pup_split``, which cuts axis
+    0 into one balanced part per node and restores in place::
+
+        def pup(self, p):
+            self.iteration = p.pup_int("iteration", self.iteration)
+            p.pup_split("x", self.x)
+
+    The same description packs one node's shard (:meth:`shard`) and, in one
+    run, every node's (:meth:`~repro.pup.puper.PackedShards.pack`).
     """
 
     descriptor: AppDescriptor
@@ -130,8 +142,8 @@ class ReplicaApp(ABC):
         return twin
 
     @abstractmethod
-    def pup_shard(self, p: PUPer, rank: int) -> None:
-        """Serialize / restore / compare node ``rank``'s partition.
+    def pup(self, p: PUPer) -> None:
+        """Serialize / restore / compare the replica's state.
 
         Must include the iteration counter so a restored shard knows where the
         replica resumes.
@@ -240,17 +252,3 @@ def _hash_unit(*keys: int) -> float:
         h = (h * _MIX) & _MASK64
         h ^= h >> 31
     return (h & 0xFFFFFFFFFFFF) / _UNIT_SCALE
-
-
-def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``total`` items into ``parts`` contiguous, balanced ranges."""
-    if parts < 1 or total < parts:
-        raise ConfigurationError(f"cannot split {total} items into {parts} parts")
-    base, extra = divmod(total, parts)
-    bounds = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppDescriptor, ReplicaApp, partition_bounds
+from repro.apps.base import AppDescriptor, ReplicaApp
 from repro.pup.puper import PUPer
 
 HPCCG_DESCRIPTOR = AppDescriptor(
@@ -49,7 +49,6 @@ class HPCCG(ReplicaApp):
         self.r = self.b.copy()          # r0 = b - A*0
         self.p = self.r.copy()
         self.rho = float((self.r * self.r).sum())
-        self._bounds = partition_bounds(nx, nodes_per_replica)
 
     # -- the 27-point operator ------------------------------------------------------
     def matvec(self, u: np.ndarray) -> np.ndarray:
@@ -105,14 +104,13 @@ class HPCCG(ReplicaApp):
         self.rho = rho_new
 
     # -- checkpointing ------------------------------------------------------------
-    def pup_shard(self, p: PUPer, rank: int) -> None:
+    def pup(self, p: PUPer) -> None:
         self.iteration = p.pup_int("iteration", self.iteration)
         self.rho = p.pup_float("rho", self.rho)
-        lo, hi = self._bounds[rank]
-        p.pup_array("x", self.x[lo:hi])
-        p.pup_array("r", self.r[lo:hi])
-        p.pup_array("p", self.p[lo:hi])
-        p.pup_array("b", self.b[lo:hi])
+        p.pup_split("x", self.x)
+        p.pup_split("r", self.r)
+        p.pup_split("p", self.p)
+        p.pup_split("b", self.b)
 
     def result_digest(self) -> np.ndarray:
         return np.asarray([

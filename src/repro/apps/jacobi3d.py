@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppDescriptor, ReplicaApp, partition_bounds
+from repro.apps.base import AppDescriptor, ReplicaApp
 from repro.pup.puper import PUPer
 
 JACOBI_CHARM = AppDescriptor(
@@ -77,7 +77,6 @@ class Jacobi3D(ReplicaApp):
         self.grid[1:-1, 1:-1, 1:-1] = interior
         # Hot plate on the low-X wall drives a steady heat flow.
         self.grid[0, :, :] = 1.0
-        self._bounds = partition_bounds(self.grid.shape[0], nodes_per_replica)
 
     # -- numerics ----------------------------------------------------------------
     def advance(self) -> None:
@@ -113,12 +112,12 @@ class Jacobi3D(ReplicaApp):
         g[1:-1, 1:-1, 1:-1] = out.reshape(g.shape)[1:-1, 1:-1, 1:-1]
 
     # -- checkpointing -------------------------------------------------------------
-    def pup_shard(self, p: PUPer, rank: int) -> None:
+    def pup(self, p: PUPer) -> None:
         self.iteration = p.pup_int("iteration", self.iteration)
-        lo, hi = self._bounds[rank]
+        # Each node owns a slab of X-planes, the ghost planes included.
         # Slicing the first axis of a C-ordered array keeps the slab
         # contiguous, so in-place restore and bit-flip injection both work.
-        p.pup_array("slab", self.grid[lo:hi])
+        p.pup_split("slab", self.grid)
 
     def result_digest(self) -> np.ndarray:
         interior = self.grid[1:-1, 1:-1, 1:-1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppDescriptor, ReplicaApp, partition_bounds
+from repro.apps.base import AppDescriptor, ReplicaApp
 from repro.pup.puper import PUPer
 
 LEANMD_DESCRIPTOR = AppDescriptor(
@@ -50,7 +50,6 @@ class LeanMD(ReplicaApp):
         self.box = 1.0
         self.pos = np.ascontiguousarray(self.rng.uniform(0.0, self.box, size=(n, 3)))
         self.vel = np.ascontiguousarray(self.rng.normal(0.0, 0.05, size=(n, 3)))
-        self._bounds = partition_bounds(n, nodes_per_replica)
 
     @classmethod
     def atoms_per_core(cls) -> int:
@@ -76,11 +75,10 @@ class LeanMD(ReplicaApp):
         np.mod(self.pos, self.box, out=self.pos)
 
     # -- checkpointing -------------------------------------------------------------
-    def pup_shard(self, p: PUPer, rank: int) -> None:
+    def pup(self, p: PUPer) -> None:
         self.iteration = p.pup_int("iteration", self.iteration)
-        lo, hi = self._bounds[rank]
-        p.pup_array("pos", self.pos[lo:hi])
-        p.pup_array("vel", self.vel[lo:hi])
+        p.pup_split("pos", self.pos)
+        p.pup_split("vel", self.vel)
 
     def result_digest(self) -> np.ndarray:
         return np.asarray([

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppDescriptor, ReplicaApp, partition_bounds
+from repro.apps.base import AppDescriptor, ReplicaApp
 from repro.pup.puper import PUPer
 
 LULESH_DESCRIPTOR = AppDescriptor(
@@ -61,7 +61,6 @@ class LULESH(ReplicaApp):
         # Node-centered field (one value set per element corner-owner here):
         # 3-component velocities, initially quiescent.
         self.velocity = np.zeros(self.shape + (3,), dtype=np.float64)
-        self._bounds = partition_bounds(nx, nodes_per_replica)
 
     def _eos(self) -> np.ndarray:
         """Ideal-gas equation of state: p = (γ−1) e / v."""
@@ -132,16 +131,15 @@ class LULESH(ReplicaApp):
         self.pressure /= self.volume
 
     # -- checkpointing -------------------------------------------------------------
-    def pup_shard(self, p: PUPer, rank: int) -> None:
+    def pup(self, p: PUPer) -> None:
         self.iteration = p.pup_int("iteration", self.iteration)
-        lo, hi = self._bounds[rank]
         # Element-centered group, then node-centered group: the multi-field
         # traversal is what makes LULESH checkpoints slow to serialize.
-        p.pup_array("energy", self.energy[lo:hi])
-        p.pup_array("pressure", self.pressure[lo:hi])
-        p.pup_array("volume", self.volume[lo:hi])
-        p.pup_array("mass", self.mass[lo:hi])
-        p.pup_array("velocity", self.velocity[lo:hi])
+        p.pup_split("energy", self.energy)
+        p.pup_split("pressure", self.pressure)
+        p.pup_split("volume", self.volume)
+        p.pup_split("mass", self.mass)
+        p.pup_split("velocity", self.velocity)
 
     def result_digest(self) -> np.ndarray:
         return np.asarray([

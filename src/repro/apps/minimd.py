@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppDescriptor, ReplicaApp, partition_bounds
+from repro.apps.base import AppDescriptor, ReplicaApp
 from repro.pup.puper import PUPer
 
 MINIMD_DESCRIPTOR = AppDescriptor(
@@ -58,7 +58,6 @@ class MiniMD(ReplicaApp):
             + self.rng.uniform(-0.01, 0.01, size=(n, 3))
         )
         self.vel = np.ascontiguousarray(self.rng.normal(0.0, 0.02, size=(n, 3)))
-        self._bounds = partition_bounds(n, nodes_per_replica)
 
     # -- physics -----------------------------------------------------------------
     def _forces(self) -> np.ndarray:
@@ -83,11 +82,10 @@ class MiniMD(ReplicaApp):
         self.vel += 0.5 * _DT * f
 
     # -- checkpointing -------------------------------------------------------------
-    def pup_shard(self, p: PUPer, rank: int) -> None:
+    def pup(self, p: PUPer) -> None:
         self.iteration = p.pup_int("iteration", self.iteration)
-        lo, hi = self._bounds[rank]
-        p.pup_array("pos", self.pos[lo:hi])
-        p.pup_array("vel", self.vel[lo:hi])
+        p.pup_split("pos", self.pos)
+        p.pup_split("vel", self.vel)
 
     def result_digest(self) -> np.ndarray:
         return np.asarray([

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppDescriptor, ReplicaApp, partition_bounds
+from repro.apps.base import AppDescriptor, ReplicaApp
 from repro.pup.puper import PUPer
 
 
@@ -45,7 +45,6 @@ class SyntheticApp(ReplicaApp):
         super().__init__(nodes_per_replica, scale=scale, seed=seed)
         n = max(int(elements_per_node * scale), 4) * nodes_per_replica
         self.state = np.ascontiguousarray(self.rng.uniform(-1.0, 1.0, size=n))
-        self._bounds = partition_bounds(n, nodes_per_replica)
 
     def advance(self) -> None:
         # A contraction toward the neighbour average plus a fixed rotation
@@ -55,10 +54,9 @@ class SyntheticApp(ReplicaApp):
             0.5 * self.state + 0.24 * rolled + 0.01 * np.sin(self.state)
         )
 
-    def pup_shard(self, p: PUPer, rank: int) -> None:
+    def pup(self, p: PUPer) -> None:
         self.iteration = p.pup_int("iteration", self.iteration)
-        lo, hi = self._bounds[rank]
-        p.pup_array("state", self.state[lo:hi])
+        p.pup_split("state", self.state)
 
     def result_digest(self) -> np.ndarray:
         return np.asarray([

@@ -331,7 +331,8 @@ class RoundEngine:
     instants pass.
 
     :meth:`eligible` is the single entry rule: every node in scope is alive
-    and sits on an open, unheld ring that lies wholly inside the scope.
+    and sits on an open, unheld ring, and the scope lists whole rings, each
+    in its node order.
     Any write from outside before the completion (a death, an abort, the
     end of the job) calls :meth:`materialize`, which rebuilds the message
     path's exact state as of now and hands the rest of the round to it.
@@ -354,20 +355,19 @@ class RoundEngine:
     # -- entry -----------------------------------------------------------------------
     def eligible(self, scope: list[int]) -> bool:
         """Whether the round over ``scope`` may be evaluated here."""
-        c = self.controller
-        rings = {}
-        for nid in scope:
-            node = c.nodes[nid]
-            ring = node.ring
-            if ring is None or not node.alive:
+        nodes = self.controller.nodes
+        if not nodes[scope[0]].transport.liveness()[scope].all():
+            return False
+        # An open ring is the ``ring`` of each of its nodes.  The engine
+        # takes scopes that list whole rings in node order (the framework's
+        # replica scopes), so each ring is checked once, as one slice.
+        at = 0
+        while at < len(scope):
+            ring = nodes[scope[at]].ring
+            if (ring is None or ring.parked or ring.round is not None
+                    or ring.node_ids != scope[at:at + len(ring.node_ids)]):
                 return False
-            rings[id(ring)] = ring
-        members = set(scope)
-        for ring in rings.values():
-            if ring.parked or ring.round is not None:
-                return False
-            if any(node.node_id not in members for node in ring.nodes):
-                return False
+            at += len(ring.node_ids)
         return True
 
     def start(self) -> None:

@@ -186,8 +186,10 @@ class ACR:
             self.buddy_of[b] = a
 
         # --- applications (same seed => bit-identical replicas) ------------------
-        first = make_app(app_name, self.n, scale=self.config.app_scale,
-                         seed=self.config.seed, **(app_kwargs or {}))
+        #: Extra app constructor arguments; :meth:`_finalize` builds its
+        #: scratch and reference apps with them too.
+        self.app_kwargs = dict(app_kwargs or {})
+        first = self._make_app()
         self.apps: dict[int, ReplicaApp] = {0: first, 1: first.clone()}
         self.profile = self.apps[0].checkpoint_profile()
 
@@ -450,7 +452,7 @@ class ACR:
         for replica in (0, 1):
             gen = CheckpointGeneration(iteration=0,
                                        lineage=self._lineage[replica])
-            gen.pack(self.apps[replica].pup_shard, self.n,
+            gen.pack(self.apps[replica], self.n,
                      like=self._initial_gen[0] if replica else None)
             self._initial_gen[replica] = gen
             self.store.install_safe(replica, self.store.clone_generation(gen))
@@ -676,7 +678,7 @@ class ACR:
         for replica in replicas:
             gen = CheckpointGeneration(iteration, wallclock=self.sim.now,
                                        lineage=self._lineage[replica])
-            gen.pack(self.apps[replica].pup_shard, self.n,
+            gen.pack(self.apps[replica], self.n,
                      like=self.store.safe(replica))
             self.store.put_candidate(replica, gen)
         return pack_t
@@ -1158,7 +1160,7 @@ class ACR:
         if gen is None:
             raise SimulationError(f"replica {replica} has no safe checkpoint")
         app = self.apps[replica]
-        gen.unpack(app.pup_shard)
+        gen.unpack(app)
         app.iteration = gen.iteration
         self._lineage[replica] = (gen.lineage if gen.lineage is not None
                                   else next(self._lineage_ids))
@@ -1331,6 +1333,11 @@ class ACR:
             m.gauge("acr.phase_time_s", phase=phase).set(t)
         return m.snapshot()
 
+    def _make_app(self) -> ReplicaApp:
+        """A fresh replica of the job's application at its launch state."""
+        return make_app(self.app_name, self.n, scale=self.config.app_scale,
+                        seed=self.config.seed, **self.app_kwargs)
+
     def _finalize(self) -> RunReport:
         rep = self.report
         rep.final_time = self.sim.now
@@ -1364,10 +1371,8 @@ class ACR:
                 # One scratch app serves both replicas: unpacking a
                 # generation overwrites every field the digest reads.
                 if scratch is None:
-                    scratch = make_app(self.app_name, self.n,
-                                       scale=self.config.app_scale,
-                                       seed=self.config.seed)
-                gen.unpack(scratch.pup_shard)
+                    scratch = self._make_app()
+                gen.unpack(scratch)
                 scratch.iteration = gen.iteration
                 rep.digests[replica] = scratch.result_digest()
             else:
@@ -1377,8 +1382,7 @@ class ACR:
             # _current_interval); nothing else writes rep.interval_history.
             rep.interval_history = list(self.adaptive.interval_history)
         if self.config.total_iterations is not None and rep.completed:
-            reference = make_app(self.app_name, self.n,
-                                 scale=self.config.app_scale, seed=self.config.seed)
+            reference = self._make_app()
             reference.advance_to(self.config.total_iterations)
             rep.reference_digest = reference.result_digest()
             rep.result_correct = bool(

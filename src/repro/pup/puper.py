@@ -13,10 +13,11 @@ description drives four operations:
   mutate a field it already pupped in the same call).  ``pack(obj,
   like=prev)`` shares ``prev``'s directory when every field key matches, so
   steady-state packs build no :class:`FieldRecord` at all;
-* **packing many shards** — :meth:`PackedShards.pack` runs one object's
-  per-shard descriptions in one pass, each shard into its own read-only
-  buffer, and decides directory sharing once for all shards;
-* **unpacking** — restore state from a buffer (:class:`UnpackingPUPer`);
+* **packing a replica** — :meth:`PackedShards.pack` runs a replica's
+  description once for all its shards: each gets its part of every
+  ``pup_split`` array and a copy of every other field;
+* **unpacking** — restore state from a buffer (:class:`UnpackingPUPer`), or
+  a whole replica from its shards (:meth:`PackedShards.unpack`);
 * **checking** — compare two checkpoints field-by-field to detect silent data
   corruption (:mod:`repro.pup.checker`), including user-customizable per-field
   tolerances and skipped fields, exactly as the paper's ``PUPer::checker``.
@@ -32,12 +33,15 @@ is the deserialized one, so application code is written direction-agnostically::
 from __future__ import annotations
 
 import ast
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from itertools import groupby
+from typing import Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.util.errors import ACRError
+from repro.util.errors import ACRError, ConfigurationError
 
 
 class PUPError(ACRError):
@@ -122,6 +126,31 @@ def _as_array(name: str, value: Any) -> np.ndarray:
     return arr
 
 
+def _split_start(total: int, parts: int, rank: int) -> int:
+    """Where part ``rank`` of :func:`partition_bounds` starts (``rank ==
+    parts`` gives ``total``)."""
+    base, extra = divmod(total, parts)
+    return rank * base + min(rank, extra)
+
+
+def partition_bounds(total: int, parts: int) -> list[tuple[int, int]]:
+    """Split ``total`` items into ``parts`` contiguous, balanced ranges; the
+    first ``total % parts`` ranges hold one item more."""
+    if parts < 1 or total < parts:
+        raise ConfigurationError(f"cannot split {total} items into {parts} parts")
+    starts = [_split_start(total, parts, r) for r in range(parts + 1)]
+    return list(zip(starts, starts[1:]))
+
+
+def _split_array(name: str, value: Any, parts: int) -> np.ndarray:
+    """``value`` as an array that ``pup_split`` can cut into ``parts``."""
+    arr = _as_array(name, value)
+    if arr.ndim == 0 or len(arr) < parts:
+        raise PUPError(f"field {name!r}: cannot split shape {arr.shape} "
+                       f"into {parts} shards")
+    return arr
+
+
 class PUPer:
     """Base class defining the pup vocabulary.
 
@@ -136,6 +165,9 @@ class PUPer:
     #: worker processes or threads — can pup nested objects concurrently.
     #: Lazily created so subclasses need not call ``super().__init__``.
     _scopes: list[str] | None = None
+    #: ``(rank, count)`` while the PUPer serves one shard of a replica
+    #: (:meth:`shard_of`): ``pup_split`` then pups only that shard's part.
+    _shard: tuple[int, int] | None = None
 
     def _handle(
         self,
@@ -190,6 +222,32 @@ class PUPer:
         return bytes(np.asarray(out, dtype=np.uint8))
 
     # -- array / composite helpers ---------------------------------------------
+    @contextmanager
+    def shard_of(self, rank: int, count: int) -> Iterator["PUPer"]:
+        """Serve shard ``rank`` of ``count`` inside the ``with`` block."""
+        saved, self._shard = self._shard, (rank, count)
+        try:
+            yield self
+        finally:
+            self._shard = saved
+
+    def pup_split(self, name: str, value: np.ndarray, *, rtol: float = 0.0,
+                  atol: float = 0.0, skip_compare: bool = False) -> np.ndarray:
+        """Pup axis 0 of ``value`` cut into one balanced part per shard, as
+        :func:`partition_bounds` cuts it: under :meth:`shard_of` the shard's
+        part, else the whole array, with :meth:`pup_array`.  Parts restore
+        in place (else :class:`PUPError`), so this returns ``value``."""
+        rank, count = self._shard or (0, 1)
+        arr = _split_array(name, value, count)
+        part = arr[_split_start(len(arr), count, rank):
+                   _split_start(len(arr), count, rank + 1)]
+        out = self.pup_array(name, part, rtol=rtol, atol=atol,
+                             skip_compare=skip_compare)
+        if out is not part:
+            raise PUPError(f"field {name!r}: a split field restores in place "
+                           "only (shape, dtype or writeability differs)")
+        return value
+
     def pup_array(
         self,
         name: str,
@@ -279,56 +337,11 @@ def _build_directory(keys: list[tuple]) -> list[FieldRecord]:
     return fields
 
 
-#: Shards packed smaller than this are joined as :class:`bytes` and viewed
-#: as an array: one call instead of a view per field plus a concatenation,
-#: which is most of the cost of packing a shard of a few fields.  Larger
-#: shards are concatenated into arrays numpy allocates: on the checkpoint
-#: workloads measured (shards of 150-380 KiB), buffers allocated as
-#: ``bytes`` raised peak RSS by 4-7 % over the same buffers from numpy.
-_JOIN_LIMIT = 1 << 16
-
-
-class _ShardPUPer(PUPer):
-    """The collecting PUPer of :meth:`PackedShards.pack`: the arrays and
-    directory keys of one shard's fields, joined into the shard's buffer
-    once the shard's description has run."""
-
-    def __init__(self) -> None:
-        self.arrays: list[np.ndarray] = []
-        self.nbytes = 0
-        #: Every shard's keys so far, in order (see :class:`_ViewPUPer`).
-        self.keys: list[tuple] = []
-
-    def _handle(self, name, arr, *, rtol, atol, skip_compare):
-        self.arrays.append(arr)
-        nbytes = arr.nbytes
-        self.nbytes += nbytes
-        self.keys.append((name, _dtype_name(arr.dtype), arr.shape, nbytes,
-                          rtol, atol, skip_compare))
-        return arr
-
-    def join(self) -> np.ndarray:
-        """The collected fields' bytes as one read-only buffer; resets the
-        collected arrays."""
-        arrays, nbytes = self.arrays, self.nbytes
-        self.arrays, self.nbytes = [], 0
-        if nbytes < _JOIN_LIMIT:
-            try:
-                data = b"".join(arrays)
-            except TypeError:  # a field that is not C-contiguous
-                data = b"".join([np.ascontiguousarray(a) for a in arrays])
-            return np.frombuffer(data, dtype=np.uint8)
-        buf = np.concatenate([np.ascontiguousarray(a).view(np.uint8).reshape(-1)
-                              for a in arrays])
-        buf.flags.writeable = False
-        return buf
-
-
 def buffers_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """True when two packed buffers hold the same bytes."""
     if a.nbytes != b.nbytes:
         return False
-    if a.nbytes < _JOIN_LIMIT:
+    if a.nbytes < 1 << 16:
         # One memcmp; numpy's per-call overhead dominates at this size.
         return a.tobytes() == b.tobytes()
     return bool(np.array_equal(a, b))
@@ -344,10 +357,6 @@ class UnpackingPUPer(PUPer):
     is_unpacking = True
 
     def __init__(self, buffer: np.ndarray, fields: list[FieldRecord]):
-        self.load(buffer, fields)
-
-    def load(self, buffer: np.ndarray, fields: list[FieldRecord]) -> None:
-        """Read the next description from ``buffer`` under ``fields``."""
         self._buffer = np.asarray(buffer, dtype=np.uint8)
         self._fields = fields
         self._index = 0
@@ -422,27 +431,141 @@ def pack(obj: Pupable, like: PackedState | None = None) -> PackedState:
     return PackedState(buf, _build_directory(keys))
 
 
+def _field_rows(rows: np.ndarray, offset: int, nbytes: int, dtype: np.dtype,
+                shape: tuple[int, ...]) -> np.ndarray:
+    """One field's bytes in every row of ``rows`` as one ``(len(rows),) +
+    shape`` array of ``dtype``: a view, never a copy."""
+    return rows[:, offset:offset + nbytes].view(dtype).reshape(
+        (len(rows),) + shape)
+
+
+#: Bytes per block, unless one row is wider.  A run of shards is stored as
+#: blocks of at most this size: freeing a multi-MiB ``malloc`` chunk raises
+#: glibc's dynamic mmap threshold to its size, after which the apps'
+#: temporaries come from the heap and fragment it (``ckpt_bulk`` peak RSS
+#: 180 MiB with one block per run, 168 MiB with blocks of this size).
+_BLOCK_BYTES = 1 << 18
+
+
+def _blocks(first: int, end: int, width: int) -> list[tuple[int, int]]:
+    """The ``[first, end)`` ranges of the blocks a run of shards fills."""
+    step = max(1, _BLOCK_BYTES // width) if width else end - first
+    return [(at, min(at + step, end)) for at in range(first, end, step)]
+
+
+def _rows(buffers: list) -> np.ndarray:
+    """Equal-sized ``buffers`` as one 2-D array: the block they are the rows
+    of, in order, or else a copy."""
+    block, width = buffers[0].base, buffers[0].nbytes
+    if (block is None or block.nbytes != len(buffers) * width
+            or buffers[0].ctypes.data != block.ctypes.data
+            or any(buf.base is not block for buf in buffers)):
+        block = np.concatenate(buffers)
+        if block.nbytes != len(buffers) * width:
+            raise PUPError("truncated checkpoint buffer")
+    return block.reshape(len(buffers), width)
+
+
+class _BlockPacker(PUPer):
+    """Collects a replica's description for :meth:`PackedShards.pack`:
+    ``(name, array, split, rtol, atol, skip_compare)`` per field."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.fields: list[tuple] = []
+
+    def _handle(self, name, arr, *, rtol, atol, skip_compare):
+        self.fields.append((name, arr, False, rtol, atol, skip_compare))
+        return arr
+
+    def pup_split(self, name, value, *, rtol=0.0, atol=0.0,
+                  skip_compare=False):
+        self.fields.append((self._qualify(name),
+                            _split_array(name, value, self.count), True,
+                            rtol, atol, skip_compare))
+        return value
+
+
+class _BlockUnpacker(UnpackingPUPer):
+    """Restores a replica from all its shards in one run of its description.
+
+    Shards with equal directories form runs, read block by block as 2-D
+    arrays of rows.  Every distinct directory is checked once per field; a
+    split field is copied into the target in place with one strided copy
+    per block, and a replicated field restores from the last shard.
+    """
+
+    def __init__(self, buffers: list, directories: list) -> None:
+        self.count = len(buffers)
+        #: ``(first rank, end rank, directory, rows)`` per block.
+        self._runs: list[tuple] = []
+        first = 0
+        for fields, run in groupby(directories):
+            end = first + len(list(run))
+            if fields is None:
+                raise PUPError(f"shard {first} is not stored")
+            for lo, hi in _blocks(first, end, buffers[first].nbytes):
+                self._runs.append((lo, hi, fields, _rows(buffers[lo:hi])))
+            first = end
+        super().__init__(buffers[-1], directories[-1])
+        self._distinct = list({id(run[2]): run[2] for run in self._runs}
+                              .values())
+
+    def _handle(self, name, arr, *, rtol, atol, skip_compare):
+        self._check(name)
+        return super()._handle(name, arr, rtol=rtol, atol=atol,
+                               skip_compare=skip_compare)
+
+    def _check(self, name: str) -> None:
+        for fields in self._distinct:
+            if self._index >= len(fields) or fields[self._index].name != name:
+                raise PUPError(f"pup field order mismatch at {name!r}")
+
+    def pup_split(self, name, value, *, rtol=0.0, atol=0.0,
+                  skip_compare=False):
+        name = self._qualify(name)
+        arr = _split_array(name, value, self.count)
+        self._check(name)
+        index, self._index = self._index, self._index + 1
+        if not arr.flags.writeable:
+            raise PUPError(f"field {name!r}: the target is read-only")
+        dtype, total = _dtype_name(arr.dtype), len(arr)
+        for first, end, fields, rows in self._runs:
+            rec = fields[index]
+            lo, hi = (_split_start(total, self.count, r) for r in (first, end))
+            shape = (_split_start(total, self.count, first + 1) - lo,
+                     *arr.shape[1:])
+            if (rec.dtype, rec.shape) != (dtype, shape) \
+                    or hi - lo != shape[0] * (end - first):
+                raise PUPError(f"field {name!r}: shards {first}..{end - 1} "
+                               f"hold {rec.dtype}{list(rec.shape)}, the target "
+                               f"splits into {dtype}{list(shape)}")
+            np.copyto(arr[lo:hi].reshape((end - first,) + shape),
+                      _field_rows(rows, rec.offset, rec.nbytes, arr.dtype,
+                                  shape))
+        return value
+
+    def finish(self) -> None:
+        for fields in self._distinct:
+            self._fields = fields
+            super().finish()
+
+
 class PackedShards:
-    """Shards ``0..n-1`` of one object, as :meth:`pack` packs them in one pass.
+    """Shards ``0..n-1`` of one replica, as :meth:`pack` packs them.
 
     ``buffers[r]`` is shard ``r``'s packed bytes and ``directories[r]`` its
     field directory; :meth:`shard` pairs them as a :class:`PackedState`.
     Every buffer is a read-only array that no one writes after it is
-    stored, so copies of the lists share the buffers safely.  ``keys`` and
-    ``ends`` are every shard's directory keys in order and the index in
-    ``keys`` where each shard's keys end; the next :meth:`pack` ``like=``
-    these shards compares them whole.  They are None once a shard was
-    stored by :meth:`put`.  ``None`` in ``buffers`` marks a shard not
-    stored yet.
+    stored, so copies of the lists share the buffers safely.  ``None`` in
+    ``buffers`` marks a shard not stored yet.
     """
 
-    __slots__ = ("buffers", "directories", "keys", "ends")
+    __slots__ = ("buffers", "directories")
 
     def __init__(self) -> None:
         self.buffers: list[np.ndarray | None] = []
         self.directories: list[list[FieldRecord] | None] = []
-        self.keys: list[tuple] | None = None
-        self.ends: list[int] | None = None
 
     @property
     def nbytes(self) -> int:
@@ -482,7 +605,6 @@ class PackedShards:
         buf.flags.writeable = False
         self.buffers[rank] = buf
         self.directories[rank] = state.fields
-        self.keys = self.ends = None
         return old.nbytes if old is not None else 0
 
     def share(self, other: "PackedShards") -> None:
@@ -490,60 +612,66 @@ class PackedShards:
         reference, in lists of this object's own."""
         self.buffers = list(other.buffers)
         self.directories = list(other.directories)
-        self.keys, self.ends = other.keys, other.ends
 
-    def pack(self, pup_shard: Callable[[PUPer, int], None], count: int,
+    def pack(self, obj: Pupable, count: int,
              like: "PackedShards | None" = None) -> None:
-        """Pack shards ``0..count-1`` of one object: ``pup_shard(p, rank)``
-        runs shard ``rank``'s pup description.
+        """Pack ``obj``, a replica, as ``count`` shards in one run of its
+        description.
 
-        One collecting PUPer serves every shard; each shard's fields are
-        copied into its own read-only buffer as soon as its description has
-        run (one copy of the payload, as :func:`pack` makes).  Directory
-        sharing with ``like`` — an earlier pack of the same object — is
-        decided once: when every shard's keys equal ``like``'s (one list
-        comparison), every directory and the key list itself are
-        ``like``'s.  Otherwise each shard shares ``like``'s directory for
-        its rank when :func:`pack` ``like=`` that shard would, and the
-        directories built fresh are interned, so shards with equal keys
-        share one.
+        Shard ``r`` holds part ``r`` of every ``pup_split`` field and a copy
+        of every other field: the bytes ``pack(ShardRef(obj, r))`` gives.
+        Shards whose parts have equal row counts form a run (two at most
+        when every split field has the same length), with one directory,
+        ``like``'s when the run's keys equal it.  Each run is stored as
+        read-only ``(shards, width)`` blocks of at most ``_BLOCK_BYTES``
+        (or one shard), filled with one strided copy per field.
         """
-        p = _ShardPUPer()
-        buffers, ends = [], []
-        for rank in range(count):
-            pup_shard(p, rank)
-            buffers.append(p.join())
-            ends.append(len(p.keys))
-        keys = p.keys
-        self.buffers = buffers
-        if like is not None and keys == like.keys and ends == like.ends:
-            self.directories = list(like.directories)
-            self.keys, self.ends = like.keys, like.ends
-            return
+        p = _BlockPacker(count)
+        obj.pup(p)
+        cuts = sorted({0, count}.union(len(f[1]) % count
+                                       for f in p.fields if f[2]))
         prior = like.directories if like is not None else []
-        interned: dict[tuple, list[FieldRecord]] = {}
-        directories = []
-        start = 0
-        for rank, end in enumerate(ends):
-            rank_keys = keys[start:end]
-            fields = prior[rank] if rank < len(prior) else None
-            if fields is None or not _shares_directory(rank_keys, fields):
-                token = tuple(rank_keys)
-                fields = interned.get(token)
-                if fields is None:
-                    fields = interned[token] = _build_directory(rank_keys)
-            directories.append(fields)
-            start = end
-        self.directories = directories
-        self.keys, self.ends = keys, ends
+        self.buffers, self.directories = [], []
+        for first, end in zip(cuts, cuts[1:]):
+            n = end - first
+            keys, sources = [], []
+            for name, arr, split, rtol, atol, skip in p.fields:
+                shape = arr.shape
+                if split:
+                    lo = _split_start(len(arr), count, first)
+                    shape = (_split_start(len(arr), count, first + 1) - lo,
+                             *shape[1:])
+                    arr = arr[lo:lo + shape[0] * n].reshape((n,) + shape)
+                keys.append((name, _dtype_name(arr.dtype), shape,
+                             math.prod(shape) * arr.itemsize, rtol, atol, skip))
+                sources.append((arr, split))
+            width = sum(key[3] for key in keys)
+            for lo, hi in _blocks(0, n, width):
+                block = np.empty((hi - lo, width), dtype=np.uint8)
+                offset = 0
+                for key, (src, split) in zip(keys, sources):
+                    np.copyto(_field_rows(block, offset, key[3], src.dtype,
+                                          key[2]), src[lo:hi] if split else src)
+                    offset += key[3]
+                block.flags.writeable = False
+                self.buffers.extend(block)
+            fields = prior[first] if first < len(prior) else None
+            if fields is None or not _shares_directory(keys, fields):
+                fields = _build_directory(keys)
+            self.directories.extend([fields] * n)
 
-    def unpack(self, pup_shard: Callable[[PUPer, int], None]) -> None:
-        """Restore every shard in place, in one pass over one PUPer."""
-        p = UnpackingPUPer(np.empty(0, dtype=np.uint8), [])
-        for rank in range(len(self.buffers)):
-            state = self.shard(rank)
-            p.load(state.buffer, state.fields)
-            pup_shard(p, rank)
+    def unpack(self, obj: Pupable) -> None:
+        """Restore ``obj``, a replica, in place from every shard in one run
+        of its description.
+
+        Split fields are copied into the target's arrays, whose parts must
+        have the stored shapes and dtypes (else :class:`PUPError`); a
+        replicated field (the iteration counter) takes the last shard's
+        value.
+        """
+        if self.buffers:
+            p = _BlockUnpacker(self.buffers, self.directories)
+            obj.pup(p)
             p.finish()
 
 

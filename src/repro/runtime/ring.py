@@ -104,6 +104,9 @@ class RingFastForward:
         self.sim = sim
         self.transport = transport
         self.nodes = list(dict.fromkeys(t.node for t in self.tasks))
+        #: The nodes' ids, in the order of :attr:`nodes`.
+        self.node_ids = [node.node_id for node in self.nodes]
+        self._node_index = np.array(self.node_ids, dtype=np.intp)
         left: list[int] = []
         right: list[int] = []
         for i, t in enumerate(self.tasks):
@@ -144,7 +147,7 @@ class RingFastForward:
     def eligible(self) -> bool:
         """Whether the ring may be handed to the engine now: every node is
         alive."""
-        return all(node.alive for node in self.nodes)
+        return bool(self.transport.liveness()[self._node_index].all())
 
     def open_start(self) -> bool:
         """Open at job start instead of ``Task.start`` on every task."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.base import _hash_unit, partition_bounds
+from repro.apps import partition_bounds
+from repro.apps.base import _hash_unit
 from repro.apps.registry import make_app
 from repro.apps.synthetic import SyntheticApp, synthetic_descriptor
 from repro.pup import pack, unpack

@@ -53,6 +53,19 @@ class TestFailureFree:
         assert a.checkpoints_completed == b.checkpoints_completed
         assert np.array_equal(a.digests[0], b.digests[0])
 
+    def test_app_kwargs_reach_the_final_checks(self):
+        # The final checkpoint is unpacked into a scratch app and checked
+        # against a reference app: both are built with the run's app_kwargs.
+        config = ACRConfig(checkpoint_interval=2.0, total_iterations=12,
+                           tasks_per_node=1, app_scale=1.0, seed=7)
+        acr = ACR("synthetic", nodes_per_replica=4, config=config,
+                  app_kwargs={"elements_per_node": 64})
+        assert acr.apps[0].state.size == 4 * 64
+        report = acr.run(until=HORIZON, max_events=EVENTS)
+        assert report.completed and report.result_correct
+        assert acr.store.safe(0).iteration == 12
+        assert np.array_equal(report.digests[0], acr.apps[0].result_digest())
+
     def test_checkpoint_overhead_accounted(self):
         _, report = run(total_iterations=400, checkpoint_interval=3.0)
         assert report.checkpoint_time > 0

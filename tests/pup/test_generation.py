@@ -7,26 +7,33 @@ compare and the restore give what the per-shard calls give.
   reference loop;
 * stored and cloned buffers are read-only, and a restore never leaves an
   application array aliasing one.
+
+``Toy`` splits every field across its ranks with ``pup_split``: bit-exact,
+``rtol``, ``atol`` and skipped fields, each a 2-D array of one row per rank
+unless a test resizes it.
 """
 
 import numpy as np
 import pytest
 
+from repro.apps.base import ShardRef
 from repro.apps.registry import MINIAPP_NAMES, make_app
 from repro.core.checkpoint import CheckpointGeneration, CheckpointStore
 from repro.core.sdc import detect_sdc
 from repro.pup.checker import compare_checkpoints, compare_checksums
 from repro.pup.checksum import checkpoint_checksum
-from repro.pup.puper import _JOIN_LIMIT, PackedState, pack
+from repro.pup.puper import PackedState, pack
 
 APPS = (*MINIAPP_NAMES, "synthetic")
 #: 7 ranks split every app's state unevenly.
 RANK_COUNTS = (1, 3, 16, 7)
+#: Doubles per row of a field packed past 64 KiB per rank.
+LARGE = 8197
 
 
 def generation(app, iteration=0, like=None):
     gen = CheckpointGeneration(iteration)
-    gen.pack(app.pup_shard, app.nodes_per_replica, like=like)
+    gen.pack(app, app.nodes_per_replica, like=like)
     return gen
 
 
@@ -59,23 +66,25 @@ class TestPackEquivalence:
                     == shared_ref
             first = gen
 
-    def test_changed_field_rebuilds_only_that_ranks_directory(self):
+    def test_resized_split_field_rebuilds_one_run_directory(self):
         toy = Toy(4, seed=1)
         first = generation(toy)
-        toy.ints[2] = np.arange(5)          # rank 2's shape changes
+        # One more row: rank 0's part grows to two rows, ranks 1-3 keep one.
+        toy.ints = np.insert(toy.ints, 1, 7, axis=0)
         second = generation(toy, like=first)
-        for rank in (0, 1, 3):
+        for rank in (1, 2, 3):
             assert second.directories[rank] is first.directories[rank]
-        assert second.directories[2] is not first.directories[2]
-        assert second.directories[2] == pack(toy.shard(2)).fields
-        assert second.keys is not first.keys
+        assert second.directories[0] is not first.directories[0]
+        assert second.directories[0] == pack(toy.shard(0)).fields
+        assert_same_shards(second, [pack(toy.shard(r)) for r in range(4)])
 
-    def test_equal_keys_reuse_the_like_key_list(self):
+    def test_equal_keys_share_the_like_directories(self):
         toy = Toy(4, seed=1)
         first = generation(toy)
         toy.floats[0][0] += 1.0
         second = generation(toy, like=first)
-        assert second.keys is first.keys and second.ends is first.ends
+        assert all(a is b for a, b in zip(second.directories,
+                                          first.directories))
         assert second.directories is not first.directories
 
     def test_equal_directories_are_interned(self):
@@ -84,60 +93,53 @@ class TestPackEquivalence:
         assert all(d is gen.directories[0] for d in gen.directories)
 
     def test_non_contiguous_and_large_fields(self):
-        big = Toy(2, seed=3, length=_JOIN_LIMIT // 8 + 5)
-        big.floats[1] = np.asfortranarray(
-            np.arange(12.0).reshape(3, 4))         # not C-contiguous
+        big = Toy(2, seed=3, length=LARGE)
+        big.floats = np.asfortranarray(big.floats)  # not C-contiguous
+        big.close = np.arange(24.0).reshape(4, 6)[::2, ::2]   # strided view
         gen = generation(big)
-        assert gen.buffers[0].nbytes >= _JOIN_LIMIT
+        assert gen.buffers[0].nbytes >= 1 << 16
         assert_same_shards(gen, [pack(big.shard(r)) for r in range(2)])
 
 
 class Toy:
-    """A replica-like object with bit-exact, tolerant, atol and skipped
-    fields on every rank."""
+    """A replica-like object whose bit-exact, tolerant, atol and skipped
+    fields are split across its ranks, one row per rank."""
+
+    FIELDS = ("floats", "close", "near", "ints", "timers")
 
     def __init__(self, nodes, seed, length=6):
         rng = np.random.default_rng(seed)
         self.nodes_per_replica = nodes
-        self.floats = [rng.normal(size=length) for _ in range(nodes)]
-        self.close = [rng.normal(size=3) for _ in range(nodes)]
-        self.near = [rng.normal(size=3) for _ in range(nodes)]
-        self.ints = [rng.integers(0, 1 << 30, size=4) for _ in range(nodes)]
-        self.timers = [float(rng.random()) for _ in range(nodes)]
+        self.floats = rng.normal(size=(nodes, length))
+        self.close = rng.normal(size=(nodes, 3))
+        self.near = rng.normal(size=(nodes, 3))
+        self.ints = rng.integers(0, 1 << 30, size=(nodes, 4))
+        self.timers = rng.random(size=(nodes, 1))
 
     def copy(self):
         twin = Toy.__new__(Toy)
         twin.nodes_per_replica = self.nodes_per_replica
-        for name in ("floats", "close", "near", "ints"):
-            setattr(twin, name, [a.copy() for a in getattr(self, name)])
-        twin.timers = list(self.timers)
+        for name in self.FIELDS:
+            setattr(twin, name, getattr(self, name).copy())
         return twin
 
-    def pup_shard(self, p, rank):
-        self.floats[rank] = p.pup_array("floats", self.floats[rank])
-        self.close[rank] = p.pup_array("close", self.close[rank], rtol=1e-6)
-        self.near[rank] = p.pup_array("near", self.near[rank], atol=1e-3)
-        self.ints[rank] = p.pup_array("ints", self.ints[rank])
-        self.timers[rank] = p.pup_float("timer", self.timers[rank],
-                                        skip_compare=True)
+    def pup(self, p):
+        p.pup_split("floats", self.floats)
+        p.pup_split("close", self.close, rtol=1e-6)
+        p.pup_split("near", self.near, atol=1e-3)
+        p.pup_split("ints", self.ints)
+        p.pup_split("timer", self.timers, skip_compare=True)
 
     def shard(self, rank):
-        toy = self
-
-        class Ref:
-            def pup(self, p):
-                toy.pup_shard(p, rank)
-
-        return Ref()
+        return ShardRef(self, rank)
 
     def arrays(self):
-        return [a for name in ("floats", "close", "near", "ints")
-                for a in getattr(self, name)]
+        return [getattr(self, name) for name in self.FIELDS]
 
 
 def flip_bit(rng, toy):
-    """Flip one random bit of one random array of one random rank."""
-    arrays = toy.arrays()
+    """Flip one random bit of one random compared array, on a random rank."""
+    arrays = toy.arrays()[:4]
     arr = arrays[int(rng.integers(len(arrays)))]
     raw = arr.view(np.uint8).reshape(-1)
     raw[int(rng.integers(raw.size))] ^= np.uint8(1 << int(rng.integers(8)))
@@ -186,7 +188,8 @@ class TestCompareEquivalence:
     def test_diverged_directories_are_compared_field_by_field(self):
         local_toy = Toy(4, seed=7)
         remote_toy = local_toy.copy()
-        remote_toy.ints[1] = np.arange(6)                  # structure differs
+        # Rank 0's part of ``ints`` gains a row: its structure differs.
+        remote_toy.ints = np.insert(remote_toy.ints, 1, 7, axis=0)
         remote_toy.close[3] = remote_toy.close[3] * (1 + 1e-9)  # tolerated
         local = generation(local_toy, 2)
         remote = generation(remote_toy, 2)                 # no like=: own dirs
@@ -194,7 +197,7 @@ class TestCompareEquivalence:
                                               remote.directories))
         assert local.buffers[3].tobytes() != remote.buffers[3].tobytes()
         expected = reference_mismatches(local, remote)
-        assert expected == {1}
+        assert expected == {0}
         assert detect_sdc(local, remote).mismatched_ranks == expected
 
     def test_shared_directories_with_equal_bytes_skip_the_field_loop(
@@ -222,7 +225,7 @@ class TestCompareEquivalence:
 
 
 class TestReadOnlyBuffers:
-    @pytest.mark.parametrize("length", (6, _JOIN_LIMIT // 8 + 5))
+    @pytest.mark.parametrize("length", (6, LARGE))
     def test_stored_and_cloned_buffers_reject_writes(self, length):
         toy = Toy(2, seed=9, length=length)
         gen = generation(toy)
@@ -248,16 +251,17 @@ class TestReadOnlyBuffers:
         assert stored.tolist() == list(range(8))
         assert not stored.flags.writeable
 
-    @pytest.mark.parametrize("length", (6, _JOIN_LIMIT // 8 + 5))
+    @pytest.mark.parametrize("length", (6, LARGE))
     def test_restore_never_aliases_the_buffers(self, length):
         toy = Toy(3, seed=2, length=length)
         gen = generation(toy)
         target = Toy(3, seed=99, length=length)
-        target.ints[1] = np.arange(2)      # another shape: restored by copy
-        target.floats[2].flags.writeable = False   # read-only: by copy
-        gen.unpack(target.pup_shard)
-        for arr in target.arrays():
+        before = [id(arr) for arr in target.arrays()]
+        gen.unpack(target)
+        assert [id(arr) for arr in target.arrays()] == before   # in place
+        for arr, ref in zip(target.arrays(), toy.arrays()):
             assert arr.flags.writeable
+            assert arr.tobytes() == ref.tobytes()
             for buf in gen.buffers:
                 assert not np.shares_memory(arr, buf)
         again = generation(target)
