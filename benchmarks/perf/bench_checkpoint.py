@@ -12,7 +12,9 @@ perf trajectory to defend:
 * **campaigns** — multi-seed replay throughput, serial vs ``workers=N``;
 * **durable tiers** — the level-2/3 persist path (one SHA-256 guard per
   shard over buffers the tier shares), its modeled atomic-vs-unsafe safety
-  overhead, and the torn-write fallback guarantee.
+  overhead, and the torn-write fallback guarantee;
+* **SDC scan** — ``detect_sdc`` over two equal block-backed generations in
+  full and checksum mode (informational, no gate).
 
 All timings use best-of-``repeats`` ``perf_counter`` deltas; payload sizes
 and speedups land in ``BENCH_checkpoint.json`` via :func:`run_all`.
@@ -214,6 +216,48 @@ def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
     }
 
 
+class SplitRows:
+    """A replica of one ``pup_split`` byte array, one row per rank."""
+
+    def __init__(self, nranks: int, row_bytes: int, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.rows = rng.integers(0, 256, size=(nranks, row_bytes),
+                                 dtype=np.uint8)
+
+    def pup(self, p):
+        p.pup_split("rows", self.rows)
+
+
+def bench_sdc_scan(total_mib: float = 64.0, row_kib: int = 64,
+                   repeats: int = 3) -> dict:
+    """``detect_sdc`` over two equal block-backed generations.
+
+    The scan compares bytes first, one pair of blocks at a time, so on equal
+    generations neither mode digests or compares a field: both rates are the
+    row-wise byte comparison's.  Informational only.
+    """
+    from repro.core.checkpoint import CheckpointGeneration
+    from repro.core.sdc import detect_sdc
+
+    nranks = max(1, int(total_mib * MIB) // (row_kib << 10))
+    replica = SplitRows(nranks, row_kib << 10)
+    local, remote = CheckpointGeneration(1), CheckpointGeneration(1)
+    local.pack(replica, nranks)
+    remote.pack(replica, nranks, like=local)
+    t_full = _best(lambda: detect_sdc(local, remote), repeats)
+    t_checksum = _best(lambda: detect_sdc(local, remote, use_checksum=True),
+                       repeats)
+    return {
+        "payload_mib": local.nbytes / MIB,
+        "nranks": nranks,
+        "blocks": len(local.blocks),
+        "full_s": t_full,
+        "checksum_s": t_checksum,
+        "full_gib_per_s": local.nbytes / t_full / (1 << 30),
+        "checksum_gib_per_s": local.nbytes / t_checksum / (1 << 30),
+    }
+
+
 def bench_campaign(seeds: int = 8, workers: int = 4,
                    total_iterations: int = 400) -> dict:
     """Multi-seed campaign throughput, serial vs process-parallel.
@@ -261,5 +305,7 @@ def run_all(*, quick: bool = False, total_mib: float = 64.0,
                                    repeats=max(2, repeats - 2)),
         "tiered_persist": bench_tiered_persist(
             total_mib=total_mib, repeats=max(2, repeats - 2)),
+        "sdc_scan": bench_sdc_scan(total_mib=total_mib,
+                                   repeats=max(2, repeats - 2)),
         "campaign": bench_campaign(**campaign_kwargs),
     }

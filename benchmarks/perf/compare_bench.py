@@ -104,6 +104,8 @@ INFORMATIONAL = (
     ("fletcher", "fletcher64_gib_per_s"),
     ("tiered_persist", "persist_gib_per_s"),
     ("tiered_persist", "sha_share_of_persist"),
+    ("sdc_scan", "full_gib_per_s"),
+    ("sdc_scan", "checksum_gib_per_s"),
     ("des_dispatch", "events_per_s"),
     ("des_dispatch", "handle_ref_events_per_s"),
     ("des_acr", "events_per_s"),

@@ -90,6 +90,11 @@ def main(argv: list[str] | None = None) -> int:
           f"(sha {100.0 * tier['sha_share_of_persist']:.0f}%), "
           f"modeled atomic overhead {tier['sim_safety_overhead']:.2f}x, "
           f"fallback correct={tier['restore_fallback_correct']}")
+    scan = results["sdc_scan"]
+    print(f"sdc scan    {scan['payload_mib']:8.1f} MiB  "
+          f"{scan['nranks']} ranks in {scan['blocks']} blocks, equal: "
+          f"full {scan['full_gib_per_s']:.2f} GiB/s, "
+          f"checksum {scan['checksum_gib_per_s']:.2f} GiB/s")
     print(f"campaign    {camp['seeds']} seeds   "
           f"workers={camp['workers']} {camp['parallel_speedup']:.2f}x "
           f"on {camp['cpu_count']} core(s), "

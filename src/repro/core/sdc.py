@@ -1,20 +1,35 @@
 """Silent-data-corruption detection between buddy checkpoints (§2.1, §4.2).
 
 In the real system every node of replica 2 compares the remote checkpoint
-shipped by its replica-1 buddy against its own local checkpoint.  Here the two
-candidate checkpoint generations hold exactly those per-rank buffers, and we
-run the same rank-wise comparison — either field-aware full comparison through
-the ``PUPer::checker`` machinery, or 32-byte Fletcher digest comparison.
+shipped by its replica-1 buddy against its own local checkpoint — either
+field by field through the ``PUPer::checker`` machinery, or by 32-byte
+Fletcher digests.  Here the two candidate checkpoint generations hold
+exactly those per-rank buffers.
+
+The scan is bytes-first.  It walks the two generations one aligned pair of
+blocks at a time and finds, in one vectorised pass per pair, the ranks
+whose bytes differ; only those ranks reach the mode's comparison.  That is
+exact: equal bytes give equal Fletcher digests, and equal bytes under one
+shared directory compare equal field by field under any non-negative
+tolerance (what :func:`compare_checkpoints`' own fast path decides), so
+every scan decision is the one a digest or a field comparison of every
+rank would make — including a digest collision on a rank whose bytes do
+differ, §5's undetected SDC.  Full mode also compares every rank whose two
+directories are not one shared object.  The simulated cost of a scan does
+not depend on this: ``CostModel.checksum_time`` charges the digest of the
+whole checkpoint at 4 instructions per byte either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.checkpoint import CheckpointGeneration
 from repro.pup.checker import compare_checkpoints, compare_checksums
 from repro.pup.checksum import checkpoint_checksum
-from repro.pup.puper import buffers_equal
+from repro.pup.puper import block_pairs
 from repro.util.errors import SimulationError
 
 
@@ -34,13 +49,13 @@ def detect_sdc(
     use_checksum: bool = False,
     rtol: float = 0.0,
 ) -> SDCScanResult:
-    """Compare two replicas' candidate checkpoints rank by rank.
+    """Compare two replicas' candidate checkpoints, bytes first.
 
-    Full mode first compares each rank's two buffers as bytes: a rank whose
-    bytes are equal under one shared directory matches, exactly as
-    :func:`compare_checkpoints`' shared-directory fast path decides, so
-    only the other ranks are compared field by field.  Checksum mode
-    compares every rank's Fletcher digests.
+    Each aligned pair of blocks (:func:`~repro.pup.puper.block_pairs`) is
+    compared row against row in one pass.  Checksum mode compares the
+    Fletcher digests of the ranks whose bytes differ; full mode compares
+    those ranks field by field, and also every rank whose directories are
+    not shared (or every rank, under a negative ``rtol``).
     """
     if local is None or remote is None:
         raise SimulationError("both candidate generations are required for SDC scan")
@@ -53,18 +68,24 @@ def detect_sdc(
         raise SimulationError("checkpoint generations cover different ranks")
 
     result = SDCScanResult(clean=True, method="checksum" if use_checksum else "full")
-    fast = not use_checksum and rtol >= 0
-    pairs = zip(local.buffers, remote.buffers,
-                local.directories, remote.directories)
-    for rank, (a, b, a_fields, b_fields) in enumerate(pairs):
-        if a is None or (fast and a_fields is b_fields and buffers_equal(a, b)):
-            continue
-        if use_checksum:
-            cmp = compare_checksums(local.shard(rank), checkpoint_checksum(b))
+    for lo, hi, a_rows, a_fields, b_rows, b_fields in block_pairs(
+            local.blocks, remote.blocks):
+        if a_rows.shape[1] == b_rows.shape[1] and (
+                use_checksum or (a_fields is b_fields and rtol >= 0)):
+            if np.array_equal(a_rows, b_rows):
+                continue
+            suspects = (lo + np.flatnonzero(
+                (a_rows != b_rows).any(axis=1))).tolist()
         else:
-            cmp = compare_checkpoints(local.shard(rank), remote.shard(rank),
-                                      default_rtol=rtol)
-        if not cmp.match:
-            result.clean = False
-            result.mismatched_ranks.add(rank)
+            suspects = range(lo, hi)
+        for rank in suspects:
+            if use_checksum:
+                cmp = compare_checksums(
+                    local.shard(rank), checkpoint_checksum(remote.buffers[rank]))
+            else:
+                cmp = compare_checkpoints(local.shard(rank), remote.shard(rank),
+                                          default_rtol=rtol)
+            if not cmp.match:
+                result.clean = False
+                result.mismatched_ranks.add(rank)
     return result

@@ -11,6 +11,14 @@ field-aware:
   serialized but never compared.
 
 The checksum path compares 32-byte Fletcher digests instead of full buffers.
+
+``detect_sdc`` (:mod:`repro.core.sdc`) calls these comparisons only for the
+ranks whose bytes differ between the buddies (plus, in full mode, ranks
+whose directories are not shared).  That is exact: equal bytes give equal
+digests, and equal bytes under one shared directory compare equal field by
+field under any non-negative tolerance — the fast path at the top of
+:func:`compare_checkpoints`.  The simulated cost of a comparison is charged
+by the cost model, not by the host work done here.
 """
 
 from __future__ import annotations

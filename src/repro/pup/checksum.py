@@ -25,6 +25,13 @@ instructions per word, so the hot path here avoids every avoidable copy:
 Both sums are computed blockwise with vectorized numpy arithmetic; the modulus
 is only applied per block, which is exact because the block size is chosen so
 the int64 accumulators cannot overflow.
+
+The SDC scan (:mod:`repro.core.sdc`) compares the buddies' bytes first and
+digests only the ranks whose bytes differ: equal bytes give equal digests,
+so the scan's decisions, a Fletcher collision on differing bytes included,
+are those of digesting every rank.  The *simulated* digest cost does not
+move: ``CostModel.checksum_time`` still charges 4 instructions per byte of
+the whole checkpoint, which is what the real system pays to ship a digest.
 """
 
 from __future__ import annotations

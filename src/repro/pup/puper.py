@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import ast
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -337,16 +338,6 @@ def _build_directory(keys: list[tuple]) -> list[FieldRecord]:
     return fields
 
 
-def buffers_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two packed buffers hold the same bytes."""
-    if a.nbytes != b.nbytes:
-        return False
-    if a.nbytes < 1 << 16:
-        # One memcmp; numpy's per-call overhead dominates at this size.
-        return a.tobytes() == b.tobytes()
-    return bool(np.array_equal(a, b))
-
-
 class UnpackingPUPer(PUPer):
     """Restores an object from a buffer produced by :func:`pack`.
 
@@ -453,17 +444,24 @@ def _blocks(first: int, end: int, width: int) -> list[tuple[int, int]]:
     return [(at, min(at + step, end)) for at in range(first, end, step)]
 
 
-def _rows(buffers: list) -> np.ndarray:
-    """Equal-sized ``buffers`` as one 2-D array: the block they are the rows
-    of, in order, or else a copy."""
-    block, width = buffers[0].base, buffers[0].nbytes
-    if (block is None or block.nbytes != len(buffers) * width
-            or buffers[0].ctypes.data != block.ctypes.data
-            or any(buf.base is not block for buf in buffers)):
-        block = np.concatenate(buffers)
-        if block.nbytes != len(buffers) * width:
-            raise PUPError("truncated checkpoint buffer")
-    return block.reshape(len(buffers), width)
+def block_pairs(a: list, b: list) -> Iterator[tuple]:
+    """Walk two :attr:`PackedShards.blocks` lists that hold the same ranks
+    one aligned piece at a time: ``(lo, hi, a_rows, a_fields, b_rows,
+    b_fields)``, where ``a_rows`` and ``b_rows`` are each side's rows of
+    ranks ``[lo, hi)``.  Where both sides hold blocks that start and end
+    together, each pair of blocks is one piece; a standalone shard on
+    either side (one stored by :meth:`PackedShards.put` or replaced by
+    :meth:`PackedShards.set_shard`) makes a piece of its one rank."""
+    i = j = 0
+    while i < len(a) and j < len(b):
+        a_lo, a_hi, a_rows, a_fields = a[i]
+        b_lo, b_hi, b_rows, b_fields = b[j]
+        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+        if lo < hi:
+            yield (lo, hi, a_rows[lo - a_lo:hi - a_lo], a_fields,
+                   b_rows[lo - b_lo:hi - b_lo], b_fields)
+        i += a_hi <= b_hi
+        j += b_hi <= a_hi
 
 
 class _BlockPacker(PUPer):
@@ -489,26 +487,23 @@ class _BlockPacker(PUPer):
 class _BlockUnpacker(UnpackingPUPer):
     """Restores a replica from all its shards in one run of its description.
 
-    Shards with equal directories form runs, read block by block as 2-D
-    arrays of rows.  Every distinct directory is checked once per field; a
-    split field is copied into the target in place with one strided copy
-    per block, and a replicated field restores from the last shard.
+    The shards are read block by block, as the generation stores them
+    (:attr:`PackedShards.blocks`).  Every distinct directory is checked
+    once per field; a split field is copied into the target in place with
+    one strided copy per block, and a replicated field restores from the
+    last shard.
     """
 
-    def __init__(self, buffers: list, directories: list) -> None:
-        self.count = len(buffers)
-        #: ``(first rank, end rank, directory, rows)`` per block.
-        self._runs: list[tuple] = []
-        first = 0
-        for fields, run in groupby(directories):
-            end = first + len(list(run))
-            if fields is None:
-                raise PUPError(f"shard {first} is not stored")
-            for lo, hi in _blocks(first, end, buffers[first].nbytes):
-                self._runs.append((lo, hi, fields, _rows(buffers[lo:hi])))
-            first = end
-        super().__init__(buffers[-1], directories[-1])
-        self._distinct = list({id(run[2]): run[2] for run in self._runs}
+    def __init__(self, shards: "PackedShards") -> None:
+        self.count = len(shards.buffers)
+        #: ``(first rank, end rank, rows, directory)`` per block.
+        self._runs = shards.blocks
+        if not shards.complete(self.count):
+            missing = next(r for r, buf in enumerate(shards.buffers)
+                           if buf is None)
+            raise PUPError(f"shard {missing} is not stored")
+        super().__init__(self._runs[-1][2][-1], self._runs[-1][3])
+        self._distinct = list({id(run[3]): run[3] for run in self._runs}
                               .values())
 
     def _handle(self, name, arr, *, rtol, atol, skip_compare):
@@ -530,13 +525,14 @@ class _BlockUnpacker(UnpackingPUPer):
         if not arr.flags.writeable:
             raise PUPError(f"field {name!r}: the target is read-only")
         dtype, total = _dtype_name(arr.dtype), len(arr)
-        for first, end, fields, rows in self._runs:
+        for first, end, rows, fields in self._runs:
             rec = fields[index]
             lo, hi = (_split_start(total, self.count, r) for r in (first, end))
             shape = (_split_start(total, self.count, first + 1) - lo,
                      *arr.shape[1:])
             if (rec.dtype, rec.shape) != (dtype, shape) \
-                    or hi - lo != shape[0] * (end - first):
+                    or hi - lo != shape[0] * (end - first) \
+                    or rows.shape[1] < rec.offset + rec.nbytes:
                 raise PUPError(f"field {name!r}: shards {first}..{end - 1} "
                                f"hold {rec.dtype}{list(rec.shape)}, the target "
                                f"splits into {dtype}{list(shape)}")
@@ -559,27 +555,39 @@ class PackedShards:
     Every buffer is a read-only array that no one writes after it is
     stored, so copies of the lists share the buffers safely.  ``None`` in
     ``buffers`` marks a shard not stored yet.
+
+    ``blocks`` holds the same stored shards in rank order as ``(first rank,
+    end rank, rows, directory)``: ``rows`` is a 2-D uint8 array whose row
+    ``i`` holds the bytes of shard ``first + i``, all under one directory.
+    :meth:`pack` stores a replica as a few wide blocks; a shard stored on
+    its own (:meth:`put`, :meth:`set_shard`) is a block of one row.  The
+    sizes and rank sets below, the restore and the buddy compare walk
+    ``blocks``, not the per-rank lists, so every change of a shard goes
+    through :meth:`set_shard`, which keeps the three in step.
     """
 
-    __slots__ = ("buffers", "directories")
+    __slots__ = ("buffers", "directories", "blocks")
 
     def __init__(self) -> None:
         self.buffers: list[np.ndarray | None] = []
         self.directories: list[list[FieldRecord] | None] = []
+        self.blocks: list[tuple[int, int, np.ndarray, list | None]] = []
 
     @property
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in self.buffers if b is not None)
+        return sum(block[2].nbytes for block in self.blocks)
 
     @property
     def ranks(self) -> list[int]:
         """The shards stored, in order."""
-        return [r for r, b in enumerate(self.buffers) if b is not None]
+        return list(chain.from_iterable(range(first, end)
+                                        for first, end, _, _ in self.blocks))
 
     def complete(self, count: int) -> bool:
         """True when exactly shards ``0..count-1`` are stored."""
         return (len(self.buffers) == count
-                and all(b is not None for b in self.buffers))
+                and sum(end - first for first, end, _, _ in self.blocks)
+                == count)
 
     def shard(self, rank: int) -> PackedState:
         """Shard ``rank`` as a :class:`PackedState` over its read-only buffer."""
@@ -593,25 +601,46 @@ class PackedShards:
         """Every stored shard by rank, built on demand."""
         return {r: self.shard(r) for r in self.ranks}
 
-    def put(self, rank: int, state: PackedState) -> int:
-        """Store a read-only copy of ``state``'s buffer as shard ``rank``;
-        returns the byte size of the shard it replaces (0 if none)."""
+    def set_shard(self, rank: int, buffer: np.ndarray | None,
+                  fields: list[FieldRecord] | None) -> int:
+        """Make the read-only ``buffer`` shard ``rank``, under ``fields``,
+        or drop the shard when ``buffer`` is None; returns the byte size of
+        the shard it replaces (0 if none).  The block that held ``rank`` is
+        cut around it, so its other rows keep sharing one block."""
         missing = rank + 1 - len(self.buffers)
         if missing > 0:
             self.buffers.extend([None] * missing)
             self.directories.extend([None] * missing)
         old = self.buffers[rank]
+        self.buffers[rank] = buffer
+        self.directories[rank] = None if buffer is None else fields
+        at = bisect_right(self.blocks, rank, key=lambda block: block[0])
+        before = after = ()
+        if at and self.blocks[at - 1][1] > rank:
+            at -= 1
+            first, end, rows, held = self.blocks.pop(at)
+            if first < rank:
+                before = ((first, rank, rows[:rank - first], held),)
+            if rank + 1 < end:
+                after = ((rank + 1, end, rows[rank + 1 - first:], held),)
+        own = () if buffer is None else (
+            (rank, rank + 1, buffer.reshape(1, -1).view(np.uint8), fields),)
+        self.blocks[at:at] = (*before, *own, *after)
+        return old.nbytes if old is not None else 0
+
+    def put(self, rank: int, state: PackedState) -> int:
+        """Store a read-only copy of ``state``'s buffer as shard ``rank``;
+        returns the byte size of the shard it replaces (0 if none)."""
         buf = state.buffer.copy()
         buf.flags.writeable = False
-        self.buffers[rank] = buf
-        self.directories[rank] = state.fields
-        return old.nbytes if old is not None else 0
+        return self.set_shard(rank, buf, state.fields)
 
     def share(self, other: "PackedShards") -> None:
         """Hold ``other``'s shards: the buffers and directories by
         reference, in lists of this object's own."""
         self.buffers = list(other.buffers)
         self.directories = list(other.directories)
+        self.blocks = list(other.blocks)
 
     def pack(self, obj: Pupable, count: int,
              like: "PackedShards | None" = None) -> None:
@@ -631,7 +660,7 @@ class PackedShards:
         cuts = sorted({0, count}.union(len(f[1]) % count
                                        for f in p.fields if f[2]))
         prior = like.directories if like is not None else []
-        self.buffers, self.directories = [], []
+        self.buffers, self.directories, self.blocks = [], [], []
         for first, end in zip(cuts, cuts[1:]):
             n = end - first
             keys, sources = [], []
@@ -645,6 +674,10 @@ class PackedShards:
                 keys.append((name, _dtype_name(arr.dtype), shape,
                              math.prod(shape) * arr.itemsize, rtol, atol, skip))
                 sources.append((arr, split))
+            fields = prior[first] if first < len(prior) else None
+            if fields is None or not _shares_directory(keys, fields):
+                fields = _build_directory(keys)
+            self.directories.extend([fields] * n)
             width = sum(key[3] for key in keys)
             for lo, hi in _blocks(0, n, width):
                 block = np.empty((hi - lo, width), dtype=np.uint8)
@@ -655,10 +688,7 @@ class PackedShards:
                     offset += key[3]
                 block.flags.writeable = False
                 self.buffers.extend(block)
-            fields = prior[first] if first < len(prior) else None
-            if fields is None or not _shares_directory(keys, fields):
-                fields = _build_directory(keys)
-            self.directories.extend([fields] * n)
+                self.blocks.append((first + lo, first + hi, block, fields))
 
     def unpack(self, obj: Pupable) -> None:
         """Restore ``obj``, a replica, in place from every shard in one run
@@ -670,7 +700,7 @@ class PackedShards:
         value.
         """
         if self.buffers:
-            p = _BlockUnpacker(self.buffers, self.directories)
+            p = _BlockUnpacker(self)
             obj.pup(p)
             p.finish()
 

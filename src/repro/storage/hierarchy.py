@@ -260,11 +260,11 @@ class DurableHierarchy:
         buf = gen.buffers[victim].copy()
         buf[len(buf) // 2:] = 0
         buf.flags.writeable = False
-        gen.buffers[victim] = buf
+        gen.set_shard(victim, buf, gen.directories[victim])
         staged.torn.add(victim)
         if drop_rest:
             for r in ranks[fault_point + 1:]:
-                gen.buffers[r] = gen.directories[r] = None
+                gen.set_shard(r, None, None)
 
     def persist_now(self, gen: CheckpointGeneration, now: float,
                     levels=None) -> float:
@@ -306,7 +306,7 @@ class DurableHierarchy:
         buf = buf.copy()                    # copy on write
         buf[byte] ^= (1 << bit)
         buf.flags.writeable = False
-        gen.buffers[victim] = buf
+        gen.set_shard(victim, buf, gen.directories[victim])
         tier.counters["rot_injected"] += 1
         return True
 

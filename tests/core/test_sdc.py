@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import sdc
 from repro.core.checkpoint import CheckpointGeneration
 from repro.core.sdc import detect_sdc
+from repro.pup import checker
 from repro.pup.puper import pack
 from repro.util.errors import SimulationError
 
@@ -69,3 +71,76 @@ class TestDetectSDC:
     def test_missing_generation_rejected(self):
         with pytest.raises(SimulationError):
             detect_sdc(None, generation(1, [[1.0]]))
+
+
+class Rows:
+    """A replica of one split array, one row of four doubles per rank."""
+
+    def __init__(self, nodes):
+        self.data = np.arange(nodes * 4, dtype=np.float64).reshape(nodes, 4)
+
+    def pup(self, p):
+        p.pup_split("data", self.data)
+
+
+def packed(rows, like=None):
+    gen = CheckpointGeneration(iteration=1)
+    gen.pack(rows, len(rows.data), like=like)
+    return gen
+
+
+def stored_one_by_one(rows, like=None):
+    gen = CheckpointGeneration(iteration=1)
+    for rank in range(len(rows.data)):
+        gen.put(rank, pack(Blob(rows.data[rank]),
+                           like=like.shard(rank) if like else None))
+    return gen
+
+
+@pytest.fixture
+def digested(monkeypatch):
+    """The bytes of every buffer a scan digests, in call order."""
+    calls = []
+    real = sdc.checkpoint_checksum
+
+    def counting(data):
+        calls.append(bytes(data))
+        return real(data)
+
+    monkeypatch.setattr(sdc, "checkpoint_checksum", counting)
+    monkeypatch.setattr(checker, "checkpoint_checksum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", (packed, stored_one_by_one))
+class TestBytesFirst:
+    """Checksum mode digests only the ranks whose bytes differ."""
+
+    def test_equal_generations_digest_nothing(self, build, digested):
+        rows = Rows(6)
+        local = build(rows)
+        remote = build(Rows(6), like=local)
+        assert detect_sdc(local, remote, use_checksum=True).clean
+        assert digested == []
+
+    def test_one_flipped_rank_digests_that_rank_twice(self, build, digested):
+        local = build(Rows(6))
+        flipped = Rows(6)
+        flipped.data[2, 1] += 1.0
+        remote = build(flipped, like=local)
+        result = detect_sdc(local, remote, use_checksum=True)
+        assert result.mismatched_ranks == {2}
+        assert sorted(digested) == sorted([local.buffers[2].tobytes(),
+                                           remote.buffers[2].tobytes()])
+
+    def test_a_digest_collision_stays_undetected(self, build, monkeypatch):
+        local = build(Rows(6))
+        flipped = Rows(6)
+        flipped.data[4, 0] = -1.0
+        remote = build(flipped, like=local)
+        # Every buffer collides: the bytes differ, the digests do not.
+        collide = lambda data: bytes(32)  # noqa: E731
+        monkeypatch.setattr(sdc, "checkpoint_checksum", collide)
+        monkeypatch.setattr(checker, "checkpoint_checksum", collide)
+        assert detect_sdc(local, remote, use_checksum=True).clean
+        assert detect_sdc(local, remote).mismatched_ranks == {4}

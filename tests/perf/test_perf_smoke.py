@@ -14,6 +14,7 @@ from benchmarks.perf.bench_checkpoint import (
     bench_campaign,
     bench_fletcher,
     bench_pack,
+    bench_sdc_scan,
     bench_tiered_persist,
     run_all,
 )
@@ -63,6 +64,12 @@ class TestMicroBenchmarks:
         assert result["persist_gib_per_s"] > 0
         assert result["sim_safety_overhead"] >= 1.0
         assert result["restore_fallback_correct"]
+
+    def test_bench_sdc_scan_reports_both_modes(self):
+        result = bench_sdc_scan(total_mib=1.0, row_kib=64, repeats=1)
+        assert (result["nranks"], result["blocks"]) == (16, 4)
+        assert result["full_gib_per_s"] > 0
+        assert result["checksum_gib_per_s"] > 0
 
     def test_legacy_pack_matches_zero_copy_pack(self):
         class ChunkPUPer(PUPer):
@@ -205,7 +212,7 @@ class TestRunBenchEntryPoint:
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "checkpoint_hot_path"
         assert set(payload["results"]) == {
-            "pack", "fletcher", "tiered_persist",
+            "pack", "fletcher", "tiered_persist", "sdc_scan",
             "campaign", "des_dispatch", "des_periodic", "des_messages",
             "des_acr", "obs_stream", "bench_scale", "serve"}
         obs = payload["results"]["obs_stream"]

@@ -207,3 +207,29 @@ def test_a_wide_run_is_stored_as_capped_blocks():
     gen.unpack(target)
     assert target.iteration == 1
     assert target.state.tobytes() == app.state.tobytes()
+
+
+def test_set_shard_cuts_the_block_and_keeps_the_counts():
+    gen = CheckpointGeneration(0)
+    gen.pack(Replicated(rows=6), 6)
+    (block,) = gen.blocks
+    width = block[2].shape[1]
+    copy = gen.buffers[2].copy()
+    copy.flags.writeable = False
+    assert gen.set_shard(2, copy, gen.directories[2]) == width
+    assert [b[:2] for b in gen.blocks] == [(0, 2), (2, 3), (3, 6)]
+    assert gen.blocks[0][2].base is block[2] and gen.blocks[1][2].base is copy
+    assert gen.set_shard(4, None, None) == width
+    assert [b[:2] for b in gen.blocks] == [(0, 2), (2, 3), (3, 4), (5, 6)]
+    assert (gen.ranks, gen.nbytes) == ([0, 1, 2, 3, 5], 5 * width)
+    assert not gen.complete(6) and gen.directories[4] is None
+    with pytest.raises(PUPError, match="shard 4 is not stored"):
+        gen.unpack(Replicated(rows=6))
+    assert gen.set_shard(4, copy, gen.directories[0]) == 0
+    assert gen.complete(6) and gen.nbytes == 6 * width
+    target = Replicated(rows=6)
+    target.data[:] = -1
+    gen.unpack(target)
+    expected = Replicated(rows=6).data
+    expected[4] = expected[2]           # rank 4 now holds rank 2's bytes
+    assert target.data.tobytes() == expected.tobytes()

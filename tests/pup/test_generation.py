@@ -4,7 +4,10 @@ compare and the restore give what the per-shard calls give.
 * ``CheckpointGeneration.pack`` equals ``pack(app.shard(r), like=...)``
   rank by rank, bytes, directories and directory sharing alike;
 * ``detect_sdc`` equals a per-rank ``compare_checkpoints`` (or digest)
-  reference loop;
+  reference loop over every layout a generation can hold: packed blocks of
+  uneven widths, standalone copy-on-write shards, shards stored one by one
+  and directories that are not shared;
+* a clean scan of block-backed generations compares blocks, not ranks;
 * stored and cloned buffers are read-only, and a restore never leaves an
   application array aliasing one.
 
@@ -13,16 +16,21 @@ compare and the restore give what the per-shard calls give.
 unless a test resizes it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.apps.base import ShardRef
 from repro.apps.registry import MINIAPP_NAMES, make_app
+from repro.core import sdc
 from repro.core.checkpoint import CheckpointGeneration, CheckpointStore
 from repro.core.sdc import detect_sdc
 from repro.pup.checker import compare_checkpoints, compare_checksums
 from repro.pup.checksum import checkpoint_checksum
 from repro.pup.puper import PackedState, pack
+from repro.storage.hierarchy import DurableHierarchy
+from repro.storage.tiers import NODE_LOCAL_TIER
 
 APPS = (*MINIAPP_NAMES, "synthetic")
 #: 7 ranks split every app's state unevenly.
@@ -158,6 +166,33 @@ def reference_mismatches(local, remote, *, use_checksum=False, rtol=0.0):
     return bad
 
 
+def assert_scan_matches_reference(local, remote):
+    """``detect_sdc`` agrees with the reference loop in both modes, both
+    ways round; returns the full-mode mismatches."""
+    for a, b in ((local, remote), (remote, local)):
+        for use_checksum in (False, True):
+            for rtol in (0.0, 1e-9):
+                expected = reference_mismatches(a, b, use_checksum=use_checksum,
+                                                rtol=rtol)
+                result = detect_sdc(a, b, use_checksum=use_checksum, rtol=rtol)
+                assert result.mismatched_ranks == expected
+                assert result.clean == (not expected)
+    return reference_mismatches(local, remote)
+
+
+def counting(monkeypatch, name):
+    """Count the calls ``detect_sdc`` makes to ``sdc.<name>``."""
+    calls = []
+    real = getattr(sdc, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sdc, name, wrapper)
+    return calls
+
+
 class TestCompareEquivalence:
     @pytest.mark.parametrize("use_checksum", (False, True))
     @pytest.mark.parametrize("rtol", (0.0, 1e-9, 0.5))
@@ -222,6 +257,107 @@ class TestCompareEquivalence:
         assert calls == []
         assert detect_sdc(local, diverged).mismatched_ranks == {4}
         assert len(calls) == 1
+
+
+    def test_uneven_width_runs(self):
+        # 7 ranks cut Jacobi3D's slabs into two runs of different widths.
+        app = make_app("jacobi3d-charm", 7, scale=1e-3, seed=3)
+        local = generation(app)
+        assert len({rows.shape[1] for _, _, rows, _ in local.blocks}) == 2
+        rng = np.random.default_rng(5)
+        caught = set()
+        for trial in range(6):
+            twin = app.clone()
+            raw = twin.grid.view(np.uint8).reshape(-1)
+            for _ in range(trial % 3):
+                raw[int(rng.integers(raw.size))] ^= np.uint8(
+                    1 << int(rng.integers(8)))
+            remote = generation(twin, like=local)
+            caught |= assert_scan_matches_reference(local, remote)
+        assert caught
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_standalone_copy_on_write_shards(self, seed, monkeypatch):
+        # A tier's copy of a generation after bit rot and a torn write:
+        # standalone buffers cut into the packed block.
+        toy = Toy(6, seed=seed)
+        local = generation(toy, 1)
+        hier = DurableHierarchy([NODE_LOCAL_TIER], 6, seed=seed)
+        hier.persist_now(generation(toy.copy(), 1, like=local), 0.0)
+        stored = hier.tiers[NODE_LOCAL_TIER.level].generations[-1]
+        assert hier.inject_bit_rot(NODE_LOCAL_TIER.level, 0.0)
+        DurableHierarchy._tear(stored, 3, drop_rest=False)
+        remote = stored.gen
+        assert len(local.blocks) == 1
+        standalone = [lo for lo, hi, _, _ in remote.blocks if hi - lo == 1]
+        assert 3 in standalone and 1 < len(remote.blocks) <= 5
+        assert 3 in assert_scan_matches_reference(local, remote)
+        # Copies on write that change no byte read clean.
+        for rank in standalone:
+            remote.set_shard(rank, local.buffers[rank].copy(),
+                             remote.directories[rank])
+        assert assert_scan_matches_reference(local, remote) == set()
+        compared = counting(monkeypatch, "compare_checkpoints")
+        digested = counting(monkeypatch, "checkpoint_checksum")
+        assert detect_sdc(local, remote).clean
+        assert detect_sdc(local, remote, use_checksum=True).clean
+        assert compared == digested == []
+
+    def test_shards_stored_one_by_one(self):
+        toy = Toy(5, seed=6)
+        local = generation(toy, 1)
+        twin = toy.copy()
+        twin.ints[2][1] ^= 4
+        twin.close[4][0] *= 1 + 1e-12
+        remote = CheckpointGeneration(1, shards={
+            r: pack(twin.shard(r), like=local.shard(r)) for r in range(5)})
+        assert [hi - lo for lo, hi, _, _ in remote.blocks] == [1] * 5
+        assert assert_scan_matches_reference(local, remote) == {2}
+
+    def test_unshared_directories_with_equal_bytes(self, monkeypatch):
+        toy = Toy(4, seed=8)
+        local = generation(toy, 1)
+        remote = generation(toy.copy(), 1)             # own directories
+        assert all(a is not b for a, b in zip(local.directories,
+                                              remote.directories))
+        assert assert_scan_matches_reference(local, remote) == set()
+        # The same bytes under other field names: full mode compares each
+        # unshared directory field by field, checksum mode sees equal bytes.
+        renamed = CheckpointGeneration(1, shards={
+            r: PackedState(local.buffers[r],
+                           [replace(f, name=f.name + "'") for f in fields])
+            for r, fields in enumerate(local.directories)})
+        assert assert_scan_matches_reference(local, renamed) == {0, 1, 2, 3}
+        calls = counting(monkeypatch, "compare_checkpoints")
+        assert detect_sdc(local, remote).clean
+        assert len(calls) == 4
+        assert detect_sdc(local, renamed, use_checksum=True).clean
+
+
+class TestBlockPath:
+    def test_a_clean_scan_at_4096_ranks_compares_blocks(self, monkeypatch):
+        toy = Toy(4096, seed=2)
+        local = generation(toy, 1)
+        remote = generation(toy.copy(), 1, like=local)
+        assert len(local.blocks) <= 4
+        pieces = []
+        real = sdc.block_pairs
+
+        def counting_pairs(a, b):
+            for piece in real(a, b):
+                pieces.append(piece[:2])
+                yield piece
+
+        monkeypatch.setattr(sdc, "block_pairs", counting_pairs)
+        compared = counting(monkeypatch, "compare_checkpoints")
+        assert detect_sdc(local, remote).clean
+        assert pieces == [block[:2] for block in local.blocks]
+        assert compared == []
+
+        toy.ints[1234][0] += 1
+        flipped = generation(toy, 1, like=local)
+        assert detect_sdc(local, flipped).mismatched_ranks == {1234}
+        assert len(compared) == 1
 
 
 class TestReadOnlyBuffers:
