@@ -116,6 +116,11 @@ INFORMATIONAL = (
     ("bench_scale", "legacy_equivalent_events_per_s"),
     ("bench_scale", "node_iterations_per_s"),
     ("bench_scale", "peak_rss_mib"),
+    # The garbage collector's work per phase (see bench_scale.py).
+    *(("bench_scale", f"{phase}_{field}")
+      for phase in ("construct", "run")
+      for field in ("gc_gen0", "gc_gen1", "gc_gen2", "gc_s",
+                    "tracked_per_node")),
     ("serve", "cache_hit_rps"),
     ("serve", "p50_ms"),
     ("serve", "p99_ms"),

@@ -88,8 +88,9 @@ class ConsensusController:
         self._t_decided = 0.0
         self._t_last_decision = 0.0
         self._t_last_ready = 0.0
+        ready = self._on_node_all_ready  # one bound method for every node
         for node in nodes.values():
-            node.on_all_tasks_ready = self._on_node_all_ready
+            node.on_all_tasks_ready = ready
         self.engine = RoundEngine(self)
         self._sim.return_hooks.append(self.engine.flush)
 

@@ -198,20 +198,21 @@ class ACR:
         self.tasks: dict[int, list[Task]] = {0: [], 1: []}
         total_tasks = self.n * tpn
         for replica in (0, 1):
-            app = self.apps[replica]
-            for rank in range(self.n):
-                node = self.nodes[self._node_id(replica, rank)]
-                for j in range(tpn):
-                    tid = rank * tpn + j
-                    left, right = (tid - 1) % total_tasks, (tid + 1) % total_tasks
-                    neighbors = [
-                        (self._node_id(replica, left // tpn), left),
-                        (self._node_id(replica, right // tpn), right),
-                    ]
-                    task = Task(tid, node, neighbors=neighbors,
-                                iteration_time=app.iteration_time)
-                    node.add_task(task)
-                    self.tasks[replica].append(task)
+            # Rank tid // tpn hosts task tid, so each node's task ids are
+            # contiguous (Node.add_task); one iteration-time callable
+            # serves the whole replica.
+            base = self._node_id(replica, 0)
+            iteration_time = self.apps[replica].iteration_time
+            tasks = self.tasks[replica]
+            for tid in range(total_tasks):
+                left, right = (tid - 1) % total_tasks, (tid + 1) % total_tasks
+                node = self.nodes[base + tid // tpn]
+                task = Task(tid, node,
+                            neighbors=((base + left // tpn, left),
+                                       (base + right // tpn, right)),
+                            iteration_time=iteration_time)
+                node.add_task(task)
+                tasks.append(task)
         # Struct-of-arrays progress stamps (global index: replica-major) so
         # the per-iteration "all tasks at cap?" test is an O(1) counter read
         # instead of a 2·N·tpn generator sweep (see runtime/soa.py).
@@ -464,8 +465,9 @@ class ACR:
                     t.iteration_cap = cap
             self._task_soa.set_cap(cap)
         self._build_rings()
+        on_progress = self._on_node_progress  # one for every node
         for node in self.nodes.values():
-            node.on_progress = self._on_node_progress
+            node.on_progress = on_progress
         for replica in (0, 1):
             if not self._rings[replica].open_start():
                 for nid in self._replica_scope(replica):

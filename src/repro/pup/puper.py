@@ -495,7 +495,7 @@ class _BlockUnpacker(UnpackingPUPer):
     """
 
     def __init__(self, shards: "PackedShards") -> None:
-        self.count = len(shards.buffers)
+        self.count = shards._extent()
         #: ``(first rank, end rank, rows, directory)`` per block.
         self._runs = shards.blocks
         if not shards.complete(self.count):
@@ -550,28 +550,65 @@ class _BlockUnpacker(UnpackingPUPer):
 class PackedShards:
     """Shards ``0..n-1`` of one replica, as :meth:`pack` packs them.
 
-    ``buffers[r]`` is shard ``r``'s packed bytes and ``directories[r]`` its
-    field directory; :meth:`shard` pairs them as a :class:`PackedState`.
-    Every buffer is a read-only array that no one writes after it is
-    stored, so copies of the lists share the buffers safely.  ``None`` in
-    ``buffers`` marks a shard not stored yet.
+    ``blocks`` holds the stored shards in rank order as ``(first rank, end
+    rank, rows, directory)``: ``rows`` is a 2-D uint8 array whose row ``i``
+    holds the bytes of shard ``first + i``, all under one directory.
+    :meth:`pack` stores a replica as a few wide blocks and nothing per
+    shard; a shard stored on its own (:meth:`put`, :meth:`set_shard`) is a
+    block of one row.  The sizes and rank sets below, the restore and the
+    buddy compare walk ``blocks``.
 
-    ``blocks`` holds the same stored shards in rank order as ``(first rank,
-    end rank, rows, directory)``: ``rows`` is a 2-D uint8 array whose row
-    ``i`` holds the bytes of shard ``first + i``, all under one directory.
-    :meth:`pack` stores a replica as a few wide blocks; a shard stored on
-    its own (:meth:`put`, :meth:`set_shard`) is a block of one row.  The
-    sizes and rank sets below, the restore and the buddy compare walk
-    ``blocks``, not the per-rank lists, so every change of a shard goes
-    through :meth:`set_shard`, which keeps the three in step.
+    ``buffers[r]`` is shard ``r``'s packed bytes and ``directories[r]`` its
+    field directory (``None`` in both marks a shard not stored);
+    :meth:`shard` pairs them as a :class:`PackedState`.  The two lists are
+    built from ``blocks`` on first read, for the cold readers (tiers, the
+    chaos monitor, tests); every change of a shard goes through
+    :meth:`set_shard`, which builds them and keeps all three in step.
+    Every buffer is a read-only array that no one writes after it is
+    stored, so copies of the lists share the buffers safely.
     """
 
-    __slots__ = ("buffers", "directories", "blocks")
+    __slots__ = ("_lists_built", "blocks")
 
     def __init__(self) -> None:
-        self.buffers: list[np.ndarray | None] = []
-        self.directories: list[list[FieldRecord] | None] = []
         self.blocks: list[tuple[int, int, np.ndarray, list | None]] = []
+        #: ``(buffers, directories)``, or None while not built.
+        self._lists_built: tuple[list, list] | None = ([], [])
+
+    @property
+    def buffers(self) -> list[np.ndarray | None]:
+        """Shard ``r``'s read-only buffer at ``[r]``, None if not stored."""
+        return self._lists()[0]
+
+    @property
+    def directories(self) -> list[list[FieldRecord] | None]:
+        """Shard ``r``'s field directory at ``[r]``, None if not stored."""
+        return self._lists()[1]
+
+    def _lists(self) -> tuple[list, list]:
+        """``buffers`` and ``directories``, built from ``blocks`` if need be."""
+        if self._lists_built is None:
+            size = self._extent()
+            buffers: list[np.ndarray | None] = [None] * size
+            directories: list[list[FieldRecord] | None] = [None] * size
+            for first, end, rows, fields in self.blocks:
+                buffers[first:end] = rows
+                directories[first:end] = [fields] * (end - first)
+            self._lists_built = (buffers, directories)
+        return self._lists_built
+
+    def _extent(self) -> int:
+        """``len(buffers)``, without building the list."""
+        if self._lists_built is not None:
+            return len(self._lists_built[0])
+        return self.blocks[-1][1] if self.blocks else 0
+
+    def _directory(self, rank: int) -> list[FieldRecord] | None:
+        """``directories[rank]`` (None past the end), read from ``blocks``."""
+        at = bisect_right(self.blocks, rank, key=lambda block: block[0])
+        if at and self.blocks[at - 1][1] > rank:
+            return self.blocks[at - 1][3]
+        return None
 
     @property
     def nbytes(self) -> int:
@@ -585,7 +622,7 @@ class PackedShards:
 
     def complete(self, count: int) -> bool:
         """True when exactly shards ``0..count-1`` are stored."""
-        return (len(self.buffers) == count
+        return (self._extent() == count
                 and sum(end - first for first, end, _, _ in self.blocks)
                 == count)
 
@@ -607,13 +644,14 @@ class PackedShards:
         or drop the shard when ``buffer`` is None; returns the byte size of
         the shard it replaces (0 if none).  The block that held ``rank`` is
         cut around it, so its other rows keep sharing one block."""
-        missing = rank + 1 - len(self.buffers)
+        buffers, directories = self._lists()
+        missing = rank + 1 - len(buffers)
         if missing > 0:
-            self.buffers.extend([None] * missing)
-            self.directories.extend([None] * missing)
-        old = self.buffers[rank]
-        self.buffers[rank] = buffer
-        self.directories[rank] = None if buffer is None else fields
+            buffers.extend([None] * missing)
+            directories.extend([None] * missing)
+        old = buffers[rank]
+        buffers[rank] = buffer
+        directories[rank] = None if buffer is None else fields
         at = bisect_right(self.blocks, rank, key=lambda block: block[0])
         before = after = ()
         if at and self.blocks[at - 1][1] > rank:
@@ -636,11 +674,13 @@ class PackedShards:
         return self.set_shard(rank, buf, state.fields)
 
     def share(self, other: "PackedShards") -> None:
-        """Hold ``other``'s shards: the buffers and directories by
-        reference, in lists of this object's own."""
-        self.buffers = list(other.buffers)
-        self.directories = list(other.directories)
+        """Hold ``other``'s shards: the blocks, buffers and directories by
+        reference, in lists of this object's own (the per-shard lists only
+        if ``other`` has built them)."""
         self.blocks = list(other.blocks)
+        built = other._lists_built
+        self._lists_built = (None if built is None
+                             else (list(built[0]), list(built[1])))
 
     def pack(self, obj: Pupable, count: int,
              like: "PackedShards | None" = None) -> None:
@@ -659,8 +699,8 @@ class PackedShards:
         obj.pup(p)
         cuts = sorted({0, count}.union(len(f[1]) % count
                                        for f in p.fields if f[2]))
-        prior = like.directories if like is not None else []
-        self.buffers, self.directories, self.blocks = [], [], []
+        self.blocks = []
+        self._lists_built = None
         for first, end in zip(cuts, cuts[1:]):
             n = end - first
             keys, sources = [], []
@@ -674,10 +714,9 @@ class PackedShards:
                 keys.append((name, _dtype_name(arr.dtype), shape,
                              math.prod(shape) * arr.itemsize, rtol, atol, skip))
                 sources.append((arr, split))
-            fields = prior[first] if first < len(prior) else None
+            fields = like._directory(first) if like is not None else None
             if fields is None or not _shares_directory(keys, fields):
                 fields = _build_directory(keys)
-            self.directories.extend([fields] * n)
             width = sum(key[3] for key in keys)
             for lo, hi in _blocks(0, n, width):
                 block = np.empty((hi - lo, width), dtype=np.uint8)
@@ -687,7 +726,6 @@ class PackedShards:
                                           key[2]), src[lo:hi] if split else src)
                     offset += key[3]
                 block.flags.writeable = False
-                self.buffers.extend(block)
                 self.blocks.append((first + lo, first + hi, block, fields))
 
     def unpack(self, obj: Pupable) -> None:
@@ -699,7 +737,7 @@ class PackedShards:
         replicated field (the iteration counter) takes the last shard's
         value.
         """
-        if self.buffers:
+        if self._extent():
             p = _BlockUnpacker(self)
             obj.pup(p)
             p.finish()

@@ -109,8 +109,9 @@ class HeartbeatMonitor:
         size = int(self._ids.max()) + 1
         self.last_seen = np.full(size, sim.now, dtype=np.float64)
         self._reported = np.zeros(size, dtype=bool)
+        handler = self._on_heartbeat  # one bound method for every node
         for node in nodes.values():
-            node.heartbeat_handler = self._on_heartbeat
+            node.heartbeat_handler = handler
         # One monitor-wide sweep per event class instead of one tick per
         # node: 2 heap entries per interval, not 2·N.
         self._send_sweep_event = sim.schedule_periodic(

@@ -8,6 +8,11 @@ holds one byte per node id, :meth:`Transport.register`/:meth:`~Transport.
 set_alive` are its only writers, and :class:`~repro.runtime.node.Node` and
 the heartbeat sweeps read it (the sweeps through a numpy view).
 
+Deliveries are dispatched by node id through one table of receivers, one
+per registered id: a :class:`~repro.runtime.node.Node` registers itself, so
+a run holds no per-node handler closure or bound method, however many nodes
+it has.
+
 Per-message costs are the second-hottest path after event dispatch itself, so
 :class:`Message` carries ``__slots__`` (no per-message ``__dict__``), the
 ``MsgKind.value`` descriptor lookups are hoisted into a module-level table,
@@ -26,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -81,8 +86,9 @@ class Transport:
         self.sim = sim
         self.latency = latency
         self.bandwidth = bandwidth
-        self._handlers: dict[int, Callable[[Message], None]] = {}
-        self._stamp_handlers: dict[int, Callable[[int, int, int, int], None]] = {}
+        #: The receiver of every registered node id (see :meth:`register`;
+        #: ``Any``, as a stamp receiver also has ``on_stamp``).
+        self._receivers: dict[int, Any] = {}
         #: Liveness by node id: 1 alive, 0 dead or never registered.  Every
         #: send and delivery reads it; register/set_alive are its writers.
         self.alive = bytearray()
@@ -110,30 +116,30 @@ class Transport:
         self.batch_events = 0
 
     # -- registration -----------------------------------------------------------
-    def register(self, node_id: int, handler: Callable[[Message], None]) -> None:
+    def register(self, node_id: int,
+                 receiver: Callable[[Message], None]) -> None:
+        """Make ``node_id`` a live endpoint whose deliveries go to ``receiver``.
+
+        The transport dispatches by node id through one receiver table:
+        ``receiver(msg)`` takes each :class:`Message` addressed to
+        ``node_id``, and a receiver that hosts tasks also takes the flat
+        dependency stamps of :meth:`send_stamps` as
+        ``receiver.on_stamp(to_task, from_task, stamp, epoch)``.  A
+        :class:`~repro.runtime.node.Node` is its own receiver, so
+        registering it creates no object; any callable serves a node that
+        receives no stamps.
+        """
         if node_id < 0:
             raise SimulationError(f"node id must be >= 0, got {node_id}")
-        self._handlers[node_id] = handler
+        self._receivers[node_id] = receiver
         alive = self.alive
         if node_id >= len(alive):
             # Grow geometrically: ids arrive one at a time, mostly in order.
             alive.extend(bytes(max(node_id + 1, 2 * len(alive)) - len(alive)))
         alive[node_id] = 1
 
-    def register_stamps(
-        self, node_id: int,
-        handler: Callable[[int, int, int, int], None],
-    ) -> None:
-        """Install the flat dependency-stamp handler for a node.
-
-        ``handler(to_task, from_task, stamp, epoch)`` receives exactly the
-        payload a ``MsgKind.APP`` message would carry, without the
-        :class:`Message` envelope — the delivery half of :meth:`send_stamps`.
-        """
-        self._stamp_handlers[node_id] = handler
-
     def set_alive(self, node_id: int, alive: bool) -> None:
-        if node_id not in self._handlers:
+        if node_id not in self._receivers:
             raise SimulationError(f"unknown node {node_id}")
         self.alive[node_id] = 1 if alive else 0
 
@@ -149,10 +155,10 @@ class Transport:
         The drop-on-dead-sender rule models the no-response scheme: "the
         process on that node stops responding to any communication".
         """
-        handlers = self._handlers
-        if msg.dst not in handlers:
+        receivers = self._receivers
+        if msg.dst not in receivers:
             raise SimulationError(f"message to unregistered node {msg.dst}")
-        if msg.src not in handlers or not self.alive[msg.src]:
+        if msg.src not in receivers or not self.alive[msg.src]:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -184,10 +190,10 @@ class Transport:
         than a few KiB should use :meth:`send` so ``extra_delay`` and bulk
         modelling stay available.
         """
-        handlers = self._handlers
-        if dst not in handlers:
+        receivers = self._receivers
+        if dst not in receivers:
             raise SimulationError(f"message to unregistered node {dst}")
-        if src not in handlers or not self.alive[src]:
+        if src not in receivers or not self.alive[src]:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -221,10 +227,10 @@ class Transport:
         message — but delivery calls ``handler(src, dst, payload)``
         directly.  The consensus tree ships through here.
         """
-        handlers = self._handlers
-        if dst not in handlers:
+        receivers = self._receivers
+        if dst not in receivers:
             raise SimulationError(f"message to unregistered node {dst}")
-        if src not in handlers or not self.alive[src]:
+        if src not in receivers or not self.alive[src]:
             self.messages_dropped += 1
             return
         self.messages_sent += 1
@@ -244,7 +250,7 @@ class Transport:
     def send_stamps(
         self,
         src: int,
-        targets: list[tuple[int, int]],
+        targets: Sequence[tuple[int, int]],
         from_task: int,
         stamp: int,
         epoch: int,
@@ -261,9 +267,10 @@ class Transport:
         global order while paying one heap entry (and zero :class:`Message`
         allocations) for the whole fan-out.  Accounting (sent / delivered /
         dropped, per-kind tallies) matches the per-message path count for
-        count.  Targets must be registered via :meth:`register_stamps`.
+        count.  Each target's receiver takes the stamp through its
+        ``on_stamp`` (see :meth:`register`).
         """
-        if src not in self._handlers or not self.alive[src]:
+        if src not in self._receivers or not self.alive[src]:
             self.messages_dropped += len(targets)
             return
         n = len(targets)
@@ -280,17 +287,17 @@ class Transport:
                       stamp, epoch)
 
     def _deliver_stamps(
-        self, targets: list[tuple[int, int]], from_task: int,
+        self, targets: Sequence[tuple[int, int]], from_task: int,
         stamp: int, epoch: int,
     ) -> None:
         alive = self.alive
-        handlers = self._stamp_handlers
+        receivers = self._receivers
         for dst, to_task in targets:
             if not alive[dst]:
                 self.messages_dropped += 1
                 continue
             self.messages_delivered += 1
-            handlers[dst](to_task, from_task, stamp, epoch)
+            receivers[dst].on_stamp(to_task, from_task, stamp, epoch)
 
     # -- bulk accounting (monitor-wide sweeps) ------------------------------------
     # The heartbeat monitor batches a whole sweep's worth of probes into one
@@ -327,4 +334,4 @@ class Transport:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        self._handlers[msg.dst](msg)
+        self._receivers[msg.dst](msg)

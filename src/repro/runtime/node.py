@@ -20,7 +20,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Node:
-    """One simulated node: tasks, liveness, and ACR-agent bookkeeping."""
+    """One simulated node: tasks, liveness, and ACR-agent bookkeeping.
+
+    A paper-scale run holds a quarter of a million of these, so a node owns
+    no per-node callable: it is its own transport receiver (see
+    :meth:`__call__` and :meth:`on_stamp`), and each hook below holds one
+    callable that the installer shares across every node.
+    """
+
+    __slots__ = ("node_id", "replica", "rank", "sim", "transport", "tasks",
+                 "failures_survived", "ring", "on_progress",
+                 "on_all_tasks_ready", "heartbeat_handler")
 
     def __init__(
         self,
@@ -35,8 +45,8 @@ class Node:
         self.rank = rank            # index within the replica (buddy-aligned)
         self.sim = sim
         self.transport = transport
+        #: Hosted tasks, in task-id order with contiguous ids (see add_task).
         self.tasks: list[Task] = []
-        self._task_by_id: dict[int, Task] = {}
         self.failures_survived = 0
         #: The fast-forward engine that owns this node's tasks while their
         #: ring is free-running (see ring.py); None in event mode.
@@ -45,8 +55,7 @@ class Node:
         self.on_progress: Callable[["Node"], None] | None = None
         self.on_all_tasks_ready: Callable[["Node"], None] | None = None
         self.heartbeat_handler: Callable[[Message], None] | None = None
-        transport.register(node_id, self._on_message)
-        transport.register_stamps(node_id, self._on_stamp)
+        transport.register(node_id, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node(id={self.node_id}, replica={self.replica}, rank={self.rank})"
@@ -58,21 +67,26 @@ class Node:
 
     # -- task hosting -------------------------------------------------------------
     def add_task(self, task: Task) -> None:
-        self.tasks.append(task)
-        self._task_by_id[task.task_id] = task
+        """Host ``task``; its id must follow the last hosted task's, so a
+        task is found by its offset from the first (:meth:`on_stamp`)."""
+        tasks = self.tasks
+        if tasks and task.task_id != tasks[-1].task_id + 1:
+            raise SimulationError(
+                f"node {self.node_id}: task {task.task_id} does not follow "
+                f"task {tasks[-1].task_id}")
+        tasks.append(task)
 
     def start_tasks(self) -> None:
         for t in self.tasks:
             t.start()
 
     # -- message dispatch ---------------------------------------------------------
-    # The transport delivers only to live nodes, so neither handler re-checks.
-    def _on_message(self, msg: Message) -> None:
+    # The transport calls the node itself with each Message and its on_stamp
+    # with each dependency stamp, and delivers only to live nodes, so neither
+    # path re-checks.
+    def __call__(self, msg: Message) -> None:
         if msg.kind is MsgKind.APP:
-            to_task, from_task, stamp, epoch = msg.payload
-            task = self._task_by_id.get(to_task)
-            if task is not None:
-                task.on_dep_message(from_task, stamp, epoch)
+            self.on_stamp(*msg.payload)
         elif msg.kind is MsgKind.HEARTBEAT:
             if self.heartbeat_handler is not None:
                 self.heartbeat_handler(msg)
@@ -82,12 +96,16 @@ class Node:
                 f"node {self.node_id}: no handler for {msg.kind.value} "
                 f"messages")
 
-    def _on_stamp(self, to_task: int, from_task: int, stamp: int,
-                  epoch: int) -> None:
-        """Flat dependency-stamp delivery (Transport.send_stamps fast path)."""
-        task = self._task_by_id.get(to_task)
-        if task is not None:
-            task.on_dep_message(from_task, stamp, epoch)
+    def on_stamp(self, to_task: int, from_task: int, stamp: int,
+                 epoch: int) -> None:
+        """Deliver a dependency stamp to the hosted task ``to_task`` (an
+        ``APP`` message's payload; Transport.send_stamps calls this
+        directly).  A stamp for a task not hosted here is dropped."""
+        tasks = self.tasks
+        if tasks:
+            i = to_task - tasks[0].task_id
+            if 0 <= i < len(tasks):
+                tasks[i].on_dep_message(from_task, stamp, epoch)
 
     # -- ACR agent callbacks (installed by the framework) ---------------------------
     def on_task_progress(self, task: Task) -> None:

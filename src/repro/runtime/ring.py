@@ -107,17 +107,16 @@ class RingFastForward:
         #: The nodes' ids, in the order of :attr:`nodes`.
         self.node_ids = [node.node_id for node in self.nodes]
         self._node_index = np.array(self.node_ids, dtype=np.intp)
-        left: list[int] = []
-        right: list[int] = []
+        # One pass per task, building nothing: ACR.start opens a ring over
+        # every task of a replica.
         for i, t in enumerate(self.tasks):
-            ring = [(i - 1) % n, (i + 1) % n]
-            if t.task_id != i or [tid for _, tid in t.neighbors] != ring:
+            nb = t.neighbors
+            if (t.task_id != i or len(nb) != 2 or nb[0][1] != (i - 1) % n
+                    or nb[1][1] != (i + 1) % n):
                 raise ValueError("tasks must form a ring in task-id order")
-            left.append(ring[0])
-            right.append(ring[1])
-        self._left = np.array(left, dtype=np.intp)
-        self._right = np.array(right, dtype=np.intp)
         self._index = np.arange(n)
+        self._left = (self._index - 1) % n
+        self._right = (self._index + 1) % n
         self._row_times = row_times
         self._on_output = on_output
         self._d = transport.small_delay(DEP_STAMP_NBYTES)

@@ -18,7 +18,7 @@ epoch and drops itself.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.util.errors import SimulationError
 
@@ -48,12 +48,16 @@ _DEAD = TaskState.DEAD
 class Task:
     """One migratable application task (a chare, in Charm++ terms)."""
 
+    __slots__ = ("task_id", "node", "neighbors", "iteration_time", "progress",
+                 "state", "epoch", "dep_stamps", "pause_at", "iteration_cap",
+                 "busy_until", "iterations_executed", "_soa", "_soa_index")
+
     def __init__(
         self,
         task_id: int,
         node: "Node",
         *,
-        neighbors: list[tuple[int, int]],
+        neighbors: Iterable[tuple[int, int]],
         iteration_time: Callable[[int, int], float],
     ):
         """
@@ -68,11 +72,13 @@ class Task:
             task's iteration p+1.
         iteration_time:
             ``f(task_id, iteration) -> seconds`` compute-time model; per-task
-            jitter creates the progress skew the consensus protocol handles.
+            jitter creates the progress skew the consensus protocol handles;
+            one callable shared by every task of a replica.
         """
         self.task_id = task_id
         self.node = node
-        self.neighbors = list(neighbors)
+        #: A tuple: the stamp fan-out's target list, never changed.
+        self.neighbors = tuple(neighbors)
         self.iteration_time = iteration_time
         self.progress = 0
         self.state = _IDLE

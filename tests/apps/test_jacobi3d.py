@@ -40,3 +40,33 @@ def test_flat_stencil_is_bitwise_the_3d_expression(nodes, scale, model,
         assert np.array_equal(app.grid.view(np.uint64),
                               expected.view(np.uint64))
 
+
+
+def _flipped(flips) -> np.ndarray:
+    """The digest of a Jacobi3D grid after XOR-ing ``(x, y, z, bit)`` bits
+    into its float64 words (an SDC in the packed state)."""
+    app = Jacobi3D(4, scale=1e-4, seed=42)
+    app.advance_to(3)
+    words = app.grid.view(np.uint64)
+    for x, y, z, bit in flips:
+        words[x, y, z] ^= np.uint64(1 << bit)
+    return app.result_digest()
+
+
+def test_overflowing_norms_still_tell_grids_apart():
+    # Bit 62 lifts a value in (0.1, 0.5) past 1e307, so its square
+    # overflows; the two grids then differ only in a low exponent bit of
+    # another value, which neither the sum nor the max can see.
+    a = _flipped([(1, 1, 1, 62), (1, 1, 2, 52)])
+    b = _flipped([(1, 1, 1, 62), (1, 1, 2, 53)])
+    assert a[0] == b[0] and a[2] == b[2]
+    assert np.isfinite(a[1]) and np.isfinite(b[1]) and a[1] != b[1]
+    # The raw-byte norm is negative, so it never equals a norm of values.
+    assert a[1] < 0 and _flipped([])[1] > 0
+
+
+def test_finite_norm_is_the_plain_norm():
+    app = Jacobi3D(4, scale=1e-4, seed=42)
+    app.advance_to(3)
+    interior = app.grid[1:-1, 1:-1, 1:-1]
+    assert app.result_digest()[1] == float(np.sqrt((interior ** 2).sum()))

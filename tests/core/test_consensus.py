@@ -182,16 +182,29 @@ class TestLiveness:
         assert controller.rounds_completed == 1
 
 
+class EnvelopeReceiver:
+    """A node's transport receiver under :class:`EnvelopeController`: every
+    :class:`Message` goes to the controller, dependency stamps to the node."""
+
+    def __init__(self, controller, node):
+        self._controller = controller
+        self.on_stamp = node.on_stamp
+
+    def __call__(self, msg):
+        self._controller._on_message(msg)
+
+
 class EnvelopeController(ConsensusController):
     """The consensus plumbing before ``Transport.send_control``: every
     protocol message is a :class:`Message` routed through ``Transport.send``
-    to a transport handler that hands control traffic to this controller
-    and everything else to ``Node._on_message``."""
+    to a transport receiver that hands control traffic to this controller
+    and everything else to the node."""
 
     def __init__(self, nodes):
         super().__init__(nodes)
         for node in nodes.values():
-            node.transport.register(node.node_id, self._on_message)
+            node.transport.register(node.node_id,
+                                    EnvelopeReceiver(self, node))
 
     def _send(self, src, dst, handler, payload):
         self.nodes[src].transport.send(Message(
@@ -201,7 +214,7 @@ class EnvelopeController(ConsensusController):
     def _on_message(self, msg):
         node = self.nodes[msg.dst]
         if msg.kind is not MsgKind.CONTROL:
-            node._on_message(msg)
+            node(msg)
         elif node.alive:
             getattr(self, msg.tag)(msg.src, msg.dst, msg.payload)
 

@@ -375,7 +375,9 @@ class TestReadOnlyBuffers:
                     held.buffers[rank][0] = 1
                 with pytest.raises(ValueError, match="read-only"):
                     held.shard(rank).buffer[:] = 0
-        assert all(a is b for a, b in zip(gen.buffers, clone.buffers))
+        # The clone's buffers are the same bytes in memory, not copies.
+        assert all(np.shares_memory(a, b) and a.ctypes.data == b.ctypes.data
+                   for a, b in zip(gen.buffers, clone.buffers, strict=True))
 
     def test_put_shard_stores_a_read_only_copy(self):
         store = CheckpointStore(1)

@@ -25,9 +25,37 @@ APPS = ("jacobi3d-charm", "lulesh", "synthetic")
 RINGS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (16, 1), (16, 2), (15, 3)]
 
 
+#: Each :class:`Ring` by its simulator, for the loggers of ``log_ring``.
+OWNERS: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def log_ring(monkeypatch):
+    """Log every task completion and stamp arrival into the :class:`Ring`
+    that holds the task.  ``Node`` and ``Task`` have ``__slots__``, so the
+    loggers wrap the class methods rather than per-instance attributes."""
+    completion = Node.on_task_progress
+    arrival = Task.on_dep_message
+
+    def on_task_progress(node, task):
+        OWNERS[node.sim].completions[task.task_id, task.progress] = \
+            node.sim.now
+        completion(node, task)
+
+    def on_dep_message(task, from_task, stamp, epoch):
+        sim = task.node.sim
+        OWNERS[sim].arrivals[from_task, task.task_id, stamp] = sim.now
+        arrival(task, from_task, stamp, epoch)
+
+    monkeypatch.setattr(Node, "on_task_progress", on_task_progress)
+    monkeypatch.setattr(Task, "on_dep_message", on_dep_message)
+    yield
+    OWNERS.clear()
+
+
 class Ring:
     """One replica's ring on a fresh simulator, with every completion and
-    stamp delivery logged."""
+    stamp delivery logged (by ``log_ring``)."""
 
     def __init__(self, app_name: str, n_tasks: int, tpn: int, *, seed=5):
         self.sim = Simulator()
@@ -52,24 +80,7 @@ class Ring:
         self.soa.set_cap(ITERATIONS)
         self.completions = {}
         self.arrivals = {}
-        for node in self.nodes:
-            node.on_task_progress = self._completion(node.on_task_progress)
-        for task in self.tasks:
-            task.on_dep_message = self._arrival(task)
-
-    def _completion(self, original):
-        def logged(task):
-            self.completions[task.task_id, task.progress] = self.sim.now
-            original(task)
-        return logged
-
-    def _arrival(self, task):
-        original = task.on_dep_message
-
-        def logged(from_task, stamp, epoch):
-            self.arrivals[from_task, task.task_id, stamp] = self.sim.now
-            original(from_task, stamp, epoch)
-        return logged
+        OWNERS[self.sim] = self
 
     def engine(self) -> RingFastForward:
         ids = np.arange(len(self.tasks))

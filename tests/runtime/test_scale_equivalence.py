@@ -114,7 +114,7 @@ def _iteration_time(task_id: int, iteration: int) -> float:
 def _per_message_send_stamps(transport: Transport) -> Callable:
     """The fan-out loop :meth:`Transport.send_stamps` replaced, reproduced on
     top of the per-message fast path (delivery runs through
-    ``Node._on_message`` -> ``Task.on_dep_message``, the pre-batching route)."""
+    ``Node.__call__`` -> ``Task.on_dep_message``, the pre-batching route)."""
     def send_stamps(src, targets, from_task, stamp, epoch, *, nbytes):
         for dst, to_task in targets:
             transport.send_small(MsgKind.APP, src, dst,
