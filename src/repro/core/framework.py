@@ -371,6 +371,7 @@ class ACR:
                 # A ring at a watched level (the cap, the rework target)
                 # runs the same check as a task completion.
                 on_output=partial(self._on_node_progress, None))
+        self.consensus.rings = list(self._rings.values())
         self.sim.return_hooks.append(self._refresh_rings)
 
     def _advance_rings(self) -> None:
@@ -403,12 +404,15 @@ class ACR:
 
     def _resume_replica(self, replica: int) -> None:
         """Release every task of a replica (checkpoint done): hand the ring
-        to its engine when it can be fast-forwarded, else resume each task."""
+        to its engine when it can be fast-forwarded, else resume each task
+        and let the engine adopt the ring as the tasks left it."""
         ring = self._rings.get(replica)
         if ring is not None and ring.resume():
             return
         for t in self.tasks[replica]:
             t.resume()
+        if ring is not None:
+            ring.adopt()
 
     # -- observable protocol phase ------------------------------------------------------
     @property
@@ -1274,11 +1278,13 @@ class ACR:
                 hi = (1 << (i + 1)) - 1
                 label = str(lo) if hi == lo else f"{lo}-{hi}"
                 m.counter("sim.cohort_size", bucket=label).set_total(count)
-        # Task-ring fast-forward (docs/protocols.md §7): windows opened,
+        # Task-ring fast-forward (docs/protocols.md §7): windows opened (and
+        # how many of them adopted a ring from the event engine),
         # task-iterations committed inside windows, syncs, and syncs that
         # landed on the instant of a fast-forwarded task event.
         rings = self._rings.values()
-        for name in ("windows_opened", "iterations", "syncs", "ties"):
+        for name in ("windows_opened", "adoptions", "iterations", "syncs",
+                     "ties"):
             m.counter(f"sim.fast_forward.{name}").set_total(
                 sum(getattr(r, name) for r in rings))
         # Consensus rounds evaluated whole (docs/protocols.md §1), those

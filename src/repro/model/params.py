@@ -81,10 +81,6 @@ class ModelParams:
         """
         return self.sdc_mtbf_socket / self.sockets_per_replica
 
-    @property
-    def sdc_rate_per_hour_socket(self) -> float:
-        return self.sdc_fit_socket * 1e-9
-
     def with_overrides(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
 

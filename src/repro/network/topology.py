@@ -64,22 +64,6 @@ class LinkLoads:
             self.neg[d] += other.neg[d]
         return self
 
-    def render_front_plane(self, *, dim: int = 2, y: int = 0) -> str:
-        """An ASCII rendering of one plane's link loads along ``dim`` — the
-        view Figure 6 draws ("only the mapping for the front plane (Y = 0) is
-        shown"): rows are X positions, columns are links along the chosen
-        dimension, cells are the byte (or message) count on that link."""
-        x_dim, _, z_dim = self.dims
-        if dim != 2:
-            raise ConfigurationError("front-plane rendering draws Z-links only")
-        combined = np.maximum(self.pos[2][:, y, :], self.neg[2][:, y, :])
-        width = max(len(str(int(combined.max()))) if combined.size else 1, 1)
-        lines = [f"front plane (Y={y}); cell = load on +Z/-Z link at (x, z):"]
-        for x in range(x_dim):
-            cells = " ".join(str(int(v)).rjust(width) for v in combined[x])
-            lines.append(f"x={x}: {cells}")
-        return "\n".join(lines)
-
     def plane_loads(self, dim: int = 2) -> np.ndarray:
         """Aggregate per-position loads along one dimension (for Fig. 6-style
         inspection): returns an array of length ``dims[dim]`` with the maximum

@@ -12,7 +12,10 @@ rollback are discarded — modelling the flush of stale traffic that a real
 coordinated-checkpoint recovery performs.  Iteration completions carry the
 epoch too, so they are fire-and-forget posts that nothing ever cancels: a
 completion that outlives a kill or a restore finds the task DEAD or in a newer
-epoch and drops itself.
+epoch and drops itself.  The one other fate of a posted completion or stamp is
+to be withdrawn unfired by the ring engine when it adopts the ring
+(:meth:`repro.runtime.ring.RingFastForward.adopt`), which then delivers its
+effect at the same instant.
 """
 
 from __future__ import annotations

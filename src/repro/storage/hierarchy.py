@@ -239,10 +239,6 @@ class DurableHierarchy:
         """Silently drop staged writes (job quiescing; no torn residue)."""
         self._inflight, self._hashed = [], None
 
-    @property
-    def inflight(self) -> bool:
-        return bool(self._inflight)
-
     def _land(self, tier: TierState, staged: StoredGeneration) -> None:
         tier.generations.append(staged)
         del tier.generations[:-tier.spec.keep_generations]

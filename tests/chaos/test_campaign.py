@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos import run_chaos_campaign, run_chaos_seed
+from tests.chaos.check_fingerprints import load_fingerprints
 
 #: Every lineage copy in these campaigns is checked against a recompute
 #: (tests/conftest.py); forked workers inherit the check.
@@ -54,3 +55,9 @@ class TestSmokeSweep:
         assert result.total_checks > 64  # the oracle actually fired
         # All 12 configuration cells exercised within 64 seeds.
         assert len(result.coverage()) == 12
+        # Every run shows what it showed when the fingerprints were pinned
+        # (check_fingerprints.py checks all 1,500).
+        moved = [o.seed for o, pinned in zip(result.outcomes,
+                                              load_fingerprints())
+                 if o.fingerprint != pinned]
+        assert not moved, moved

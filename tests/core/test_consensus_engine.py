@@ -62,20 +62,21 @@ class Bare:
     """``n_nodes`` nodes of ``tpn`` tasks in one ring, a controller over them
     and a span tracer; the ring is fast-forwarded from the start."""
 
-    def __init__(self, n_nodes: int, *, tpn: int = 2, skew: float = 0.3):
+    def __init__(self, n_nodes: int, *, tpn: int = 2, skew: float = 0.3,
+                 tau: float = 0.1):
         self.sim = sim = Simulator()
         transport = Transport(sim)
         self.nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
         total = n_nodes * tpn
 
         def iteration_time(task_id, it):
-            return 0.1 * (1.0 + skew * ((task_id * 13 + it * 7) % 10) / 10)
+            return tau * (1.0 + skew * ((task_id * 13 + it * 7) % 10) / 10)
 
         ids = np.arange(total)
 
         def row_times(first, count):
             its = np.arange(first, first + count)[:, None]
-            return 0.1 * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
+            return tau * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
 
         self.tasks = []
         for tid in range(total):
@@ -177,6 +178,69 @@ def test_bare_round_death_in_each_phase(message_path, phase):
     assert fast.observe() == slow.observe()
     assert fast.controller.engine.fallbacks == 1
     assert fast.controller.engine.ties == 0
+
+
+@pytest.mark.parametrize("phase", range(4))
+def test_bare_round_abort_in_each_phase(message_path, phase):
+    """The round is abandoned inside phase ``phase`` with every node alive:
+    the engine releases its parked ring where it stands (some tasks held,
+    some released, some not reached yet), the message path resumes each
+    task; a second round then runs to the end."""
+
+    def run():
+        bare = Bare(16, tpn=2)
+        sim, controller = bare.sim, bare.controller
+        sim.run(until=2.05)
+        controller.start_round([n.node_id for n in bare.nodes],
+                               lambda rid, it: bare.done.append(it))
+        t0, d = sim.now, bare.nodes[0].transport.small_delay(64)
+        at = {0: t0 + 2.5 * d, 1: t0 + 7.5 * d, 2: t0 + 12.5 * d,
+              3: t0 + 0.05}[phase]
+        sim.run(until=at)
+        controller.abort_round()
+        sim.run(until=3.0)
+        controller.start_round([n.node_id for n in bare.nodes],
+                               lambda rid, it: bare.done.append(it))
+        sim.run(until=6.0)
+        return bare
+
+    fast = run()
+    with message_path():
+        slow = run()
+    assert fast.observe() == slow.observe()
+    assert fast.ring.open and fast.ring.syncs == 0
+    assert fast.controller.engine.ties == fast.ring.ties == 0
+
+
+@pytest.mark.parametrize("tick", range(19))
+def test_bare_round_abort_with_iterations_as_short_as_messages(message_path,
+                                                                tick):
+    """Iterations of a few control delays: holds, releases, pauses and
+    stamp arrivals interleave, so an abort ``tick`` half-delays into the
+    round (off the flood instants) finds tasks in every mix of held,
+    released, paused and running."""
+
+    def run():
+        bare = Bare(8, tpn=2, skew=0.9, tau=2e-5)
+        sim, controller = bare.sim, bare.controller
+        sim.run(until=0.001)
+        controller.start_round([n.node_id for n in bare.nodes],
+                               lambda rid, it: bare.done.append(it))
+        t0, d = sim.now, bare.nodes[0].transport.small_delay(64)
+        sim.run(until=t0 + (tick + 0.5) * d / 2)
+        controller.abort_round()
+        sim.run(until=t0 + 0.0006)
+        controller.start_round([n.node_id for n in bare.nodes],
+                               lambda rid, it: bare.done.append(it))
+        sim.run(until=t0 + 0.002)
+        return bare
+
+    fast = run()
+    with message_path():
+        slow = run()
+    assert fast.observe() == slow.observe()
+    assert len(fast.done) == 1
+    assert fast.controller.engine.ties == fast.ring.ties == 0
 
 
 # -- whole runs ------------------------------------------------------------------------------

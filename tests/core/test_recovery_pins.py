@@ -104,67 +104,67 @@ PINS = {
     "medium-hard": (
         "6758115f6d10ec068e853ee6db33e4ebd5f4e9163aa34a65b8ec35a818e46740",
         "430e90523b29b6cd5e0cfa682599d3188523d390578a71a89db11aa348c3de36",
-        "d27950175b5b9436d0e104f43475718db0ac63386a0fe0817683ff06212d546a"),
+        "ffee58fa78b3992771a00e31fd0cf8dfd7e8e9b5de10c1142dc6c28b01bf39d4"),
     "medium-second-during-recovery": (
         "6076664c04566d1fa65c7e53bca2ed4b8bd694b08c6e40583cd8798e88e5dc2c",
         "de94870511085deadcb6c1c93b21d6ad00b4569d1d94118297c6a7959705422c",
-        "c39fa8d25409b578043581dac6b5ac4bda5720ab989aca06dfbba323fa1566c1"),
+        "c37daa332bea4816a31f6542dbf90ce54645b47f3e0e59a8d659943a2bba3bc4"),
     "sdc-escalation": (
         "dfe35701d957f813021446c9fa0e678e93b5204f4675750b5781f5fa86aecaa1",
         "94162cc8950f45365d80040c1e876289c1097ce006c1e18571e9cec8148fd646",
-        "c10a3469a935a0798683cc7bd56492f53822b286288e4b0fbf84e8d953c46249"),
+        "106edea90a8579a9f3251f0320e0cf652fb4c11fcaf00b7679166f04e5f17865"),
     "sdc-escalation-tiers": (
         "6ad15767c21a9bb5c2c4ec9b6a8b81b8115d1d82ddedc38189285bc1ebc070e9",
         "35ab2cebf0e7dd62362e101aa3722e16c92d4dae0b4056636e27118ea2c59507",
-        "71868ecde722672d803fb9370dba913a817d86b06042ad0292e7993b0464deae"),
+        "6d771f5da8253fbca0304490b329b5ef6fc7d1700780329f3699f025183c25ab"),
     "sdc-rollback": (
         "4fab774a4ab1c0c9e3b5cdb08d19de4087690d48761331015c1f03b428f31cfc",
         "d8fe0e6d4430f48c2bb9778a4158f4bdade597b094d50313d92c341589db93cf",
-        "57c2b8e1d29c826144c84f7bb297e948387e1df6c077e7bb9133ed4e56e167e7"),
+        "ce79b0411f25d6aa35ff0fc9d4a5c890ded334f9122f17c35ef707ec7542b95d"),
     "second-during-sdc-rollback": (
         "49fdeef30c4b13e5bc2c89897aa9e5278c0faf7732bca829748bd8495901b163",
         "331a83cc87e72a9d9ec1264beb86af64c315916a711595727d520cb6e83190bf",
-        "dd88b23f4fbb6b1021d1d6616840f2adb29d20fe24997af1abebf3d03eeadb20"),
+        "00d404eaf6fce98c517000a346d348cd45c9f235722c56a044f0f0abfbffcc72"),
     "strong-death-during-async-transfer": (
         "3aa7a73f46d0c582ce04a03cd881635d9e7d9d92713a320befde2c5c0a54839b",
         "299e934aed4b1580f94bc3a02738130de5aa9fa12b599a1be67cf149379daa5e",
-        "b9b86e9e66db81d3520f7d29ac9022fe0310fa3ac1e44c2e2aee5ebfec347eeb"),
+        "bdff2ef621624538930fd403c757e48d9a11a6d7681d754962a4081fdd085760"),
     "strong-death-during-checkpoint": (
         "3112fe0a4e5723fc09e0c1aded3e898812679a974ef439fcd46f342b43b4eae8",
         "2367dd379ae95032545f411e119a0ce1c9bccad167bb4d0c6281a4ba28aef849",
-        "75656269f5857115ca61ff6ad8bfdab6d63c17f802a2c6e38abeb76dcb3ee9b7"),
+        "207c9c257ca5e8f1972df70bf2da6cb83353a87ca4c6ae420d2018e6802077d9"),
     "strong-death-during-persist": (
         "3e4a37d2cc4a28fa91d76190bb89c78a1e8ee69d75dbe985167d71eb13bf2e6c",
         "652cd1811fce922763f80e8624980071f7ed0b4805830974f11a425eacd67c9a",
-        "5110671e207651d3c2203be475640067e549b9e425eb150976887931fd235947"),
+        "852945107facd6bdf8b3a19d6aa11b1f9d5282be93cb2cf3b242e8dd07d79a1f"),
     "strong-hard": (
         "1388915e379ba88364d057d2c16f308c5d00e361f200aac31f1002eff209c872",
         "bc833c78821ad6c806435c63931f5e6973f631957163327acac6386112cc6da8",
-        "5ae6487fcdf3a51dfe885ed4a19409d4b31d4be240f43a7a8030a4475f1a9a2b"),
+        "d4a3185fbc89c9a3d92bd4a802b86af72c158189a51d85575d549fd246752534"),
     "strong-second-during-recovery": (
         "c69661fef63b1d555f0ea76f0a0b3d02b7725990cc406de7679cd8eef7bf6b0c",
         "cdab4464764c294269cb6ed3dc965e6821024bc40b04545c363f87a7b5366b15",
-        "87a6350e62ab89edba3b6d83aeed8c0a55dc2e6d842b4db2bf4d6142db084cf4"),
+        "f11ae6c3813c530559eac2d9a8b48a57e02541617ef8c9dc59a13c015b5538ca"),
     "tier-restore": (
         "4e50a756dc3d47e0b0e1bcbca5808a6cd2308c5bd78392766d8b6a423a1db88c",
         "62712b609a88eee5b4b486618cf5801a8968fb362e885915de944ed20408252e",
-        "93d2512d01ace47f03bccb2f03a94cbe3cf2e43128d79f96599b5e20f6768727"),
+        "d3ef067c4406f5506fdc77180bdc2ed7231021e5594af2aeeae532bc65ec5bac"),
     "weak-hard": (
         "a92d7fbb3cad4195b5ed794d6bf1ef6f0fa77a8def68806f4be6a156cc2d2fc3",
         "a4a5f327c7510d8ea9cdae13e2d55154098cbfc52cb37baf24736cb582fbdb28",
-        "4017a309f92274b325cf02040c55c0d68d5cf6bf8b0e1a9bacf9575b3397cc55"),
+        "95d95ce91dfa9f54cf8630c14d24dc891cabb49c0bb120801ec65d76abe23bdb"),
     "weak-pending-buddy": (
         "3ff7e373ade282d0dc8f8d790af633b5cb8928cdb722da25f5c87001ba4d453a",
         "d6da280f34e0214cc277f696c6491f742986aca7fcbed768249ee236c141cf93",
-        "579310c38a66b070f198667f1d28ef2a3c62de0be4792007208783b19a8602ff"),
+        "1f5efe8e645f5b5a83de1b3fa007d31a61825874d8bc15d420c8a1549dbaed03"),
     "weak-pending-non-buddy": (
         "eb1cb2e2f8422571a7262fe80f7161283639f8df6143a0a98f6fc4928839b6fb",
         "5a6b82a91d6762284abf67ac378cea3d4a9fa5ab7f41689a14e5153be218bc25",
-        "cd8d6baf662ecb7c66b475965fcc17c25893daf5f413c36cdd9d990d7ead3421"),
+        "7b604e18bb7fee423f593735fcb8cfa6f7067ad2bed3f146246121fda897ca69"),
     "weak-second-during-shipment": (
         "226a19d05a01565f84918a387d34baabed769725abda64a67878114e4f41aebe",
         "bb250d5fb144e2fe74b2146ebf3f89b3011f66bc10f6b8163bcb127603f3e837",
-        "e89932749005c801c93f906ed1ad1fbb8f6ce807161802789f8f59209774fa72"),
+        "ece8c8661c76a432ebb5cddc756a63a57fdb9b69364d53195c7f826c2a7bc2f3"),
 }
 
 
