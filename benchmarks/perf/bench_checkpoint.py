@@ -10,9 +10,10 @@ perf trajectory to defend:
 * **checksums** — Fletcher-32/64 and the 32-byte striped digest throughput,
   the digest gated against the seed's copying implementation;
 * **campaigns** — multi-seed replay throughput, serial vs ``workers=N``;
-* **durable tiers** — the level-2/3 persist path (one SHA-256 guard per
-  shard over buffers the tier shares), its modeled atomic-vs-unsafe safety
-  overhead, and the torn-write fallback guarantee;
+* **durable tiers** — the level-2/3 persist path (over buffers the tier
+  shares, hashing nothing), the verified restore that runs the SHA-256
+  guard, its modeled atomic-vs-unsafe safety overhead, and the torn-write
+  fallback guarantee;
 * **SDC scan** — ``detect_sdc`` over two equal block-backed generations in
   full and checksum mode (informational, no gate).
 
@@ -154,16 +155,19 @@ def bench_fletcher(total_mib: float = 64.0, repeats: int = 3) -> dict:
 
 def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
                          repeats: int = 3) -> dict:
-    """Durable-tier group write: real cost of the modeled persist path.
+    """Durable-tier group write and verified restore: real cost of the
+    modeled tier path.
 
-    The hierarchy's bookkeeping per persist is one SHA-256 per shard (the
-    tier shares the generation's read-only buffers), so ``persist_gib_per_s`` tracks how much simulated
-    storage a campaign can afford and ``sha_share_of_persist`` shows where
-    that wall time goes.  Two dimensionless gates ride along:
-    ``sim_safety_overhead`` (the modeled atomic-vs-unsafe write-time ratio,
-    pure cost-model arithmetic, must stay >= 1) and
-    ``restore_fallback_correct`` (a torn group write must never be served
-    back by :meth:`DurableHierarchy.restore`).
+    A persist hashes nothing (the tier shares the generation's read-only
+    buffers), so ``persist_gib_per_s`` is bookkeeping only.  The SHA-256
+    guard runs on restore: a first restore of a copy hashes each shard as
+    staged (the recorded digest, read for the first time) and as stored
+    (the fresh recompute), so ``sha_share_of_restore`` — two SHA-256 passes
+    over the payload against ``restore_s`` — shows where that wall time
+    goes.  Two dimensionless gates ride along: ``sim_safety_overhead`` (the
+    modeled atomic-vs-unsafe write-time ratio, pure cost-model arithmetic,
+    must stay >= 1) and ``restore_fallback_correct`` (a torn group write
+    must never be served back by :meth:`DurableHierarchy.restore`).
     """
     from repro.core.checkpoint import CheckpointGeneration
     from repro.storage.hierarchy import DurableHierarchy, _digest
@@ -182,20 +186,26 @@ def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
     gen = make_gen(10)
     nbytes = sum(s.nbytes for s in gen.shards.values())
 
-    def persist_once(protocol: WriteProtocol) -> None:
+    def persisted(protocol: WriteProtocol) -> DurableHierarchy:
         hier = DurableHierarchy(
             [NODE_LOCAL_TIER.with_protocol(protocol)], nshards)
         hier.persist_now(gen, 0.0)
+        return hier
 
-    t_atomic = _best(lambda: persist_once(WriteProtocol.ATOMIC_DIRSYNC),
+    t_atomic = _best(lambda: persisted(WriteProtocol.ATOMIC_DIRSYNC),
                      repeats)
-    t_unsafe = _best(lambda: persist_once(WriteProtocol.UNSAFE), repeats)
+    t_unsafe = _best(lambda: persisted(WriteProtocol.UNSAFE), repeats)
+    t_restore = float("inf")
+    for _ in range(repeats):                # a fresh copy: no digest read yet
+        hier = persisted(WriteProtocol.ATOMIC_DIRSYNC)
+        t0 = time.perf_counter()
+        restored = hier.restore(1.0)
+        t_restore = min(t_restore, time.perf_counter() - t0)
+        assert restored is not None and not restored.fellback
     t_sha = _best(lambda: [_digest(s.buffer) for s in gen.shards.values()],
                   repeats)
 
-    hier = DurableHierarchy(
-        [NODE_LOCAL_TIER.with_protocol(WriteProtocol.UNSAFE)], nshards)
-    hier.persist_now(gen, 0.0)
+    hier = persisted(WriteProtocol.UNSAFE)
     hier.stage(2, make_gen(20), 1.0)
     hier.abort_inflight(1.0, fault_point=nshards // 2)
     restored = hier.restore(2.0)
@@ -207,9 +217,11 @@ def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
         "nshards": nshards,
         "persist_atomic_s": t_atomic,
         "persist_unsafe_s": t_unsafe,
+        "restore_s": t_restore,
         "sha256_s": t_sha,
         "persist_gib_per_s": nbytes / t_atomic / (1 << 30),
-        "sha_share_of_persist": t_sha / t_atomic if t_atomic > 0 else 0.0,
+        "restore_gib_per_s": nbytes / t_restore / (1 << 30),
+        "sha_share_of_restore": 2.0 * t_sha / t_restore,
         "sim_safety_overhead": NODE_LOCAL_TIER.safety_overhead(nbytes,
                                                                nshards),
         "restore_fallback_correct": bool(fallback_correct),

@@ -103,7 +103,8 @@ INFORMATIONAL = (
     ("pack", "pack_gib_per_s"),
     ("fletcher", "fletcher64_gib_per_s"),
     ("tiered_persist", "persist_gib_per_s"),
-    ("tiered_persist", "sha_share_of_persist"),
+    ("tiered_persist", "restore_gib_per_s"),
+    ("tiered_persist", "sha_share_of_restore"),
     ("sdc_scan", "full_gib_per_s"),
     ("sdc_scan", "checksum_gib_per_s"),
     ("des_dispatch", "events_per_s"),

@@ -86,8 +86,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{fl['striped_speedup_vs_seed']:.2f}x vs seed")
     tier = results["tiered_persist"]
     print(f"tiers       {tier['payload_mib']:8.1f} MiB  "
-          f"persist {tier['persist_gib_per_s']:.2f} GiB/s "
-          f"(sha {100.0 * tier['sha_share_of_persist']:.0f}%), "
+          f"persist {tier['persist_gib_per_s']:.2f} GiB/s, "
+          f"verified restore {tier['restore_gib_per_s']:.2f} GiB/s "
+          f"(sha {100.0 * tier['sha_share_of_restore']:.0f}%), "
           f"modeled atomic overhead {tier['sim_safety_overhead']:.2f}x, "
           f"fallback correct={tier['restore_fallback_correct']}")
     scan = results["sdc_scan"]

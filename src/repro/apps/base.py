@@ -85,8 +85,12 @@ class ReplicaApp(ABC):
         self.iteration = 0
         self.rng = RngStream(seed, f"app/{self.descriptor.name}")
         #: ``_hash_unit`` state after mixing ``(seed, task_id)``, indexed by
-        #: task id; grown on demand by :meth:`_jitter_prefix_table`.
-        self._jitter_prefixes: list[int] = []
+        #: task id, as a list of Python ints (the scalar path) and a uint64
+        #: array (the vectorised one); a tuple, so :meth:`copy_state_from`,
+        #: which copies every ndarray attribute, leaves it alone.  Grown on
+        #: demand by :meth:`_jitter_prefix_table`.
+        self._jitter_prefixes: tuple[list[int], np.ndarray] = (
+            [], np.empty(0, dtype=np.uint64))
 
     # -- numerics ----------------------------------------------------------------
     @abstractmethod
@@ -177,12 +181,12 @@ class ReplicaApp(ABC):
         # _hash_unit(seed, task_id, iteration) with its first two mixing
         # rounds read from a per-task table: only the iteration round runs
         # per call (this is called once per task per iteration).
-        prefixes = self._jitter_prefixes
+        prefixes = self._jitter_prefixes[0]
         if not 0 <= task_id < len(prefixes):
             if task_id < 0:
                 return base * (1.0 + 0.05 * _hash_unit(self.seed, task_id,
                                                        iteration))
-            prefixes = self._jitter_prefix_table(task_id)
+            prefixes = self._jitter_prefix_table(task_id)[0]
         h = prefixes[task_id] ^ ((iteration + _GOLDEN) & _MASK64)
         h = (h * _MIX) & _MASK64
         h ^= h >> 31
@@ -199,11 +203,11 @@ class ReplicaApp(ABC):
         non-negative.
         """
         ids = np.asarray(task_ids, dtype=np.int64)
-        prefixes = self._jitter_prefixes
+        words = self._jitter_prefixes[1]
         top = int(ids.max()) if len(ids) else -1
-        if top >= len(prefixes):
-            prefixes = self._jitter_prefix_table(top)
-        p = np.array([prefixes[t] for t in ids.tolist()], dtype=np.uint64)
+        if top >= len(words):
+            words = self._jitter_prefix_table(top)[1]
+        p = words[ids]
         k = (np.arange(first, first + count, dtype=np.uint64)
              + np.uint64(_GOLDEN))
         h = p[None, :] ^ k[:, None]
@@ -213,14 +217,15 @@ class ReplicaApp(ABC):
         jitter = 0.05 * (h.astype(np.float64) / _UNIT_SCALE)
         return self.descriptor.base_iteration_seconds * (1.0 + jitter)
 
-    def _jitter_prefix_table(self, task_id: int) -> list[int]:
+    def _jitter_prefix_table(self,
+                             task_id: int) -> tuple[list[int], np.ndarray]:
         """Grow the ``(seed, task_id)`` prefix table to cover ``task_id``.
 
         One vectorised uint64 pass (numpy wraps modulo 2**64, as the masks in
         :func:`_hash_unit` do); the table at least doubles each time, so
         building it for N tasks costs O(log N) passes.
         """
-        size = max(task_id + 1, 2 * len(self._jitter_prefixes), 64)
+        size = max(task_id + 1, 2 * len(self._jitter_prefixes[0]), 64)
         h = _GOLDEN ^ ((self.seed + _GOLDEN) & _MASK64)   # round 1: seed
         h = (h * _MIX) & _MASK64
         h ^= h >> 31
@@ -229,7 +234,7 @@ class ReplicaApp(ABC):
                                 + np.uint64(_GOLDEN))
         mixed *= np.uint64(_MIX)
         mixed ^= mixed >> np.uint64(31)
-        self._jitter_prefixes = mixed.tolist()
+        self._jitter_prefixes = (mixed.tolist(), mixed)
         return self._jitter_prefixes
 
     # -- helpers -----------------------------------------------------------------

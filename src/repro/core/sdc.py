@@ -8,13 +8,15 @@ exactly those per-rank buffers.
 
 The scan is bytes-first.  It walks the two generations one aligned pair of
 blocks at a time and finds, in one vectorised pass per pair, the ranks
-whose bytes differ; only those ranks reach the mode's comparison.  That is
-exact: equal bytes give equal Fletcher digests, and equal bytes under one
-shared directory compare equal field by field under any non-negative
-tolerance (what :func:`compare_checkpoints`' own fast path decides), so
-every scan decision is the one a digest or a field comparison of every
-rank would make — including a digest collision on a rank whose bytes do
-differ, §5's undetected SDC.  Full mode also compares every rank whose two
+whose bytes differ (as uint64 words when the row width is a multiple of 8,
+an eighth of the element comparisons for the same equalities); only those
+ranks reach the mode's comparison.  That is exact: equal bytes give equal
+Fletcher digests, and equal bytes under one shared directory compare equal
+field by field under any non-negative tolerance (what
+:func:`compare_checkpoints`' own fast path decides), so every scan decision
+is the one a digest or a field comparison of every rank would make —
+including a digest collision on a rank whose bytes do differ, §5's
+undetected SDC.  Full mode also compares every rank whose two
 directories are not one shared object.  The simulated cost of a scan does
 not depend on this: ``CostModel.checksum_time`` charges the digest of the
 whole checkpoint at 4 instructions per byte either way.
@@ -40,6 +42,14 @@ class SDCScanResult:
     clean: bool
     mismatched_ranks: set[int] = field(default_factory=set)
     method: str = "full"
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """``rows`` viewed as uint64 words when each row is a whole number of
+    words, else as bytes; two rows are equal in one view iff in the other."""
+    if rows.shape[1] % 8 == 0:
+        return rows.view(np.uint64)
+    return rows
 
 
 def detect_sdc(
@@ -72,10 +82,11 @@ def detect_sdc(
             local.blocks, remote.blocks):
         if a_rows.shape[1] == b_rows.shape[1] and (
                 use_checksum or (a_fields is b_fields and rtol >= 0)):
-            if np.array_equal(a_rows, b_rows):
+            a_words, b_words = _words(a_rows), _words(b_rows)
+            if np.array_equal(a_words, b_words):
                 continue
             suspects = (lo + np.flatnonzero(
-                (a_rows != b_rows).any(axis=1))).tolist()
+                (a_words != b_words).any(axis=1))).tolist()
         else:
             suspects = range(lo, hi)
         for rank in suspects:

@@ -8,9 +8,13 @@ cost model (the framework charges them through ``ACR._charge``), and
 crash/corruption behaviour is simulated precisely enough to test the
 recovery guarantees:
 
-* every stored shard carries the SHA-256 of its buffer, recorded at stage
-  time — the integrity guard recovery verifies before trusting a copy.  A
-  generation staged on several tiers in one group write is hashed once;
+* every stored shard carries the SHA-256 of its buffer as staged — the
+  integrity guard recovery verifies before trusting a copy.  It is computed
+  the first time it is read (:class:`StagedDigests`) over the buffer staged,
+  which is read-only, so it equals a hash taken at stage time; a persist
+  that is never restored from hashes nothing.  A generation staged on
+  several tiers in one group write shares one set of digests, so each shard
+  is hashed at most once per group write;
 * a group write interrupted mid-flight (node death during the persist
   window) lands **torn** under the ``unsafe`` protocol — a prefix of shards
   intact, one shard's tail zeroed, the rest missing — and is aborted
@@ -50,6 +54,31 @@ def _sharing(gen: CheckpointGeneration) -> CheckpointGeneration:
     return out
 
 
+class StagedDigests:
+    """``[r]`` is the SHA-256 hex digest of rank ``r``'s buffer as staged
+    (None for a rank not stored), computed on first read and memoised.
+
+    The staged buffers are held in a list of this object's own, so a tear,
+    bit rot or ``put`` that later replaces a buffer of the stored generation
+    never changes what is hashed.  Staged buffers are read-only and faults
+    copy on write, so the digest read later is the one a hash at stage time
+    would have recorded.  A buffer is released once hashed.
+    """
+
+    __slots__ = ("_buffers", "_hex")
+
+    def __init__(self, buffers) -> None:
+        self._buffers: list = list(buffers)
+        self._hex: list[str | None] = [None] * len(self._buffers)
+
+    def __getitem__(self, rank: int) -> str | None:
+        digest = self._hex[rank]
+        if digest is None and self._buffers[rank] is not None:
+            digest = self._hex[rank] = _digest(self._buffers[rank])
+            self._buffers[rank] = None
+        return digest
+
+
 @dataclass
 class StoredGeneration:
     """One checkpoint generation as stored on one tier.
@@ -62,7 +91,7 @@ class StoredGeneration:
     """
 
     gen: CheckpointGeneration
-    digests: list[str | None]
+    digests: StagedDigests
     torn: set[int] = field(default_factory=set)
 
     @property
@@ -127,8 +156,8 @@ class DurableHierarchy:
         #: write; populated by :meth:`stage`, consumed by complete/abort.
         self._inflight: list[tuple[int, StoredGeneration]] = []
         #: The generation last staged in the in-flight group write and its
-        #: per-rank digests, which later tiers reuse.
-        self._hashed: tuple[CheckpointGeneration, list[str | None]] | None = None
+        #: per-rank digests, which later tiers share.
+        self._hashed: tuple[CheckpointGeneration, StagedDigests] | None = None
         #: Observers (e.g. the chaos InvariantMonitor); hooks:
         #: ``on_tier_persist(level, stored_gen, torn)`` and
         #: ``on_tier_restore(level, stored_gen, generation)``.
@@ -160,16 +189,17 @@ class DurableHierarchy:
         until :meth:`complete_inflight` / :meth:`abort_inflight`.
 
         The tier stores a generation of its own over ``gen``'s read-only
-        buffers.  The first tier ``gen`` is staged on in a group write
-        hashes its shards; later tiers of the same group write take those
-        digests, so each shard is hashed once per group write however many
-        tiers are due.
+        buffers.  Staging hashes nothing: the first tier ``gen`` is staged
+        on in a group write records its buffers for :class:`StagedDigests`,
+        and later tiers of the same group write share that object, so each
+        shard is hashed at most once per group write, when a digest is
+        first read, however many tiers are due.
         """
         tier = self.tiers[level]
         if self._hashed is not None and self._hashed[0] is gen:
             digests = self._hashed[1]
         else:
-            digests = [None if b is None else _digest(b) for b in gen.buffers]
+            digests = StagedDigests(gen.buffers)
             self._hashed = (gen, digests)
         staged = StoredGeneration(_sharing(gen), digests)
         duration = tier.spec.write_time(gen.nbytes, len(gen.ranks))
@@ -308,7 +338,11 @@ class DurableHierarchy:
 
     # -- restore ---------------------------------------------------------------
     def verify_generation(self, staged: StoredGeneration) -> str | None:
-        """None when intact; otherwise why the integrity guard rejects it."""
+        """None when intact; otherwise why the integrity guard rejects it.
+
+        Every shard checked gets a fresh SHA-256 of its stored bytes, even
+        when it is still the buffer staged, compared with the digest of the
+        buffer as staged."""
         gen = staged.gen
         if not gen.complete(self.nodes_per_replica):
             return (f"incomplete: {len(gen.ranks)}/"

@@ -144,3 +144,32 @@ class TestBytesFirst:
         monkeypatch.setattr(checker, "checkpoint_checksum", collide)
         assert detect_sdc(local, remote, use_checksum=True).clean
         assert detect_sdc(local, remote).mismatched_ranks == {4}
+
+
+class ByteRows:
+    """A replica of one split byte array, one row of ``width`` bytes per
+    rank."""
+
+    def __init__(self, nodes, width):
+        self.data = (np.arange(nodes * width) % 251).astype(
+            np.uint8).reshape(nodes, width)
+
+    def pup(self, p):
+        p.pup_split("data", self.data)
+
+
+@pytest.mark.parametrize("width,unit", [(24, np.uint64), (13, np.uint8)])
+@pytest.mark.parametrize("use_checksum", [False, True])
+def test_a_one_bit_flip_anywhere_in_a_row_is_found(width, unit,
+                                                   use_checksum):
+    local = packed(ByteRows(5, width))
+    assert all(sdc._words(rows).dtype == unit
+               for _, _, rows, _ in local.blocks)
+    for byte in (0, width // 2, width - 1):
+        flipped = ByteRows(5, width)
+        flipped.data[3, byte] ^= 0x10
+        remote = packed(flipped, like=local)
+        result = detect_sdc(local, remote, use_checksum=use_checksum)
+        assert result.mismatched_ranks == {3}, byte
+        assert detect_sdc(local, packed(ByteRows(5, width), like=local),
+                          use_checksum=use_checksum).clean

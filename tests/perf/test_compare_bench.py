@@ -29,7 +29,8 @@ def _results(pack_ref=4.0, identical=True,
         "tiered_persist": {"sim_safety_overhead": safety_overhead,
                            "restore_fallback_correct": fallback_correct,
                            "persist_gib_per_s": 0.6,
-                           "sha_share_of_persist": 0.55},
+                           "restore_gib_per_s": 0.9,
+                           "sha_share_of_restore": 0.95},
         "campaign": {"summaries_identical": identical,
                      "parallel_speedup": parallel,
                      "cpu_count": cpu_count},
