@@ -159,7 +159,7 @@ def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
     modeled tier path.
 
     A persist hashes nothing (the tier shares the generation's read-only
-    buffers), so ``persist_gib_per_s`` is bookkeeping only.  The SHA-256
+    buffers), so ``persist_atomic_s`` times bookkeeping only.  The SHA-256
     guard runs on restore: a first restore of a copy hashes each shard as
     staged (the recorded digest, read for the first time) and as stored
     (the fresh recompute), so ``sha_share_of_restore`` — two SHA-256 passes
@@ -219,7 +219,6 @@ def bench_tiered_persist(total_mib: float = 64.0, nshards: int = 8,
         "persist_unsafe_s": t_unsafe,
         "restore_s": t_restore,
         "sha256_s": t_sha,
-        "persist_gib_per_s": nbytes / t_atomic / (1 << 30),
         "restore_gib_per_s": nbytes / t_restore / (1 << 30),
         "sha_share_of_restore": 2.0 * t_sha / t_restore,
         "sim_safety_overhead": NODE_LOCAL_TIER.safety_overhead(nbytes,

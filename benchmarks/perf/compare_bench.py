@@ -102,7 +102,6 @@ CPU_GATED_RATIOS = (
 INFORMATIONAL = (
     ("pack", "pack_gib_per_s"),
     ("fletcher", "fletcher64_gib_per_s"),
-    ("tiered_persist", "persist_gib_per_s"),
     ("tiered_persist", "restore_gib_per_s"),
     ("tiered_persist", "sha_share_of_restore"),
     ("sdc_scan", "full_gib_per_s"),
@@ -113,7 +112,6 @@ INFORMATIONAL = (
     ("des_acr", "legacy_equivalent_events_per_s"),
     ("obs_stream", "sampled_events_per_s"),
     ("obs_stream", "unsampled_events_per_s"),
-    ("bench_scale", "events_per_s"),
     ("bench_scale", "legacy_equivalent_events_per_s"),
     ("bench_scale", "node_iterations_per_s"),
     ("bench_scale", "peak_rss_mib"),

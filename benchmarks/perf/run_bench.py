@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{fl['striped_speedup_vs_seed']:.2f}x vs seed")
     tier = results["tiered_persist"]
     print(f"tiers       {tier['payload_mib']:8.1f} MiB  "
-          f"persist {tier['persist_gib_per_s']:.2f} GiB/s, "
+          f"persist {1e6 * tier['persist_atomic_s']:.0f} us, "
           f"verified restore {tier['restore_gib_per_s']:.2f} GiB/s "
           f"(sha {100.0 * tier['sha_share_of_restore']:.0f}%), "
           f"modeled atomic overhead {tier['sim_safety_overhead']:.2f}x, "

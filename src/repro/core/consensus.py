@@ -401,8 +401,6 @@ class RoundEngine:
         t0 = sim.now
         self._transport = transport = c.nodes[scope[0]].transport
         d = transport.small_delay(CONTROL_NBYTES)
-        rings = list({id(r): r for r in
-                      (c.nodes[nid].ring for nid in scope)}.values())
         # Tree levels are contiguous runs of scope positions; every node of a
         # level receives each flood at the same instant.
         levels = []
@@ -417,15 +415,19 @@ class RoundEngine:
         for _ in levels:
             t = t + d
             start_at.append(t)
-        index_of = {nid: i for i, nid in enumerate(scope)}
+        # :meth:`eligible` checked that the scope lists whole rings in node
+        # order: each ring is the slice of it that starts at ``first``.
         members = []
-        for ring in rings:
-            pos = np.array([index_of[t.node.node_id] for t in ring.tasks],
-                           dtype=np.intp)
+        first = 0
+        while first < n:
+            ring = c.nodes[scope[first]].ring
+            pos = first + ring.task_node_pos
+            first += len(ring.node_ids)
             level = depth[pos]
             order = np.argsort(level, kind="stable")
             cuts = np.searchsorted(level[order], np.arange(len(levels) + 1))
             members.append((ring, pos, order, cuts))
+        rings = [ring for ring, _, _, _ in members]
         # Phases 1-2: each level reads its tasks at its start instant, then
         # holds them at its local bounds (later levels see those holds).
         bound = np.zeros(n, dtype=np.int64)

@@ -438,7 +438,7 @@ class ACR:
         return replica * self.n + rank
 
     def _replica_scope(self, replica: int) -> list[int]:
-        return [self._node_id(replica, r) for r in range(self.n)]
+        return list(range(replica * self.n, (replica + 1) * self.n))
 
     # -- lifecycle ----------------------------------------------------------------------
     def start(self) -> None:

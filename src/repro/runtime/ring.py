@@ -118,29 +118,42 @@ class RingFastForward:
         self.tasks = list(tasks)
         self.sim = sim
         self.transport = transport
-        self.nodes = list(dict.fromkeys(t.node for t in self.tasks))
-        #: The nodes' ids, in the order of :attr:`nodes`.
-        self.node_ids = [node.node_id for node in self.nodes]
-        self._node_index = np.array(self.node_ids, dtype=np.intp)
-        # One pass per task, building nothing: ACR.start opens a ring over
-        # every task of a replica.
+        soa = self._soa = self.tasks[0]._soa
+        slot = self._soa_start = self.tasks[0]._soa_index
+        # One pass over the tasks (ACR.start opens a ring over every task of
+        # a replica).  Node.add_task keeps a node's task ids contiguous, so
+        # each node hosts one run of consecutive tasks.
+        nodes, pos = [], []
+        node = None
+        k = -1  # the offset of ``node`` in ``nodes``
         for i, t in enumerate(self.tasks):
             nb = t.neighbors
-            if (t.task_id != i or len(nb) != 2 or nb[0][1] != (i - 1) % n
-                    or nb[1][1] != (i + 1) % n):
+            if t.node is not node:
+                node = t.node
+                nodes.append(node)
+                k += 1
+            if (t.task_id != i or len(nb) != 2
+                    or nb[0][1] != (i - 1) % n or nb[1][1] != (i + 1) % n):
                 raise ValueError("tasks must form a ring in task-id order")
+            if soa is not None and (t._soa is not soa
+                                    or t._soa_index != slot + i):
+                raise ValueError(
+                    "ring progress must be bound to consecutive slots")
+            pos.append(k)
+        if len(set(nodes)) != len(nodes):  # some node hosts two runs
+            raise ValueError("tasks must form a ring in task-id order")
+        self.nodes = nodes
+        #: The nodes' ids, in the order of :attr:`nodes`.
+        self.node_ids = [node.node_id for node in nodes]
+        #: Each task's node, as an offset into :attr:`nodes`.
+        self.task_node_pos = np.array(pos, dtype=np.intp)
+        self._node_index = np.array(self.node_ids, dtype=np.intp)
         self._index = np.arange(n)
         self._left = (self._index - 1) % n
         self._right = (self._index + 1) % n
         self._row_times = row_times
         self._on_output = on_output
         self._d = transport.small_delay(DEP_STAMP_NBYTES)
-        self._soa = self.tasks[0]._soa
-        self._soa_start = self.tasks[0]._soa_index
-        if self._soa is not None and any(
-                t._soa is not self._soa or t._soa_index != self._soa_start + i
-                for i, t in enumerate(self.tasks)):
-            raise ValueError("ring progress must be bound to consecutive slots")
         #: Counters (the ``sim.fast_forward.*`` metrics).
         self.windows_opened = 0
         self.adoptions = 0
@@ -177,16 +190,20 @@ class RingFastForward:
     def resume(self) -> bool:
         """``Task.resume`` on every task of an open window, performed by the
         engine: releases a parked ring (:meth:`unpark`) and keeps the
-        window, unless some task is parked at the cap (then the window
-        closes).  False means the caller must resume the tasks itself
-        (and may then :meth:`adopt` the ring)."""
+        window, unless some but not all tasks are parked at the cap (then
+        the window closes).  A task at the cap parks there again, so a ring
+        wholly at the cap is left as the window holds it.  False means the
+        caller must resume the tasks itself (and may then :meth:`adopt` the
+        ring)."""
         if self.round is not None:
             self.close()
         if not self.open:
             return False
         self.unpark()
         self.advance()
-        if self._cap_row is None or int(self._p.max()) < self._cap_row:
+        cap_row = self._cap_row
+        if (cap_row is None or int(self._p.max()) < cap_row
+                or int(self._p.min()) >= cap_row):
             return True
         self.close()
         return False

@@ -47,6 +47,13 @@ def _without_sim(columns: dict) -> dict:
     return {k: v for k, v in columns.items() if not k.startswith("sim.")}
 
 
+def task_fields(acr: ACR) -> list[tuple]:
+    """Every field of every task, as the run left it."""
+    return [(t.task_id, t.progress, t.state, t.epoch, dict(t.dep_stamps),
+             t.pause_at, t.busy_until, t.iterations_executed, t.iteration_cap)
+            for r in (0, 1) for t in acr.tasks[r]]
+
+
 def observe(acr: ACR, report) -> dict:
     """Everything a run shows, with the ``sim.*`` family set aside."""
     payload = report_to_dict(report)
@@ -54,6 +61,7 @@ def observe(acr: ACR, report) -> dict:
     series = payload.pop("series")
     seen = {
         "report_digest": canonical_digest(payload),
+        "tasks": task_fields(acr),
         "metrics": {family: _without_sim(values)
                     for family, values in snapshot.items()},
         "counters": dict(snapshot["counters"]),
@@ -81,6 +89,7 @@ def run_cell(app="jacobi3d-charm", *, plan=None, prediction=None,
 
 def assert_same(fast: dict, slow: dict) -> None:
     assert fast["report_digest"] == slow["report_digest"]
+    assert fast["tasks"] == slow["tasks"]
     assert fast["metrics"] == slow["metrics"]
     assert fast.get("series") == slow.get("series")
     counters = fast["counters"]
@@ -162,10 +171,7 @@ def test_chaos_schedule_matrix(event_only, seed):
 def _state(acr: ACR) -> dict:
     tr = acr.transport
     return {
-        "tasks": [(t.task_id, t.progress, t.state, t.epoch, dict(t.dep_stamps),
-                   t.pause_at, t.busy_until, t.iterations_executed,
-                   t.iteration_cap)
-                  for r in (0, 1) for t in acr.tasks[r]],
+        "tasks": task_fields(acr),
         "soa": acr._task_soa.progress.tolist(),
         "below_cap": acr._task_soa.below_cap,
         "transport": (tr.messages_sent, tr.messages_delivered,
@@ -301,6 +307,63 @@ def test_a_ring_closed_by_hand_is_adopted_again(event_only, at):
         slow_digest = canonical_digest(report_to_dict(_build().run()))
     assert fast_digest == slow_digest
     assert all(ring.adoptions >= 1 and ring.ties == 0 for ring in rings)
+
+
+# -- a resume at the cap keeps the window --------------------------------------------
+@pytest.mark.parametrize("tpn", [1, 2, 3])
+@pytest.mark.parametrize("scheme", list(ResilienceScheme),
+                         ids=lambda s: s.value)
+def test_failure_free_runs_end_at_the_cap(event_only, monkeypatch, scheme,
+                                          tpn):
+    # The last checkpoint decides the cap: its resume finds every task
+    # parked there and leaves the window open until the job ends, so no
+    # task is resumed one by one.  With three tasks per node, three tasks
+    # share their node's scope position.
+    resumed = []
+    resume = Task.resume
+    monkeypatch.setattr(Task, "resume",
+                        lambda task: resumed.append(task) or resume(task))
+    fast = run_cell(scheme=scheme, tasks_per_node=tpn)
+    assert not resumed
+    assert fast["counters"]["sim.fast_forward.round_fallbacks"] == 0
+    with event_only():
+        slow = run_cell(scheme=scheme, tasks_per_node=tpn)
+    assert_same(fast, slow)
+
+
+@pytest.fixture
+def parked_at_cap(monkeypatch):
+    """Instants of the solo (weak-pending) checkpoints whose resume left
+    the healthy ring open, every task parked at the cap."""
+    seen = []
+    resume = ACR._resume_replica
+
+    def spy(self, replica):
+        resume(self, replica)
+        ring = self._rings[replica]
+        if (self._weak_pending is not None and ring.open
+                and ring.reached(self.config.total_iterations)):
+            seen.append(self.sim.now)
+
+    monkeypatch.setattr(ACR, "_resume_replica", spy)
+    return seen
+
+
+@pytest.mark.parametrize("second", [None, 4.5],
+                         ids=["closed-at-job-end", "closed-by-a-death"])
+def test_a_solo_checkpoint_at_the_cap(event_only, parked_at_cap, second):
+    # Replica 0 crashes after the checkpoint at iteration 40; replica 1 runs
+    # on to the cap, and its solo checkpoint decides the cap at t = 3.825.
+    # Its resume keeps the ring parked there while the weak recovery ships
+    # the checkpoint, until the job ends or a death in replica 1 closes it.
+    faults = [hard(2.8, 0, 1)] + ([hard(second, 1, 2)] if second else [])
+    kwargs = dict(plan=InjectionPlan(faults), scheme=ResilienceScheme.WEAK,
+                  **FAST_DETECTION)
+    fast = run_cell(**kwargs)
+    assert parked_at_cap
+    with event_only():
+        slow = run_cell(**kwargs)
+    assert_same(fast, slow)
 
 
 # -- how many iterations still run event by event -------------------------------------

@@ -28,7 +28,6 @@ def _results(pack_ref=4.0, identical=True,
                      "striped_speedup_vs_seed": striped},
         "tiered_persist": {"sim_safety_overhead": safety_overhead,
                            "restore_fallback_correct": fallback_correct,
-                           "persist_gib_per_s": 0.6,
                            "restore_gib_per_s": 0.9,
                            "sha_share_of_restore": 0.95},
         "campaign": {"summaries_identical": identical,
@@ -47,7 +46,6 @@ def _results(pack_ref=4.0, identical=True,
         "bench_scale": {"events_speedup_vs_des_acr": scale_speedup,
                         "completed": scale_completed,
                         "xl_completed": xl_completed,
-                        "events_per_s": 5.0e4,
                         "legacy_equivalent_events_per_s": 4.4e5,
                         "node_iterations_per_s": 1.7e4,
                         "peak_rss_mib": 860.0},

@@ -61,7 +61,6 @@ class TestMicroBenchmarks:
                                       repeats=1)
         assert result["persist_atomic_s"] > 0
         assert result["persist_unsafe_s"] > 0
-        assert result["persist_gib_per_s"] > 0
         assert result["restore_s"] > 0 and result["restore_gib_per_s"] > 0
         assert result["sim_safety_overhead"] >= 1.0
         assert result["restore_fallback_correct"]

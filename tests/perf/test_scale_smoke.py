@@ -5,14 +5,21 @@ determinism oracles in ``tests/runtime/test_scale_equivalence.py`` (marked
 there).  This file runs the quick ``bench_scale`` configuration — a
 2×8192-node replica pair end to end through the real ``ACR`` engine — and
 enforces a wall-clock budget so the scale path can never quietly regress
-into being unrunnable.
+into being unrunnable.  It also counts the per-task calls of a
+``scale_fwd``-shaped run, so a per-task pass that comes back fails here.
 """
 
+from collections import Counter
 from time import perf_counter
 
 import pytest
 
 from benchmarks.perf.bench_scale import run_all_scale
+from repro.apps import synthetic_descriptor
+from repro.core import ACR, ACRConfig
+from repro.runtime.node import Node
+from repro.runtime.ring import RingFastForward
+from repro.runtime.task import Task
 
 pytestmark = pytest.mark.scale_smoke
 
@@ -32,6 +39,42 @@ class TestScaleSmoke:
         assert scale["nodes"] == 16384
         assert scale["quick"] is True
         assert "xl" not in scale
-        assert scale["legacy_equivalent_events_per_s"] > scale["events_per_s"]
+        assert scale["legacy_equivalent_events"] > scale["events"]
         assert elapsed < WALL_BUDGET_S, (
             f"scale smoke took {elapsed:.1f}s (> {WALL_BUDGET_S}s budget)")
+
+
+class TestNoPerTaskPass:
+    """A failure-free run shaped like perfbench's ``scale_fwd`` cell (2×4 Ki
+    synthetic nodes, a checkpoint at iteration 2 and the final one at the
+    cap) keeps both rings fast-forwarded from start to end: no task is
+    resumed or stepped one by one, and each ring closes once, at job end."""
+
+    def test_rings_stay_fast_forwarded_through_every_checkpoint(
+            self, monkeypatch):
+        per_task = Counter()
+        closes = Counter()
+
+        def count(cls, name, key):
+            method = getattr(cls, name)
+
+            def counted(obj, *args):
+                key(obj)
+                return method(obj, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls, name in ((Task, "resume"), (Task, "_try_start"),
+                          (Node, "on_task_ready_for_checkpoint")):
+            count(cls, name, lambda obj, name=name: per_task.update([name]))
+        count(RingFastForward, "close", lambda ring: closes.update([ring]))
+        config = ACRConfig(checkpoint_interval=20.0, total_iterations=4,
+                           app_scale=1e-4, spare_nodes=0, seed=0)
+        acr = ACR("synthetic", nodes_per_replica=4096, config=config,
+                  app_kwargs={"descriptor": synthetic_descriptor(
+                      iteration_seconds=10.0)})
+        report = acr.run()
+        assert report.completed and report.result_correct
+        assert report.checkpoints_completed >= 2
+        assert per_task == {}
+        assert closes == {ring: 1 for ring in acr._rings.values()}

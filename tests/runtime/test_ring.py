@@ -126,6 +126,33 @@ def test_vectorised_iteration_times_equal_the_scalar_model(app):
             assert block[k - 1, tid] == model.iteration_time(tid, k)
 
 
+@pytest.mark.parametrize("n_tasks,tpn", [(1, 1), (6, 2), (15, 3)])
+def test_each_task_knows_its_nodes_offset(n_tasks, tpn):
+    ring = Ring("synthetic", n_tasks, tpn).engine()
+    assert ring.nodes == [t.node for t in ring.tasks][::tpn]
+    assert ring.node_ids == list(range(n_tasks // tpn))
+    assert ring.task_node_pos.tolist() == [i // tpn for i in range(n_tasks)]
+
+
+def test_a_node_whose_tasks_are_not_contiguous_is_no_ring():
+    # Tasks 0 and 2 on node 0, task 1 on node 1 (Node.add_task would refuse
+    # the second task of node 0; the list is edited by hand).
+    bare = Ring("synthetic", 3, 1)
+    moved = bare.tasks[2]
+    bare.nodes[2].tasks.remove(moved)
+    bare.nodes[0].tasks.append(moved)
+    moved.node = bare.nodes[0]
+    with pytest.raises(ValueError, match="ring in task-id order"):
+        bare.engine()
+
+
+def test_a_task_bound_to_the_wrong_slot_is_refused():
+    bare = Ring("synthetic", 4, 2)
+    bare.tasks[3].bind_progress(bare.soa, 1)
+    with pytest.raises(ValueError, match="consecutive slots"):
+        bare.engine()
+
+
 @pytest.mark.parametrize("n_tasks,tpn", [(3, 1), (16, 2)])
 def test_close_hands_an_exact_ring_back_to_the_event_engine(n_tasks, tpn):
     events = Ring("jacobi3d-charm", n_tasks, tpn)
