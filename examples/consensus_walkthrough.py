@@ -12,7 +12,7 @@ Run:  python examples/consensus_walkthrough.py
 """
 
 from repro.core.consensus import ConsensusController
-from repro.runtime import Node, Simulator, Task, Transport
+from repro.runtime import Node, Simulator, TaskTable, Transport
 
 
 def main() -> None:
@@ -24,15 +24,9 @@ def main() -> None:
     def iteration_time(task_id, iteration):
         return 0.1 * (1.0 + 0.4 * ((task_id * 13 + iteration * 7) % 10) / 10)
 
-    tasks = []
-    for tid in range(8):
-        node = nodes[tid // 2]
-        left, right = (tid - 1) % 8, (tid + 1) % 8
-        task = Task(tid, node,
-                    neighbors=[(left // 2, left), (right // 2, right)],
-                    iteration_time=iteration_time)
-        node.add_task(task)
-        tasks.append(task)
+    # One ring of eight tasks, two per node, each gated by its neighbours.
+    tasks = TaskTable(nodes, tasks_per_node=2,
+                      iteration_time=iteration_time).tasks(0)
 
     controller = ConsensusController({n.node_id: n for n in nodes})
     for n in nodes:

@@ -171,8 +171,8 @@ class ConsensusController:
                 # releases it in place) or not reached by the round at all.
                 node.ring.unpark()
                 continue
-            for t in node.tasks:
-                t.resume()
+            for row in node.rows():
+                node.table.task(row).resume()
         self._agents = {}
         for ring in self.rings:
             ring.adopt()
@@ -201,14 +201,16 @@ class ConsensusController:
             self._send(nid, child, self._on_start, self.round_id)
         # Local bound: no local task can end up past this iteration (a task
         # mid-iteration may still complete the one it is computing).
+        table, rows = node.table, node.rows()
         bound = 0
-        for t in node.tasks:
-            eff = t.progress + (1 if t.state is TaskState.COMPUTING else 0)
+        for row in rows:
+            eff = table.progress.item(row) + (
+                1 if table.state[row] is TaskState.COMPUTING else 0)
             bound = max(bound, eff)
         agent.local_bound = bound
         agent.subtree_max = bound
-        for t in node.tasks:
-            t.request_pause_at(bound)
+        for row in rows:
+            table.request_pause_at(row, bound)
         self._maybe_send_max_up(nid)
 
     def _on_max(self, src: int, nid: int, payload) -> None:
@@ -246,9 +248,10 @@ class ConsensusController:
         agent.pending_ready = set(agent.children)
         for child in agent.children:
             self._send(nid, child, self._on_decision, (self.round_id, decided))
-        for t in node.tasks:
-            t.request_pause_at(decided)
-            t.resume_if_below()
+        table = node.table
+        for row in node.rows():
+            table.request_pause_at(row, decided)
+            table.resume_if_below(row)
         if node.all_tasks_ready():
             self._on_node_all_ready(node)
 

@@ -54,7 +54,7 @@ from repro.runtime.heartbeat import HeartbeatMonitor
 from repro.runtime.messages import Transport
 from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
-from repro.runtime.soa import TaskProgressArray
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task
 from repro.storage.hierarchy import DurableHierarchy
 from repro.util.errors import ConfigurationError, SimulationError
@@ -194,33 +194,14 @@ class ACR:
         self.profile = self.apps[0].checkpoint_profile()
 
         # --- tasks: a ring per replica, dependency-gated -------------------------
-        tpn = self.config.tasks_per_node
-        self.tasks: dict[int, list[Task]] = {0: [], 1: []}
-        total_tasks = self.n * tpn
-        for replica in (0, 1):
-            # Rank tid // tpn hosts task tid, so each node's task ids are
-            # contiguous (Node.add_task); one iteration-time callable
-            # serves the whole replica.
-            base = self._node_id(replica, 0)
-            iteration_time = self.apps[replica].iteration_time
-            tasks = self.tasks[replica]
-            for tid in range(total_tasks):
-                left, right = (tid - 1) % total_tasks, (tid + 1) % total_tasks
-                node = self.nodes[base + tid // tpn]
-                task = Task(tid, node,
-                            neighbors=((base + left // tpn, left),
-                                       (base + right // tpn, right)),
-                            iteration_time=iteration_time)
-                node.add_task(task)
-                tasks.append(task)
-        # Struct-of-arrays progress stamps (global index: replica-major) so
-        # the per-iteration "all tasks at cap?" test is an O(1) counter read
-        # instead of a 2·N·tpn generator sweep (see runtime/soa.py).
-        self._task_soa = TaskProgressArray(2 * total_tasks)
-        for replica in (0, 1):
-            for task in self.tasks[replica]:
-                task.bind_progress(self._task_soa,
-                                   replica * total_tasks + task.task_id)
+        # One table holds every task, replica-major: node ``nid`` hosts rows
+        # ``[nid*tpn, (nid+1)*tpn)``, so replica r's ring is rows
+        # ``[r*n*tpn, (r+1)*n*tpn)``, and one iteration-time callable serves
+        # each replica.  No per-task object is built (see runtime/soa.py).
+        self.task_table = TaskTable(
+            [self.nodes[nid] for nid in range(2 * self.n)],
+            rings=2, tasks_per_node=self.config.tasks_per_node,
+            iteration_time=[self.apps[r].iteration_time for r in (0, 1)])
 
         # --- protocol machinery ---------------------------------------------------
         self.consensus = ConsensusController(self.nodes)
@@ -329,12 +310,12 @@ class ACR:
         """Remember the pre-rollback progress so the re-execution back to it
         can be traced as a ``rework`` span."""
         self._advance_rings()
-        self._pending_rework_from = self._task_soa.min_progress()
+        self._pending_rework_from = self.task_table.min_progress()
 
     def _begin_rework_span(self) -> None:
         target = self._pending_rework_from
         self._advance_rings()
-        base = self._task_soa.min_progress()
+        base = self.task_table.min_progress()
         if self._rework_target is not None:
             # A second rollback landed before the first rework finished.
             self.tracer.end(self._rework_span, self.sim.now, interrupted=True)
@@ -352,7 +333,7 @@ class ACR:
             return
         if not self._rings_reached(self._rework_target):
             return
-        if self._task_soa.all_at_least(self._rework_target):
+        if self.task_table.all_at_least(self._rework_target):
             self.tracer.end(self._rework_span, self.sim.now,
                             iterations=self._rework_target)
             self._rework_span = None
@@ -361,11 +342,11 @@ class ACR:
 
     # -- task-ring fast-forward (docs/protocols.md §7) ------------------------------------
     def _build_rings(self) -> None:
+        ids = np.arange(self.task_table.size, dtype=np.int64)
         for replica in (0, 1):
-            tasks = self.tasks[replica]
-            ids = np.array([t.task_id for t in tasks], dtype=np.int64)
             self._rings[replica] = RingFastForward(
-                tasks, sim=self.sim, transport=self.transport,
+                self.task_table, replica, sim=self.sim,
+                transport=self.transport,
                 row_times=partial(self.apps[replica].iteration_times,
                                   task_ids=ids),
                 # A ring at a watched level (the cap, the rework target)
@@ -409,8 +390,9 @@ class ACR:
         ring = self._rings.get(replica)
         if ring is not None and ring.resume():
             return
-        for t in self.tasks[replica]:
-            t.resume()
+        table = self.task_table
+        for row in table.ring_rows(replica):
+            table.task(row).resume()
         if ring is not None:
             ring.adopt()
 
@@ -440,6 +422,12 @@ class ACR:
     def _replica_scope(self, replica: int) -> list[int]:
         return list(range(replica * self.n, (replica + 1) * self.n))
 
+    @property
+    def tasks(self) -> dict[int, list[Task]]:
+        """Views of every task, by replica, in task-id order (built on
+        first read, for inspection; the engine reads :attr:`task_table`)."""
+        return {r: self.task_table.tasks(r) for r in (0, 1)}
+
     # -- lifecycle ----------------------------------------------------------------------
     def start(self) -> None:
         """Arm the job: initial checkpoints, heartbeats, faults, first timer."""
@@ -463,11 +451,7 @@ class ACR:
             self.store.install_safe(replica, self.store.clone_generation(gen))
         # Iteration cap for bounded runs.
         if self.config.total_iterations is not None:
-            cap = self.config.total_iterations
-            for replica in (0, 1):
-                for t in self.tasks[replica]:
-                    t.iteration_cap = cap
-            self._task_soa.set_cap(cap)
+            self.task_table.set_cap(self.config.total_iterations)
         self._build_rings()
         on_progress = self._on_node_progress  # one for every node
         for node in self.nodes.values():
@@ -1172,8 +1156,9 @@ class ACR:
                                   else next(self._lineage_ids))
         if self._rings[replica].restore(gen.iteration):
             return
-        for t in self.tasks[replica]:
-            t.restore(gen.iteration)
+        table = self.task_table
+        for row in table.ring_rows(replica):
+            table.restore(row, gen.iteration)
 
     def _copy_replica_state(self, replica: int, source: int) -> None:
         """Bring ``replica`` to ``source``'s iteration by copying its state.
@@ -1192,7 +1177,7 @@ class ACR:
         cap = self.config.total_iterations
         if cap is None or self._final_requested:
             return
-        if self._rings_reached(cap) and self._task_soa.all_at_cap:
+        if self._rings_reached(cap) and self.task_table.all_at_cap:
             self._final_requested = True
             self.sim.schedule(0.0, self._begin_checkpoint, "final")
 
@@ -1201,7 +1186,7 @@ class ACR:
         cap = self.config.total_iterations
         if cap is not None:
             self._advance_rings()
-            at_cap = self._task_soa.all_at_cap
+            at_cap = self.task_table.all_at_cap
             if (at_cap and self.phase == "running"
                     and self.store.safe_iteration(0) == cap
                     and self.store.safe_iteration(1) == cap):
@@ -1360,12 +1345,8 @@ class ACR:
             rep.series = self.series.to_dict()
         if self.storage is not None:
             rep.storage_counters = self.storage.counters()
-        live_progress = [t.progress for r in (0, 1) for t in self.tasks[r]]
-        rep.iterations_completed = min(live_progress) if live_progress else 0
-        rep.rework_iterations = sum(
-            max(t.iterations_executed - t.progress, 0)
-            for r in (0, 1) for t in self.tasks[r]
-        )
+        rep.iterations_completed = self.task_table.min_progress()
+        rep.rework_iterations = self.task_table.rework_iterations()
         cap = self.config.total_iterations
         scratch = None
         for replica in (0, 1):

@@ -9,6 +9,7 @@ from repro.runtime.des import EventHandle, Simulator
 from repro.runtime.heartbeat import HeartbeatMonitor
 from repro.runtime.messages import Message, MsgKind, Transport
 from repro.runtime.node import Node
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task, TaskState
 
 __all__ = [
@@ -21,4 +22,5 @@ __all__ = [
     "Node",
     "Task",
     "TaskState",
+    "TaskTable",
 ]

@@ -3,7 +3,9 @@
 A node is the failure unit (fail-stop kills the whole node), the checkpoint
 unit (one local checkpoint per node, §2.1), and the progress-aggregation unit
 of the consensus protocol's Phase 1 ("ACR records the maximum progress among
-all the tasks residing on the same node").
+all the tasks residing on the same node").  Its tasks are the rows
+``[first, first + tasks_per_node)`` of one
+:class:`~repro.runtime.soa.TaskTable`.
 """
 
 from __future__ import annotations
@@ -12,15 +14,16 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
-from repro.runtime.task import Task, TaskState
+from repro.runtime.task import _DEAD, _PAUSED
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.ring import RingFastForward
+    from repro.runtime.soa import TaskTable
 
 
 class Node:
-    """One simulated node: tasks, liveness, and ACR-agent bookkeeping.
+    """One simulated node: task rows, liveness, and ACR-agent bookkeeping.
 
     A paper-scale run holds a quarter of a million of these, so a node owns
     no per-node callable: it is its own transport receiver (see
@@ -28,8 +31,8 @@ class Node:
     callable that the installer shares across every node.
     """
 
-    __slots__ = ("node_id", "replica", "rank", "sim", "transport", "tasks",
-                 "failures_survived", "ring", "on_progress",
+    __slots__ = ("node_id", "replica", "rank", "sim", "transport", "table",
+                 "first", "failures_survived", "ring", "on_progress",
                  "on_all_tasks_ready", "heartbeat_handler")
 
     def __init__(
@@ -45,8 +48,10 @@ class Node:
         self.rank = rank            # index within the replica (buddy-aligned)
         self.sim = sim
         self.transport = transport
-        #: Hosted tasks, in task-id order with contiguous ids (see add_task).
-        self.tasks: list[Task] = []
+        #: The table whose rows ``[first, first + tpn)`` this node hosts;
+        #: set by the table (None: the node hosts no task).
+        self.table: "TaskTable | None" = None
+        self.first = 0
         self.failures_survived = 0
         #: The fast-forward engine that owns this node's tasks while their
         #: ring is free-running (see ring.py); None in event mode.
@@ -66,19 +71,18 @@ class Node:
         return self.transport.alive[self.node_id] == 1
 
     # -- task hosting -------------------------------------------------------------
-    def add_task(self, task: Task) -> None:
-        """Host ``task``; its id must follow the last hosted task's, so a
-        task is found by its offset from the first (:meth:`on_stamp`)."""
-        tasks = self.tasks
-        if tasks and task.task_id != tasks[-1].task_id + 1:
-            raise SimulationError(
-                f"node {self.node_id}: task {task.task_id} does not follow "
-                f"task {tasks[-1].task_id}")
-        tasks.append(task)
+    def rows(self) -> range:
+        """The table rows of the hosted tasks (empty without a table)."""
+        table = self.table
+        if table is None:
+            return range(0)
+        return range(self.first, self.first + table.tasks_per_node)
 
     def start_tasks(self) -> None:
-        for t in self.tasks:
-            t.start()
+        table = self.table
+        if table is not None:
+            for row in self.rows():
+                table.start(row)
 
     # -- message dispatch ---------------------------------------------------------
     # The transport calls the node itself with each Message and its on_stamp
@@ -101,26 +105,33 @@ class Node:
         """Deliver a dependency stamp to the hosted task ``to_task`` (an
         ``APP`` message's payload; Transport.send_stamps calls this
         directly).  A stamp for a task not hosted here is dropped."""
-        tasks = self.tasks
-        if tasks:
-            i = to_task - tasks[0].task_id
-            if 0 <= i < len(tasks):
-                tasks[i].on_dep_message(from_task, stamp, epoch)
+        table = self.table
+        if table is not None:
+            first = self.first
+            i = to_task - first % table.size
+            if 0 <= i < table.tasks_per_node:
+                table.task(first + i).on_dep_message(from_task, stamp, epoch)
 
     # -- ACR agent callbacks (installed by the framework) ---------------------------
-    def on_task_progress(self, task: Task) -> None:
-        """A local task finished an iteration."""
+    def on_task_progress(self, row: int) -> None:
+        """The local task at table row ``row`` finished an iteration."""
         if self.on_progress is not None:
             self.on_progress(self)
 
-    def on_task_ready_for_checkpoint(self, task: Task) -> None:
-        """A task paused at the decided iteration; fire when all local tasks are."""
+    def on_task_ready_for_checkpoint(self, row: int) -> None:
+        """The task at table row ``row`` paused at the decided iteration;
+        fire when all local tasks are."""
         if self.all_tasks_ready():
             if self.on_all_tasks_ready is not None:
                 self.on_all_tasks_ready(self)
 
     def all_tasks_ready(self) -> bool:
-        return all(t.state in (TaskState.PAUSED, TaskState.DEAD) for t in self.tasks)
+        table = self.table
+        if table is None:
+            return True
+        first = self.first
+        return all(s is _PAUSED or s is _DEAD for s in
+                   table.state[first:first + table.tasks_per_node])
 
     # -- liveness --------------------------------------------------------------------
     def die(self) -> None:
@@ -130,8 +141,9 @@ class Node:
         if self.ring is not None:
             self.ring.close()
         self.transport.set_alive(self.node_id, False)
-        for t in self.tasks:
-            t.kill()
+        table = self.table
+        if table is not None:
+            table.kill(self.first, self.first + table.tasks_per_node)
 
     def revive(self) -> None:
         """A spare node takes over this node's identity after recovery."""

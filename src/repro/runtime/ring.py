@@ -24,10 +24,12 @@ completion or stamp delivery is posted.  The engine evaluates the recurrence
 lazily, a chunk of rows at a time, behind one wake-up event, and posts only
 the instants the rest of the program needs (``on_output``): when every task
 of the ring reaches a watched progress level (the iteration cap, the rework
-target).  Reads (:meth:`advance`, :meth:`refresh`) bring the task objects,
-the progress array and the transport counters up to ``sim.now`` without
-closing the window; :meth:`close` also re-posts the in-flight completions
-and stamps as real events and hands the ring back to the event engine.
+target).  Reads (:meth:`advance`, :meth:`refresh`) bring the ring's slice
+of the task table (:class:`~repro.runtime.soa.TaskTable`) and the transport
+counters up to ``sim.now`` without closing the window; :meth:`close` also
+re-posts the in-flight completions and stamps as real events and hands the
+ring back to the event engine.  Every read and write is on column slices:
+no window builds a task view or walks the tasks in Python.
 
 A window opens over a *base row* given per task: the rows it has completed
 past the window's base iteration, its in-flight completion instant (or that
@@ -45,18 +47,18 @@ rules for when a window may open and must close are in docs/protocols.md §7.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.runtime.des import EventHandle, Simulator
 from repro.runtime.messages import Transport
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import (
     _COMPUTING,
     _IDLE,
     _PAUSED,
     DEP_STAMP_NBYTES,
-    Task,
 )
 
 __all__ = ["RingFastForward"]
@@ -67,6 +69,8 @@ _INF = float("inf")
 _FREE = np.iinfo(np.int64).max
 #: What a closed window holds in place of its row buffers.
 _NO_ROWS = np.empty((0, 0))
+#: Task states by the codes :meth:`RingFastForward.refresh` computes.
+_STATES = np.array([_IDLE, _COMPUTING, _PAUSED], dtype=object)
 #: Rows per chunk: a window evaluates one row when it opens (many windows
 #: close before their first completion), then 8, then twice the last, up
 #: to :data:`_MAX_CHUNK`.  The chunk schedule only decides when the engine
@@ -88,7 +92,8 @@ class RingFastForward:
 
     def __init__(
         self,
-        tasks: Sequence[Task],
+        table: TaskTable,
+        ring: int,
         *,
         sim: Simulator,
         transport: Transport,
@@ -98,55 +103,30 @@ class RingFastForward:
         """
         Parameters
         ----------
-        tasks:
-            The ring, in task-id order (``tasks[i].task_id == i``); each
-            task's neighbours are its left and right ring neighbours, and
-            the tasks' progress is bound to consecutive slots of one
-            :class:`~repro.runtime.soa.TaskProgressArray`.
+        table, ring:
+            The ring is ring ``ring`` of ``table``: rows ``first ..
+            first+size-1``, hosted by whole nodes, each task gated by its
+            left and right ring neighbours.
         row_times:
-            ``row_times(first, count)`` -> ``(count, len(tasks))`` array of
-            the tasks' iteration times for iterations ``first ..
-            first+count-1``; must equal the tasks' ``iteration_time``
+            ``row_times(first, count)`` -> ``(count, size)`` array of the
+            tasks' iteration times for iterations ``first ..
+            first+count-1``; must equal the ring's ``iteration_time``
             element for element.
         on_output:
             Called (no arguments) at each instant the whole ring reaches a
             watched progress level.
         """
-        n = len(tasks)
-        if n == 0:
-            raise ValueError("a ring needs at least one task")
-        self.tasks = list(tasks)
+        self.table = table
         self.sim = sim
         self.transport = transport
-        soa = self._soa = self.tasks[0]._soa
-        slot = self._soa_start = self.tasks[0]._soa_index
-        # One pass over the tasks (ACR.start opens a ring over every task of
-        # a replica).  Node.add_task keeps a node's task ids contiguous, so
-        # each node hosts one run of consecutive tasks.
-        nodes, pos = [], []
-        node = None
-        k = -1  # the offset of ``node`` in ``nodes``
-        for i, t in enumerate(self.tasks):
-            nb = t.neighbors
-            if t.node is not node:
-                node = t.node
-                nodes.append(node)
-                k += 1
-            if (t.task_id != i or len(nb) != 2
-                    or nb[0][1] != (i - 1) % n or nb[1][1] != (i + 1) % n):
-                raise ValueError("tasks must form a ring in task-id order")
-            if soa is not None and (t._soa is not soa
-                                    or t._soa_index != slot + i):
-                raise ValueError(
-                    "ring progress must be bound to consecutive slots")
-            pos.append(k)
-        if len(set(nodes)) != len(nodes):  # some node hosts two runs
-            raise ValueError("tasks must form a ring in task-id order")
-        self.nodes = nodes
+        n = self.size = table.size
+        first = self.first = ring * n
+        tpn = table.tasks_per_node
+        self.nodes = table.hosts[first // tpn:(first + n) // tpn]
         #: The nodes' ids, in the order of :attr:`nodes`.
-        self.node_ids = [node.node_id for node in nodes]
+        self.node_ids = [node.node_id for node in self.nodes]
         #: Each task's node, as an offset into :attr:`nodes`.
-        self.task_node_pos = np.array(pos, dtype=np.intp)
+        self.task_node_pos = np.arange(n, dtype=np.intp) // tpn
         self._node_index = np.array(self.node_ids, dtype=np.intp)
         self._index = np.arange(n)
         self._left = (self._index - 1) % n
@@ -181,7 +161,7 @@ class RingFastForward:
         """Open at job start instead of ``Task.start`` on every task."""
         if self.open or not self.eligible():
             return False
-        cap = self.tasks[0].iteration_cap
+        cap = self.table.cap
         if cap is not None and cap <= 0:
             return False
         self._open(0, cap, announce=True)
@@ -190,42 +170,34 @@ class RingFastForward:
     def resume(self) -> bool:
         """``Task.resume`` on every task of an open window, performed by the
         engine: releases a parked ring (:meth:`unpark`) and keeps the
-        window, unless some but not all tasks are parked at the cap (then
-        the window closes).  A task at the cap parks there again, so a ring
-        wholly at the cap is left as the window holds it.  False means the
-        caller must resume the tasks itself (and may then :meth:`adopt` the
-        ring)."""
+        window.  A task parked at the cap parks there again, so tasks at the
+        cap are left as the window holds them (docs/protocols.md §7).  False
+        means the caller must resume the tasks itself (and may then
+        :meth:`adopt` the ring)."""
         if self.round is not None:
             self.close()
         if not self.open:
             return False
         self.unpark()
-        self.advance()
-        cap_row = self._cap_row
-        if (cap_row is None or int(self._p.max()) < cap_row
-                or int(self._p.min()) >= cap_row):
-            return True
-        self.close()
-        return False
+        return True
 
     def restore(self, progress: int) -> bool:
         """``Task.restore(progress)`` on every task, performed by the engine
         (restore stamps included); declines -- after closing any open
         window -- when the ring cannot be fast-forwarded."""
         self.close()
-        cap = self.tasks[0].iteration_cap
+        table = self.table
+        cap = table.cap
         if not self.eligible() or (cap is not None and progress >= cap):
             return False
         base = int(progress)
-        for t in self.tasks:
-            t.progress = base
-            t.epoch += 1
-            t.dep_stamps = {tid: base - 1 for _, tid in t.neighbors}
-            t.pause_at = None
-            t.state = _IDLE
-        if self._soa is not None:
-            self._soa.assign(self._soa_start,
-                             np.full(len(self.tasks), base, dtype=np.int64))
+        n, s = self.size, self.first
+        e = s + n
+        table.assign(s, np.full(n, base, dtype=np.int64))
+        table.epoch[s:e] = [epoch + 1 for epoch in table.epoch[s:e]]
+        table.left_stamp[s:e] = table.right_stamp[s:e] = [base - 1] * n
+        table.pause_at[s:e] = [None] * n
+        table.state[s:e] = [_IDLE] * n
         self._open(base, cap, announce=True)
         return True
 
@@ -241,26 +213,26 @@ class RingFastForward:
         """
         if self.open or not self.eligible():
             return False
-        tasks = self.tasks
-        n = len(tasks)
-        first = tasks[0]
-        cap, epoch = first.iteration_cap, first.epoch
-        progress = np.empty(n, dtype=np.int64)
-        computing = np.zeros(n, dtype=bool)
-        for i, t in enumerate(tasks):
-            p = t.progress
-            state = t.state
-            if (t.pause_at is not None or t.epoch != epoch
-                    or t.iteration_cap != cap):
-                return False
-            if state is _COMPUTING:
-                computing[i] = True
-            elif state is _PAUSED:
-                if cap is None or p < cap:
-                    return False
-            elif state is not _IDLE or min(t.dep_stamps.values()) >= p:
-                return False  # dead, or idle with nothing to wait for
-            progress[i] = p
+        table = self.table
+        n, s = self.size, self.first
+        e = s + n
+        cap = table.cap
+        epochs = table.epoch[s:e]
+        epoch = epochs[0]
+        if epochs.count(epoch) != n or table.pause_at[s:e].count(None) != n:
+            return False
+        progress = table.progress[s:e].copy()
+        states = table.state[s:e]
+        computing = np.array([state is _COMPUTING for state in states])
+        paused = np.array([state is _PAUSED for state in states])
+        idle = np.array([state is _IDLE for state in states])
+        if not (computing | paused | idle).all():
+            return False  # a dead task
+        if paused.any() and (cap is None or (progress[paused] < cap).any()):
+            return False
+        deps = np.minimum(table.left_stamp[s:e], table.right_stamp[s:e])
+        if (idle & (deps >= progress)).any():
+            return False  # idle with nothing to wait for
         base = int(progress.min())
         if cap is not None and base >= cap:
             return False
@@ -281,29 +253,29 @@ class RingFastForward:
         """The ring's queued completions and stamp fan-outs of ``epoch``:
         ``(busy, (task, row, arrival), entries)`` as :meth:`_open` takes
         them, or None if one falls at exactly now."""
-        tasks = self.tasks
-        n = len(tasks)
+        table = self.table
+        n, s = self.size, self.first
         now = self.sim.now
         transport = self.transport
         # The event-mode handlers, looked up now so that a wrapper installed
         # on the class is recognised too.
-        iteration_done = type(tasks[0])._on_iteration_done
+        iteration_done = type(table)._on_iteration_done
         deliver_stamps = type(transport)._deliver_stamps
         busy = np.full(n, np.nan)
         owner, rows, arrivals, taken = [], [], [], []
         for entry in self.sim.queued():
             callback = entry[3]
             func = getattr(callback, "__func__", None)
-            if func is iteration_done:
-                t = callback.__self__
-                i = t.task_id
-                if not (0 <= i < n and tasks[i] is t) or entry[4][0] != epoch:
+            if func is iteration_done and callback.__self__ is table:
+                row, sent_epoch = entry[4]
+                i = row - s
+                if not (0 <= i < n) or sent_epoch != epoch:
                     continue  # another ring's, or a stale epoch's no-op
                 busy[i] = entry[0]
             elif func is deliver_stamps and callback.__self__ is transport:
                 targets, i, stamp, sent_epoch = entry[4]
-                if (not (0 <= i < n) or tasks[i].neighbors is not targets
-                        or sent_epoch != epoch):
+                if (not (0 <= i < n) or sent_epoch != epoch
+                        or targets != table.targets(s + i)):
                     continue
                 owner.append(i)
                 rows.append(stamp - base)
@@ -333,7 +305,7 @@ class RingFastForward:
         with it as of now, and sends its row-0 stamp now.  The task fields
         must be exact as of now already.
         """
-        n = len(self.tasks)
+        n = self.size
         now = self.sim.now
         if done is None:
             done = np.zeros(n, dtype=np.int64)
@@ -395,10 +367,11 @@ class RingFastForward:
         if announce:
             self._credit(n, 0)
         #: What a task's fields read below its base row.
+        table, s = self.table, self.first
         self._done0 = done
-        self._exec0 = [t.iterations_executed - k
-                       for t, k in zip(self.tasks, done.tolist())]
-        self._busy0 = np.array([t.busy_until for t in self.tasks])
+        self._exec0 = np.array(table.iterations_executed[s:s + n],
+                               dtype=np.int64) - done
+        self._busy0 = np.array(table.busy_until[s:s + n])
         self.open = True
         self.windows_opened += 1
         for node in self.nodes:
@@ -486,7 +459,7 @@ class RingFastForward:
 
     def _release(self, row: int) -> np.ndarray:
         """Earliest start of ``row`` per task (-inf: no constraint)."""
-        out = np.full(len(self.tasks), _NEG_INF)
+        out = np.full(self.size, _NEG_INF)
         for rows, at, lo, hi in self._floors:
             if lo <= row <= hi:
                 np.maximum(out, np.where(row > rows, at, _NEG_INF), out=out)
@@ -499,7 +472,7 @@ class RingFastForward:
     def _hold_arrays(self) -> None:
         if self._held:
             return
-        n = len(self.tasks)
+        n = self.size
         self._floors: list[tuple[np.ndarray, np.ndarray, int, int]] = []
         self._hold_at = np.full(n, _INF)
         self._hold_row = np.full(n, _FREE, dtype=np.int64)
@@ -726,8 +699,7 @@ class RingFastForward:
             if moved:
                 self.iterations += moved
                 self._p = new
-                if self._soa is not None:
-                    self._soa.assign(self._soa_start, self._base + new)
+                self.table.assign(self.first, self._base + new)
         q = self._q
         lo = int(q.min()) + 1
         if lo <= n:
@@ -747,11 +719,10 @@ class RingFastForward:
         t = self._level_instant(level)
         return t is not None and t <= self.sim.now
 
-    def is_paused(self, task: Task) -> bool:
-        """Whether ``task`` is paused now (in a window: parked at the cap or
-        at a round's pause bound)."""
+    def is_paused(self, i: int) -> bool:
+        """Whether the ring's task ``i`` is paused now (in a window: parked
+        at the cap or at a round's pause bound)."""
         self.advance()
-        i = task.task_id
         p = int(self._p[i])
         if self._cap_row is not None and p == self._cap_row:
             return True
@@ -771,8 +742,8 @@ class RingFastForward:
         return at, nxt, computing
 
     def refresh(self) -> None:
-        """Write the exact state as of ``sim.now`` into the tasks, the
-        progress array and the transport counters; the window stays open."""
+        """Write the exact state as of ``sim.now`` into the ring's slice of
+        the task table and the transport counters; the window stays open."""
         if not self.open:
             return
         self.advance()
@@ -783,7 +754,7 @@ class RingFastForward:
         idx = self._index
         at, nxt, computing = self._computing(now)
         # p, q and (for a given p) the computing flags only ever grow, so
-        # equal sums mean the task fields written last time are still exact;
+        # equal sums mean the columns written last time are still exact;
         # a round's pause bounds change at their own instants.
         pause = None
         phase = None
@@ -798,34 +769,26 @@ class RingFastForward:
         if written == self._written:
             return
         self._written = written
-        # A task below its base row still shows the completion it had then.
-        busy = np.where(computing, self._C[nxt, idx],
-                        np.where(p > self._done0, self._C[at, idx],
-                                 self._busy0)).tolist()
-        stamps = (base + self._q).tolist()
-        left, right = self._left.tolist(), self._right.tolist()
+        table, s = self.table, self.first
+        e = s + len(p)
+        # The progress column is exact already (advance writes it).  A task
+        # below its base row still shows the completion it had then.
+        table.busy_until[s:e] = np.where(
+            computing, self._C[nxt, idx],
+            np.where(p > self._done0, self._C[at, idx], self._busy0)).tolist()
+        table.iterations_executed[s:e] = (self._exec0 + p).tolist()
         if pause is None:
-            bound = [_FREE if cap_row is None else cap_row] * len(p)
-            pause_at = None
+            bound = _FREE if cap_row is None else cap_row
         else:
-            bound = (pause if cap_row is None
-                     else np.minimum(pause, cap_row)).tolist()
-            pause_at = [None if r == _FREE else base + r
-                        for r in pause.tolist()]
-        for i, (t, r, comp, b) in enumerate(zip(self.tasks, p.tolist(),
-                                                computing.tolist(), busy)):
-            t.progress = base + r
-            t.iterations_executed = self._exec0[i] + r
-            t.busy_until = b
-            if comp:
-                t.state = _COMPUTING
-            else:
-                t.state = _PAUSED if r >= bound[i] else _IDLE
-            if pause_at is not None:
-                t.pause_at = pause_at[i]
-            deps = t.dep_stamps
-            deps[left[i]] = stamps[left[i]]
-            deps[right[i]] = stamps[right[i]]
+            bound = pause if cap_row is None else np.minimum(pause, cap_row)
+            pause_at = (base + np.where(held, pause, 0)).astype(object)
+            pause_at[~held] = None
+            table.pause_at[s:e] = pause_at.tolist()
+        table.state[s:e] = _STATES[np.where(
+            computing, 1, np.where(p >= bound, 2, 0))].tolist()
+        stamps = base + self._q
+        table.left_stamp[s:e] = stamps[self._left].tolist()
+        table.right_stamp[s:e] = stamps[self._right].tolist()
 
     def _flush_counters(self) -> None:
         """Credit the transport with the ring's sends and deliveries up to
@@ -869,25 +832,40 @@ class RingFastForward:
         rows = n + 1 - r0
         self.ties += (int(np.count_nonzero(C[1 if r0 == 0 else 0:rows] == now))
                       + int(np.count_nonzero(A[:rows] == now)))
-        events = []
         base, cap_row = self._base, self._cap_row
-        for i, (t, r) in enumerate(zip(self.tasks, self._p.tolist())):
-            j = r - r0
-            if (cap_row is None or r < cap_row) and r < n and S[j + 1, i] <= now:
-                events.append((float(C[j + 1, i]), float(S[j + 1, i]), i, 0, r))
-            while j >= 0 and A[j, i] > now:
-                events.append((float(A[j, i]), float(C[j, i]), i, 1, r0 + j))
-                j -= 1
-        events.sort()
-        post_at = self.sim.post_at
-        transport = self.transport
-        for time, _, i, kind, r in events:
-            t = self.tasks[i]
-            if kind == 0:
-                post_at(time, t._on_iteration_done, t.epoch)
-            else:
-                post_at(time, transport._deliver_stamps, t.neighbors,
-                        t.task_id, base + r, t.epoch)
+        p, q, idx = self._p, self._q, self._index
+        # In flight: the completion of row p+1 of each task that started it,
+        # and the stamps of rows q+1 .. p (stamps arrive in row order).
+        comp = p < n
+        if cap_row is not None:
+            comp &= p < cap_row
+        nxt = np.minimum(p + 1, n) - r0
+        comp &= S[nxt, idx] <= now
+        ci = idx[comp]
+        count = p - q
+        if len(ci) or count.any():
+            si = np.repeat(idx, count)
+            sr = (np.arange(len(si)) + np.repeat(q + 1 - np.cumsum(count)
+                                                 + count, count))
+            time = np.concatenate((C[nxt[ci], ci], A[sr - r0, si]))
+            after = np.concatenate((S[nxt[ci], ci], C[sr - r0, si]))
+            task = np.concatenate((ci, si))
+            kind = np.repeat((0, 1), (len(ci), len(si)))
+            row = np.concatenate((p[ci], sr))
+            order = np.lexsort((row, kind, task, after, time))
+            post_at = self.sim.post_at
+            deliver = self.transport._deliver_stamps
+            table, s = self.table, self.first
+            epochs = table.epoch
+            done = table._on_iteration_done
+            for at, i, k, r in zip(time[order].tolist(), task[order].tolist(),
+                                   kind[order].tolist(), row[order].tolist()):
+                g = s + i
+                if k == 0:
+                    post_at(at, done, g, epochs[g])
+                else:
+                    post_at(at, deliver, table.targets(g), i, base + r,
+                            epochs[g])
         if self._wake is not None:
             self._wake.cancel()
             self._wake = None

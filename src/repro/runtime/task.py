@@ -16,21 +16,25 @@ epoch and drops itself.  The one other fate of a posted completion or stamp is
 to be withdrawn unfired by the ring engine when it adopts the ring
 (:meth:`repro.runtime.ring.RingFastForward.adopt`), which then delivers its
 effect at the same instant.
+
+Every task's fields live in one :class:`~repro.runtime.soa.TaskTable`, which
+also runs the event-mode step row by row.  A :class:`Task` is a view of one
+row: stamp delivery (:meth:`Task.on_dep_message`) and resume
+(:meth:`Task.resume`) enter through it, and tests and tools read a task's
+fields through it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable
-
-from repro.util.errors import SimulationError
+from typing import TYPE_CHECKING
 
 #: Dependency-stamp message size (paper §2.2 neighbor messages).
 DEP_STAMP_NBYTES = 1024
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.node import Node
-    from repro.runtime.soa import TaskProgressArray
+    from repro.runtime.soa import TaskTable
 
 
 class TaskState(str, Enum):
@@ -49,235 +53,87 @@ _DEAD = TaskState.DEAD
 
 
 class Task:
-    """One migratable application task (a chare, in Charm++ terms)."""
+    """One migratable application task (a chare, in Charm++ terms): row
+    ``row`` of ``table``.  Build it with :meth:`TaskTable.task`."""
 
-    __slots__ = ("task_id", "node", "neighbors", "iteration_time", "progress",
-                 "state", "epoch", "dep_stamps", "pause_at", "iteration_cap",
-                 "busy_until", "iterations_executed", "_soa", "_soa_index")
+    __slots__ = ("table", "row")
 
-    def __init__(
-        self,
-        task_id: int,
-        node: "Node",
-        *,
-        neighbors: Iterable[tuple[int, int]],
-        iteration_time: Callable[[int, int], float],
-    ):
-        """
-        Parameters
-        ----------
-        task_id:
-            Globally unique id within the task's replica.
-        node:
-            Hosting node.
-        neighbors:
-            ``(node_id, task_id)`` pairs whose iteration-(p) messages gate this
-            task's iteration p+1.
-        iteration_time:
-            ``f(task_id, iteration) -> seconds`` compute-time model; per-task
-            jitter creates the progress skew the consensus protocol handles;
-            one callable shared by every task of a replica.
-        """
-        self.task_id = task_id
-        self.node = node
-        #: A tuple: the stamp fan-out's target list, never changed.
-        self.neighbors = tuple(neighbors)
-        self.iteration_time = iteration_time
-        self.progress = 0
-        self.state = _IDLE
-        self.epoch = 0
-        #: Highest dependency stamp received from each neighbor this epoch.
-        self.dep_stamps: dict[int, int] = {tid: -1 for _, tid in self.neighbors}
-        #: Pause request: stop after completing this iteration (None = run).
-        self.pause_at: int | None = None
-        #: Hard cap on progress for bounded runs (never exceeded, survives
-        #: rollbacks); None = unbounded.
-        self.iteration_cap: int | None = None
-        #: Simulated instant the in-flight iteration completes; meaningful
-        #: only while COMPUTING.
-        self.busy_until = 0.0
-        self.iterations_executed = 0
-        #: Optional struct-of-arrays mirror of ``progress``; bound by the
-        #: framework so monitor-wide at-cap/rework checks are O(1)/vectorized
-        #: (see soa.py).  Progress assignments are the only writers.
-        self._soa: "TaskProgressArray | None" = None
-        self._soa_index = -1
+    def __init__(self, table: "TaskTable", row: int):
+        self.table = table
+        self.row = row
 
-    def bind_progress(self, soa: "TaskProgressArray", index: int) -> None:
-        """Mirror this task's progress into a :class:`TaskProgressArray`."""
-        self._soa = soa
-        self._soa_index = index
-        soa.progress[index] = self.progress
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Task(id={self.task_id}, row={self.row})"
 
-    # -- lifecycle ---------------------------------------------------------------
-    def start(self) -> None:
-        """Begin execution: announce the initial stamp and try to compute."""
-        self._announce_progress()
-        self._try_start()
+    # -- fields (read-only: the table is their single writer) ------------------------
+    @property
+    def task_id(self) -> int:
+        """Position in the task's ring (unique within its replica)."""
+        return self.table.task_id(self.row)
 
-    def kill(self) -> None:
-        """The hosting node died: abort any in-flight compute.
+    @property
+    def node(self) -> "Node":
+        return self.table.node_of(self.row)
 
-        The pending completion stays queued; it finds the task DEAD (or, after
-        a restore, in a newer epoch) and is dropped.
-        """
-        self.state = _DEAD
+    @property
+    def neighbors(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``(node_id, task_id)`` of the tasks whose iteration-(p) stamps
+        gate this task's iteration p+1: its left and right ring neighbours."""
+        return self.table.targets(self.row)
 
+    @property
+    def progress(self) -> int:
+        return self.table.progress.item(self.row)
+
+    @property
+    def state(self) -> TaskState:
+        return self.table.state[self.row]
+
+    @property
+    def epoch(self) -> int:
+        return self.table.epoch[self.row]
+
+    @property
+    def pause_at(self) -> int | None:
+        return self.table.pause_at[self.row]
+
+    @property
+    def iteration_cap(self) -> int | None:
+        return self.table.cap
+
+    @property
+    def busy_until(self) -> float:
+        return self.table.busy_until[self.row]
+
+    @property
+    def iterations_executed(self) -> int:
+        return self.table.iterations_executed[self.row]
+
+    @property
+    def dep_stamps(self) -> dict[int, int]:
+        """Highest stamp received from each neighbour this epoch (one key
+        when both neighbours are the same task)."""
+        table, row = self.table, self.row
+        (_, left), (_, right) = table.targets(row)
+        return {left: table.left_stamp[row], right: table.right_stamp[row]}
+
+    # -- behaviour (the table's event-mode step for this row) -------------------------
     def restore(self, progress: int) -> None:
-        """Roll back (or forward) to a checkpointed iteration.
+        self.table.restore(self.row, progress)
 
-        Bumps the epoch (discarding stale in-flight messages), resets the
-        dependency view, and re-announces the restored stamp — the "resend"
-        that prevents the hang scenario of §2.2.  The epoch bump also retires
-        any in-flight completion.
-        """
-        if self.node.ring is not None:
-            self.node.ring.close()
-        old = self.progress
-        self.progress = int(progress)
-        if self._soa is not None:
-            self._soa.stamp(self._soa_index, old, self.progress)
-        self.epoch += 1
-        self.dep_stamps = {tid: self.progress - 1 for _, tid in self.neighbors}
-        self.pause_at = None
-        self.state = _IDLE
-        self._announce_progress()
-        self._try_start()
-
-    # -- consensus protocol hooks ---------------------------------------------------
     def request_pause_at(self, iteration: int | None) -> None:
         """Ask the task to pause once its progress reaches ``iteration``.
 
         ``None`` pauses at the current progress (Phase-2 tentative pause);
         a concrete iteration is the decided checkpoint iteration (Phase 3).
         """
-        if self.node.ring is not None:
-            self.node.ring.close()
-        if self.state is _DEAD:
-            return
-        self.pause_at = self.progress if iteration is None else int(iteration)
-        bound = self._pause_bound()
-        if self.state is _IDLE and bound is not None and self.progress >= bound:
-            self.state = _PAUSED
-            self.node.on_task_ready_for_checkpoint(self)
+        self.table.request_pause_at(self.row, iteration)
 
     def resume(self) -> None:
-        """Release a pause (checkpoint done, or the decision allows running on).
-
-        On a fast-forwarded ring this is a read: a task that is not paused
-        keeps running untouched; only one parked at the cap closes the
-        window first.
-        """
-        ring = self.node.ring
-        if ring is not None:
-            if not ring.is_paused(self):
-                return
-            ring.close()
-        if self.state is _DEAD:
-            return
-        self.pause_at = None
-        if self.state is _PAUSED:
-            self.state = _IDLE
-        self._try_start()
-
-    def resume_if_below(self) -> None:
-        """Un-pause a task whose pause bar moved above its progress (Phase 3:
-        the decided iteration is beyond the tentative local-max pause)."""
-        bound = self._pause_bound()
-        if self.state is _PAUSED and (bound is None or self.progress < bound):
-            self.state = _IDLE
-            self._try_start()
-
-    # -- execution engine ---------------------------------------------------------
-    def _pause_bound(self) -> int | None:
-        p = self.pause_at
-        c = self.iteration_cap
-        if p is None:
-            return c
-        if c is None:
-            return p
-        return p if p < c else c
-
-    def _try_start(self) -> None:
-        # The task step: runs at least once per iteration per task, so the
-        # pause bound and the dependency test are inlined (_pause_bound is the
-        # readable form of the first) and state tests are identity checks.
-        state = self.state
-        if state is _COMPUTING or state is _DEAD:
-            return
-        progress = self.progress
-        bound = self.pause_at
-        cap = self.iteration_cap
-        if bound is None or (cap is not None and cap < bound):
-            bound = cap
-        if bound is not None and progress >= bound:
-            if state is not _PAUSED:
-                self.state = _PAUSED
-                self.node.on_task_ready_for_checkpoint(self)
-            return
-        for stamp in self.dep_stamps.values():
-            if stamp < progress:
-                self.state = _IDLE
-                return
-        self.state = _COMPUTING
-        duration = self.iteration_time(self.task_id, progress + 1)
-        if duration <= 0:
-            raise SimulationError(f"iteration_time must be positive, got {duration}")
-        sim = self.node.sim
-        self.busy_until = sim.now + duration
-        # No handle: a stale completion is dropped by its epoch (see
-        # _on_iteration_done), so nothing ever needs to cancel it.
-        sim.post(duration, self._on_iteration_done, self.epoch)
-
-    def _on_iteration_done(self, epoch: int) -> None:
-        if epoch != self.epoch or self.state is _DEAD:
-            return  # stale completion from before a kill or rollback
-        progress = self.progress + 1
-        self.progress = progress
-        if self._soa is not None:
-            self._soa.stamp(self._soa_index, progress - 1, progress)
-        self.iterations_executed += 1
-        self.state = _IDLE
-        self._announce_progress()
-        self.node.on_task_progress(self)
-        self._try_start()
-
-    def _announce_progress(self) -> None:
-        """Send the dependency stamp for the just-completed iteration.
-
-        Stamps go out once per task per iteration per neighbor — the app
-        firehose — so the whole fan-out rides one
-        :meth:`~repro.runtime.messages.Transport.send_stamps` event
-        (observably identical to per-neighbor ``send_small`` calls: the
-        per-call sends share one delay and consecutive sequence numbers, so
-        nothing could ever interleave between their deliveries).
-        """
-        node = self.node
-        node.transport.send_stamps(
-            node.node_id, self.neighbors,
-            self.task_id, self.progress, self.epoch,
-            nbytes=DEP_STAMP_NBYTES,
-        )
+        """Release a pause (checkpoint done, or the decision allows running
+        on)."""
+        self.table.resume(self.row)
 
     def on_dep_message(self, from_task: int, stamp: int, epoch: int) -> None:
         """Receive a neighbor's dependency stamp (idempotent, monotone)."""
-        if self.state is _DEAD:
-            return
-        if epoch < self.epoch:
-            return  # pre-rollback traffic: flushed
-        stamps = self.dep_stamps
-        prev = stamps.get(from_task, -1)
-        if stamp > prev:
-            stamps[from_task] = stamp
-        if self.state is not _IDLE:
-            return
-        # Skip _try_start while some dependency still lags: an IDLE task
-        # always sits below its pause bound (every transition into IDLE runs
-        # _try_start, which parks it PAUSED otherwise), so with unsatisfied
-        # deps the call would be a pure no-op — and roughly half the stamp
-        # deliveries in a ring arrive before the task's other neighbor.
-        progress = self.progress
-        for s in stamps.values():
-            if s < progress:
-                return
-        self._try_start()
+        self.table.on_dep_message(self.row, from_task, stamp, epoch)

@@ -198,7 +198,7 @@ class ServeState:
         self._job_seq = 0
         self.resume_stats = {"jobs": 0, "saved_cells": 0,
                              "requeued_cells": 0, "stale_leases": 0,
-                             "key_mismatches": 0}
+                             "key_mismatches": 0, "orphaned_tmp": 0}
         self._resume()
 
     # -- submission -----------------------------------------------------------
@@ -452,6 +452,9 @@ class ServeState:
         """
         stale = self.leases.sweep()
         self.resume_stats["stale_leases"] = len(stale)
+        # A kill between a cell's temp-file write and its rename leaves the
+        # temp file behind; its writer is gone, so nothing will rename it.
+        self.resume_stats["orphaned_tmp"] = self.store.sweep_dead_writers()
         for job_id, record in sorted(self.journal.load_jobs().items()):
             try:
                 seq = int(job_id.rsplit("-", 1)[1]) + 1

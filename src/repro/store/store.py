@@ -33,6 +33,17 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with id ``pid`` (> 0) exists on this host."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # it exists, owned by another user
+    return True
+
+
 def default_cache_dir() -> Path:
     """The cache root: ``$REPRO_CACHE_DIR`` if set, else ``.repro-cache``."""
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
@@ -300,6 +311,29 @@ class ResultStore:
         return out
 
     # -- maintenance ----------------------------------------------------------
+    def sweep_dead_writers(self) -> int:
+        """Remove the ``objects/*/*.tmp.<pid>`` files whose writer process is
+        gone (killed between its write and its rename); returns how many.
+
+        A temp file of a live process may still be renamed into place, so it
+        is kept, as is one whose name carries no pid.
+        """
+        removed = 0
+        if not self.objects_dir.is_dir():
+            return removed
+        for tmp in sorted(self.objects_dir.glob("*/*.tmp.*")):
+            try:
+                pid = int(tmp.name.rsplit(".", 1)[1])
+            except ValueError:
+                continue
+            if pid > 0 and not _pid_alive(pid):
+                try:
+                    tmp.unlink()
+                except FileNotFoundError:
+                    continue
+                removed += 1
+        return removed
+
     def gc(self, *, wipe: bool = False) -> GcResult:
         """Remove stale cells (different code fingerprint); ``wipe`` removes
         everything.  Corrupt object files and orphaned temp files from

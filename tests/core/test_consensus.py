@@ -13,7 +13,8 @@ from repro.runtime.des import Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
 from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
-from repro.runtime.task import Task, TaskState
+from repro.runtime.soa import TaskTable
+from repro.runtime.task import TaskState
 from repro.util.errors import SimulationError
 
 
@@ -21,20 +22,12 @@ def build(n_nodes=4, tasks_per_node=2, skew=0.3):
     sim = Simulator()
     transport = Transport(sim)
     nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
-    total = n_nodes * tasks_per_node
 
     def iteration_time(task_id, it):
         return 0.1 * (1.0 + skew * ((task_id * 13 + it * 7) % 10) / 10)
 
-    tasks = []
-    for tid in range(total):
-        node = nodes[tid // tasks_per_node]
-        left, right = (tid - 1) % total, (tid + 1) % total
-        t = Task(tid, node, neighbors=[
-            (left // tasks_per_node, left), (right // tasks_per_node, right)],
-            iteration_time=iteration_time)
-        node.add_task(t)
-        tasks.append(t)
+    tasks = TaskTable(nodes, tasks_per_node=tasks_per_node,
+                      iteration_time=iteration_time).tasks(0)
     controller = ConsensusController({n.node_id: n for n in nodes})
     return sim, nodes, tasks, controller
 
@@ -227,7 +220,8 @@ def ring_over(sim, tasks, skew=0.3):
         its = np.arange(first, first + count)[:, None]
         return 0.1 * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
 
-    ring = RingFastForward(tasks, sim=sim, transport=tasks[0].node.transport,
+    ring = RingFastForward(tasks[0].table, 0, sim=sim,
+                           transport=tasks[0].node.transport,
                            row_times=row_times)
     sim.return_hooks.append(ring.refresh)
     return ring
@@ -257,7 +251,7 @@ class TestEnvelopeFreeMessages:
         for n in nodes:
             n.on_progress = lambda node: timeline.append(
                 (sim.now, "progress", node.node_id,
-                 max(t.progress for t in node.tasks)))
+                 max(node.table.task(r).progress for r in node.rows())))
             n.start_tasks()
         transport = nodes[0].transport
         script(sim, nodes, controller, timeline)

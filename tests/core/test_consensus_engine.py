@@ -27,7 +27,7 @@ from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
 from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
-from repro.runtime.task import Task
+from repro.runtime.soa import TaskTable
 from repro.storage.tiers import default_tiers
 from repro.store.serialization import report_to_dict
 from repro.util.hashing import canonical_digest
@@ -78,21 +78,16 @@ class Bare:
             its = np.arange(first, first + count)[:, None]
             return tau * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
 
-        self.tasks = []
-        for tid in range(total):
-            left, right = (tid - 1) % total, (tid + 1) % total
-            task = Task(tid, self.nodes[tid // tpn],
-                        neighbors=[(left // tpn, left), (right // tpn, right)],
-                        iteration_time=iteration_time)
-            self.nodes[tid // tpn].add_task(task)
-            self.tasks.append(task)
+        table = TaskTable(self.nodes, tasks_per_node=tpn,
+                          iteration_time=iteration_time)
+        self.tasks = table.tasks(0)
         self.tracer = SpanTracer()
         self.metrics = MetricsRegistry()
         self.controller = ConsensusController(
             {n.node_id: n for n in self.nodes})
         self.controller.tracer = self.tracer
         self.controller.metrics = self.metrics
-        self.ring = RingFastForward(self.tasks, sim=sim, transport=transport,
+        self.ring = RingFastForward(table, 0, sim=sim, transport=transport,
                                     row_times=row_times)
         sim.return_hooks.append(self.ring.refresh)
         assert self.ring.open_start()
@@ -390,7 +385,7 @@ def _state(acr: ACR) -> dict:
         "tasks": [(t.task_id, t.progress, t.state, t.epoch, t.pause_at,
                    dict(t.dep_stamps), t.busy_until, t.iterations_executed)
                   for r in (0, 1) for t in acr.tasks[r]],
-        "soa": acr._task_soa.progress.tolist(),
+        "soa": acr.task_table.progress.tolist(),
         "transport": _transport(acr.transport),
         "decided": acr.consensus.decided_iteration,
         "active": acr.consensus.active,

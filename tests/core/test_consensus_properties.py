@@ -17,30 +17,22 @@ from repro.core.consensus import ConsensusController
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
 from repro.runtime.node import Node
-from repro.runtime.task import Task, TaskState
+from repro.runtime.soa import TaskTable
+from repro.runtime.task import TaskState
 
 
 def build_system(n_nodes, tasks_per_node, speed_seed):
     sim = Simulator()
     transport = Transport(sim)
     nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
-    total = n_nodes * tasks_per_node
 
     def iteration_time(task_id, iteration):
         # Deterministic pseudo-random speeds in [0.05, 0.2] per (task, iter).
         h = (task_id * 2654435761 + iteration * 40503 + speed_seed) % 1000
         return 0.05 + 0.15 * h / 1000.0
 
-    tasks = []
-    for tid in range(total):
-        node = nodes[tid // tasks_per_node]
-        left, right = (tid - 1) % total, (tid + 1) % total
-        t = Task(tid, node,
-                 neighbors=[(left // tasks_per_node, left),
-                            (right // tasks_per_node, right)],
-                 iteration_time=iteration_time)
-        node.add_task(t)
-        tasks.append(t)
+    tasks = TaskTable(nodes, tasks_per_node=tasks_per_node,
+                      iteration_time=iteration_time).tasks(0)
     controller = ConsensusController({n.node_id: n for n in nodes})
     return sim, nodes, tasks, controller
 

@@ -23,6 +23,7 @@ from repro.faults import FaultEvent, FaultKind, InjectionPlan, poisson_plan
 from repro.model import ResilienceScheme
 from repro.obs import MetricsRegistry, TimeSeriesRecorder
 from repro.runtime.ring import RingFastForward
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task, TaskState
 from repro.storage.tiers import default_tiers
 from repro.store.serialization import report_to_dict
@@ -48,7 +49,8 @@ def _without_sim(columns: dict) -> dict:
 
 
 def task_fields(acr: ACR) -> list[tuple]:
-    """Every field of every task, as the run left it."""
+    """Every field of every task, as the run left it (read through the
+    task views)."""
     return [(t.task_id, t.progress, t.state, t.epoch, dict(t.dep_stamps),
              t.pause_at, t.busy_until, t.iterations_executed, t.iteration_cap)
             for r in (0, 1) for t in acr.tasks[r]]
@@ -151,6 +153,21 @@ def test_prediction_alarms(event_only):
     both(event_only, plan=FAULTS, prediction=prediction)
 
 
+#: (nodes per replica, tasks per node) for rings of one, two and three
+#: tasks: with one or two, a task's left and right neighbour are the same.
+TINY_RINGS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("nodes,tpn", TINY_RINGS)
+def test_tiny_rings(event_only, nodes, tpn):
+    plan = InjectionPlan([
+        FaultEvent(1.3, FaultKind.HARD, replica=0, node_id=nodes - 1),
+        FaultEvent(2.1, FaultKind.SDC, replica=1, node_id=0),
+    ])
+    both(event_only, plan=plan, nodes=nodes, tasks_per_node=tpn,
+         scheme=ResilienceScheme.STRONG)
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_chaos_schedule_matrix(event_only, seed):
     # Seeds 0..23 cover the fuzzer's 12-cell configuration cycle with and
@@ -172,8 +189,8 @@ def _state(acr: ACR) -> dict:
     tr = acr.transport
     return {
         "tasks": task_fields(acr),
-        "soa": acr._task_soa.progress.tolist(),
-        "below_cap": acr._task_soa.below_cap,
+        "soa": acr.task_table.progress.tolist(),
+        "below_cap": acr.task_table.below_cap,
         "transport": (tr.messages_sent, tr.messages_delivered,
                       tr.messages_dropped, dict(tr.sent_by_kind),
                       dict(tr.bytes_by_kind), tr.batched_messages,
@@ -390,16 +407,17 @@ EVENT_MODE_ALIVE_BEFORE_ADOPTION = 1472
 
 def test_healthy_rings_rarely_run_event_by_event(monkeypatch):
     counted = {"alive": 0}
-    acr = None
-    done = Task._on_iteration_done
+    done = TaskTable._on_iteration_done
 
-    def counting(task, epoch):
-        if epoch == task.epoch and task.state is not TaskState.DEAD:
-            if all(t.node.alive for t in acr.tasks[task.node.replica]):
+    def counting(table, row, epoch):
+        if epoch == table.epoch[row] and table.state[row] is not TaskState.DEAD:
+            replica = table.node_of(row).replica
+            if all(node.alive for node in table.hosts
+                   if node.replica == replica):
                 counted["alive"] += 1
-        done(task, epoch)
+        done(table, row, epoch)
 
-    monkeypatch.setattr(Task, "_on_iteration_done", counting)
+    monkeypatch.setattr(TaskTable, "_on_iteration_done", counting)
     schemes = [scheme for scheme in ResilienceScheme for _ in (0, 1)]
     for index, scheme in enumerate(schemes):
         acr = _fault_mix_shaped(index, scheme)

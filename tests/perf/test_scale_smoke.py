@@ -5,8 +5,9 @@ determinism oracles in ``tests/runtime/test_scale_equivalence.py`` (marked
 there).  This file runs the quick ``bench_scale`` configuration — a
 2×8192-node replica pair end to end through the real ``ACR`` engine — and
 enforces a wall-clock budget so the scale path can never quietly regress
-into being unrunnable.  It also counts the per-task calls of a
-``scale_fwd``-shaped run, so a per-task pass that comes back fails here.
+into being unrunnable.  It also counts the per-task calls and the task
+views of a ``scale_fwd``-shaped run, so a per-task pass or per-task object
+that comes back fails here.
 """
 
 from collections import Counter
@@ -19,6 +20,7 @@ from repro.apps import synthetic_descriptor
 from repro.core import ACR, ACRConfig
 from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task
 
 pytestmark = pytest.mark.scale_smoke
@@ -40,6 +42,9 @@ class TestScaleSmoke:
         assert scale["quick"] is True
         assert "xl" not in scale
         assert scale["legacy_equivalent_events"] > scale["events"]
+        # Construction tracks the Node and little else per node: no task
+        # object, no per-node task list.
+        assert scale["construct_tracked_per_node"] <= 2.0
         assert elapsed < WALL_BUDGET_S, (
             f"scale smoke took {elapsed:.1f}s (> {WALL_BUDGET_S}s budget)")
 
@@ -48,7 +53,9 @@ class TestNoPerTaskPass:
     """A failure-free run shaped like perfbench's ``scale_fwd`` cell (2×4 Ki
     synthetic nodes, a checkpoint at iteration 2 and the final one at the
     cap) keeps both rings fast-forwarded from start to end: no task is
-    resumed or stepped one by one, and each ring closes once, at job end."""
+    started, resumed or stepped one by one through the task table's
+    event-mode entry points, no task view is built, and each ring closes
+    once, at job end."""
 
     def test_rings_stay_fast_forwarded_through_every_checkpoint(
             self, monkeypatch):
@@ -64,7 +71,9 @@ class TestNoPerTaskPass:
 
             monkeypatch.setattr(cls, name, counted)
 
-        for cls, name in ((Task, "resume"), (Task, "_try_start"),
+        for cls, name in ((TaskTable, "start"), (TaskTable, "resume"),
+                          (TaskTable, "restore"), (TaskTable, "_try_start"),
+                          (TaskTable, "request_pause_at"), (Task, "__init__"),
                           (Node, "on_task_ready_for_checkpoint")):
             count(cls, name, lambda obj, name=name: per_task.update([name]))
         count(RingFastForward, "close", lambda ring: closes.update([ring]))

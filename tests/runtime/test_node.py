@@ -5,7 +5,7 @@ import pytest
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
 from repro.runtime.node import Node
-from repro.runtime.task import Task
+from repro.runtime.soa import TaskTable
 from repro.util.errors import SimulationError
 
 
@@ -49,11 +49,9 @@ class TestDispatch:
 
 
 class TestBookkeeping:
-    def _task(self, node, tid=0):
-        t = Task(tid, node, neighbors=[],
-                 iteration_time=lambda *_: 0.1)
-        node.add_task(t)
-        return t
+    def _task(self, node):
+        """A ring of one task on ``node``: its only neighbour is itself."""
+        return TaskTable([node], iteration_time=lambda *_: 0.1).task(0)
 
     def test_revive_counts_incarnations(self):
         sim, transport, node, peer = build()

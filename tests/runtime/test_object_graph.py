@@ -2,8 +2,8 @@
 
 Every container the garbage collector tracks is work for each full
 collection, and at paper scale an ``ACR`` builds hundreds of thousands of
-nodes.  A node and its task must cost a few tracked containers (the
-``Node``, the ``Task``, the node's task list), no bound method per node or
+nodes.  A node and its tasks must cost a tracked container or two (the
+``Node``; the tasks are rows of one task table), no bound method per node or
 task (the transport dispatches to the node itself, and every hook is one
 callable shared by all nodes), and a failure-free run must add a handful
 of objects, not some per node.
@@ -19,7 +19,7 @@ from repro.core.config import ACRConfig
 from repro.core.framework import ACR
 
 #: Tracked containers one node (with its one task) may add to a build.
-PER_NODE = 4
+PER_NODE = 2
 
 
 def build(n: int) -> ACR:

@@ -16,13 +16,16 @@ from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
 from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
-from repro.runtime.soa import TaskProgressArray
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task, TaskState
 
 ITERATIONS = 40
 APPS = ("jacobi3d-charm", "lulesh", "synthetic")
 #: (tasks in the ring, tasks per node)
 RINGS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (16, 1), (16, 2), (15, 3)]
+#: Rings of one, two and three tasks: with one or two, the left and the
+#: right neighbour are the same task.
+TINY = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3)]
 
 
 #: Each :class:`Ring` by its simulator, for the loggers of ``log_ring``.
@@ -37,10 +40,11 @@ def log_ring(monkeypatch):
     completion = Node.on_task_progress
     arrival = Task.on_dep_message
 
-    def on_task_progress(node, task):
-        OWNERS[node.sim].completions[task.task_id, task.progress] = \
-            node.sim.now
-        completion(node, task)
+    def on_task_progress(node, row):
+        table = node.table
+        OWNERS[node.sim].completions[table.task_id(row),
+                                     table.progress.item(row)] = node.sim.now
+        completion(node, row)
 
     def on_dep_message(task, from_task, stamp, epoch):
         sim = task.node.sim
@@ -64,20 +68,10 @@ class Ring:
         self.app = make_app(app_name, n_nodes, scale=1e-4, seed=seed)
         self.nodes = [Node(r, 0, r, self.sim, self.transport)
                       for r in range(n_nodes)]
-        self.tasks = []
-        for tid in range(n_tasks):
-            left, right = (tid - 1) % n_tasks, (tid + 1) % n_tasks
-            node = self.nodes[tid // tpn]
-            task = Task(tid, node,
-                        neighbors=[(left // tpn, left), (right // tpn, right)],
-                        iteration_time=self.app.iteration_time)
-            task.iteration_cap = ITERATIONS
-            node.add_task(task)
-            self.tasks.append(task)
-        self.soa = TaskProgressArray(n_tasks)
-        for task in self.tasks:
-            task.bind_progress(self.soa, task.task_id)
-        self.soa.set_cap(ITERATIONS)
+        self.table = TaskTable(self.nodes, tasks_per_node=tpn,
+                               iteration_time=self.app.iteration_time)
+        self.table.set_cap(ITERATIONS)
+        self.tasks = self.table.tasks(0)
         self.completions = {}
         self.arrivals = {}
         OWNERS[self.sim] = self
@@ -85,7 +79,7 @@ class Ring:
     def engine(self) -> RingFastForward:
         ids = np.arange(len(self.tasks))
         return RingFastForward(
-            self.tasks, sim=self.sim, transport=self.transport,
+            self.table, 0, sim=self.sim, transport=self.transport,
             row_times=lambda first, count: self.app.iteration_times(
                 first, count, ids))
 
@@ -128,32 +122,14 @@ def test_vectorised_iteration_times_equal_the_scalar_model(app):
 
 @pytest.mark.parametrize("n_tasks,tpn", [(1, 1), (6, 2), (15, 3)])
 def test_each_task_knows_its_nodes_offset(n_tasks, tpn):
-    ring = Ring("synthetic", n_tasks, tpn).engine()
-    assert ring.nodes == [t.node for t in ring.tasks][::tpn]
+    bare = Ring("synthetic", n_tasks, tpn)
+    ring = bare.engine()
+    assert ring.nodes == [t.node for t in bare.tasks][::tpn]
     assert ring.node_ids == list(range(n_tasks // tpn))
     assert ring.task_node_pos.tolist() == [i // tpn for i in range(n_tasks)]
 
 
-def test_a_node_whose_tasks_are_not_contiguous_is_no_ring():
-    # Tasks 0 and 2 on node 0, task 1 on node 1 (Node.add_task would refuse
-    # the second task of node 0; the list is edited by hand).
-    bare = Ring("synthetic", 3, 1)
-    moved = bare.tasks[2]
-    bare.nodes[2].tasks.remove(moved)
-    bare.nodes[0].tasks.append(moved)
-    moved.node = bare.nodes[0]
-    with pytest.raises(ValueError, match="ring in task-id order"):
-        bare.engine()
-
-
-def test_a_task_bound_to_the_wrong_slot_is_refused():
-    bare = Ring("synthetic", 4, 2)
-    bare.tasks[3].bind_progress(bare.soa, 1)
-    with pytest.raises(ValueError, match="consecutive slots"):
-        bare.engine()
-
-
-@pytest.mark.parametrize("n_tasks,tpn", [(3, 1), (16, 2)])
+@pytest.mark.parametrize("n_tasks,tpn", TINY + [(16, 2)])
 def test_close_hands_an_exact_ring_back_to_the_event_engine(n_tasks, tpn):
     events = Ring("jacobi3d-charm", n_tasks, tpn)
     events.run_events()
@@ -175,7 +151,7 @@ def test_close_hands_an_exact_ring_back_to_the_event_engine(n_tasks, tpn):
                 a.iterations_executed) == (b.progress, b.state, b.dep_stamps,
                                            b.busy_until, b.iterations_executed)
     assert a.state is TaskState.PAUSED
-    assert events.soa.progress.tolist() == fast.soa.progress.tolist()
+    assert events.table.progress.tolist() == fast.table.progress.tolist()
     for attr in ("messages_sent", "messages_delivered", "messages_dropped",
                  "batched_messages", "batch_events"):
         assert getattr(events.transport, attr) == getattr(fast.transport, attr)
@@ -188,9 +164,7 @@ def test_long_window_keeps_a_bounded_row_buffer():
     events = Ring("synthetic", 6, 2)
     fast = Ring("synthetic", 6, 2)
     for ring in (events, fast):
-        for task in ring.tasks:
-            task.iteration_cap = None
-        ring.soa.set_cap(None)
+        ring.table.set_cap(None)
     for node in events.nodes:
         node.start_tasks()
     events.sim.run(until=400.0)
@@ -226,8 +200,7 @@ def _counters(ring: "Ring") -> tuple:
             tr.batch_events, dict(tr.bytes_by_kind))
 
 
-@pytest.mark.parametrize("n_tasks,tpn", [(1, 1), (2, 1), (3, 1), (16, 2),
-                                         (15, 3)])
+@pytest.mark.parametrize("n_tasks,tpn", TINY + [(16, 2), (15, 3)])
 @pytest.mark.parametrize("after", [3, 11, 27])
 def test_adopt_takes_over_an_event_mode_ring_mid_flight(n_tasks, tpn, after):
     # Adopt half a stamp delay after the first completion of iteration
@@ -258,7 +231,7 @@ def test_adopt_takes_over_an_event_mode_ring_mid_flight(n_tasks, tpn, after):
     fast.sim.run(until=read_at)
     ring.refresh()  # a bare ring has no return hook installed
     assert _task_fields(fast) == _task_fields(ref)
-    assert fast.soa.progress.tolist() == ref.soa.progress.tolist()
+    assert fast.table.progress.tolist() == ref.table.progress.tolist()
     assert _counters(fast) == _counters(ref)
     # Closing re-posts what is in flight; the rest runs as real events, at
     # the event engine's instants, to the same end state.

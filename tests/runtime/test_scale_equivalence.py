@@ -30,7 +30,7 @@ from repro.runtime.des import PeriodicHandle, Simulator
 from repro.runtime.heartbeat import HEARTBEAT_NBYTES, HeartbeatMonitor
 from repro.runtime.messages import MsgKind, Transport
 from repro.runtime.node import Node
-from repro.runtime.task import DEP_STAMP_NBYTES, Task
+from repro.runtime.soa import TaskTable
 from repro.util.rng import RngStream
 
 pytestmark = pytest.mark.scale_smoke
@@ -155,22 +155,16 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
         for rank in range(n_per_replica):
             nodes.append(Node(replica * n_per_replica + rank, replica, rank,
                               sim, transport))
+    # One ring of tasks per replica (tasks_per_node=1, so row == node_id),
+    # capped so the rings finish mid-run and go quiet like a real app phase.
+    # Each task's iteration times are keyed by its node id.
+    table = TaskTable(nodes, rings=2, iteration_time=[
+        (lambda tid, it, base=r * n_per_replica:
+         _iteration_time(base + tid, it)) for r in (0, 1)])
+    table.set_cap(8)
     for node in nodes:
         node.on_progress = (lambda nd: trace.append(
-            ("prog", sim.now, nd.node_id,
-             max(t.progress for t in nd.tasks))))
-
-    # One ring of tasks per replica (task_id == node_id, tasks_per_node=1),
-    # capped so the rings finish mid-run and go quiet like a real app phase.
-    for node in nodes:
-        base = node.replica * n_per_replica
-        left = base + (node.rank - 1) % n_per_replica
-        right = base + (node.rank + 1) % n_per_replica
-        task = Task(node.node_id, node,
-                    neighbors=[(left, left), (right, right)],
-                    iteration_time=_iteration_time)
-        task.iteration_cap = 8
-        node.add_task(task)
+            ("prog", sim.now, nd.node_id, table.progress.item(nd.first))))
 
     buddy_of = {}
     for rank in range(n_per_replica):
@@ -213,7 +207,7 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
         "bytes_by_kind": dict(transport.bytes_by_kind),
         "batched_messages": transport.batched_messages,
         "events": sim.events_processed,
-        "final_progress": [t.progress for n in nodes for t in n.tasks],
+        "final_progress": table.progress.tolist(),
     }
 
 

@@ -5,25 +5,22 @@ import pytest
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
 from repro.runtime.node import Node
-from repro.runtime.task import Task, TaskState
+from repro.runtime.soa import TaskTable
+from repro.runtime.task import TaskState
 
 
-def build_ring(n_tasks=4, iteration_seconds=0.1, tasks_per_node=1):
+def build_ring(n_tasks=4, iteration_seconds=0.1, tasks_per_node=1,
+               iteration_time=None, cap=None):
     """n tasks in a dependency ring, one node each by default."""
     sim = Simulator()
     transport = Transport(sim)
     n_nodes = n_tasks // tasks_per_node
     nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
-    tasks = []
-    for tid in range(n_tasks):
-        node = nodes[tid // tasks_per_node]
-        left, right = (tid - 1) % n_tasks, (tid + 1) % n_tasks
-        neighbors = [(left // tasks_per_node, left), (right // tasks_per_node, right)]
-        t = Task(tid, node, neighbors=neighbors,
-                 iteration_time=lambda task_id, it: iteration_seconds)
-        node.add_task(t)
-        tasks.append(t)
-    return sim, nodes, tasks
+    table = TaskTable(
+        nodes, tasks_per_node=tasks_per_node,
+        iteration_time=iteration_time or (lambda task_id, it: iteration_seconds))
+    table.set_cap(cap)
+    return sim, nodes, table.tasks(0)
 
 
 class TestForwardProgress:
@@ -39,9 +36,7 @@ class TestForwardProgress:
         def jittered(task_id, it):
             return 0.1 * (1.0 + 0.3 * ((task_id * 7 + it) % 5) / 5)
 
-        sim, nodes, tasks = build_ring()
-        for t in tasks:
-            t.iteration_time = jittered
+        sim, nodes, tasks = build_ring(iteration_time=jittered)
         for n in nodes:
             n.start_tasks()
         sim.run(until=5.0)
@@ -74,9 +69,7 @@ class TestPauseResume:
         assert all(t.progress > 10 for t in tasks)
 
     def test_iteration_cap_is_hard(self):
-        sim, nodes, tasks = build_ring()
-        for t in tasks:
-            t.iteration_cap = 7
+        sim, nodes, tasks = build_ring(cap=7)
         for n in nodes:
             n.start_tasks()
         sim.run(until=10.0)

@@ -9,8 +9,13 @@ the resume invariants each time:
 * cells already in the store are *saved* (never recomputed),
 * the rest are re-enqueued and the job completes,
 * the finished summary digest is bitwise-identical to an uninterrupted run,
-* stale leases from the dead process are swept.
+* stale leases from the dead process are swept, and so are the temp files
+  it left between a write and its rename.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -180,3 +185,33 @@ def test_terminal_jobs_survive_restart_with_results(tmp_path):
 
     second = ServeState(ResultStore(store_root))
     assert second.job_result(job.job_id)["summary_digest"] == digest
+
+
+def test_resume_sweeps_temp_files_of_dead_writers(tmp_path):
+    """A kill between a cell's temp-file write and its rename leaves the
+    temp file behind: the restart removes it.  A live process's temp file
+    may still be renamed into place, so it stays."""
+    store_root = tmp_path / "cache"
+    first = ServeState(ResultStore(store_root))
+    first.submit(tenant="a", app="jacobi3d-charm", seeds=[0], config=CFG)
+    run_to_completion(first)
+    del first
+
+    gone = subprocess.Popen([sys.executable, "-c", "pass"])
+    gone.wait()  # reaped: no process has this id any more
+    objects = ResultStore(store_root).objects_dir
+    dead = objects / "ab" / f"abcdef.tmp.{gone.pid}"
+    live = objects / "cd" / f"cdef01.tmp.{os.getpid()}"
+    for path in (dead, live):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("partial write")
+
+    store = ResultStore(store_root)
+    second = ServeState(store)
+    assert second.resume_stats["orphaned_tmp"] == 1
+    assert not dead.exists()
+    assert live.exists()
+    # Once the live writer finishes (here: drops its file), nothing the dead
+    # one left is in the way.
+    live.unlink()
+    assert store.verify() == []
