@@ -12,25 +12,26 @@ Run:  python examples/consensus_walkthrough.py
 """
 
 from repro.core.consensus import ConsensusController
-from repro.runtime import Node, Simulator, TaskTable, Transport
+from repro.runtime import Simulator, TaskTable, Transport
 
 
 def main() -> None:
     sim = Simulator()
     transport = Transport(sim)
-    nodes = [Node(i, 0, i, sim, transport) for i in range(4)]
+    nodes = list(range(4))  # a node is its id
 
     # Task speeds differ by up to 40%: the skew the protocol exists for.
     def iteration_time(task_id, iteration):
         return 0.1 * (1.0 + 0.4 * ((task_id * 13 + iteration * 7) % 10) / 10)
 
     # One ring of eight tasks, two per node, each gated by its neighbours.
-    tasks = TaskTable(nodes, tasks_per_node=2,
-                      iteration_time=iteration_time).tasks(0)
+    table = TaskTable(sim, transport, len(nodes), tasks_per_node=2,
+                      iteration_time=iteration_time)
+    tasks = table.tasks(0)
 
-    controller = ConsensusController({n.node_id: n for n in nodes})
-    for n in nodes:
-        n.start_tasks()
+    controller = ConsensusController(table)
+    for row in table.ring_rows(0):
+        table.start(row)
 
     sim.run(until=2.0)
     snapshot = [t.progress for t in tasks]
@@ -39,7 +40,7 @@ def main() -> None:
           "no barrier anywhere)")
 
     decisions = []
-    controller.start_round([n.node_id for n in nodes],
+    controller.start_round(nodes,
                            lambda rid, it: decisions.append((sim.now, it)))
     print("\nPhase 1: checkpoint requested; nodes snapshot their local max")
     print("Phase 2: async tree reduction finds the global max; tasks reaching")

@@ -21,7 +21,6 @@ from repro.chaos.runner import ChaosOutcome, run_chaos_seed
 from repro.chaos.shrinker import ShrinkResult, shrink_schedule
 from repro.chaos.fuzzer import ChaosSchedule
 from repro.harness.campaign import cached_sweep, open_store
-from repro.obs.metrics import merge_snapshots
 from repro.obs.progress import ProgressTracker
 from repro.store import (
     ResultStore,
@@ -54,12 +53,6 @@ class ChaosCampaignResult:
     @property
     def total_checks(self) -> int:
         return sum(o.checks_performed for o in self.outcomes)
-
-    def merged_metrics(self) -> dict:
-        """Campaign-wide metrics snapshot (counters add, gauges last-writer
-        by worker index, histograms merge bucket-wise across every
-        schedule's run)."""
-        return merge_snapshots([o.metrics for o in self.outcomes])
 
     def coverage(self) -> dict[str, int]:
         """Schedules per (scheme, mode) cell — the fuzzer's coverage matrix."""

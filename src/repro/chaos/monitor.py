@@ -248,7 +248,7 @@ class InvariantMonitor:
             self._fail("spare-accounting",
                        f"{used} spares consumed for only "
                        f"{acr.report.hard_detected} detected failures")
-        revivals = sum(n.failures_survived for n in acr.nodes.values())
+        revivals = sum(acr.failures_survived)
         if revivals > used:
             self._fail("spare-accounting",
                        f"{revivals} revivals but only {used} spares consumed")

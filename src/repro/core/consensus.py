@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.node import Node
+from repro.runtime.soa import TaskTable
 from repro.runtime.task import TaskState
 from repro.util.errors import SimulationError
 
@@ -60,12 +60,13 @@ class _AgentState:
 
 
 class ConsensusController:
-    """Drives consensus rounds over an arbitrary scope of nodes."""
+    """Drives consensus rounds over any scope of the nodes of ``table``."""
 
-    def __init__(self, nodes: dict[int, Node]):
-        if not nodes:
-            raise SimulationError("consensus needs at least one node")
-        self.nodes = nodes
+    def __init__(self, table: TaskTable):
+        #: The task table hosting the nodes (their rows, ring windows and
+        #: the all-ready hook this controller installs).
+        self.table = table
+        self.transport = table.transport
         self.round_id = 0
         self.active = False
         self.scope: list[int] = []
@@ -82,15 +83,13 @@ class ConsensusController:
         #: Telemetry metrics registry (no-op by default); completed rounds
         #: feed a wall-time histogram.
         self.metrics = NULL_METRICS
-        self._sim = next(iter(nodes.values())).sim
+        self._sim = table.sim
         self._round_span = None
         self._t_start = 0.0
         self._t_decided = 0.0
         self._t_last_decision = 0.0
         self._t_last_ready = 0.0
-        ready = self._on_node_all_ready  # one bound method for every node
-        for node in nodes.values():
-            node.on_all_tasks_ready = ready
+        table.on_all_tasks_ready = self._on_node_all_ready
         #: The task rings over these nodes (``RingFastForward``; installed by
         #: the framework).  Each round start and abort hands every closed
         #: one that can be fast-forwarded back to its engine.
@@ -159,20 +158,21 @@ class ConsensusController:
         self.rounds_aborted += 1
         self.tracer.end(self._round_span, self._sim.now, aborted=True)
         self._round_span = None
+        table, alive = self.table, self.transport.alive
         for nid in self.scope:
-            node = self.nodes[nid]
-            if not node.alive:
+            if not alive[nid]:
                 # A dead node's tasks must stay dead until its recovery
                 # restores them; resuming them here would resurrect work on a
                 # failed node behind the recovery machinery's back.
                 continue
-            if node.ring is not None:
+            ring = table.window(nid)
+            if ring is not None:
                 # Still fast-forwarded: parked by the engine's round (which
                 # releases it in place) or not reached by the round at all.
-                node.ring.unpark()
+                ring.unpark()
                 continue
-            for row in node.rows():
-                node.table.task(row).resume()
+            for row in table.rows(nid):
+                table.task(row).resume()
         self._agents = {}
         for ring in self.rings:
             ring.adopt()
@@ -182,8 +182,8 @@ class ConsensusController:
               handler: Callable[[int, int, object], None], payload) -> None:
         """Ship one protocol message; ``handler(src, dst, payload)`` is the
         phase handler that receives it on ``dst``."""
-        self.nodes[src].transport.send_control(src, dst, handler, payload,
-                                               CONTROL_NBYTES)
+        self.transport.send_control(src, dst, handler, payload,
+                                    CONTROL_NBYTES)
 
     def _stale(self, payload) -> bool:
         rid = payload[0] if isinstance(payload, tuple) else payload
@@ -194,14 +194,15 @@ class ConsensusController:
         if self._stale(payload):
             return
         agent = self._agents[nid]
-        node = self.nodes[nid]
-        if node.ring is not None:
-            node.ring.close()  # the reads below need the exact task state
+        table = self.table
+        ring = table.window(nid)
+        if ring is not None:
+            ring.close()  # the reads below need the exact task state
         for child in agent.children:
             self._send(nid, child, self._on_start, self.round_id)
         # Local bound: no local task can end up past this iteration (a task
         # mid-iteration may still complete the one it is computing).
-        table, rows = node.table, node.rows()
+        rows = table.rows(nid)
         bound = 0
         for row in rows:
             eff = table.progress.item(row) + (
@@ -242,29 +243,28 @@ class ConsensusController:
             return
         _, decided = payload
         agent = self._agents[nid]
-        node = self.nodes[nid]
         agent.decided = decided
         self._t_last_decision = self._sim.now
         agent.pending_ready = set(agent.children)
         for child in agent.children:
             self._send(nid, child, self._on_decision, (self.round_id, decided))
-        table = node.table
-        for row in node.rows():
+        table = self.table
+        for row in table.rows(nid):
             table.request_pause_at(row, decided)
             table.resume_if_below(row)
-        if node.all_tasks_ready():
-            self._on_node_all_ready(node)
+        if table.all_ready(nid):
+            self._on_node_all_ready(nid)
 
     # -- Phase 4: readiness reduction ---------------------------------------------------
-    def _on_node_all_ready(self, node: Node) -> None:
+    def _on_node_all_ready(self, nid: int) -> None:
         if not self.active:
             return
-        agent = self._agents.get(node.node_id)
+        agent = self._agents.get(nid)
         if agent is None or agent.decided is None or agent.local_ready_sent:
             return
         agent.local_ready_sent = True
         self._t_last_ready = self._sim.now
-        self._maybe_send_ready_up(node.node_id)
+        self._maybe_send_ready_up(nid)
 
     def _on_ready(self, src: int, nid: int, payload) -> None:
         if self._stale(payload):
@@ -375,20 +375,19 @@ class RoundEngine:
     # -- entry -----------------------------------------------------------------------
     def alive(self, scope: list[int]) -> bool:
         """Whether every node in ``scope`` is alive."""
-        nodes = self.controller.nodes
-        return bool(nodes[scope[0]].transport.liveness()[scope].all())
+        return bool(self.controller.transport.liveness()[scope].all())
 
     def eligible(self, scope: list[int]) -> bool:
         """Whether the round over ``scope`` may be evaluated here."""
-        nodes = self.controller.nodes
+        table = self.controller.table
         if not self.alive(scope):
             return False
-        # An open ring is the ``ring`` of each of its nodes.  The engine
-        # takes scopes that list whole rings in node order (the framework's
-        # replica scopes), so each ring is checked once, as one slice.
+        # The engine takes scopes that list whole rings in node order (the
+        # framework's replica scopes), so each ring's window is looked up
+        # once and checked as one slice.
         at = 0
         while at < len(scope):
-            ring = nodes[scope[at]].ring
+            ring = table.window(scope[at])
             if (ring is None or ring.parked or ring.round is not None
                     or ring.node_ids != scope[at:at + len(ring.node_ids)]):
                 return False
@@ -402,7 +401,7 @@ class RoundEngine:
         scope = c.scope
         n = len(scope)
         t0 = sim.now
-        self._transport = transport = c.nodes[scope[0]].transport
+        self._transport = transport = c.transport
         d = transport.small_delay(CONTROL_NBYTES)
         # Tree levels are contiguous runs of scope positions; every node of a
         # level receives each flood at the same instant.
@@ -423,7 +422,7 @@ class RoundEngine:
         members = []
         first = 0
         while first < n:
-            ring = c.nodes[scope[first]].ring
+            ring = c.table.window(scope[first])
             pos = first + ring.task_node_pos
             first += len(ring.node_ids)
             level = depth[pos]

@@ -52,7 +52,6 @@ from repro.pup.puper import pack  # noqa: F401
 from repro.runtime.des import EventHandle, Simulator
 from repro.runtime.heartbeat import HeartbeatMonitor
 from repro.runtime.messages import Transport
-from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
 from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task
@@ -174,12 +173,11 @@ class ACR:
         # --- runtime -----------------------------------------------------------
         self.sim = Simulator()
         self.transport = Transport(self.sim)
-        self.nodes: dict[int, Node] = {}
+        # A node is its id, ``replica * n + rank`` (see _node_id): its
+        # liveness is ``transport.alive``, its tasks are task-table rows.
+        #: Spare-node replacements each node id has been through.
+        self.failures_survived = [0] * (2 * self.n)
         self.buddy_of: dict[int, int] = {}
-        for replica in (0, 1):
-            for rank in range(self.n):
-                nid = self._node_id(replica, rank)
-                self.nodes[nid] = Node(nid, replica, rank, self.sim, self.transport)
         for rank in range(self.n):
             a, b = self._node_id(0, rank), self._node_id(1, rank)
             self.buddy_of[a] = b
@@ -197,18 +195,20 @@ class ACR:
         # One table holds every task, replica-major: node ``nid`` hosts rows
         # ``[nid*tpn, (nid+1)*tpn)``, so replica r's ring is rows
         # ``[r*n*tpn, (r+1)*n*tpn)``, and one iteration-time callable serves
-        # each replica.  No per-task object is built (see runtime/soa.py).
+        # each replica.  No per-task or per-node object is built (see
+        # runtime/soa.py).
         self.task_table = TaskTable(
-            [self.nodes[nid] for nid in range(2 * self.n)],
+            self.sim, self.transport, 2 * self.n,
             rings=2, tasks_per_node=self.config.tasks_per_node,
             iteration_time=[self.apps[r].iteration_time for r in (0, 1)])
 
         # --- protocol machinery ---------------------------------------------------
-        self.consensus = ConsensusController(self.nodes)
+        self.consensus = ConsensusController(self.task_table)
         self.consensus.tracer = self.tracer
         self.consensus.metrics = self.metrics
         self.heartbeat = HeartbeatMonitor(
-            list(self.nodes.values()),
+            self.transport,
+            range(2 * self.n),
             self.buddy_of,
             interval=self.config.heartbeat_interval,
             timeout_factor=self.config.heartbeat_timeout_factor,
@@ -250,7 +250,8 @@ class ACR:
         self._watchdog_event: EventHandle | None = None
         self._checkpoint_deferred = False
         self._final_requested = False
-        self._weak_pending: Node | None = None
+        #: The crashed node waiting for its weak recovery.
+        self._weak_pending: int | None = None
         self._initial_gen: dict[int, CheckpointGeneration] = {}
         self._spares_left = self.config.spare_nodes
         self._handled_deaths: set[tuple[int, int]] = set()
@@ -419,6 +420,12 @@ class ACR:
     def _node_id(self, replica: int, rank: int) -> int:
         return replica * self.n + rank
 
+    def _revive(self, nid: int) -> None:
+        """A spare node takes over ``nid``'s identity after recovery."""
+        self.failures_survived[nid] += 1
+        self.transport.set_alive(nid, True)
+        self.heartbeat.notify_revived(nid)
+
     def _replica_scope(self, replica: int) -> list[int]:
         return list(range(replica * self.n, (replica + 1) * self.n))
 
@@ -453,13 +460,12 @@ class ACR:
         if self.config.total_iterations is not None:
             self.task_table.set_cap(self.config.total_iterations)
         self._build_rings()
-        on_progress = self._on_node_progress  # one for every node
-        for node in self.nodes.values():
-            node.on_progress = on_progress
+        table = self.task_table
+        table.on_progress = self._on_node_progress
         for replica in (0, 1):
             if not self._rings[replica].open_start():
-                for nid in self._replica_scope(replica):
-                    self.nodes[nid].start_tasks()
+                for row in table.ring_rows(replica):
+                    table.start(row)
         self.heartbeat.start()
         for event in self.plan.events:
             self.sim.schedule_at(event.time, self._inject_fault, event)
@@ -515,13 +521,13 @@ class ACR:
             self.bitflip.inject(self.apps[event.replica].shard(event.node_id))
             self._lineage[event.replica] = next(self._lineage_ids)
         else:
-            node = self.nodes[self._node_id(event.replica, event.node_id)]
-            if not node.alive:
+            nid = self._node_id(event.replica, event.node_id)
+            if not self.transport.alive[nid]:
                 return  # already down; a dead node cannot die twice
             self.report.hard_injected += 1
             self.timeline.record(self.sim.now, TimelineKind.HARD_FAULT_INJECTED,
                                  replica=event.replica, rank=event.node_id)
-            node.die()
+            self.task_table.kill(nid)
 
     # -- periodic checkpoint scheduling ------------------------------------------------
     def _current_interval(self) -> float:
@@ -560,7 +566,7 @@ class ACR:
         # A crashed replica waiting for weak recovery cannot participate: the
         # healthy replica checkpoints alone and ships the result (Fig. 5d).
         # Any death cancels the checkpoint, so this choice holds to its end.
-        replicas = ((1 - self._weak_pending.replica,)
+        replicas = ((1 - self._weak_pending // self.n,)
                     if self._weak_pending is not None else (0, 1))
         scope = [nid for r in replicas for nid in self._replica_scope(r)]
         self.timeline.record(self.sim.now, TimelineKind.CONSENSUS_START,
@@ -590,16 +596,15 @@ class ACR:
         self._watchdog_event = self.sim.schedule(
             timeout, self._consensus_watchdog, rid, timeout)
 
-    def _live_detector(self, prefer: list[int] | None = None) -> Node | None:
+    def _live_detector(self, prefer: list[int] | None = None) -> int | None:
         """A live node to attribute a detection to: in ``prefer`` scope first,
         then anywhere in the machine."""
-        if prefer:
-            for nid in prefer:
-                if self.nodes[nid].alive:
-                    return self.nodes[nid]
-        for node in self.nodes.values():
-            if node.alive:
-                return node
+        for nid in prefer or ():
+            if self.transport.alive[nid]:
+                return nid
+        for nid in range(2 * self.n):
+            if self.transport.alive[nid]:
+                return nid
         return None
 
     def _consensus_watchdog(self, rid: int, timeout: float) -> None:
@@ -608,8 +613,8 @@ class ACR:
             return
         if not self.consensus.active or self.consensus.round_id != rid:
             return
-        dead = [self.nodes[nid] for nid in self.consensus.scope
-                if not self.nodes[nid].alive]
+        alive = self.transport.alive
+        dead = [nid for nid in self.consensus.scope if not alive[nid]]
         if dead:
             detector = self._live_detector(prefer=self.consensus.scope)
             if detector is None:
@@ -619,13 +624,13 @@ class ACR:
             # "handled" but is still dead this long after the round started
             # had its recovery lost; clear the dedup entries so the detection
             # path runs again for each of them.
-            for node in dead:
+            for nid in dead:
                 if self.phase == "done":
                     return
-                if not node.alive:  # an earlier victim's recovery may have revived it
+                if not alive[nid]:  # an earlier victim's recovery may have revived it
                     self._handled_deaths.discard(
-                        (node.node_id, node.failures_survived))
-                    self._on_death_detected(detector, node)
+                        (nid, self.failures_survived[nid]))
+                    self._on_death_detected(detector, nid)
             return
         # No dead node: the round is just slow (tasks draining); keep watching.
         self._watchdog_event = self.sim.schedule(
@@ -864,7 +869,7 @@ class ACR:
     # The schemes differ in what a recovery restores, not in how it is
     # charged, traced or finished: every hard-error recovery is scheduled by
     # _schedule_restart and every recovery ends in _finish_recovery.
-    def _schedule_restart(self, scheme: str, dead: Node, key: str, finish,
+    def _schedule_restart(self, scheme: str, dead: int, key: str, finish,
                           *args, span=None, pack_t: float = 0.0,
                           transfer: bool = True, **span_attrs) -> None:
         """Charge ``dead``'s restart under ``scheme``'s cost model (plus the
@@ -872,11 +877,12 @@ class ACR:
         ``key`` and schedule ``finish(*args)`` when it completes.  ``span``
         (by default a new ``key`` span naming the victim and ``span_attrs``)
         becomes the open recovery span."""
+        replica, rank = divmod(dead, self.n)
         if span is None:
-            span = self.tracer.begin(key, self.sim.now, replica=dead.replica,
-                                     rank=dead.rank, **span_attrs)
+            span = self.tracer.begin(key, self.sim.now, replica=replica,
+                                     rank=rank, **span_attrs)
         breakdown = self.cost.restart_breakdown(
-            self.profile, self.mapping, scheme=scheme, crashed_pair=dead.rank
+            self.profile, self.mapping, scheme=scheme, crashed_pair=rank
         )
         duration = breakdown.total + self.config.spare_boot_time
         self._charge(key, pack_t + duration, "recovery")
@@ -887,21 +893,19 @@ class ACR:
                 self.sim.now + breakdown.transfer, parent=span)
         self._phase_events = [self.sim.schedule(duration, finish, *args)]
 
-    def _finish_restart(self, dead: Node, key: str,
+    def _finish_restart(self, dead: int, key: str,
                         gen: CheckpointGeneration | None = None) -> None:
         """A spare takes over ``dead``'s identity.  Its replica rolls back to
         its own safe generation (strong), or installs ``gen`` shipped from
         the healthy replica (medium, weak)."""
         self._weak_pending = None
-        dead.revive()
-        self.heartbeat.notify_revived(dead.node_id)
+        self._revive(dead)
+        replica = dead // self.n
         if gen is None:
-            self._roll_back((dead.replica,), reason="hard",
-                            replica=dead.replica)
+            self._roll_back((replica,), reason="hard", replica=replica)
         else:
-            self.store.install_safe(dead.replica,
-                                    self.store.clone_generation(gen))
-            self._restore_replica(dead.replica, self.store.safe(dead.replica))
+            self.store.install_safe(replica, self.store.clone_generation(gen))
+            self._restore_replica(replica, self.store.safe(replica))
         self._finish_recovery(key)
 
     def _roll_back(self, replicas: tuple[int, ...], **detail) -> None:
@@ -956,18 +960,19 @@ class ACR:
         self._finish_recovery(reason, reason=reason)
 
     # -- hard-error handling ------------------------------------------------------------
-    def _on_death_detected(self, detector: Node, dead: Node) -> None:
+    def _on_death_detected(self, detector: int, dead: int) -> None:
         if self.phase == "done":
             return
         # Detections can arrive from both heartbeats and the consensus
         # watchdog; handle each (node, incarnation) exactly once.
-        key = (dead.node_id, dead.failures_survived)
+        key = (dead, self.failures_survived[dead])
         if key in self._handled_deaths:
             return
         self._handled_deaths.add(key)
         self.report.hard_detected += 1
+        replica, rank = divmod(dead, self.n)
         self.timeline.record(self.sim.now, TimelineKind.HARD_FAULT_DETECTED,
-                             replica=dead.replica, rank=dead.rank)
+                             replica=replica, rank=rank)
         if self.adaptive is not None:
             self.adaptive.record_failure(self.sim.now)
         if self._spares_left <= 0:
@@ -1023,22 +1028,22 @@ class ACR:
         self._last_ckpt_breakdown = None
 
     # -- medium: immediate checkpoint in the healthy replica -----------------------------
-    def _start_medium_recovery(self, dead: Node) -> None:
-        healthy_scope = self._replica_scope(1 - dead.replica)
+    def _start_medium_recovery(self, dead: int) -> None:
+        replica, rank = divmod(dead, self.n)
+        healthy_scope = self._replica_scope(1 - replica)
         self.timeline.record(self.sim.now, TimelineKind.CONSENSUS_START,
                              reason="medium-recovery", scope=len(healthy_scope))
         self._span_recovery = self.tracer.begin(
-            "recovery.medium", self.sim.now, replica=dead.replica,
-            rank=dead.rank)
+            "recovery.medium", self.sim.now, replica=replica, rank=rank)
         self._start_consensus(
             healthy_scope,
             lambda rid, it: self._consensus_decided(
-                (1 - dead.replica,), it, self._medium_packed, dead, it),
+                (1 - replica,), it, self._medium_packed, dead, it),
             span_parent=self._span_recovery,
         )
 
-    def _medium_packed(self, dead: Node, iteration: int) -> None:
-        healthy = 1 - dead.replica
+    def _medium_packed(self, dead: int, iteration: int) -> None:
+        healthy = 1 - dead // self.n
         pack_t = self._pack_candidates(iteration, (healthy,),
                                        self._span_recovery)
         # The healthy replica resumes as soon as its checkpoints are on the
@@ -1048,7 +1053,7 @@ class ACR:
                                self._finish_medium_recovery, dead,
                                span=self._span_recovery, pack_t=pack_t)
 
-    def _finish_medium_recovery(self, dead: Node) -> None:
+    def _finish_medium_recovery(self, dead: int) -> None:
         # Commit the immediate checkpoint and install it for BOTH replicas in
         # one step: the two safe generations must never diverge (a second
         # failure between an early commit and the installation would leave
@@ -1057,14 +1062,14 @@ class ACR:
         # any silent corruption since the last compared checkpoint - becomes
         # both replicas' truth: the undetected-SDC window of §2.3.
         self._finish_restart(dead, "medium",
-                             self.store.commit(1 - dead.replica))
+                             self.store.commit(1 - dead // self.n))
 
     # -- weak: wait for the next periodic checkpoint -------------------------------------
-    def _start_weak_wait(self, dead: Node) -> None:
+    def _start_weak_wait(self, dead: int) -> None:
         self._weak_pending = dead
+        replica, rank = divmod(dead, self.n)
         self._span_recovery = self.tracer.begin(
-            "recovery.weak.wait", self.sim.now, replica=dead.replica,
-            rank=dead.rank)
+            "recovery.weak.wait", self.sim.now, replica=replica, rank=rank)
         self.phase = "running"
         # The crashed replica stalls on its own (tasks starve on the dead
         # node's dependencies); the healthy replica runs to the next
@@ -1083,15 +1088,15 @@ class ACR:
                                iteration=gen.iteration)
 
     # -- a failure during another recovery (§2.3) -----------------------------------------
-    def _second_failure(self, dead: Node) -> None:
+    def _second_failure(self, dead: int) -> None:
         """A failure landed while another recovery was in flight, or while a
         crashed replica waited for its weak recovery: abandon that recovery
         and roll both replicas back to their last safe checkpoint.  In the
         weak-pending window a failure of the crashed node's buddy restarts
         from the beginning instead (§2.3)."""
         first = self._weak_pending if self.phase != "recovering" else None
-        from_scratch = (first is not None and dead.rank == first.rank
-                        and dead.replica != first.replica)
+        # The crashed node's buddy: the same rank in the other replica.
+        from_scratch = first is not None and dead == self.buddy_of[first]
         self._cancel_phase_events()
         self.consensus.abort_round()
         for r in (0, 1):
@@ -1109,10 +1114,10 @@ class ACR:
         # repeatedly, and earlier victims must not be stranded dead.  A node
         # whose death was never detected (e.g. its buddy died too) is swept up
         # here — its replacement still comes out of the spare pool.
-        for v in self.nodes.values():
-            if v.alive:
+        for nid in range(2 * self.n):
+            if self.transport.alive[nid]:
                 continue
-            key = (v.node_id, v.failures_survived)
+            key = (nid, self.failures_survived[nid])
             if key not in self._handled_deaths:
                 if self._spares_left <= 0:
                     self._abort("spare node pool exhausted")
@@ -1121,10 +1126,10 @@ class ACR:
                 self._spares_left -= 1
                 self.report.spare_nodes_used += 1
                 self.report.hard_detected += 1
+                replica, rank = divmod(nid, self.n)
                 self.timeline.record(self.sim.now, TimelineKind.HARD_FAULT_DETECTED,
-                                     replica=v.replica, rank=v.rank, swept=True)
-            v.revive()
-            self.heartbeat.notify_revived(v.node_id)
+                                     replica=replica, rank=rank, swept=True)
+            self._revive(nid)
         # "Restart from the beginning" (§2.3) becomes "restart from the
         # newest intact durable generation" when tiers are configured.
         tier_hit = from_scratch and self._install_restart_point()
@@ -1171,7 +1176,7 @@ class ACR:
         self.apps[replica].copy_state_from(self.apps[source])
 
     # -- completion & bookkeeping -------------------------------------------------------------
-    def _on_node_progress(self, node: Node | None) -> None:
+    def _on_node_progress(self, node: int | None) -> None:
         if self._rework_target is not None:
             self._check_rework_done()
         cap = self.config.total_iterations

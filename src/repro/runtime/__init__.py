@@ -1,4 +1,4 @@
-"""Message-driven simulated runtime: DES engine, nodes, tasks, heartbeats.
+"""Message-driven simulated runtime: DES engine, tasks, heartbeats.
 
 This is the Charm++-like substrate ACR runs on in the reproduction: a
 deterministic discrete-event simulation with fail-stop nodes, dependency-gated
@@ -8,7 +8,6 @@ iterative tasks, and buddy heartbeat failure detection.
 from repro.runtime.des import EventHandle, Simulator
 from repro.runtime.heartbeat import HeartbeatMonitor
 from repro.runtime.messages import Message, MsgKind, Transport
-from repro.runtime.node import Node
 from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task, TaskState
 
@@ -19,7 +18,6 @@ __all__ = [
     "Message",
     "MsgKind",
     "Transport",
-    "Node",
     "Task",
     "TaskState",
     "TaskTable",

@@ -24,9 +24,9 @@ liveness`), so:
   — nothing could ever observe a state between them);
 * the check sweep is one vectorized silence scan; only when it finds a
   fresh, unreported candidate does it fall back to the exact per-node walk
-  (in registration order, re-reading live state between callbacks), so
-  detection instants, detector attribution, and callback ordering are those
-  of a per-object monitor.
+  (in the order the ids were given, re-reading live state between
+  callbacks), so detection instants, detector attribution, and callback
+  ordering are those of a per-object monitor.
 
 Transport accounting flows through :meth:`Transport.account_sent`/
 ``account_delivered``/``account_dropped`` in bulk — the counter totals equal
@@ -35,13 +35,12 @@ the per-message path's count for count.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.runtime.des import PeriodicHandle, Simulator
-from repro.runtime.messages import Message, MsgKind, Transport
-from repro.runtime.node import Node
+from repro.runtime.des import PeriodicHandle
+from repro.runtime.messages import MsgKind, Transport
 from repro.util.errors import ConfigurationError
 
 #: Heartbeat payload size in bytes (a liveness probe carries no data).
@@ -53,18 +52,21 @@ class HeartbeatMonitor:
 
     def __init__(
         self,
-        nodes: list[Node],
+        transport: Transport,
+        node_ids: Sequence[int],
         buddy_of: dict[int, int],
         *,
         interval: float = 1.0,
         timeout_factor: float = 4.0,
-        on_death: Callable[[Node, Node], None],
+        on_death: Callable[[int, int], None],
     ):
         """
         Parameters
         ----------
-        nodes:
-            All nodes (both replicas).
+        transport:
+            The transport the nodes are registered with (liveness, sends).
+        node_ids:
+            All node ids (both replicas), in the order both sweeps walk.
         buddy_of:
             Map node_id -> buddy node_id (symmetric).
         interval:
@@ -72,11 +74,11 @@ class HeartbeatMonitor:
         timeout_factor:
             Silence threshold in heartbeat periods before declaring death.
         on_death:
-            ``callback(detector, dead_node)`` fired once per failure.
+            ``callback(detector_id, dead_id)`` fired once per failure.
         """
         if interval <= 0 or timeout_factor < 2:
             raise ConfigurationError("interval must be > 0 and timeout_factor >= 2")
-        self.nodes = {n.node_id: n for n in nodes}
+        self.node_ids = node_ids
         self.buddy_of = dict(buddy_of)
         for a, b in self.buddy_of.items():
             if self.buddy_of.get(b) != a:
@@ -84,34 +86,27 @@ class HeartbeatMonitor:
         self.interval = interval
         self.timeout = timeout_factor * interval
         self.on_death = on_death
+        self._transport = transport
+        self._sim = transport.sim
         self._send_sweep_event: PeriodicHandle | None = None
         self._check_sweep_event: PeriodicHandle | None = None
         #: By node id, filled at start(): the last time a heartbeat from that
         #: node arrived, and whether its current death has been reported.
         self.last_seen: np.ndarray | None = None
         self._reported: np.ndarray | None = None
-        #: The monitored ids in registration order (the order both sweeps
-        #: walk) and their buddies' ids.
+        #: The monitored ids in walk order and their buddies' ids.
         self._ids: np.ndarray | None = None
         self._buddy_ids: np.ndarray | None = None
-        self._sim: Simulator | None = None
-        self._transport: Transport | None = None
 
     def start(self) -> None:
-        first = next(iter(self.nodes.values()))
-        sim = first.sim
-        self._sim = sim
-        self._transport = first.transport
-        nodes = self.nodes
-        self._ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-        self._buddy_ids = np.array([self.buddy_of[nid] for nid in nodes],
+        sim = self._sim
+        ids = self.node_ids
+        self._ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        self._buddy_ids = np.array([self.buddy_of[nid] for nid in ids],
                                    dtype=np.int64)
         size = int(self._ids.max()) + 1
         self.last_seen = np.full(size, sim.now, dtype=np.float64)
         self._reported = np.zeros(size, dtype=bool)
-        handler = self._on_heartbeat  # one bound method for every node
-        for node in nodes.values():
-            node.heartbeat_handler = handler
         # One monitor-wide sweep per event class instead of one tick per
         # node: 2 heap entries per interval, not 2·N.
         self._send_sweep_event = sim.schedule_periodic(
@@ -130,7 +125,7 @@ class HeartbeatMonitor:
 
     # -- periodic sweeps ---------------------------------------------------------
     def _send_sweep(self) -> None:
-        """Every live node heartbeats its buddy, in registration order.
+        """Every live node heartbeats its buddy, in walk order.
 
         Dead nodes are simply skipped this sweep — the spare-node replacement
         revives the same logical node, which resumes heartbeating on the next
@@ -171,7 +166,7 @@ class HeartbeatMonitor:
         self.last_seen[delivered_src] = self._sim.now
 
     def _check_sweep(self) -> None:
-        """Every live node inspects its buddy's silence, in registration order.
+        """Every live node inspects its buddy's silence, in walk order.
 
         Detection is purely silence-based: the detector has no ground truth
         about its buddy, only missing heartbeats.  The vectorized scan exits
@@ -191,17 +186,14 @@ class HeartbeatMonitor:
         if not fresh.any():
             return
         buddy_of = self.buddy_of
-        for node in self.nodes.values():
-            if not node.alive:
+        alive = self._transport.alive
+        for nid in self.node_ids:
+            if not alive[nid]:
                 continue
-            buddy_id = buddy_of[node.node_id]
+            buddy_id = buddy_of[nid]
             if now - last_seen[buddy_id] >= timeout and not reported[buddy_id]:
                 reported[buddy_id] = True
-                self.on_death(node, self.nodes[buddy_id])
-
-    def _on_heartbeat(self, msg: Message) -> None:
-        """Per-message path kept for externally injected HEARTBEAT traffic."""
-        self.last_seen[msg.src] = self._sim.now
+                self.on_death(nid, buddy_id)
 
     def notify_revived(self, node_id: int) -> None:
         """Reset silence clocks and re-arm detection when a spare replaces a

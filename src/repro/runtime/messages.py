@@ -5,13 +5,13 @@ sends nor receives — messages addressed to it vanish without error, which is
 exactly why failure detection needs heartbeats rather than connection errors.
 It is therefore also the one record of node liveness: :attr:`Transport.alive`
 holds one byte per node id, :meth:`Transport.register`/:meth:`~Transport.
-set_alive` are its only writers, and :class:`~repro.runtime.node.Node` and
+set_alive` are its only writers, and the task table, the framework and
 the heartbeat sweeps read it (the sweeps through a numpy view).
 
 Deliveries are dispatched by node id through one table of receivers, one
-per registered id: a :class:`~repro.runtime.node.Node` registers itself, so
-a run holds no per-node handler closure or bound method, however many nodes
-it has.
+per registered id: a :class:`~repro.runtime.soa.TaskTable` registers itself
+for every node it hosts, so a run holds no per-node receiver object,
+handler closure or bound method, however many nodes it has.
 
 Per-message costs are the second-hottest path after event dispatch itself, so
 :class:`Message` carries ``__slots__`` (no per-message ``__dict__``), the
@@ -87,7 +87,7 @@ class Transport:
         self.latency = latency
         self.bandwidth = bandwidth
         #: The receiver of every registered node id (see :meth:`register`;
-        #: ``Any``, as a stamp receiver also has ``on_stamp``).
+        #: ``Any``, as a task host also has ``on_stamp``).
         self._receivers: dict[int, Any] = {}
         #: Liveness by node id: 1 alive, 0 dead or never registered.  Every
         #: send and delivery reads it; register/set_alive are its writers.
@@ -124,10 +124,10 @@ class Transport:
         ``receiver(msg)`` takes each :class:`Message` addressed to
         ``node_id``, and a receiver that hosts tasks also takes the flat
         dependency stamps of :meth:`send_stamps` as
-        ``receiver.on_stamp(to_task, from_task, stamp, epoch)``.  A
-        :class:`~repro.runtime.node.Node` is its own receiver, so
-        registering it creates no object; any callable serves a node that
-        receives no stamps.
+        ``receiver.on_stamp(node_id, to_task, from_task, stamp, epoch)``.
+        A :class:`~repro.runtime.soa.TaskTable` is the receiver of every
+        node it hosts, so registering a node creates no object; any
+        callable serves a node that receives no stamps.
         """
         if node_id < 0:
             raise SimulationError(f"node id must be >= 0, got {node_id}")
@@ -268,7 +268,7 @@ class Transport:
         allocations) for the whole fan-out.  Accounting (sent / delivered /
         dropped, per-kind tallies) matches the per-message path count for
         count.  Each target's receiver takes the stamp through its
-        ``on_stamp`` (see :meth:`register`).
+        ``on_stamp`` with the target's node id (see :meth:`register`).
         """
         if src not in self._receivers or not self.alive[src]:
             self.messages_dropped += len(targets)
@@ -297,7 +297,7 @@ class Transport:
                 self.messages_dropped += 1
                 continue
             self.messages_delivered += 1
-            receivers[dst].on_stamp(to_task, from_task, stamp, epoch)
+            receivers[dst].on_stamp(dst, to_task, from_task, stamp, epoch)
 
     # -- bulk accounting (monitor-wide sweeps) ------------------------------------
     # The heartbeat monitor batches a whole sweep's worth of probes into one

@@ -120,12 +120,13 @@ class RingFastForward:
         self.sim = sim
         self.transport = transport
         n = self.size = table.size
+        #: The ring's index in the table (its slot in ``table.windows``).
+        self.index = ring
         first = self.first = ring * n
         tpn = table.tasks_per_node
-        self.nodes = table.hosts[first // tpn:(first + n) // tpn]
-        #: The nodes' ids, in the order of :attr:`nodes`.
-        self.node_ids = [node.node_id for node in self.nodes]
-        #: Each task's node, as an offset into :attr:`nodes`.
+        #: The ids of the ring's nodes, in row order.
+        self.node_ids = list(range(first // tpn, (first + n) // tpn))
+        #: Each task's node, as an offset into :attr:`node_ids`.
         self.task_node_pos = np.arange(n, dtype=np.intp) // tpn
         self._node_index = np.array(self.node_ids, dtype=np.intp)
         self._index = np.arange(n)
@@ -374,8 +375,7 @@ class RingFastForward:
         self._busy0 = np.array(table.busy_until[s:s + n])
         self.open = True
         self.windows_opened += 1
-        for node in self.nodes:
-            node.ring = self
+        table.windows[self.index] = self
         self._ensure(now)
         self._written = (int(self._p.sum()), int(self._q.sum()),
                          int(self._computing(now)[2].sum()), None)
@@ -869,8 +869,7 @@ class RingFastForward:
         if self._wake is not None:
             self._wake.cancel()
             self._wake = None
-        for node in self.nodes:
-            node.ring = None
+        self.table.windows[self.index] = None
         self.open = False
         self._held = self.parked = False
         self.syncs += 1

@@ -18,8 +18,15 @@ ring, ring-major (for ``ACR``: replica-major), as columns:
 
 The iteration cap is one value for the whole table.  Neighbours come from
 the ring shape: row ``g`` of ring ``r`` is task ``i = g - r*size``, gated by
-tasks ``i-1`` and ``i+1`` (mod ``size``) of the same ring.  ``hosts[k]``
-runs rows ``[k*tpn, (k+1)*tpn)``, so each ring covers whole nodes.
+tasks ``i-1`` and ``i+1`` (mod ``size``) of the same ring.
+
+A node is an id.  The table hosts the tasks of nodes ``0 .. nodes-1``:
+node ``k`` runs rows ``[k*tpn, (k+1)*tpn)``, so each ring covers whole
+nodes.  The table is the transport receiver of its node ids (dependency
+stamps arrive by node id, :meth:`TaskTable.on_stamp`), answers a node's
+rows, whether they are all ready and a node kill, and holds the one hook of
+each kind the framework installs (``on_progress``, ``on_all_tasks_ready``,
+called with the node id) and the open window of each ring (``windows``).
 
 The event-mode step (paper §2.2: dependency-gated iterations, pauses,
 epochs; see :mod:`repro.runtime.task`) lives here, one row at a time: an
@@ -47,7 +54,9 @@ from repro.runtime.task import (
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.node import Node
+    from repro.runtime.des import Simulator
+    from repro.runtime.messages import Message, Transport
+    from repro.runtime.ring import RingFastForward
 
 __all__ = ["TaskTable"]
 
@@ -55,16 +64,19 @@ IterationTime = Callable[[int, int], float]
 
 
 class TaskTable:
-    """Every task of ``rings`` equal rings over ``hosts``, as columns."""
+    """Every task of ``rings`` equal rings over ``nodes`` nodes, as columns."""
 
-    __slots__ = ("hosts", "size", "tasks_per_node", "iteration_time",
-                 "sim", "progress", "cap", "below_cap", "state", "epoch",
-                 "pause_at", "busy_until", "iterations_executed",
-                 "left_stamp", "right_stamp", "_views", "_fanout")
+    __slots__ = ("sim", "transport", "size", "tasks_per_node",
+                 "iteration_time", "progress", "cap", "below_cap", "state",
+                 "epoch", "pause_at", "busy_until", "iterations_executed",
+                 "left_stamp", "right_stamp", "windows", "on_progress",
+                 "on_all_tasks_ready", "_views", "_fanout")
 
     def __init__(
         self,
-        hosts: Sequence["Node"],
+        sim: "Simulator",
+        transport: "Transport",
+        nodes: int,
         *,
         iteration_time: IterationTime | Sequence[IterationTime],
         rings: int = 1,
@@ -73,34 +85,32 @@ class TaskTable:
         """
         Parameters
         ----------
-        hosts:
-            The nodes, in row order: ``hosts[k]`` runs rows
-            ``[k*tasks_per_node, (k+1)*tasks_per_node)``.  Each becomes the
-            table's (``node.table``, ``node.first``).
+        nodes:
+            Number of nodes: node ``k`` (its id) runs rows
+            ``[k*tasks_per_node, (k+1)*tasks_per_node)``.  The table
+            registers ids ``0 .. nodes-1`` with ``transport``.
         iteration_time:
             ``f(task_id, iteration) -> seconds`` compute-time model, one per
             ring (or one callable for all); ``task_id`` is the task's
             position in its ring.
         rings:
-            Number of rings; each covers ``len(hosts) // rings`` nodes.
+            Number of rings; each covers ``nodes // rings`` nodes.
         """
-        n_hosts = len(hosts)
-        if rings < 1 or n_hosts == 0 or n_hosts % rings:
-            raise ValueError(
-                f"{n_hosts} nodes do not split into {rings} rings")
+        if rings < 1 or nodes < 1 or nodes % rings:
+            raise ValueError(f"{nodes} nodes do not split into {rings} rings")
         if tasks_per_node < 1:
             raise ValueError("tasks_per_node must be >= 1")
         if callable(iteration_time):
             iteration_time = [iteration_time] * rings
         if len(iteration_time) != rings:
             raise ValueError("need one iteration-time model per ring")
-        n = n_hosts * tasks_per_node
-        self.hosts = list(hosts)
+        n = nodes * tasks_per_node
+        self.sim = sim
+        self.transport = transport
         #: Tasks per ring.
         self.size = n // rings
         self.tasks_per_node = tasks_per_node
         self.iteration_time = list(iteration_time)
-        self.sim = self.hosts[0].sim
         self.progress = np.zeros(n, dtype=np.int64)
         #: Hard cap on progress for bounded runs (never exceeded, survives
         #: rollbacks); None = unbounded.  Set with :meth:`set_cap`.
@@ -119,16 +129,32 @@ class TaskTable:
         #: same task, and a stamp from it updates both.
         self.left_stamp = [-1] * n
         self.right_stamp = [-1] * n
+        #: The fast-forward engine that owns each ring while its window is
+        #: open (see ring.py); None in event mode.
+        self.windows: list["RingFastForward | None"] = [None] * rings
+        #: Hooks, one callable each, called with the node id: a task of the
+        #: node finished an iteration; every task of the node is paused.
+        self.on_progress: Callable[[int], None] | None = None
+        self.on_all_tasks_ready: Callable[[int], None] | None = None
         self._views: dict[int, Task] = {}
         #: :meth:`targets` by row, filled on first use (event mode, reads).
         self._fanout: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-        for k, node in enumerate(self.hosts):
-            node.table = self
-            node.first = k * tasks_per_node
+        for node in range(nodes):
+            transport.register(node, self)
 
     # -- shape ---------------------------------------------------------------------
-    def node_of(self, row: int) -> "Node":
-        return self.hosts[row // self.tasks_per_node]
+    def node_of(self, row: int) -> int:
+        """The id of the node hosting ``row``."""
+        return row // self.tasks_per_node
+
+    def rows(self, node: int) -> range:
+        """The rows of the tasks node ``node`` hosts."""
+        first = node * self.tasks_per_node
+        return range(first, first + self.tasks_per_node)
+
+    def window(self, node: int) -> "RingFastForward | None":
+        """The open window of ``node``'s ring (None: event mode)."""
+        return self.windows[node * self.tasks_per_node // self.size]
 
     def task_id(self, row: int) -> int:
         """The row's position in its ring."""
@@ -142,13 +168,12 @@ class TaskTable:
         neighbours: the fan-out of its dependency stamp."""
         fanout = self._fanout.get(row)
         if fanout is None:
-            size, tpn, hosts = self.size, self.tasks_per_node, self.hosts
+            size, tpn = self.size, self.tasks_per_node
             i = row % size
             base = row - i
             left, right = (i - 1) % size, (i + 1) % size
-            fanout = self._fanout[row] = (
-                (hosts[(base + left) // tpn].node_id, left),
-                (hosts[(base + right) // tpn].node_id, right))
+            fanout = self._fanout[row] = (((base + left) // tpn, left),
+                                          ((base + right) // tpn, right))
         return fanout
 
     # -- views ---------------------------------------------------------------------
@@ -219,16 +244,32 @@ class TaskTable:
         self._announce(row)
         self._try_start(row)
 
-    def kill(self, first: int, stop: int) -> None:
-        """The host of rows ``[first, stop)`` died.  A pending completion
-        stays queued; it finds its task DEAD (or, after a restore, in a
-        newer epoch) and is dropped."""
-        self.state[first:stop] = [_DEAD] * (stop - first)
+    def kill(self, node: int) -> None:
+        """Fail-stop ``node`` (§6.1): its ring's window closes, the transport
+        stops delivering to and from it, and its tasks are DEAD.  A pending
+        completion stays queued; it finds its task DEAD (or, after a
+        restore, in a newer epoch) and is dropped.  A dead node cannot die
+        twice: a second kill does nothing."""
+        if not self.transport.alive[node]:
+            return
+        ring = self.window(node)
+        if ring is not None:
+            ring.close()
+        self.transport.set_alive(node, False)
+        tpn = self.tasks_per_node
+        first = node * tpn
+        self.state[first:first + tpn] = [_DEAD] * tpn
+
+    def all_ready(self, node: int) -> bool:
+        """Whether every task of ``node`` is paused (or dead)."""
+        first = node * self.tasks_per_node
+        return all(s is _PAUSED or s is _DEAD for s in
+                   self.state[first:first + self.tasks_per_node])
 
     def restore(self, row: int, progress: int) -> None:
         """Roll back (or forward) to a checkpointed iteration: bump the
         epoch, reset the dependency view and re-announce the stamp."""
-        ring = self.node_of(row).ring
+        ring = self.windows[row // self.size]
         if ring is not None:
             ring.close()
         progress = int(progress)
@@ -243,9 +284,9 @@ class TaskTable:
     def request_pause_at(self, row: int, iteration: int | None) -> None:
         """Pause the task once its progress reaches ``iteration`` (None: its
         current progress)."""
-        node = self.node_of(row)
-        if node.ring is not None:
-            node.ring.close()
+        ring = self.windows[row // self.size]
+        if ring is not None:
+            ring.close()
         state = self.state[row]
         if state is _DEAD:
             return
@@ -256,13 +297,13 @@ class TaskTable:
         bound = pause if cap is None or pause < cap else cap
         if state is _IDLE and progress >= bound:
             self.state[row] = _PAUSED
-            node.on_task_ready_for_checkpoint(row)
+            self._paused(row)
 
     def resume(self, row: int) -> None:
         """Release a pause.  On a fast-forwarded ring this is a read: a task
         that is not paused keeps running untouched; only one parked at the
         cap closes the window first."""
-        ring = self.node_of(row).ring
+        ring = self.windows[row // self.size]
         if ring is not None:
             if not ring.is_paused(row - ring.first):
                 return
@@ -308,8 +349,7 @@ class TaskTable:
         if bound is not None and progress >= bound:
             if state is not _PAUSED:
                 self.state[row] = _PAUSED
-                self.hosts[row // self.tasks_per_node] \
-                    .on_task_ready_for_checkpoint(row)
+                self._paused(row)
             return
         if self.left_stamp[row] < progress or self.right_stamp[row] < progress:
             self.state[row] = _IDLE
@@ -336,18 +376,44 @@ class TaskTable:
         self.iterations_executed[row] += 1
         self.state[row] = _IDLE
         self._announce(row)
-        self.hosts[row // self.tasks_per_node].on_task_progress(row)
+        if self.on_progress is not None:
+            self.on_progress(row // self.tasks_per_node)
         self._try_start(row)
+
+    def _paused(self, row: int) -> None:
+        """The task at ``row`` paused at its bound; fire
+        ``on_all_tasks_ready`` once every task of its node has."""
+        node = row // self.tasks_per_node
+        if self.on_all_tasks_ready is not None and self.all_ready(node):
+            self.on_all_tasks_ready(node)
 
     def _announce(self, row: int) -> None:
         """Send the dependency stamp for the just-completed iteration, the
         whole fan-out in one :meth:`~repro.runtime.messages.Transport.
         send_stamps` event."""
-        node = self.hosts[row // self.tasks_per_node]
-        node.transport.send_stamps(
-            node.node_id, self.targets(row), row % self.size,
+        self.transport.send_stamps(
+            row // self.tasks_per_node, self.targets(row), row % self.size,
             self.progress.item(row), self.epoch[row],
             nbytes=DEP_STAMP_NBYTES)
+
+    # -- the transport's receiver for every hosted node -------------------------------
+    def on_stamp(self, node: int, to_task: int, from_task: int, stamp: int,
+                 epoch: int) -> None:
+        """Deliver a dependency stamp to task ``to_task`` of ``node`` (the
+        transport calls this for live nodes only).  A stamp for a task not
+        hosted at ``node`` is dropped."""
+        tpn = self.tasks_per_node
+        first = node * tpn
+        i = to_task - first % self.size
+        if 0 <= i < tpn:
+            self.task(first + i).on_dep_message(from_task, stamp, epoch)
+
+    def __call__(self, msg: "Message") -> None:
+        # Dependency stamps arrive through on_stamp, heartbeats as sweeps,
+        # protocol traffic through Transport.send_control: no Message is
+        # ever addressed to a task host.
+        raise SimulationError(
+            f"node {msg.dst}: a task host takes no {msg.kind.value} messages")
 
     def on_dep_message(self, row: int, from_task: int, stamp: int,
                        epoch: int) -> None:

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 DEP_STAMP_NBYTES = 1024
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.node import Node
     from repro.runtime.soa import TaskTable
 
 
@@ -72,7 +71,8 @@ class Task:
         return self.table.task_id(self.row)
 
     @property
-    def node(self) -> "Node":
+    def node(self) -> int:
+        """The id of the hosting node."""
         return self.table.node_of(self.row)
 
     @property

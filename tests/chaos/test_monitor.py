@@ -32,10 +32,9 @@ def prefix_finish_double_failure(self, from_scratch):
     from repro.core.events import TimelineKind
 
     self._phase_events = []
-    for v in self.nodes.values():
-        if not v.alive:
-            v.revive()
-            self.heartbeat.notify_revived(v.node_id)
+    for nid in range(2 * self.n):
+        if not self.transport.alive[nid]:
+            self._revive(nid)
     if from_scratch:
         for replica in (0, 1):
             self.store.install_safe(

@@ -11,7 +11,6 @@ import pytest
 from repro.core.consensus import ConsensusController, RoundEngine
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Message, MsgKind, Transport
-from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
 from repro.runtime.soa import TaskTable
 from repro.runtime.task import TaskState
@@ -19,27 +18,33 @@ from repro.util.errors import SimulationError
 
 
 def build(n_nodes=4, tasks_per_node=2, skew=0.3):
+    """One ring over ``n_nodes`` nodes; ``nodes`` is their ids."""
     sim = Simulator()
     transport = Transport(sim)
-    nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
 
     def iteration_time(task_id, it):
         return 0.1 * (1.0 + skew * ((task_id * 13 + it * 7) % 10) / 10)
 
-    tasks = TaskTable(nodes, tasks_per_node=tasks_per_node,
-                      iteration_time=iteration_time).tasks(0)
-    controller = ConsensusController({n.node_id: n for n in nodes})
-    return sim, nodes, tasks, controller
+    table = TaskTable(sim, transport, n_nodes, tasks_per_node=tasks_per_node,
+                      iteration_time=iteration_time)
+    controller = ConsensusController(table)
+    return sim, list(range(n_nodes)), table.tasks(0), controller
+
+
+def start(controller):
+    """Start every task in the event engine."""
+    table = controller.table
+    for row in table.ring_rows(0):
+        table.start(row)
 
 
 class TestSafety:
     def test_all_tasks_pause_at_decided_iteration(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         sim.run(until=2.05)
         done = []
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: done.append(it))
         sim.run(until=10.0)
         assert len(done) == 1
@@ -49,12 +54,11 @@ class TestSafety:
 
     def test_decided_iteration_at_least_max_progress_at_request(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         sim.run(until=3.05)
         max_before = max(t.progress for t in tasks)
         done = []
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: done.append(it))
         sim.run(until=10.0)
         assert done[0] >= max_before
@@ -63,11 +67,10 @@ class TestSafety:
         # A task computing iteration k+1 when the request lands must be
         # allowed to finish it; the decision accounts for in-flight work.
         sim, nodes, tasks, controller = build(skew=0.0)
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         sim.run(until=0.45)  # everyone mid-iteration 5
         done = []
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: done.append(it))
         sim.run(until=5.0)
         assert done[0] == 5
@@ -75,8 +78,7 @@ class TestSafety:
 
     def test_subset_scope_leaves_other_nodes_running(self):
         sim, nodes, tasks, controller = build(n_nodes=4, tasks_per_node=1)
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         sim.run(until=1.05)
         # Only nodes 0 and 1 participate (e.g. medium-recovery consensus on
         # the healthy replica); 2 and 3 keep running... until the ring
@@ -92,18 +94,16 @@ class TestSafety:
 class TestLiveness:
     def test_completes_from_fresh_start(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         done = []
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: done.append(it))
         sim.run(until=5.0)
         assert done  # decides even at iteration ~0
 
     def test_sequential_rounds(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         decisions = []
 
         def after_first(rid, it):
@@ -111,9 +111,9 @@ class TestLiveness:
             for t in tasks:
                 t.resume()
 
-        controller.start_round([n.node_id for n in nodes], after_first)
+        controller.start_round(nodes, after_first)
         sim.run(until=3.0)
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: decisions.append(it))
         sim.run(until=8.0)
         assert len(decisions) == 2
@@ -121,16 +121,15 @@ class TestLiveness:
 
     def test_concurrent_round_rejected(self):
         sim, nodes, tasks, controller = build()
-        controller.start_round([n.node_id for n in nodes], lambda *a: None)
+        controller.start_round(nodes, lambda *a: None)
         with pytest.raises(SimulationError):
-            controller.start_round([n.node_id for n in nodes], lambda *a: None)
+            controller.start_round(nodes, lambda *a: None)
 
     def test_abort_releases_paused_tasks(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         sim.run(until=1.05)
-        controller.start_round([n.node_id for n in nodes], lambda *a: None)
+        controller.start_round(nodes, lambda *a: None)
         sim.run(until=1.10)  # mid-protocol: paused tasks still draining
         assert controller.active
         controller.abort_round()
@@ -141,17 +140,16 @@ class TestLiveness:
 
     def test_stale_messages_after_abort_ignored(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         done = []
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: done.append((rid, it)))
         sim.run(until=0.01)   # request in flight
         controller.abort_round()
         sim.run(until=2.0)    # stale messages drain harmlessly
         assert done == []
         # A fresh round still works afterwards.
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: done.append((rid, it)))
         sim.run(until=6.0)
         assert len(done) == 1
@@ -162,14 +160,15 @@ class TestLiveness:
             controller.start_round([], lambda *a: None)
 
     def test_empty_node_map_rejected(self):
-        with pytest.raises(SimulationError):
-            ConsensusController({})
+        # A controller runs over a task table, and a table has nodes.
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            TaskTable(sim, Transport(sim), 0, iteration_time=lambda *_: 1.0)
 
     def test_round_counters(self):
         sim, nodes, tasks, controller = build()
-        for n in nodes:
-            n.start_tasks()
-        controller.start_round([n.node_id for n in nodes], lambda *a: None)
+        start(controller)
+        controller.start_round(nodes, lambda *a: None)
         sim.run(until=5.0)
         assert controller.rounds_started == 1
         assert controller.rounds_completed == 1
@@ -177,11 +176,12 @@ class TestLiveness:
 
 class EnvelopeReceiver:
     """A node's transport receiver under :class:`EnvelopeController`: every
-    :class:`Message` goes to the controller, dependency stamps to the node."""
+    :class:`Message` goes to the controller, dependency stamps to the task
+    table."""
 
-    def __init__(self, controller, node):
+    def __init__(self, controller):
         self._controller = controller
-        self.on_stamp = node.on_stamp
+        self.on_stamp = controller.table.on_stamp
 
     def __call__(self, msg):
         self._controller._on_message(msg)
@@ -193,22 +193,21 @@ class EnvelopeController(ConsensusController):
     to a transport receiver that hands control traffic to this controller
     and everything else to the node."""
 
-    def __init__(self, nodes):
-        super().__init__(nodes)
-        for node in nodes.values():
-            node.transport.register(node.node_id,
-                                    EnvelopeReceiver(self, node))
+    def __init__(self, table):
+        super().__init__(table)
+        receiver = EnvelopeReceiver(self)
+        for nid in range(len(table.state) // table.tasks_per_node):
+            self.transport.register(nid, receiver)
 
     def _send(self, src, dst, handler, payload):
-        self.nodes[src].transport.send(Message(
+        self.transport.send(Message(
             MsgKind.CONTROL, src=src, dst=dst, payload=payload, nbytes=64,
             tag=handler.__name__))
 
     def _on_message(self, msg):
-        node = self.nodes[msg.dst]
         if msg.kind is not MsgKind.CONTROL:
-            node(msg)
-        elif node.alive:
+            self.table(msg)
+        elif self.transport.alive[msg.dst]:
             getattr(self, msg.tag)(msg.src, msg.dst, msg.payload)
 
 
@@ -221,7 +220,7 @@ def ring_over(sim, tasks, skew=0.3):
         return 0.1 * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
 
     ring = RingFastForward(tasks[0].table, 0, sim=sim,
-                           transport=tasks[0].node.transport,
+                           transport=tasks[0].table.transport,
                            row_times=row_times)
     sim.return_hooks.append(ring.refresh)
     return ring
@@ -230,7 +229,7 @@ def ring_over(sim, tasks, skew=0.3):
 def _sixteen_node_round(sim, nodes, controller, timeline):
     sim.run(until=2.05)
     controller.start_round(
-        [n.node_id for n in nodes],
+        nodes,
         lambda rid, it: timeline.append((sim.now, "done", rid, it)))
     sim.run(until=6.0)
 
@@ -246,14 +245,14 @@ class TestEnvelopeFreeMessages:
 
     def _observe(self, controller_cls, script):
         sim, nodes, tasks, _ = build(n_nodes=self.N)
-        controller = controller_cls({n.node_id: n for n in nodes})
+        controller = controller_cls(tasks[0].table)
+        table = controller.table
         timeline = []
-        for n in nodes:
-            n.on_progress = lambda node: timeline.append(
-                (sim.now, "progress", node.node_id,
-                 max(node.table.task(r).progress for r in node.rows())))
-            n.start_tasks()
-        transport = nodes[0].transport
+        table.on_progress = lambda node: timeline.append(
+            (sim.now, "progress", node,
+             max(table.task(r).progress for r in table.rows(node))))
+        start(controller)
+        transport = controller.transport
         script(sim, nodes, controller, timeline)
         return (timeline,
                 [(t.progress, t.state) for t in tasks],
@@ -284,8 +283,8 @@ class TestEnvelopeFreeMessages:
         drops = {}
 
         def script(sim, nodes, controller, timeline):
-            transport = nodes[0].transport
-            scope = [n.node_id for n in nodes]
+            transport = controller.transport
+            scope = nodes
             sim.run(until=2.05)
             controller.start_round(scope, lambda *a: timeline.append("done"))
             # The start flood reaches node 5 (depth 2) three hops after the
@@ -293,7 +292,7 @@ class TestEnvelopeFreeMessages:
             # message is dropped at the dead receiver and the max reduction
             # can never reach the root.
             sim.run(until=sim.now + 1.2e-5)
-            nodes[5].die()
+            controller.table.kill(5)
             base = transport.messages_dropped
             sim.run(until=2.5)
             drops["receiver"] = transport.messages_dropped - base
@@ -326,7 +325,7 @@ class TestEnvelopeFreeMessages:
             timeline = []
             _sixteen_node_round(sim, nodes, controller, timeline)
             assert controller.engine.rounds == (1 if engine else 0)
-            transport = nodes[0].transport
+            transport = controller.transport
             return (timeline,
                     [(t.progress, t.state, t.pause_at, t.busy_until,
                       t.iterations_executed, dict(t.dep_stamps))

@@ -25,7 +25,6 @@ from repro.obs import MetricsRegistry, TimeSeriesRecorder
 from repro.obs.tracer import SpanTracer
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
-from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
 from repro.runtime.soa import TaskTable
 from repro.storage.tiers import default_tiers
@@ -65,8 +64,9 @@ class Bare:
     def __init__(self, n_nodes: int, *, tpn: int = 2, skew: float = 0.3,
                  tau: float = 0.1):
         self.sim = sim = Simulator()
-        transport = Transport(sim)
-        self.nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
+        self.transport = transport = Transport(sim)
+        #: The node ids.
+        self.nodes = list(range(n_nodes))
         total = n_nodes * tpn
 
         def iteration_time(task_id, it):
@@ -78,13 +78,13 @@ class Bare:
             its = np.arange(first, first + count)[:, None]
             return tau * (1.0 + skew * ((ids * 13 + its * 7) % 10) / 10)
 
-        table = TaskTable(self.nodes, tasks_per_node=tpn,
-                          iteration_time=iteration_time)
+        self.table = table = TaskTable(sim, transport, n_nodes,
+                                       tasks_per_node=tpn,
+                                       iteration_time=iteration_time)
         self.tasks = table.tasks(0)
         self.tracer = SpanTracer()
         self.metrics = MetricsRegistry()
-        self.controller = ConsensusController(
-            {n.node_id: n for n in self.nodes})
+        self.controller = ConsensusController(table)
         self.controller.tracer = self.tracer
         self.controller.metrics = self.metrics
         self.ring = RingFastForward(table, 0, sim=sim, transport=transport,
@@ -96,7 +96,7 @@ class Bare:
     def round(self, at: float, until: float) -> None:
         self.sim.run(until=at)
         self.controller.start_round(
-            [n.node_id for n in self.nodes],
+            self.nodes,
             lambda rid, it: self.done.append((self.sim.now, rid, it)))
         self.sim.run(until=until)
 
@@ -106,7 +106,7 @@ class Bare:
             "tasks": [(t.progress, t.state, t.pause_at, t.busy_until,
                        t.iterations_executed, dict(t.dep_stamps))
                       for t in self.tasks],
-            "transport": _transport(self.nodes[0].transport),
+            "transport": _transport(self.transport),
             "trace": json.dumps(self.tracer.to_chrome_trace()),
             "metrics": self.metrics.snapshot(),
         }
@@ -149,20 +149,20 @@ def test_bare_round_death_in_each_phase(message_path, phase):
         bare = Bare(16, tpn=2)
         sim, controller = bare.sim, bare.controller
         sim.run(until=2.05)
-        controller.start_round([n.node_id for n in bare.nodes],
+        controller.start_round(bare.nodes,
                                lambda rid, it: bare.done.append(it))
-        t0, d = sim.now, bare.nodes[0].transport.small_delay(64)
+        t0, d = sim.now, bare.transport.small_delay(64)
         # Depth 4: the start flood ends at t0 + 5d and the decision at the
         # root comes about 5d later; the drain takes most of an iteration.
         at = {0: t0 + 2.5 * d, 1: t0 + 7.5 * d, 2: t0 + 12.5 * d,
               3: t0 + 0.05}[phase]
         sim.run(until=at)
-        bare.nodes[9].die()
+        bare.table.kill(9)
         sim.run(until=at + 0.2)
         controller.abort_round()
         sim.run(until=3.0)
-        bare.nodes[9].revive()
-        controller.start_round([n.node_id for n in bare.nodes],
+        bare.transport.set_alive(9, True)
+        controller.start_round(bare.nodes,
                                lambda rid, it: bare.done.append(it))
         sim.run(until=6.0)
         return bare
@@ -186,15 +186,15 @@ def test_bare_round_abort_in_each_phase(message_path, phase):
         bare = Bare(16, tpn=2)
         sim, controller = bare.sim, bare.controller
         sim.run(until=2.05)
-        controller.start_round([n.node_id for n in bare.nodes],
+        controller.start_round(bare.nodes,
                                lambda rid, it: bare.done.append(it))
-        t0, d = sim.now, bare.nodes[0].transport.small_delay(64)
+        t0, d = sim.now, bare.transport.small_delay(64)
         at = {0: t0 + 2.5 * d, 1: t0 + 7.5 * d, 2: t0 + 12.5 * d,
               3: t0 + 0.05}[phase]
         sim.run(until=at)
         controller.abort_round()
         sim.run(until=3.0)
-        controller.start_round([n.node_id for n in bare.nodes],
+        controller.start_round(bare.nodes,
                                lambda rid, it: bare.done.append(it))
         sim.run(until=6.0)
         return bare
@@ -219,13 +219,13 @@ def test_bare_round_abort_with_iterations_as_short_as_messages(message_path,
         bare = Bare(8, tpn=2, skew=0.9, tau=2e-5)
         sim, controller = bare.sim, bare.controller
         sim.run(until=0.001)
-        controller.start_round([n.node_id for n in bare.nodes],
+        controller.start_round(bare.nodes,
                                lambda rid, it: bare.done.append(it))
-        t0, d = sim.now, bare.nodes[0].transport.small_delay(64)
+        t0, d = sim.now, bare.transport.small_delay(64)
         sim.run(until=t0 + (tick + 0.5) * d / 2)
         controller.abort_round()
         sim.run(until=t0 + 0.0006)
-        controller.start_round([n.node_id for n in bare.nodes],
+        controller.start_round(bare.nodes,
                                lambda rid, it: bare.done.append(it))
         sim.run(until=t0 + 0.002)
         return bare

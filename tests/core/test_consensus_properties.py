@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.consensus import ConsensusController
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
-from repro.runtime.node import Node
 from repro.runtime.soa import TaskTable
 from repro.runtime.task import TaskState
 
@@ -24,17 +23,23 @@ from repro.runtime.task import TaskState
 def build_system(n_nodes, tasks_per_node, speed_seed):
     sim = Simulator()
     transport = Transport(sim)
-    nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
 
     def iteration_time(task_id, iteration):
         # Deterministic pseudo-random speeds in [0.05, 0.2] per (task, iter).
         h = (task_id * 2654435761 + iteration * 40503 + speed_seed) % 1000
         return 0.05 + 0.15 * h / 1000.0
 
-    tasks = TaskTable(nodes, tasks_per_node=tasks_per_node,
-                      iteration_time=iteration_time).tasks(0)
-    controller = ConsensusController({n.node_id: n for n in nodes})
-    return sim, nodes, tasks, controller
+    table = TaskTable(sim, transport, n_nodes, tasks_per_node=tasks_per_node,
+                      iteration_time=iteration_time)
+    controller = ConsensusController(table)
+    return sim, list(range(n_nodes)), table.tasks(0), controller
+
+
+def start(controller):
+    """Start every task in the event engine."""
+    table = controller.table
+    for row in table.ring_rows(0):
+        table.start(row)
 
 
 class TestConsensusProperties:
@@ -50,13 +55,12 @@ class TestConsensusProperties:
                                           speed_seed, request_at):
         sim, nodes, tasks, controller = build_system(
             n_nodes, tasks_per_node, speed_seed)
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         sim.run(until=request_at)
         progress_at_request = [t.progress for t in tasks]
 
         decisions = []
-        controller.start_round([n.node_id for n in nodes],
+        controller.start_round(nodes,
                                lambda rid, it: decisions.append(it))
         sim.run(until=request_at + 60.0)
 
@@ -82,14 +86,13 @@ class TestConsensusProperties:
     def test_repeated_rounds_monotone_decisions(self, n_nodes, speed_seed,
                                                 rounds):
         sim, nodes, tasks, controller = build_system(n_nodes, 2, speed_seed)
-        for n in nodes:
-            n.start_tasks()
+        start(controller)
         decisions = []
         deadline = 0.0
         for _ in range(rounds):
             deadline += 30.0
             controller.start_round(
-                [n.node_id for n in nodes],
+                nodes,
                 lambda rid, it: decisions.append(it))
             sim.run(until=deadline)
             for t in tasks:

@@ -2,11 +2,11 @@
 
 Every container the garbage collector tracks is work for each full
 collection, and at paper scale an ``ACR`` builds hundreds of thousands of
-nodes.  A node and its tasks must cost a tracked container or two (the
-``Node``; the tasks are rows of one task table), no bound method per node or
-task (the transport dispatches to the node itself, and every hook is one
-callable shared by all nodes), and a failure-free run must add a handful
-of objects, not some per node.
+nodes.  A node is an id and its tasks are rows of one task table, so a
+build tracks a constant few hundred containers however many nodes it has:
+no object, bound method or hook per node or task (the table is the
+transport receiver of every node, and each hook is one table attribute),
+and a failure-free run must add a handful of objects, not some per node.
 """
 
 import gc
@@ -18,8 +18,9 @@ from repro.apps.synthetic import synthetic_descriptor
 from repro.core.config import ACRConfig
 from repro.core.framework import ACR
 
-#: Tracked containers one node (with its one task) may add to a build.
-PER_NODE = 2
+#: Tracked containers one node (with its one task) may add to a build: the
+#: constant part of a build, spread over 2×1024 nodes, is about 0.06.
+PER_NODE = 0.1
 
 
 def build(n: int) -> ACR:

@@ -14,7 +14,6 @@ import pytest
 from repro.apps.registry import make_app
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
-from repro.runtime.node import Node
 from repro.runtime.ring import RingFastForward
 from repro.runtime.soa import TaskTable
 from repro.runtime.task import Task, TaskState
@@ -35,23 +34,26 @@ OWNERS: dict = {}
 @pytest.fixture(autouse=True)
 def log_ring(monkeypatch):
     """Log every task completion and stamp arrival into the :class:`Ring`
-    that holds the task.  ``Node`` and ``Task`` have ``__slots__``, so the
-    loggers wrap the class methods rather than per-instance attributes."""
-    completion = Node.on_task_progress
+    that holds the task.  ``TaskTable`` and ``Task`` have ``__slots__``, so
+    the loggers wrap the class methods rather than per-instance
+    attributes."""
+    completion = TaskTable._on_iteration_done
     arrival = Task.on_dep_message
 
-    def on_task_progress(node, row):
-        table = node.table
-        OWNERS[node.sim].completions[table.task_id(row),
-                                     table.progress.item(row)] = node.sim.now
-        completion(node, row)
+    def on_iteration_done(table, row, epoch):
+        executed = table.iterations_executed[row]
+        completion(table, row, epoch)
+        if table.iterations_executed[row] != executed:  # not a stale one
+            sim = table.sim
+            OWNERS[sim].completions[table.task_id(row),
+                                    table.progress.item(row)] = sim.now
 
     def on_dep_message(task, from_task, stamp, epoch):
-        sim = task.node.sim
+        sim = task.table.sim
         OWNERS[sim].arrivals[from_task, task.task_id, stamp] = sim.now
         arrival(task, from_task, stamp, epoch)
 
-    monkeypatch.setattr(Node, "on_task_progress", on_task_progress)
+    monkeypatch.setattr(TaskTable, "_on_iteration_done", on_iteration_done)
     monkeypatch.setattr(Task, "on_dep_message", on_dep_message)
     yield
     OWNERS.clear()
@@ -66,9 +68,8 @@ class Ring:
         self.transport = Transport(self.sim)
         n_nodes = n_tasks // tpn
         self.app = make_app(app_name, n_nodes, scale=1e-4, seed=seed)
-        self.nodes = [Node(r, 0, r, self.sim, self.transport)
-                      for r in range(n_nodes)]
-        self.table = TaskTable(self.nodes, tasks_per_node=tpn,
+        self.table = TaskTable(self.sim, self.transport, n_nodes,
+                               tasks_per_node=tpn,
                                iteration_time=self.app.iteration_time)
         self.table.set_cap(ITERATIONS)
         self.tasks = self.table.tasks(0)
@@ -83,9 +84,13 @@ class Ring:
             row_times=lambda first, count: self.app.iteration_times(
                 first, count, ids))
 
+    def start(self) -> None:
+        """Start every task in the event engine."""
+        for row in self.table.ring_rows(0):
+            self.table.start(row)
+
     def run_events(self) -> None:
-        for node in self.nodes:
-            node.start_tasks()
+        self.start()
         self.sim.run()
 
 
@@ -124,7 +129,7 @@ def test_vectorised_iteration_times_equal_the_scalar_model(app):
 def test_each_task_knows_its_nodes_offset(n_tasks, tpn):
     bare = Ring("synthetic", n_tasks, tpn)
     ring = bare.engine()
-    assert ring.nodes == [t.node for t in bare.tasks][::tpn]
+    assert ring.node_ids == [t.node for t in bare.tasks][::tpn]
     assert ring.node_ids == list(range(n_tasks // tpn))
     assert ring.task_node_pos.tolist() == [i // tpn for i in range(n_tasks)]
 
@@ -140,7 +145,7 @@ def test_close_hands_an_exact_ring_back_to_the_event_engine(n_tasks, tpn):
     fast.sim.run(until=0.4)
     ring.close()
     assert not ring.open and ring.syncs == 1 and ring.ties == 0
-    assert all(node.ring is None for node in fast.nodes)
+    assert fast.table.windows == [None]
     fast.sim.run()
     # Completions after the sync are real events again, at the same instants.
     later = {key: t for key, t in events.completions.items() if t > 0.4}
@@ -165,8 +170,7 @@ def test_long_window_keeps_a_bounded_row_buffer():
     fast = Ring("synthetic", 6, 2)
     for ring in (events, fast):
         ring.table.set_cap(None)
-    for node in events.nodes:
-        node.start_tasks()
+    events.start()
     events.sim.run(until=400.0)
 
     ring = fast.engine()
@@ -214,13 +218,11 @@ def test_adopt_takes_over_an_event_mode_ring_mid_flight(n_tasks, tpn, after):
     read_at = adopt_at + 0.0317
 
     ref = Ring("jacobi3d-charm", n_tasks, tpn)
-    for node in ref.nodes:
-        node.start_tasks()
+    ref.start()
     ref.sim.run(until=read_at)
 
     fast = Ring("jacobi3d-charm", n_tasks, tpn)
-    for node in fast.nodes:
-        node.start_tasks()
+    fast.start()
     fast.sim.run(until=adopt_at)
     ring = fast.engine()
     assert ring.adopt() and ring.adoptions == 1
@@ -259,8 +261,7 @@ def test_adopt_declines_at_the_instant_of_a_ring_event(event):
     ring = fast.engine()
     adopted = []
     fast.sim.schedule_at(at, lambda: adopted.append(ring.adopt()))
-    for node in fast.nodes:
-        node.start_tasks()
+    fast.start()
     fast.sim.run()
     assert adopted == [False] and not ring.open
     assert _task_fields(fast) == _task_fields(events)

@@ -29,7 +29,6 @@ import pytest
 from repro.runtime.des import PeriodicHandle, Simulator
 from repro.runtime.heartbeat import HEARTBEAT_NBYTES, HeartbeatMonitor
 from repro.runtime.messages import MsgKind, Transport
-from repro.runtime.node import Node
 from repro.runtime.soa import TaskTable
 from repro.util.rng import RngStream
 
@@ -37,27 +36,29 @@ pytestmark = pytest.mark.scale_smoke
 
 
 class LegacyHeartbeatMonitor:
-    """Verbatim replica of the per-object monitor the SoA sweeps replaced:
-    dict ``last_seen``, one ``send_small`` per live node per sweep (N posted
-    delivery events), and a full attribute-chasing walk per check sweep."""
+    """Replica of the per-object monitor the SoA sweeps replaced, over node
+    ids: dict ``last_seen``, one ``send_small`` per live node per sweep (N
+    posted delivery events), a full walk per check sweep, and one
+    ``HEARTBEAT`` message per probe, taken by :meth:`on_heartbeat`."""
 
-    def __init__(self, nodes, buddy_of, *, interval, timeout_factor, on_death):
-        self.nodes = {n.node_id: n for n in nodes}
+    def __init__(self, transport, node_ids, buddy_of, *, interval,
+                 timeout_factor, on_death, incarnations):
+        self.transport = transport
+        self.node_ids = list(node_ids)
         self.buddy_of = dict(buddy_of)
         self.interval = interval
         self.timeout = timeout_factor * interval
         self.on_death = on_death
+        #: Spare-node replacements by id (the dedup key's incarnation).
+        self.incarnations = incarnations
         self.last_seen: dict[int, float] = {}
         self._reported: set[tuple[int, int]] = set()
         self._send_sweep_event: PeriodicHandle | None = None
         self._check_sweep_event: PeriodicHandle | None = None
 
     def start(self) -> None:
-        first = next(iter(self.nodes.values()))
-        sim = first.sim
-        for node in self.nodes.values():
-            node.heartbeat_handler = self._on_heartbeat
-        self.last_seen = {nid: sim.now for nid in self.nodes}
+        sim = self.transport.sim
+        self.last_seen = {nid: sim.now for nid in self.node_ids}
         self._send_sweep_event = sim.schedule_periodic(
             self.interval, self._send_sweep)
         self._check_sweep_event = sim.schedule_periodic(
@@ -72,11 +73,11 @@ class LegacyHeartbeatMonitor:
             self._check_sweep_event = None
 
     def _send_sweep(self) -> None:
-        buddy_of = self.buddy_of
-        for node in self.nodes.values():
-            if node.alive:
-                node.transport.send_small(
-                    MsgKind.HEARTBEAT, node.node_id, buddy_of[node.node_id],
+        transport, buddy_of = self.transport, self.buddy_of
+        for nid in self.node_ids:
+            if transport.alive[nid]:
+                transport.send_small(
+                    MsgKind.HEARTBEAT, nid, buddy_of[nid],
                     nbytes=HEARTBEAT_NBYTES, tag="hb",
                 )
 
@@ -84,25 +85,41 @@ class LegacyHeartbeatMonitor:
         timeout = self.timeout
         last_seen = self.last_seen
         reported = self._reported
-        for node in self.nodes.values():
-            if not node.alive:
+        alive = self.transport.alive
+        for nid in self.node_ids:
+            if not alive[nid]:
                 continue
-            buddy_id = self.buddy_of[node.node_id]
-            silent_for = node.sim.now - last_seen[buddy_id]
+            buddy_id = self.buddy_of[nid]
+            silent_for = self.transport.sim.now - last_seen[buddy_id]
             if silent_for >= timeout:
-                buddy = self.nodes[buddy_id]
-                key = (buddy_id, buddy.failures_survived)
+                key = (buddy_id, self.incarnations[buddy_id])
                 if key not in reported:
                     reported.add(key)
-                    self.on_death(node, buddy)
+                    self.on_death(nid, buddy_id)
 
-    def _on_heartbeat(self, msg) -> None:
-        self.last_seen[msg.src] = self.nodes[msg.src].sim.now
+    def on_heartbeat(self, msg) -> None:
+        self.last_seen[msg.src] = self.transport.sim.now
 
     def notify_revived(self, node_id: int) -> None:
-        now = self.nodes[node_id].sim.now
+        now = self.transport.sim.now
         self.last_seen[node_id] = now
         self.last_seen[self.buddy_of[node_id]] = now
+
+
+class LegacyReceiver:
+    """The per-message route into a node, registered for every id of the
+    legacy world: ``APP`` messages go to the task table's stamp entry,
+    ``HEARTBEAT`` messages to the legacy monitor."""
+
+    def __init__(self, table, monitor):
+        self.table = table
+        self.monitor = monitor
+
+    def __call__(self, msg) -> None:
+        if msg.kind is MsgKind.APP:
+            self.table.on_stamp(msg.dst, *msg.payload)
+        else:
+            self.monitor.on_heartbeat(msg)
 
 
 def _iteration_time(task_id: int, iteration: int) -> float:
@@ -114,7 +131,8 @@ def _iteration_time(task_id: int, iteration: int) -> float:
 def _per_message_send_stamps(transport: Transport) -> Callable:
     """The fan-out loop :meth:`Transport.send_stamps` replaced, reproduced on
     top of the per-message fast path (delivery runs through
-    ``Node.__call__`` -> ``Task.on_dep_message``, the pre-batching route)."""
+    :class:`LegacyReceiver` -> ``TaskTable.on_stamp`` ->
+    ``Task.on_dep_message``, the pre-batching route)."""
     def send_stamps(src, targets, from_task, stamp, epoch, *, nbytes):
         for dst, to_task in targets:
             transport.send_small(MsgKind.APP, src, dst,
@@ -150,45 +168,46 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
         transport.send_stamps = _per_message_send_stamps(transport)
     trace: list[tuple] = []
 
-    nodes: list[Node] = []
-    for replica in (0, 1):
-        for rank in range(n_per_replica):
-            nodes.append(Node(replica * n_per_replica + rank, replica, rank,
-                              sim, transport))
+    # Node ids: replica r's rank k is r * n_per_replica + k.
+    nodes = list(range(2 * n_per_replica))
     # One ring of tasks per replica (tasks_per_node=1, so row == node_id),
     # capped so the rings finish mid-run and go quiet like a real app phase.
     # Each task's iteration times are keyed by its node id.
-    table = TaskTable(nodes, rings=2, iteration_time=[
+    table = TaskTable(sim, transport, len(nodes), rings=2, iteration_time=[
         (lambda tid, it, base=r * n_per_replica:
          _iteration_time(base + tid, it)) for r in (0, 1)])
     table.set_cap(8)
-    for node in nodes:
-        node.on_progress = (lambda nd: trace.append(
-            ("prog", sim.now, nd.node_id, table.progress.item(nd.first))))
+    table.on_progress = (lambda nid: trace.append(
+        ("prog", sim.now, nid, table.progress.item(nid))))
 
     buddy_of = {}
     for rank in range(n_per_replica):
         buddy_of[rank] = n_per_replica + rank
         buddy_of[n_per_replica + rank] = rank
-    monitor_cls = LegacyHeartbeatMonitor if legacy else HeartbeatMonitor
-    monitor = monitor_cls(
-        nodes, buddy_of, interval=1.0, timeout_factor=4.0,
-        on_death=lambda det, dead: trace.append(
-            ("detect", sim.now, det.node_id, dead.node_id)))
+    incarnations = [0] * len(nodes)
+    options = dict(interval=1.0, timeout_factor=4.0,
+                   on_death=lambda det, dead: trace.append(
+                       ("detect", sim.now, det, dead)))
+    if legacy:
+        monitor = LegacyHeartbeatMonitor(transport, nodes, buddy_of,
+                                         incarnations=incarnations, **options)
+        receiver = LegacyReceiver(table, monitor)
+        for nid in nodes:
+            transport.register(nid, receiver)
+    else:
+        monitor = HeartbeatMonitor(transport, nodes, buddy_of, **options)
     monitor.start()
-    for node in nodes:
-        node.start_tasks()
-
-    node_by_id = {n.node_id: n for n in nodes}
+    for row in range(len(nodes)):
+        table.start(row)
 
     def apply(action: str, nid: int) -> None:
-        node = node_by_id[nid]
         if action == "kill":
             trace.append(("kill", sim.now, nid))
-            node.die()
+            table.kill(nid)
         else:
             trace.append(("revive", sim.now, nid))
-            node.revive()
+            incarnations[nid] += 1
+            transport.set_alive(nid, True)
             monitor.notify_revived(nid)
 
     for t, action, nid in _fault_plan(n_per_replica, seed):
@@ -196,7 +215,7 @@ def _run_world(n_per_replica: int, seed: int, *, legacy: bool):
 
     sim.run(until=20.0)
     monitor.stop()
-    last_seen = {nid: float(monitor.last_seen[nid]) for nid in monitor.nodes}
+    last_seen = {nid: float(monitor.last_seen[nid]) for nid in nodes}
     return {
         "trace": trace,
         "last_seen": last_seen,

@@ -1,7 +1,8 @@
 """The task table's progress column (:mod:`repro.runtime.soa`).
 
 Progress writes must leave exactly the state the at-cap test reads: an
-exact ``below_cap`` count across forward progress *and* rollbacks.
+exact ``below_cap`` count across forward progress *and* rollbacks.  The
+table's hosting of nodes is tested in ``test_node.py``.
 """
 
 from __future__ import annotations
@@ -10,15 +11,13 @@ import numpy as np
 
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
-from repro.runtime.node import Node
 from repro.runtime.soa import TaskTable
 
 
 def table(n_tasks: int) -> TaskTable:
     sim = Simulator()
-    transport = Transport(sim)
-    nodes = [Node(i, 0, i, sim, transport) for i in range(n_tasks)]
-    return TaskTable(nodes, iteration_time=lambda *_: 1.0)
+    return TaskTable(sim, Transport(sim), n_tasks,
+                     iteration_time=lambda *_: 1.0)
 
 
 class TestTaskProgressStamp:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.runtime.des import Simulator
 from repro.runtime.messages import Transport
-from repro.runtime.node import Node
 from repro.runtime.soa import TaskTable
 from repro.runtime.task import TaskState
 
@@ -14,20 +13,23 @@ def build_ring(n_tasks=4, iteration_seconds=0.1, tasks_per_node=1,
     """n tasks in a dependency ring, one node each by default."""
     sim = Simulator()
     transport = Transport(sim)
-    n_nodes = n_tasks // tasks_per_node
-    nodes = [Node(i, 0, i, sim, transport) for i in range(n_nodes)]
     table = TaskTable(
-        nodes, tasks_per_node=tasks_per_node,
+        sim, transport, n_tasks // tasks_per_node,
+        tasks_per_node=tasks_per_node,
         iteration_time=iteration_time or (lambda task_id, it: iteration_seconds))
     table.set_cap(cap)
-    return sim, nodes, table.tasks(0)
+    return sim, table, table.tasks(0)
+
+
+def start(table):
+    for row in table.ring_rows(0):
+        table.start(row)
 
 
 class TestForwardProgress:
     def test_tasks_advance_through_iterations(self):
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         sim.run(until=2.0)
         assert all(t.progress >= 10 for t in tasks)
 
@@ -36,9 +38,8 @@ class TestForwardProgress:
         def jittered(task_id, it):
             return 0.1 * (1.0 + 0.3 * ((task_id * 7 + it) % 5) / 5)
 
-        sim, nodes, tasks = build_ring(iteration_time=jittered)
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring(iteration_time=jittered)
+        start(table)
         sim.run(until=5.0)
         progresses = [t.progress for t in tasks]
         assert max(progresses) - min(progresses) <= 2
@@ -46,9 +47,8 @@ class TestForwardProgress:
 
 class TestPauseResume:
     def test_pause_at_iteration(self):
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         sim.run(until=0.35)
         for t in tasks:
             t.request_pause_at(5)
@@ -57,9 +57,8 @@ class TestPauseResume:
         assert all(t.state is TaskState.PAUSED for t in tasks)
 
     def test_resume_continues(self):
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         for t in tasks:
             t.request_pause_at(3)
         sim.run(until=2.0)
@@ -69,9 +68,8 @@ class TestPauseResume:
         assert all(t.progress > 10 for t in tasks)
 
     def test_iteration_cap_is_hard(self):
-        sim, nodes, tasks = build_ring(cap=7)
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring(cap=7)
+        start(table)
         sim.run(until=10.0)
         assert all(t.progress == 7 for t in tasks)
         # resume() must not override the cap.
@@ -81,22 +79,20 @@ class TestPauseResume:
         assert all(t.progress == 7 for t in tasks)
 
     def test_all_tasks_ready_callback(self):
-        sim, nodes, tasks = build_ring(n_tasks=4, tasks_per_node=2)
+        sim, table, tasks = build_ring(n_tasks=4, tasks_per_node=2)
         ready_nodes = []
-        for n in nodes:
-            n.on_all_tasks_ready = ready_nodes.append
-            n.start_tasks()
+        table.on_all_tasks_ready = ready_nodes.append
+        start(table)
         for t in tasks:
             t.request_pause_at(2)
         sim.run(until=2.0)
-        assert set(id(n) for n in ready_nodes) >= set(id(n) for n in nodes)
+        assert set(ready_nodes) >= {0, 1}
 
 
 class TestRollback:
     def test_restore_resets_progress_and_resumes(self):
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         sim.run(until=1.05)
         assert all(t.progress >= 10 for t in tasks)
         for t in tasks:
@@ -105,9 +101,8 @@ class TestRollback:
         assert all(t.progress > 3 for t in tasks)
 
     def test_stale_messages_discarded_after_restore(self):
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         sim.run(until=1.05)
         old_epoch = tasks[0].epoch
         for t in tasks:
@@ -118,9 +113,8 @@ class TestRollback:
         assert tasks[0].dep_stamps[1] < 50
 
     def test_in_flight_compute_cancelled_by_restore(self):
-        sim, nodes, tasks = build_ring(iteration_seconds=1.0)
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring(iteration_seconds=1.0)
+        start(table)
         sim.run(until=0.5)  # everyone mid-iteration-1
         for t in tasks:
             t.restore(0)
@@ -136,15 +130,14 @@ class TestStaleCompletions:
     ones a kill or a restore left behind."""
 
     def test_kill_revive_restore_drops_stale_completion(self):
-        sim, nodes, tasks = build_ring(iteration_seconds=1.0)
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring(iteration_seconds=1.0)
+        start(table)
         sim.run(until=0.5)  # everyone mid-iteration-1, completions due at 1.0
         victim = tasks[1]
         assert victim.state is TaskState.COMPUTING
         assert 1.0 <= victim.busy_until < 1.2
-        nodes[1].die()
-        nodes[1].revive()
+        table.kill(1)
+        table.transport.set_alive(1, True)  # a spare takes node 1 over
         for t in tasks:  # the rollback restores every task
             t.restore(0)
         processed = sim.events_processed
@@ -162,11 +155,10 @@ class TestStaleCompletions:
 
 class TestDeath:
     def test_killed_task_stops(self):
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         sim.run(until=0.55)
-        nodes[1].die()
+        table.kill(1)
         frozen = tasks[1].progress
         sim.run(until=2.0)
         assert tasks[1].progress == frozen
@@ -175,11 +167,10 @@ class TestDeath:
     def test_ring_starves_without_dead_neighbour(self):
         # Neighbours of a dead task stall within a couple of iterations -
         # the natural stall of the crashed replica in the weak scheme.
-        sim, nodes, tasks = build_ring()
-        for n in nodes:
-            n.start_tasks()
+        sim, table, tasks = build_ring()
+        start(table)
         sim.run(until=0.55)
-        nodes[1].die()
+        table.kill(1)
         sim.run(until=5.0)
         alive = [t for i, t in enumerate(tasks) if i != 1]
         assert max(t.progress for t in alive) <= tasks[1].progress + 2
